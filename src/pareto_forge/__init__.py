@@ -36,6 +36,7 @@ from .pareto import (
     ParetoPoint,
     Sense,
     annotate_dominance,
+    dominated_mask,
     dominates,
     filter_nondominated,
     merge_fronts,
@@ -43,6 +44,7 @@ from .pareto import (
     write_front_csv,
 )
 from .polymodel import (
+    ModelStack,
     PolyBasis,
     PolynomialModel,
     basis_eval,
@@ -52,6 +54,7 @@ from .polymodel import (
     published_model,
     published_pair,
     save_model,
+    value_and_jacobian,
 )
 from .regression import (
     FitDiagnostics,

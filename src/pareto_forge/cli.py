@@ -100,12 +100,32 @@ _GA_KEYS = {"pop": "pop_size", "gens": "generations", "pc": "crossover_prob",
             "eta_c": "crossover_eta", "pm": "mutation_prob", "eta_m": "mutation_eta",
             "elite": "elite_fraction", "seed": "seed"}
 _METHOD_KEYS = ("method", "p_values", "weight_steps", "epsilon_points", "epsilon_primary", "order")
+#: config keys whose values must be JSON integers; ranges are checked by the consumers
+_INTEGER_KEYS = {"weight_steps", "epsilon_points", "starts", "seed", "max_outer", "max_inner",
+                 "pop", "gens"}
+
+
+def _check_integers(block: dict, label: str) -> None:
+    """Reject integer keys of ``block`` holding anything but a JSON integer (not a boolean)."""
+    for key, value in block.items():
+        if key == "p_values":
+            if not isinstance(value, list):
+                raise ConfigError(f"{label}.p_values must be a list of integers, got {value!r}")
+            items = value
+        elif key in _INTEGER_KEYS:
+            items = [value]
+        else:
+            continue
+        for item in items:
+            if isinstance(item, bool) or not isinstance(item, int):
+                raise ConfigError(f"{label}.{key} must be an integer, got {item!r}")
 
 
 def _mapped_kwargs(block: dict, mapping: dict[str, str], label: str) -> dict:
     unknown = set(block) - set(mapping)
     if unknown:
         raise ConfigError(f"unknown {label} config keys: {sorted(unknown)}")
+    _check_integers(block, label)
     return {mapping[k]: v for k, v in block.items()}
 
 
@@ -138,8 +158,9 @@ def load_config(path: str | Path | None) -> RunConfig:
             unknown = set(block) - set(_METHOD_KEYS)
             if unknown:
                 raise ConfigError(f"unknown method config keys: {sorted(unknown)}")
+            _check_integers(block, "method")
             if "p_values" in block:
-                block["p_values"] = tuple(int(p) for p in block["p_values"])
+                block["p_values"] = tuple(block["p_values"])
             if "order" in block:
                 block["order"] = tuple(str(o) for o in block["order"])
             cfg.method = dataclasses.replace(cfg.method, **block)

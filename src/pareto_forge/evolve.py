@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .nlsolver import RunCounters
-from .pareto import Front, ParetoPoint, Sense, filter_nondominated
+from .pareto import Front, ParetoPoint, Sense, dominated_mask, filter_nondominated
 from .scalarize import MooProblem
 
 
@@ -49,20 +49,13 @@ def nondominated_sort(points, senses: Sequence[Sense]) -> np.ndarray:
     values = np.asarray(points, dtype=float)
     if values.ndim != 2:
         raise ValueError("points must be a 2-D array of response vectors")
-    sign = np.array([1.0 if s is Sense.MINIMIZE else -1.0 for s in senses])
-    v = values * sign
-    # dominated[i, j]: point i dominates point j
-    le = (v[:, None, :] <= v[None, :, :]).all(axis=2)
-    lt = (v[:, None, :] < v[None, :, :]).any(axis=2)
-    dom = le & lt
-    ranks = np.full(len(v), -1, dtype=int)
-    remaining = np.ones(len(v), dtype=bool)
+    ranks = np.full(len(values), -1, dtype=int)
+    remaining = np.arange(len(values))
     rank = 0
-    while remaining.any():
-        has_dominator = (dom & remaining[:, None] & remaining[None, :]).any(axis=0)
-        current = remaining & ~has_dominator
-        ranks[current] = rank
-        remaining &= ~current
+    while remaining.size:
+        dominated = dominated_mask(values[remaining], senses)
+        ranks[remaining[~dominated]] = rank
+        remaining = remaining[dominated]
         rank += 1
     return ranks
 

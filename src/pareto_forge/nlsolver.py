@@ -92,6 +92,8 @@ class SolverConfig:
             raise ValueError("n_starts must be at least 1")
         if self.kkt_tol <= 0 or self.feas_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_outer < 1 or self.max_inner < 1:
+            raise ValueError("max_outer and max_inner must be at least 1")
 
 
 @dataclass(frozen=True)

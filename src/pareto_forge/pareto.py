@@ -12,6 +12,10 @@ import numpy as np
 
 FRONT_CSV_HEADER = ("method", "param", "vc", "fz", "t", "ra", "mrr")
 
+#: Candidate rows compared against all rows at once by :func:`dominated_mask`;
+#: bounds its temporaries to DOMINANCE_BLOCK * n * n_objectives booleans.
+DOMINANCE_BLOCK = 256
+
 
 class Sense(Enum):
     MINIMIZE = "min"
@@ -81,6 +85,31 @@ def dominates(a: Sequence[float], b: Sequence[float], senses: Sequence[Sense], e
     return bool(np.all(va <= vb + e) and np.any(va < vb - e))
 
 
+def dominated_mask(values, senses: Sequence[Sense], eps=0.0) -> np.ndarray:
+    """Per row of ``values`` (n, n_objectives): whether some row dominates it.
+
+    The same test as :func:`dominates`, for all pairs at once, a block of
+    candidate rows at a time so memory stays O(DOMINANCE_BLOCK * n).
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 2 or v.shape[1] != len(senses):
+        raise ValueError(f"values must have shape (n, {len(senses)}), got {v.shape}")
+    v = np.ascontiguousarray(_min_form(v, senses).T)
+    e = _eps_array(eps, len(senses))
+    out = np.empty(v.shape[1], dtype=bool)
+    for start in range(0, v.shape[1], DOMINANCE_BLOCK):
+        cand = v[:, start:start + DOMINANCE_BLOCK, None]
+        # [i, j]: row j is no worse than candidate i everywhere / better somewhere
+        no_worse = np.logical_and.reduce(v[:, None, :] <= cand + e[:, None, None])
+        better = np.logical_or.reduce(v[:, None, :] < cand - e[:, None, None])
+        out[start:start + DOMINANCE_BLOCK] = (no_worse & better).any(axis=1)
+    return out
+
+
+def _responses(points: Sequence[ParetoPoint], n_obj: int) -> np.ndarray:
+    return np.array([p.responses for p in points], dtype=float).reshape(len(points), n_obj)
+
+
 def filter_nondominated(
     points: Sequence[ParetoPoint], senses: Sequence[Sense], eps=0.0
 ) -> list[ParetoPoint]:
@@ -88,32 +117,20 @@ def filter_nondominated(
 
     Exact duplicate response vectors collapse to their first occurrence.
     """
+    dominated = dominated_mask(_responses(points, len(senses)), senses, eps)
     survivors: list[ParetoPoint] = []
     seen: set[tuple[float, ...]] = set()
-    for i, p in enumerate(points):
-        if p.responses in seen:
-            continue
-        if any(
-            dominates(q.responses, p.responses, senses, eps)
-            for j, q in enumerate(points)
-            if j != i
-        ):
-            continue
-        seen.add(p.responses)
-        survivors.append(replace(p, dominated=False))
+    for p, dom in zip(points, dominated):
+        if not dom and p.responses not in seen:
+            seen.add(p.responses)
+            survivors.append(replace(p, dominated=False))
     return survivors
 
 
 def annotate_dominance(front: Front, eps=0.0) -> Front:
     """Return the same front with each point's ``dominated`` flag set; nothing is removed."""
-    flagged = []
-    for i, p in enumerate(front.points):
-        dom = any(
-            dominates(q.responses, p.responses, front.senses, eps)
-            for j, q in enumerate(front.points)
-            if j != i
-        )
-        flagged.append(replace(p, dominated=dom))
+    dominated = dominated_mask(_responses(front.points, len(front.senses)), front.senses, eps)
+    flagged = [replace(p, dominated=bool(dom)) for p, dom in zip(front.points, dominated)]
     return Front(tuple(flagged), front.senses)
 
 

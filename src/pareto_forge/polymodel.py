@@ -1,20 +1,27 @@
-"""Polynomial response-surface models over (vc, fz, t) with analytic gradients.
+"""Polynomial response-surface models over (vc, fz, t), described by exponent tables.
 
-Two fixed monomial bases are supported: a 7-term linear-plus-interaction form and
-an 11-term full quadratic form with the triple product. Term order is part of the
-contract; coefficients printed in the source study are shipped as fixtures.
+A basis is a table of exponent triples (a, b, c), one per monomial vc^a fz^b t^c,
+in fixed term order; term order is part of the contract, since coefficients
+printed in the source study are shipped as fixtures. Each table is closed under
+differentiation, so every partial derivative of a model is a model over the same
+table, and a model's Jacobian is a fixed linear map of the basis vector. The
+values and exact gradients of m models therefore come from one basis vector and
+one (4m, k) matrix (:class:`ModelStack`). :func:`evaluate` and :func:`gradient`
+use the rows of the same matrix for one model, with the same arithmetic.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
+
+VARIABLES = ("vc", "fz", "t")
 
 
 class PolyBasis(Enum):
@@ -24,14 +31,57 @@ class PolyBasis(Enum):
     FULL_QUADRATIC_TRIPLE = "full_quadratic_triple"
 
     @property
+    def exponents(self) -> tuple[tuple[int, int, int], ...]:
+        """One (vc, fz, t) exponent triple per term, in term order."""
+        return _EXPONENTS[self]
+
+    @property
     def n_terms(self) -> int:
-        return 7 if self is PolyBasis.LINEAR_INTERACTION else 11
+        return len(self.exponents)
 
     @property
     def term_names(self) -> tuple[str, ...]:
-        if self is PolyBasis.LINEAR_INTERACTION:
-            return ("1", "vc", "fz", "t", "vc*fz", "vc*t", "fz*t")
-        return ("1", "vc", "fz", "t", "vc^2", "fz^2", "t^2", "vc*fz", "vc*t", "fz*t", "vc*fz*t")
+        return tuple(
+            "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(VARIABLES, exps) if e) or "1"
+            for exps in self.exponents
+        )
+
+
+_EXPONENTS = {
+    PolyBasis.LINEAR_INTERACTION: (
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+    ),
+    PolyBasis.FULL_QUADRATIC_TRIPLE: (
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2),
+        (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1),
+    ),
+}
+
+
+class _Table:
+    """Where each monomial's vc, fz and t powers sit in the powers [1, x, x^2, ...]."""
+
+    def __init__(self, exponents: tuple[tuple[int, int, int], ...]):
+        exps = np.array(exponents).reshape(-1, 3)
+        self.degree = max(1, int(exps.max(initial=0)))
+        self.gather = exps * 3 + np.arange(3)
+
+
+def _basis(table: _Table, x) -> np.ndarray:
+    """Monomial values, shape (..., k).
+
+    Powers are repeated products, and each monomial multiplies its vc, fz and t
+    powers left to right: the values equal the written-out products bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
+    powers = np.empty(lead + (table.degree + 1, 3))
+    powers[..., 0, :] = 1.0
+    powers[..., 1, :] = x
+    for d in range(2, table.degree + 1):
+        np.multiply(powers[..., d - 1, :], x, out=powers[..., d, :])
+    flat = powers.reshape(lead + (-1,))
+    return np.multiply.reduce(flat.take(table.gather, axis=-1), axis=-1)
 
 
 def basis_eval(basis: PolyBasis, x) -> np.ndarray:
@@ -40,14 +90,7 @@ def basis_eval(basis: PolyBasis, x) -> np.ndarray:
     ``x`` is an array of shape (..., 3); the result has shape (..., n_terms), so
     whole grids of design points can be evaluated in one call.
     """
-    x = np.asarray(x, dtype=float)
-    vc, fz, t = x[..., 0], x[..., 1], x[..., 2]
-    one = np.ones_like(vc)
-    if basis is PolyBasis.LINEAR_INTERACTION:
-        terms = (one, vc, fz, t, vc * fz, vc * t, fz * t)
-    else:
-        terms = (one, vc, fz, t, vc * vc, fz * fz, t * t, vc * fz, vc * t, fz * t, vc * fz * t)
-    return np.stack(terms, axis=-1)
+    return _basis(_Table(basis.exponents), x)
 
 
 @dataclass(frozen=True)
@@ -58,6 +101,8 @@ class PolynomialModel:
     coefficients: tuple[float, ...]
     response: str
     units: str = ""
+    #: the model alone, which :func:`evaluate` and :func:`gradient` read
+    stack: ModelStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
@@ -68,6 +113,7 @@ class PolynomialModel:
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must all be finite")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "stack", ModelStack((self,)))
 
     def evaluate(self, x):
         return evaluate(self, x)
@@ -81,23 +127,60 @@ def evaluate(model: PolynomialModel, x):
 
     Broadcasts like :func:`basis_eval`; a single 3-vector yields a scalar.
     """
-    return basis_eval(model.basis, x) @ np.asarray(model.coefficients)
+    return np.take(_product(model.stack, x, slice(0, 1)), 0, axis=-1)
 
 
 def gradient(model: PolynomialModel, x) -> np.ndarray:
     """Exact partial derivatives with respect to (vc, fz, t), shape (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    vc, fz, t = x[..., 0], x[..., 1], x[..., 2]
-    c = model.coefficients
-    if model.basis is PolyBasis.LINEAR_INTERACTION:
-        d_vc = c[1] + c[4] * fz + c[5] * t
-        d_fz = c[2] + c[4] * vc + c[6] * t
-        d_t = c[3] + c[5] * vc + c[6] * fz
-    else:
-        d_vc = c[1] + 2.0 * c[4] * vc + c[7] * fz + c[8] * t + c[10] * fz * t
-        d_fz = c[2] + 2.0 * c[5] * fz + c[7] * vc + c[9] * t + c[10] * vc * t
-        d_t = c[3] + 2.0 * c[6] * t + c[8] * vc + c[9] * fz + c[10] * vc * fz
-    return np.stack(np.broadcast_arrays(d_vc, d_fz, d_t), axis=-1)
+    return _product(model.stack, x, slice(1, None))
+
+
+class ModelStack:
+    """m models over the union of their bases, evaluated together with exact Jacobians.
+
+    Each model is multiplied by its sign, exactly; -1 puts a maximized response in
+    minimization form. ``matrix`` holds the m value rows, then the d/dvc, d/dfz
+    and d/dt rows of each model in turn.
+    """
+
+    def __init__(self, models: Sequence[PolynomialModel], signs: Sequence[float] | None = None):
+        signs = [1.0] * len(models) if signs is None else [float(s) for s in signs]
+        if not models or len(signs) != len(models):
+            raise ValueError(f"need one sign per model, got {len(signs)} for {len(models)}")
+        exponents = tuple(dict.fromkeys(e for m in models for e in m.basis.exponents))
+        self.table = _Table(exponents)
+        self.size = len(models)
+        rows = np.zeros((len(models), 4, len(exponents)))
+        for i, (model, sign) in enumerate(zip(models, signs)):
+            for c, e in zip(model.coefficients, model.basis.exponents):
+                rows[i, 0, exponents.index(e)] = sign * c
+                for v in range(3):
+                    if e[v]:  # d/dv of c x^e is (c e_v) x^(e - unit v), a term of the table
+                        lowered = tuple(ev - (w == v) for w, ev in enumerate(e))
+                        rows[i, 1 + v, exponents.index(lowered)] = sign * c * e[v]
+        self.matrix = np.vstack([rows[:, 0], rows[:, 1:].reshape(-1, len(exponents))])
+
+    def value_and_jacobian(self, x):
+        return value_and_jacobian(self, x)
+
+
+def _product(stack: ModelStack, x, rows: slice = slice(None)) -> np.ndarray:
+    """``stack.matrix[rows]`` times the basis vector at ``x``, shape (..., n_rows).
+
+    An explicit multiply and row sum rather than BLAS: a row's sum then depends
+    neither on the other rows nor on the number of points, so a value stacked over
+    the model's own basis equals its :func:`evaluate` bit for bit.
+    """
+    phi = _basis(stack.table, x)
+    return np.add.reduce(stack.matrix[rows] * phi[..., None, :], axis=-1)
+
+
+def value_and_jacobian(stack: ModelStack, x) -> tuple[np.ndarray, np.ndarray]:
+    """Values f (..., m) and Jacobian J (..., m, 3) of the models of ``stack`` at ``x``:
+    one basis evaluation and one matrix product per point serve all m models."""
+    m = stack.size
+    out = _product(stack, x)
+    return out[..., :m], out[..., m:].reshape(out.shape[:-1] + (m, 3))
 
 
 # Fixed-coefficient models exactly as printed in the source study. The 7-term pair

@@ -12,7 +12,7 @@ every reported response is in natural, un-negated units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .nlsolver import (
     multistart_minimize,
 )
 from .pareto import Front, ParetoPoint, Sense, annotate_dominance
-from .polymodel import PolynomialModel, evaluate, gradient
+from .polymodel import ModelStack, PolynomialModel, evaluate
 
 #: p grid used by the deviation-criterion sweep in the case study.
 DEFAULT_P_VALUES = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
@@ -66,20 +66,37 @@ class Objective:
         """+1 for minimized objectives, -1 for maximized ones."""
         return 1.0 if self.sense is Sense.MINIMIZE else -1.0
 
-    def minimized(self, x) -> tuple[float, np.ndarray]:
-        """Minimization-form value and gradient at ``x``."""
-        return self.sign * float(evaluate(self.model, x)), self.sign * gradient(self.model, x)
+    def function(self, negate: bool = False, bound: float = 0.0, scale: float = 1.0,
+                 name: str = "") -> SmoothFunction:
+        """Solver callback for the minimization form minus ``bound``, or its negation.
+
+        One model evaluation a call. With ``bound`` and ``scale`` it is the
+        inequality constraint ``f - bound <= 0``.
+        """
+        sign = -self.sign if negate else self.sign
+        stack = self.model.stack
+
+        def vg(x):
+            f, jac = stack.value_and_jacobian(x)
+            return sign * f[0] - bound, sign * jac[0]
+
+        label = name or (f"-{self.name}" if negate else self.name)
+        return SmoothFunction(vg, model_cost=1, scale=scale, name=label)
 
 
 @dataclass(frozen=True)
 class MooProblem:
     objectives: tuple[Objective, ...]
     constraints: ConstraintSet
+    #: every objective's model in minimization form, evaluated together
+    stack: ModelStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objectives", tuple(self.objectives))
         if len(self.objectives) < 2:
             raise ValueError("a multi-objective problem needs at least two objectives")
+        stack = ModelStack([o.model for o in self.objectives], [o.sign for o in self.objectives])
+        object.__setattr__(self, "stack", stack)
 
     @property
     def senses(self) -> tuple[Sense, ...]:
@@ -88,6 +105,10 @@ class MooProblem:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(o.name for o in self.objectives)
+
+    def constrained_by(self, extra: Sequence[SmoothFunction]) -> ConstraintSet:
+        """The problem's constraints plus the inequalities ``extra``."""
+        return replace(self.constraints, inequalities=self.constraints.inequalities + tuple(extra))
 
     def responses_at(self, x) -> tuple[float, ...]:
         return tuple(float(evaluate(o.model, x)) for o in self.objectives)
@@ -158,17 +179,6 @@ class UtopiaRecord:
         return e.best if e.sense is Sense.MINIMIZE else -e.best
 
 
-def _objective_fn(obj: Objective, negate: bool = False) -> SmoothFunction:
-    sign = -1.0 if negate else 1.0
-
-    def vg(x):
-        f, g = obj.minimized(x)
-        return sign * f, sign * g
-
-    label = f"-{obj.name}" if negate else obj.name
-    return SmoothFunction(vg, model_cost=1, name=label)
-
-
 def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -> UtopiaRecord:
     """Multistart optimum and anti-optimum of every objective, in its own sense.
 
@@ -180,7 +190,7 @@ def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -
     for obj in problem.objectives:
         results = {}
         for negate in (False, True):
-            outcome = multistart_minimize(_objective_fn(obj, negate), problem.constraints, config)
+            outcome = multistart_minimize(obj.function(negate), problem.constraints, config)
             counters.add(outcome.counters)
             if not outcome.converged:
                 kind = "anti-optimum" if negate else "optimum"
@@ -214,16 +224,22 @@ def relative_deviation_norm(values, utopia_values, p: int):
     """
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
-    values = np.asarray(values, dtype=float)
     stars = np.asarray(utopia_values, dtype=float)
     if np.any(stars == 0.0):
         raise ValueError("deviation criterion undefined: an individual optimum is zero")
-    d = np.abs(values - stars) / np.abs(stars)
-    m = d.max(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(m[..., None] > 0, d / np.where(m[..., None] > 0, m[..., None], 1.0), 0.0)
-        out = m * np.power(np.power(scaled, p).sum(axis=-1), 1.0 / p)
+    out, _ = _deviation(np.asarray(values, dtype=float), stars, p)
     return out if out.ndim else float(out)
+
+
+def _deviation(values: np.ndarray, stars: np.ndarray, p: int):
+    """The deviation criterion F and dF/dvalues, over the last axis of ``values``."""
+    diff = values - stars
+    d = np.abs(diff) / np.abs(stars)
+    m = d.max(axis=-1, keepdims=True)
+    value = m[..., 0] * np.power(np.power(d / np.where(m > 0, m, 1.0), p).sum(axis=-1), 1.0 / p)
+    # dF/dd_i = (d_i / F)^(p-1), with d_i <= F guaranteed for p >= 1; 0 where F is 0
+    weights = np.power(d / np.where(value > 0, value, 1.0)[..., None], p - 1)
+    return value, weights * (np.sign(diff) / np.abs(stars))
 
 
 @dataclass(frozen=True)
@@ -280,29 +296,31 @@ class SweepResult:
     counters: RunCounters
 
 
+def _sweep(problem: MooProblem, results: list, method: str, tag) -> SweepResult:
+    """Front of the per-point results, tagged by ``tag(result)``, dominated points flagged."""
+    counters = RunCounters()
+    for r in results:
+        counters.add(r.outcome.counters)
+    points = [ParetoPoint(r.x, r.responses, method, tag(r), feasible=getattr(r, "feasible", True))
+              for r in results]
+    return SweepResult(annotate_dominance(Front(tuple(points), problem.senses)), tuple(results),
+                       counters)
+
+
 def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: int) -> SmoothFunction:
     stars = np.array([utopia.best_minimized(i) for i in range(len(problem.objectives))])
     if np.any(stars == 0.0):
         zero = problem.objectives[int(np.argmin(np.abs(stars)))].name
         raise ValueError(f"deviation criterion undefined: optimum of {zero!r} is zero")
 
-    def vg(x):
-        vals = np.empty(len(problem.objectives))
-        grads = np.empty((len(problem.objectives), 3))
-        for i, obj in enumerate(problem.objectives):
-            vals[i], grads[i] = obj.minimized(x)
-        d = np.abs(vals - stars) / np.abs(stars)
-        m = d.max()
-        if m == 0.0:
-            return 0.0, np.zeros(3)
-        value = m * float(np.power(np.power(d / m, p).sum(), 1.0 / p))
-        # dF/dd_i = (d_i / F)^(p-1), with d_i <= F guaranteed for p >= 1
-        weights = np.power(d / value, p - 1)
-        signs = np.sign(vals - stars) / np.abs(stars)
-        grad = (weights * signs) @ grads
-        return value, grad
+    stack = problem.stack
 
-    return SmoothFunction(vg, model_cost=len(problem.objectives), name=f"deviation p={p}")
+    def vg(x):
+        f, jac = stack.value_and_jacobian(x)
+        value, weights = _deviation(f, stars, p)
+        return float(value), weights @ jac
+
+    return SmoothFunction(vg, model_cost=stack.size, name=f"deviation p={p}")
 
 
 def global_criterion(
@@ -335,17 +353,8 @@ def global_criterion_sweep(
     """One criterion solve per p; dominated points are kept but flagged."""
     config = config or SolverConfig()
     utopia = utopia or individual_optima(problem, config)
-    results = []
-    counters = RunCounters()
-    for p in p_values:
-        res = global_criterion(problem, p, config, utopia)
-        counters.add(res.outcome.counters)
-        results.append(res)
-    points = [
-        ParetoPoint(r.x, r.responses, "global_criterion", f"p={r.p}") for r in results
-    ]
-    front = annotate_dominance(Front(tuple(points), problem.senses))
-    return SweepResult(front, tuple(results), counters)
+    results = [global_criterion(problem, p, config, utopia) for p in p_values]
+    return _sweep(problem, results, "global_criterion", lambda r: f"p={r.p}")
 
 
 def _normalized_ranges(problem: MooProblem, bounds: NormalizationBounds):
@@ -380,18 +389,15 @@ def weighted_sum(
     if normalization is None:
         utopia = utopia or individual_optima(problem, config)
         normalization = utopia.normalization_bounds()
-    ranges = _normalized_ranges(problem, normalization)
+    lo, width = np.array(_normalized_ranges(problem, normalization)).T
+    w = np.array(weights)
+    stack = problem.stack
 
     def vg(x):
-        total = 0.0
-        grad = np.zeros(3)
-        for w, obj, (lo, width) in zip(weights, problem.objectives, ranges):
-            f, g = obj.minimized(x)
-            total += w * (f - lo) / width
-            grad += (w / width) * g
-        return total, grad
+        f, jac = stack.value_and_jacobian(x)
+        return float(np.sum(w * (f - lo) / width)), (w / width) @ jac
 
-    fn = SmoothFunction(vg, model_cost=len(problem.objectives), name=f"weighted sum {weights}")
+    fn = SmoothFunction(vg, model_cost=stack.size, name=f"weighted sum {weights}")
     outcome = multistart_minimize(fn, problem.constraints, config)
     return WeightedSumResult(
         x=outcome.x,
@@ -416,55 +422,29 @@ def weighted_sum_sweep(
     config = config or SolverConfig()
     utopia = utopia or individual_optima(problem, config)
     normalization = utopia.normalization_bounds()
-    results = []
-    counters = RunCounters()
-    for k in range(steps):
-        w = k / (steps - 1)
-        res = weighted_sum(problem, (w, 1.0 - w), normalization, config)
-        counters.add(res.outcome.counters)
-        results.append(res)
-    points = [
-        ParetoPoint(r.x, r.responses, "weighted_sum", f"w={r.weights[0]:g}") for r in results
-    ]
-    front = annotate_dominance(Front(tuple(points), problem.senses))
-    return SweepResult(front, tuple(results), counters)
+    weights = [k / (steps - 1) for k in range(steps)]
+    results = [weighted_sum(problem, (w, 1.0 - w), normalization, config) for w in weights]
+    return _sweep(problem, results, "weighted_sum", lambda r: f"w={r.weights[0]:g}")
 
 
 def _epsilon_solve(problem, primary_idx, epsilons, config):
     others = [i for i in range(len(problem.objectives)) if i != primary_idx]
     if len(epsilons) != len(others):
         raise ValueError(f"{len(epsilons)} bounds for {len(others)} non-primary objectives")
-    extra = []
-    for i, eps in zip(others, epsilons):
-        obj = problem.objectives[i]
-
-        def vg(x, _obj=obj, _eps=eps):
-            f, g = _obj.minimized(x)
-            return f - _eps, g
-
-        extra.append(
-            SmoothFunction(vg, model_cost=1, scale=max(1.0, abs(eps)), name=f"{obj.name}<= {eps:g}")
-        )
-    constraints = ConstraintSet(
-        problem.constraints.bounds,
-        problem.constraints.inequalities + tuple(extra),
-        problem.constraints.equalities,
-    )
-    outcome = multistart_minimize(_objective_fn(problem.objectives[primary_idx]), constraints, config)
-    feasible = outcome.constraint_violation <= config.feas_tol
-    active = []
-    for i, eps in zip(others, epsilons):
-        f, _ = problem.objectives[i].minimized(np.asarray(outcome.x))
-        scale = max(1.0, abs(eps))
-        active.append((f - eps) / scale >= -ACTIVE_TOL)
-    return EpsilonResult(
-        x=outcome.x,
-        responses=problem.responses_at(outcome.x),
-        outcome=outcome,
-        epsilons=tuple(float(e) for e in epsilons),
-        active=tuple(active),
-        feasible=feasible,
-    )
+    objectives = problem.objectives
+    extra = [
+        objectives[i].function(bound=eps, scale=max(1.0, abs(eps)),
+                               name=f"{objectives[i].name}<= {eps:g}")
+        for i, eps in zip(others, epsilons)
+    ]
+    outcome = multistart_minimize(objectives[primary_idx].function(),
+                                  problem.constrained_by(extra), config)
+    responses = problem.responses_at(outcome.x)
+    active = tuple((objectives[i].sign * responses[i] - eps) / max(1.0, abs(eps)) >= -ACTIVE_TOL
+                   for i, eps in zip(others, epsilons))
+    return EpsilonResult(x=outcome.x, responses=responses, outcome=outcome,
+                         epsilons=tuple(float(e) for e in epsilons), active=active,
+                         feasible=outcome.constraint_violation <= config.feas_tol)
 
 
 def epsilon_constraint(
@@ -512,21 +492,9 @@ def epsilon_sweep(
     lo = utopia.best_minimized(other_idx)
     entry = utopia.entries[other_idx]
     hi = entry.worst if entry.sense is Sense.MINIMIZE else -entry.worst
-    grid = np.linspace(lo, hi, n_points)
-    results = []
-    counters = RunCounters()
-    for eps in grid:
-        res = _epsilon_solve(problem, primary_idx, (float(eps),), config)
-        counters.add(res.outcome.counters)
-        results.append(res)
-    points = [
-        ParetoPoint(
-            r.x, r.responses, "epsilon_constraint", f"eps={r.epsilons[0]:.6g}", feasible=r.feasible
-        )
-        for r in results
-    ]
-    front = annotate_dominance(Front(tuple(points), problem.senses))
-    return SweepResult(front, tuple(results), counters)
+    results = [_epsilon_solve(problem, primary_idx, (float(eps),), config)
+               for eps in np.linspace(lo, hi, n_points)]
+    return _sweep(problem, results, "epsilon_constraint", lambda r: f"eps={r.epsilons[0]:.6g}")
 
 
 def lexicographic(
@@ -557,12 +525,7 @@ def lexicographic(
     terminated = False
     for idx in indices:
         obj = problem.objectives[idx]
-        constraints = ConstraintSet(
-            problem.constraints.bounds,
-            problem.constraints.inequalities + tuple(extra),
-            problem.constraints.equalities,
-        )
-        outcome = multistart_minimize(_objective_fn(obj), constraints, config)
+        outcome = multistart_minimize(obj.function(), problem.constrained_by(extra), config)
         counters.add(outcome.counters)
         if outcome.constraint_violation > config.feas_tol:
             blockers = [c.name for c in extra]
@@ -585,15 +548,8 @@ def lexicographic(
             break
         prev_scaled = scaled
         f_star = outcome.objective
-        bound = f_star + LEX_SLACK_REL * abs(f_star)
-
-        def vg(x, _obj=obj, _bound=bound):
-            f, g = _obj.minimized(x)
-            return f - _bound, g
-
-        extra.append(
-            SmoothFunction(vg, model_cost=1, scale=max(1.0, abs(f_star)), name=f"hold {obj.name}")
-        )
+        extra.append(obj.function(bound=f_star + LEX_SLACK_REL * abs(f_star),
+                                  scale=max(1.0, abs(f_star)), name=f"hold {obj.name}"))
     final = stages[-1]
     return LexicographicResult(
         x=final.x,

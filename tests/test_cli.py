@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pareto_forge.cli import main
 
 SMALL_CONFIG = {
@@ -165,6 +167,23 @@ def test_bad_parameter_values_are_config_errors(tmp_path, capsys):
     out = str(tmp_path / "o")
     assert main(["optimize", "--method", "weighted_sum", "--starts", "0", "--out", out]) == 2
     assert main(["optimize", "--method", "weighted_sum", "--steps", "1", "--out", out]) == 2
+
+
+@pytest.mark.parametrize("config", [
+    {"method": {"weight_steps": "11"}},
+    {"solver": {"starts": True}},
+    {"method": {"p_values": [1.5]}},
+    {"method": {"epsilon_points": 1.5}},
+    {"solver": {"max_outer": 0}},
+    {"solver": {"max_inner": 0}},
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["optimize", "--method", "weighted_sum", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_nested_out_dir_created(tmp_path):

@@ -8,12 +8,14 @@ from pareto_forge import (
     ParetoPoint,
     Sense,
     annotate_dominance,
+    dominated_mask,
     dominates,
     filter_nondominated,
     merge_fronts,
     read_front_csv,
     write_front_csv,
 )
+from pareto_forge import pareto
 
 MIN_MAX = (Sense.MINIMIZE, Sense.MAXIMIZE)
 MIN_MIN = (Sense.MINIMIZE, Sense.MINIMIZE)
@@ -189,3 +191,49 @@ def test_front_csv_skips_infeasible(tmp_path):
 def test_front_senses_length_enforced():
     with pytest.raises(ValueError, match="responses"):
         Front((pt((1.0, 2.0, 3.0)),), MIN_MAX)
+
+
+def _reference_filter(points, senses, eps):
+    """The per-pair loop definition of filter_nondominated."""
+    survivors, seen = [], set()
+    for i, p in enumerate(points):
+        if p.responses in seen:
+            continue
+        if any(dominates(q.responses, p.responses, senses, eps)
+               for j, q in enumerate(points) if j != i):
+            continue
+        seen.add(p.responses)
+        survivors.append(p)
+    return survivors
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    resps=st.lists(st.tuples(st.integers(0, 4).map(float), st.integers(0, 4).map(float)),
+                   min_size=0, max_size=14),
+    eps=st.sampled_from([0.0, 0.5, 1.0, (0.0, 1.5), (2.0, 0.0)]),
+    senses=st.sampled_from([MIN_MAX, MIN_MIN]),
+)
+def test_dominance_kernel_matches_pairwise_reference(resps, eps, senses):
+    points = [pt(r, tag=str(i)) for i, r in enumerate(resps)]
+    values = np.array(resps, dtype=float).reshape(len(resps), 2)
+    expected = [any(dominates(b, a, senses, eps) for j, b in enumerate(resps) if j != i)
+                for i, a in enumerate(resps)]
+    assert dominated_mask(values, senses, eps).tolist() == expected
+    flagged = annotate_dominance(Front(tuple(points), senses), eps)
+    assert [p.dominated for p in flagged.points] == expected
+    assert ([p.tag for p in filter_nondominated(points, senses, eps)]
+            == [p.tag for p in _reference_filter(points, senses, eps)])
+
+
+def test_dominance_kernel_blocks_agree(monkeypatch):
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 20, size=(300, 2)).astype(float)
+    whole = dominated_mask(values, MIN_MAX)
+    monkeypatch.setattr(pareto, "DOMINANCE_BLOCK", 7)
+    assert np.array_equal(dominated_mask(values, MIN_MAX), whole)
+
+
+def test_dominance_kernel_shape_checked():
+    with pytest.raises(ValueError, match="shape"):
+        dominated_mask(np.zeros((3, 3)), MIN_MAX)

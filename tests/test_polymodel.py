@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
+    ModelStack,
     PolyBasis,
     PolynomialModel,
     basis_eval,
@@ -14,6 +15,7 @@ from pareto_forge import (
     published_model,
     published_pair,
     save_model,
+    value_and_jacobian,
 )
 
 QUAD = PolyBasis.FULL_QUADRATIC_TRIPLE
@@ -180,3 +182,78 @@ def test_model_json_roundtrip(tmp_path, refit_models):
     text = path.read_text()
     assert '"basis": "full_quadratic_triple"' in text
     assert '"response": "Ra"' in text
+
+
+@pytest.mark.parametrize("basis", list(PolyBasis))
+def test_exponent_table_closed_under_differentiation(basis):
+    table = set(basis.exponents)
+    assert len(table) == basis.n_terms
+    for e in basis.exponents:
+        for v in range(3):
+            if e[v]:
+                assert tuple(ev - (w == v) for w, ev in enumerate(e)) in table, (e, v)
+
+
+@pytest.mark.parametrize("basis", list(PolyBasis))
+def test_basis_eval_matches_exponent_table(basis):
+    x = np.array([3.0, 5.0, 7.0])
+    expected = [np.prod(x ** np.array(e)) for e in basis.exponents]
+    assert basis_eval(basis, x).tolist() == expected
+
+
+def _stack_pairs(refit_models):
+    ra21, mrr22 = published_pair("eq21")
+    ra23, mrr24 = published_pair("eq23")
+    return [
+        ModelStack(refit_models, (1.0, -1.0)),
+        ModelStack((ra21, mrr22), (1.0, -1.0)),
+        ModelStack((ra23, mrr24, ra21), (-1.0, 1.0, 1.0)),  # mixed bases: union table
+    ]
+
+
+def _box_points(n, seed):
+    lb = np.array(CASE_STUDY_BOUNDS.lower)
+    return lb + np.random.default_rng(seed).random((n, 3)) * np.array(CASE_STUDY_BOUNDS.span)
+
+
+def test_value_and_jacobian_matches_central_differences(refit_models):
+    step = 1e-5 * np.array(CASE_STUDY_BOUNDS.span)
+    pts = _box_points(40, 9)
+    for stack in _stack_pairs(refit_models):
+        f, jac = value_and_jacobian(stack, pts)
+        assert f.shape == (40, stack.size) and jac.shape == (40, stack.size, 3)
+        for v in range(3):
+            e = np.zeros(3)
+            e[v] = step[v]
+            fd = (value_and_jacobian(stack, pts + e)[0]
+                  - value_and_jacobian(stack, pts - e)[0]) / (2 * step[v])
+            an = jac[..., v]
+            assert np.all(np.abs(fd - an) <= 1e-5 * np.maximum(1.0, np.abs(an)))
+        f0, jac0 = stack.value_and_jacobian(pts[0])
+        assert f0.shape == (stack.size,) and jac0.shape == (stack.size, 3)
+
+
+def test_value_and_jacobian_batch_equals_per_point(refit_models):
+    pts = _box_points(25, 4)
+    for stack in _stack_pairs(refit_models):
+        f, jac = stack.value_and_jacobian(pts)
+        for i, x in enumerate(pts):
+            fi, ji = stack.value_and_jacobian(x)
+            assert np.array_equal(f[i], fi) and np.array_equal(jac[i], ji)
+
+
+def test_stack_rows_equal_single_model_arithmetic(refit_models):
+    ra, mrr = refit_models
+    stack = ModelStack((ra, mrr), (1.0, -1.0))
+    for x in _box_points(50, 6):
+        f, jac = stack.value_and_jacobian(x)
+        assert f[0] == evaluate(ra, x) and f[1] == -evaluate(mrr, x)
+        assert np.array_equal(jac[0], gradient(ra, x))
+        assert np.array_equal(jac[1], -gradient(mrr, x))
+    pts = _box_points(50, 7)
+    assert np.array_equal(evaluate(ra, pts), [evaluate(ra, x) for x in pts])
+
+
+def test_stack_needs_one_sign_per_model(refit_models):
+    with pytest.raises(ValueError, match="one sign per model"):
+        ModelStack(refit_models, (1.0,))

@@ -25,7 +25,6 @@ from pareto_forge import (
     weighted_sum,
     weighted_sum_sweep,
 )
-from pareto_forge.scalarize import _objective_fn
 
 FAST = SolverConfig(n_starts=4, seed=0)
 
@@ -113,9 +112,12 @@ def test_index_of(problem):
 def test_minimized_sign(problem):
     x = np.array(CASE_STUDY_BOUNDS.center)
     ra_obj, mrr_obj = problem.objectives
-    f, _ = mrr_obj.minimized(x)
+    f, _ = problem.stack.value_and_jacobian(x)
+    assert f[1] == -float(mrr_obj.model.evaluate(x))
+    assert f[0] == float(ra_obj.model.evaluate(x))
+    f, _ = mrr_obj.function().value_and_grad(x)
     assert f == -float(mrr_obj.model.evaluate(x))
-    f, _ = ra_obj.minimized(x)
+    f, _ = ra_obj.function().value_and_grad(x)
     assert f == float(ra_obj.model.evaluate(x))
 
 
@@ -242,7 +244,7 @@ def test_lexicographic_reverse_order_stage_monotonicity(problem):
 def test_lexicographic_single_objective_equals_plain_minimize(problem):
     res = lexicographic(problem, ("ra",), FAST)
     assert len(res.stages) == 1
-    direct = multistart_minimize(_objective_fn(problem.objectives[0]), problem.constraints, FAST)
+    direct = multistart_minimize(problem.objectives[0].function(), problem.constraints, FAST)
     assert res.x == direct.x
 
 
@@ -320,3 +322,30 @@ def test_sense_conversion_leaves_argmin_unchanged(problem, neg_problem):
     la = lexicographic(problem, ("mrr", "ra"), cfg)
     lb = lexicographic(neg_problem, ("neg_MRR", "ra"), cfg)
     assert la.x == lb.x
+
+
+def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
+    # one model evaluation is one response model at one point
+    from pareto_forge import polymodel
+
+    made = {"n": 0}
+    evaluate_models = polymodel.value_and_jacobian
+
+    def counting(stack, x):
+        made["n"] += stack.size * (np.size(x) // 3)
+        return evaluate_models(stack, x)
+
+    monkeypatch.setattr(polymodel, "value_and_jacobian", counting)
+    cfg = SolverConfig(n_starts=2, seed=1)
+    utopia = individual_optima(problem, cfg)
+    assert utopia.counters.function_evals == made["n"] > 0
+    norm = utopia.normalization_bounds()
+    runs = [
+        lambda: global_criterion(problem, 4, cfg, utopia).outcome.counters,
+        lambda: weighted_sum(problem, (0.4, 0.6), norm, cfg).outcome.counters,
+        lambda: epsilon_constraint(problem, "mrr", (0.7107,), cfg).outcome.counters,
+        lambda: lexicographic(problem, ("ra", "mrr"), cfg).counters,
+    ]
+    for run in runs:
+        made["n"] = 0
+        assert run().function_evals == made["n"] > 0
