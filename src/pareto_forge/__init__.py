@@ -21,7 +21,6 @@ from .dataset import (
 from .evolve import GaConfig, GaResult, crowding_distance, nondominated_sort, run_ga
 from .nlsolver import (
     ConstraintSet,
-    EqualityConstraintError,
     NonFiniteEvaluationError,
     RunCounters,
     SmoothFunction,
@@ -69,10 +68,13 @@ from .regression import (
 from .scalarize import (
     DEFAULT_P_VALUES,
     InfeasibleEpsilonError,
+    LexicographicResult,
+    MethodResult,
     MooProblem,
     NormalizationBounds,
     Objective,
     ObjectiveRange,
+    RoutineResult,
     StageInfeasibleError,
     UtopiaRecord,
     epsilon_constraint,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,14 +25,8 @@ from .dataset import (
     validate_records,
 )
 from .evolve import GaConfig, GaResult, run_ga
-from .nlsolver import (
-    ConstraintSet,
-    EqualityConstraintError,
-    NonFiniteEvaluationError,
-    RunCounters,
-    SolverConfig,
-)
-from .pareto import Front, ParetoPoint, Sense, merge_fronts, read_front_csv, write_front_csv
+from .nlsolver import ConstraintSet, NonFiniteEvaluationError, RunCounters, SolverConfig
+from .pareto import Front, Sense, merge_fronts, read_front_csv, write_front_csv
 from .polymodel import PolyBasis, PolynomialModel, model_to_dict, published_pair
 from .regression import (
     RegressionError,
@@ -43,8 +38,12 @@ from .regression import (
 from .scalarize import (
     DEFAULT_P_VALUES,
     InfeasibleEpsilonError,
+    LexicographicResult,
+    LexStage,
+    MethodResult,
     MooProblem,
     Objective,
+    RoutineResult,
     StageInfeasibleError,
     UtopiaSolveError,
 )
@@ -56,6 +55,10 @@ EXIT_NUMERIC = 3
 
 SCALARIZATION_METHODS = ("global_criterion", "lexicographic", "weighted_sum", "epsilon_constraint")
 ALL_METHODS = SCALARIZATION_METHODS + ("ga",)
+#: objective names, in the order the problem holds them
+OBJECTIVES = ("ra", "mrr")
+#: routines that start from the individual optima, which one run computes once
+UTOPIA_METHODS = ("global_criterion", "weighted_sum", "epsilon_constraint")
 
 _NUMERIC_ERRORS = (
     RegressionError,
@@ -63,7 +66,6 @@ _NUMERIC_ERRORS = (
     StageInfeasibleError,
     UtopiaSolveError,
     NonFiniteEvaluationError,
-    EqualityConstraintError,
 )
 
 
@@ -71,14 +73,38 @@ class ConfigError(ValueError):
     """Bad command line or config-file contents."""
 
 
-@dataclass
+def _names_objective(name) -> bool:
+    return isinstance(name, str) and name.lower() in OBJECTIVES
+
+
+@dataclass(frozen=True)
 class MethodConfig:
+    """Routine selection and sweep sizes, checked whole before any data is read."""
+
     method: str = "all"
     p_values: tuple[int, ...] = DEFAULT_P_VALUES
     weight_steps: int = 11
     epsilon_points: int = 11
     epsilon_primary: str = "mrr"
     order: tuple[str, ...] = ("mrr", "ra")
+
+    def __post_init__(self) -> None:
+        if self.method not in ALL_METHODS + ("all",):
+            raise ValueError(f"unknown method {self.method!r}; "
+                             f"expected one of {ALL_METHODS + ('all',)}")
+        if not self.p_values or min(self.p_values) < 1:
+            raise ValueError(f"p_values must be positive integers, at least one, "
+                             f"got {list(self.p_values)}")
+        if self.weight_steps < 2 or self.epsilon_points < 2:
+            raise ValueError("weight_steps and epsilon_points must be at least 2")
+        if not _names_objective(self.epsilon_primary):
+            raise ValueError(f"epsilon_primary must name one of {OBJECTIVES}, "
+                             f"got {self.epsilon_primary!r}")
+        if (not isinstance(self.order, tuple) or not self.order
+                or not all(_names_objective(o) for o in self.order)
+                or len({o.lower() for o in self.order}) != len(self.order)):
+            raise ValueError(f"order must list distinct objectives of {OBJECTIVES}, "
+                             f"got {self.order!r}")
 
 
 @dataclass
@@ -99,34 +125,46 @@ _SOLVER_KEYS = {"starts": "n_starts", "seed": "seed", "kkt_tol": "kkt_tol", "fea
 _GA_KEYS = {"pop": "pop_size", "gens": "generations", "pc": "crossover_prob",
             "eta_c": "crossover_eta", "pm": "mutation_prob", "eta_m": "mutation_eta",
             "elite": "elite_fraction", "seed": "seed"}
-_METHOD_KEYS = ("method", "p_values", "weight_steps", "epsilon_points", "epsilon_primary", "order")
+_METHOD_KEYS = {k: k for k in ("method", "p_values", "weight_steps", "epsilon_points",
+                                "epsilon_primary", "order")}
+_BOUNDS_KEYS = {"lower": "lower", "upper": "upper"}
 #: config keys whose values must be JSON integers; ranges are checked by the consumers
 _INTEGER_KEYS = {"weight_steps", "epsilon_points", "starts", "seed", "max_outer", "max_inner",
-                 "pop", "gens"}
+                 "pop", "gens", "p_values"}
+#: config keys whose values must be finite JSON numbers
+_REAL_KEYS = {"kkt_tol", "feas_tol", "pc", "eta_c", "pm", "eta_m", "elite", "lower", "upper"}
+#: number keys that hold a list of numbers
+_LIST_KEYS = {"p_values", "lower", "upper"}
 
 
-def _check_integers(block: dict, label: str) -> None:
-    """Reject integer keys of ``block`` holding anything but a JSON integer (not a boolean)."""
+def _check_numbers(block: dict, label: str) -> None:
+    """Reject number keys of ``block`` holding anything but JSON numbers of their kind:
+    integers for integer keys, finite numbers for the others, never booleans."""
     for key, value in block.items():
-        if key == "p_values":
-            if not isinstance(value, list):
-                raise ConfigError(f"{label}.p_values must be a list of integers, got {value!r}")
-            items = value
-        elif key in _INTEGER_KEYS:
-            items = [value]
-        else:
+        if key not in _INTEGER_KEYS | _REAL_KEYS:
             continue
-        for item in items:
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise ConfigError(f"{label}.{key} must be an integer, got {item!r}")
+        if key in _LIST_KEYS and not isinstance(value, list):
+            raise ConfigError(f"{label}.{key} must be a list of numbers, got {value!r}")
+        integer = key in _INTEGER_KEYS
+        for item in value if key in _LIST_KEYS else [value]:
+            if isinstance(item, bool) or not isinstance(item, int if integer else (int, float)):
+                kind = "an integer" if integer else "a number"
+                raise ConfigError(f"{label}.{key} must be {kind}, got {item!r}")
+            # an integer too large for a float raises OverflowError: load_config reports it
+            if not integer and not math.isfinite(item):
+                raise ConfigError(f"{label}.{key} must be finite, got {item!r}")
 
 
-def _mapped_kwargs(block: dict, mapping: dict[str, str], label: str) -> dict:
+def _mapped_kwargs(raw: dict, name: str, mapping: dict[str, str]) -> dict:
+    """The JSON object ``raw[name]``, type-checked, with its keys mapped to field names."""
+    block = raw[name]
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {name!r} must be a JSON object, got {block!r}")
     unknown = set(block) - set(mapping)
     if unknown:
-        raise ConfigError(f"unknown {label} config keys: {sorted(unknown)}")
-    _check_integers(block, label)
-    return {mapping[k]: v for k, v in block.items()}
+        raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
+    _check_numbers(block, name)
+    return {mapping[k]: tuple(v) if isinstance(v, list) else v for k, v in block.items()}
 
 
 def load_config(path: str | Path | None) -> RunConfig:
@@ -146,31 +184,25 @@ def load_config(path: str | Path | None) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("data", "models", "out"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"config {key!r} must be a string, got {raw[key]!r}")
     try:
         if "data" in raw:
-            cfg.data = str(raw["data"])
+            cfg.data = raw["data"]
         if "models" in raw:
-            cfg.models = str(raw["models"])
+            cfg.models = raw["models"]
         if "bounds" in raw:
-            cfg.bounds = Bounds(tuple(raw["bounds"]["lower"]), tuple(raw["bounds"]["upper"]))
+            cfg.bounds = Bounds(**_mapped_kwargs(raw, "bounds", _BOUNDS_KEYS))
         if "method" in raw:
-            block = dict(raw["method"])
-            unknown = set(block) - set(_METHOD_KEYS)
-            if unknown:
-                raise ConfigError(f"unknown method config keys: {sorted(unknown)}")
-            _check_integers(block, "method")
-            if "p_values" in block:
-                block["p_values"] = tuple(block["p_values"])
-            if "order" in block:
-                block["order"] = tuple(str(o) for o in block["order"])
-            cfg.method = dataclasses.replace(cfg.method, **block)
+            cfg.method = MethodConfig(**_mapped_kwargs(raw, "method", _METHOD_KEYS))
         if "solver" in raw:
-            cfg.solver = SolverConfig(**_mapped_kwargs(dict(raw["solver"]), _SOLVER_KEYS, "solver"))
+            cfg.solver = SolverConfig(**_mapped_kwargs(raw, "solver", _SOLVER_KEYS))
         if "ga" in raw:
-            cfg.ga = GaConfig(**_mapped_kwargs(dict(raw["ga"]), _GA_KEYS, "ga"))
+            cfg.ga = GaConfig(**_mapped_kwargs(raw, "ga", _GA_KEYS))
         if "out" in raw:
-            cfg.out = Path(str(raw["out"]))
-    except (KeyError, TypeError, ValueError) as exc:
+            cfg.out = Path(raw["out"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -184,16 +216,18 @@ def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         cfg.models = args.models
     if getattr(args, "out", None):
         cfg.out = Path(args.out)
+    method = {}
     if getattr(args, "method", None):
-        cfg.method.method = args.method
+        method["method"] = args.method
     if getattr(args, "p", None):
-        cfg.method.p_values = tuple(args.p)
+        method["p_values"] = tuple(args.p)
     if getattr(args, "steps", None) is not None:
-        cfg.method.weight_steps = args.steps
+        method["weight_steps"] = args.steps
     if getattr(args, "epsilon_points", None) is not None:
-        cfg.method.epsilon_points = args.epsilon_points
+        method["epsilon_points"] = args.epsilon_points
     if getattr(args, "order", None):
-        cfg.method.order = tuple(s.strip() for s in args.order.split(","))
+        method["order"] = tuple(s.strip() for s in args.order.split(","))
+    cfg.method = dataclasses.replace(cfg.method, **method)
     if getattr(args, "starts", None) is not None:
         cfg.solver = dataclasses.replace(cfg.solver, n_starts=args.starts)
     if getattr(args, "seed", None) is not None:
@@ -210,10 +244,8 @@ def _load_records(cfg: RunConfig):
 
 def _select_models(cfg: RunConfig, records) -> tuple[PolynomialModel, PolynomialModel]:
     if cfg.models == "refit":
-        return (
-            fit_ols(records, PolyBasis.FULL_QUADRATIC_TRIPLE, "ra").model,
-            fit_ols(records, PolyBasis.FULL_QUADRATIC_TRIPLE, "mrr").model,
-        )
+        return tuple(fit_ols(records, PolyBasis.FULL_QUADRATIC_TRIPLE, name).model
+                     for name in OBJECTIVES)
     if cfg.models in ("eq21", "eq23"):
         return published_pair(cfg.models)
     raise ConfigError(f"unknown model source {cfg.models!r}; expected refit, eq23 or eq21")
@@ -228,11 +260,7 @@ def _build_problem(cfg: RunConfig, models) -> MooProblem:
 
 
 def _counters_dict(c: RunCounters) -> dict:
-    return {
-        "iterations": c.iterations,
-        "function_evals": c.function_evals,
-        "gradient_evals": c.gradient_evals,
-    }
+    return {"iterations": c.iterations, "function_evals": c.function_evals}
 
 
 def _outcome_dict(outcome) -> dict:
@@ -320,110 +348,80 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def _run_method(method: str, cfg: RunConfig, problem: MooProblem, utopia):
-    """Run one routine with its default sweep; returns (front, payload, counters)."""
-    mc = cfg.method
+    """Run one routine with its configured sweep; returns (result, parameters)."""
+    mc, solver = cfg.method, cfg.solver
     if method == "global_criterion":
-        sweep = scalarize.global_criterion_sweep(problem, mc.p_values, cfg.solver, utopia)
-        payload = {
-            "parameters": {"p_values": list(mc.p_values)},
-            "points": [
-                {"tag": f"p={r.p}", "criterion": r.criterion, "responses": list(r.responses),
-                 **_outcome_dict(r.outcome)}
-                for r in sweep.results
-            ],
-        }
-        return sweep.front, payload, sweep.counters
+        return (scalarize.global_criterion_sweep(problem, mc.p_values, solver, utopia),
+                {"p_values": list(mc.p_values)})
     if method == "weighted_sum":
-        sweep = scalarize.weighted_sum_sweep(problem, mc.weight_steps, cfg.solver, utopia)
-        payload = {
-            "parameters": {"weight_steps": mc.weight_steps},
-            "points": [
-                {"tag": f"w={r.weights[0]:g}", "weights": list(r.weights),
-                 "weak_pareto_only": r.weak_pareto_only, "responses": list(r.responses),
-                 **_outcome_dict(r.outcome)}
-                for r in sweep.results
-            ],
-        }
-        return sweep.front, payload, sweep.counters
+        return (scalarize.weighted_sum_sweep(problem, mc.weight_steps, solver, utopia),
+                {"weight_steps": mc.weight_steps})
     if method == "epsilon_constraint":
-        sweep = scalarize.epsilon_sweep(problem, mc.epsilon_primary, mc.epsilon_points,
-                                        cfg.solver, utopia)
-        payload = {
-            "parameters": {"epsilon_points": mc.epsilon_points, "primary": mc.epsilon_primary},
-            "points": [
-                {"tag": f"eps={r.epsilons[0]:.6g}", "epsilons": list(r.epsilons),
-                 "active": list(r.active), "feasible": r.feasible,
-                 "responses": list(r.responses), **_outcome_dict(r.outcome)}
-                for r in sweep.results
-            ],
-        }
-        return sweep.front, payload, sweep.counters
+        return (scalarize.epsilon_sweep(problem, mc.epsilon_primary, mc.epsilon_points, solver,
+                                        utopia),
+                {"epsilon_points": mc.epsilon_points, "primary": mc.epsilon_primary})
     if method == "lexicographic":
-        res = scalarize.lexicographic(problem, mc.order, cfg.solver)
-        front = Front(
-            (ParetoPoint(res.x, res.responses, "lexicographic",
-                         "order=" + ">".join(res.order)),),
-            problem.senses,
-        )
-        payload = {
-            "parameters": {"order": list(res.order)},
-            "terminated_early": res.terminated_early,
-            "stages": [
-                {"objective": s.objective, "optimum": s.optimum,
-                 "responses": list(s.responses), "outcome": _outcome_dict(s.outcome)}
-                for s in res.stages
-            ],
-        }
-        return front, payload, res.counters
-    if method == "ga":
-        res: GaResult = run_ga(problem, cfg.ga)
-        payload = {
-            "parameters": {k: getattr(cfg.ga, f) for k, f in _GA_KEYS.items()},
-            "points": [
-                {"tag": p.tag, "x": list(p.x), "responses": list(p.responses)}
-                for p in res.front.points
-            ],
-        }
-        return res.front, payload, res.counters
-    raise ConfigError(f"unknown method {method!r}; expected one of {ALL_METHODS + ('all',)}")
+        result = scalarize.lexicographic(problem, mc.order, solver)
+        return result, {"order": list(result.order)}
+    # "ga", the one name left that MethodConfig admits
+    return run_ga(problem, cfg.ga), {k: getattr(cfg.ga, f) for k, f in _GA_KEYS.items()}
 
 
-def _needs_utopia(methods) -> bool:
-    return any(m in ("global_criterion", "weighted_sum", "epsilon_constraint") for m in methods)
+def _point_dict(result: MethodResult) -> dict:
+    """A solved point's JSON: its result's fields plus its solver outcome, flattened.
+
+    A lexicographic stage's ``objective`` names the objective it optimized, so
+    its outcome (whose ``objective`` is the optimum) is nested instead.
+    """
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
+              if f.name != "outcome"}
+    if isinstance(result, LexStage):
+        return {**fields, "outcome": _outcome_dict(result.outcome)}
+    return {**fields, **_outcome_dict(result.outcome)}
 
 
-def _run_methods(cfg: RunConfig, methods):
+def _routine_payload(method: str, result: RoutineResult, parameters: dict, utopia) -> dict:
+    payload = {"method": method, "counters": _counters_dict(result.counters),
+               "parameters": parameters}
+    if method in UTOPIA_METHODS:
+        payload["individual_optima"] = _utopia_dict(utopia)
+    if isinstance(result, LexicographicResult):
+        payload["terminated_early"] = result.terminated_early
+        payload["stages"] = [_point_dict(r) for r in result.results]
+    elif isinstance(result, GaResult):
+        payload["points"] = [{"tag": p.tag, "x": list(p.x), "responses": list(p.responses)}
+                             for p in result.front.points]
+    else:
+        payload["points"] = [_point_dict(r) for r in result.results]
+    return payload
+
+
+def _run_methods(cfg: RunConfig, methods) -> tuple:
+    """Run ``methods`` and write each one's outputs; returns (utopia, results by method)."""
     records = _load_records(cfg)
     problem = _build_problem(cfg, _select_models(cfg, records))
     cfg.out.mkdir(parents=True, exist_ok=True)
-    utopia = scalarize.individual_optima(problem, cfg.solver) if _needs_utopia(methods) else None
-    fronts = {}
-    counters = {}
+    utopia = (scalarize.individual_optima(problem, cfg.solver)
+              if any(m in UTOPIA_METHODS for m in methods) else None)
+    results = {}
     for method in methods:
-        front, payload, method_counters = _run_method(method, cfg, problem, utopia)
-        fronts[method] = front
-        counters[method] = method_counters
-        payload = {"method": method, "counters": _counters_dict(method_counters), **payload}
-        if utopia is not None and method in ("global_criterion", "weighted_sum", "epsilon_constraint"):
-            payload["individual_optima"] = _utopia_dict(utopia)
-        _write_json(cfg.out / f"outcome_{method}.json", payload)
-        write_front_csv(cfg.out / f"front_{method}.csv", front)
-        write_front_svg(cfg.out / f"front_{method}.svg", front,
+        result, parameters = _run_method(method, cfg, problem, utopia)
+        results[method] = result
+        _write_json(cfg.out / f"outcome_{method}.json",
+                    _routine_payload(method, result, parameters, utopia))
+        write_front_csv(cfg.out / f"front_{method}.csv", result.front)
+        write_front_svg(cfg.out / f"front_{method}.svg", result.front,
                         title=method.replace("_", " "))
-        n_feasible = sum(p.feasible for p in front.points)
+        n_feasible = sum(p.feasible for p in result.front.points)
         print(f"{method}: {n_feasible} point(s), "
-              f"{method_counters.iterations} iterations, "
-              f"{method_counters.function_evals} function evals")
-    return problem, utopia, fronts, counters
+              f"{result.counters.iterations} iterations, "
+              f"{result.counters.function_evals} function evals")
+    return utopia, results
 
 
 def cmd_optimize(cfg: RunConfig) -> int:
     method = cfg.method.method
-    methods = ALL_METHODS if method == "all" else (method,)
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ConfigError(f"unknown method {m!r}; expected one of {ALL_METHODS + ('all',)}")
-    _run_methods(cfg, methods)
+    _run_methods(cfg, ALL_METHODS if method == "all" else (method,))
     print(f"wrote results to {cfg.out}/")
     return EXIT_OK
 
@@ -450,15 +448,13 @@ def _merge_feasible(fronts):
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    _, utopia, fronts, counters = _run_methods(cfg, ALL_METHODS)
-    rows = []
-    if utopia is not None:
-        rows.append(("individual_optima", utopia.counters))
-    rows.extend((m, counters[m]) for m in ALL_METHODS)
-    lines = ["routine,total_iterations,total_function_evals,total_gradient_evals"]
-    lines += [f"{name},{c.iterations},{c.function_evals},{c.gradient_evals}" for name, c in rows]
+    utopia, results = _run_methods(cfg, ALL_METHODS)
+    rows = [("individual_optima", utopia.counters)]
+    rows.extend((m, results[m].counters) for m in ALL_METHODS)
+    lines = ["routine,total_iterations,total_function_evals"]
+    lines += [f"{name},{c.iterations},{c.function_evals}" for name, c in rows]
     (cfg.out / "efficiency.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    merged = _merge_feasible(list(fronts.values()))
+    merged = _merge_feasible([r.front for r in results.values()])
     write_front_csv(cfg.out / "front_all.csv", merged)
     write_front_svg(cfg.out / "front_all.svg", merged, title="all methods")
     print(f"efficiency report and merged front ({len(merged.points)} points) in {cfg.out}/")

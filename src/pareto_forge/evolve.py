@@ -8,14 +8,14 @@ generator is numpy's documented PCG64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .nlsolver import RunCounters
 from .pareto import Front, ParetoPoint, Sense, dominated_mask, filter_nondominated
-from .scalarize import MooProblem
+from .scalarize import MooProblem, RoutineResult
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class GaConfig:
     def __post_init__(self) -> None:
         if self.pop_size < 4 or self.pop_size % 2:
             raise ValueError(f"population size must be even and >= 4, got {self.pop_size}")
-        if self.generations < 0:
-            raise ValueError("generations must be non-negative")
+        if self.generations < 0 or self.seed < 0:
+            raise ValueError("generations and seed must be non-negative")
         for name in ("crossover_prob", "mutation_prob"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -120,11 +120,11 @@ def _mutate(child, prob: float, eta: float, rng) -> None:
 
 
 @dataclass(frozen=True)
-class GaResult:
-    front: Front
-    counters: RunCounters
+class GaResult(RoutineResult):
+    """The final rank-0 set; no point is a separate solve, so ``results`` is empty."""
+
     #: best minimization-form value per objective after each evaluation step
-    extreme_history: tuple[tuple[float, ...], ...] = field(default=())
+    extreme_history: tuple[tuple[float, ...], ...] = ()
 
 
 def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
@@ -135,7 +135,7 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
     evaluation total is exactly pop_size * (generations + 1) * n_objectives.
     """
     config = config or GaConfig()
-    if problem.constraints.inequalities or problem.constraints.equalities:
+    if problem.constraints.inequalities:
         raise ValueError("the evolutionary path supports box constraints only")
     bounds = problem.constraints.bounds
     lb, span = np.asarray(bounds.lower), np.asarray(bounds.span)
@@ -204,4 +204,4 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
         for i in np.flatnonzero(final_mask)
     ]
     front = Front(tuple(filter_nondominated(points, senses)), senses)
-    return GaResult(front=front, counters=counters, extreme_history=tuple(history))
+    return GaResult(front=front, results=(), counters=counters, extreme_history=tuple(history))

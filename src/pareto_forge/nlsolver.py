@@ -23,10 +23,6 @@ _RHO_MAX = 1e16
 _RHO_RESTORED = 1e6
 
 
-class EqualityConstraintError(ValueError):
-    """Equality constraints are accepted in the data model but rejected by the solver."""
-
-
 class NonFiniteEvaluationError(RuntimeError):
     """An objective or constraint produced a non-finite value or gradient."""
 
@@ -53,15 +49,13 @@ class SmoothFunction:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Box bounds plus smooth inequalities (satisfied when <= 0) and equalities."""
+    """Box bounds plus smooth inequalities (satisfied when <= 0)."""
 
     bounds: Bounds
     inequalities: tuple[SmoothFunction, ...] = ()
-    equalities: tuple[SmoothFunction, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inequalities", tuple(self.inequalities))
-        object.__setattr__(self, "equalities", tuple(self.equalities))
 
 
 @dataclass
@@ -70,12 +64,10 @@ class RunCounters:
 
     iterations: int = 0
     function_evals: int = 0
-    gradient_evals: int = 0
 
     def add(self, other: "RunCounters") -> None:
         self.iterations += other.iterations
         self.function_evals += other.function_evals
-        self.gradient_evals += other.gradient_evals
 
 
 @dataclass(frozen=True)
@@ -90,6 +82,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.kkt_tol <= 0 or self.feas_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_outer < 1 or self.max_inner < 1:
@@ -131,6 +125,12 @@ def stratified_starts(bounds: Bounds, n_starts: int, seed: int) -> np.ndarray:
     return points
 
 
+def _quality(objective: float, violation: float, feas_tol: float) -> tuple:
+    """Candidate order key, best first: feasible candidates by objective, then
+    infeasible ones by violation and objective."""
+    return (0, objective) if violation <= feas_tol else (1, violation, objective)
+
+
 def _projected_residual(s: np.ndarray, grad: np.ndarray) -> float:
     return float(np.max(np.abs(s - np.clip(s - grad, 0.0, 1.0))))
 
@@ -168,7 +168,6 @@ class _ScaledProblem:
         x = self.to_raw(s)
         f, g = self.objective.value_and_grad(x)
         self.counters.function_evals += self.objective.model_cost
-        self.counters.gradient_evals += self.objective.model_cost
         g = np.asarray(g, dtype=float)
         if not np.isfinite(f) or not np.all(np.isfinite(g)):
             raise NonFiniteEvaluationError(x, self.objective.name)
@@ -179,7 +178,6 @@ class _ScaledProblem:
         x = self.to_raw(s)
         v, g = con.value_and_grad(x)
         self.counters.function_evals += con.model_cost
-        self.counters.gradient_evals += con.model_cost
         g = np.asarray(g, dtype=float)
         if not np.isfinite(v) or not np.all(np.isfinite(g)):
             raise NonFiniteEvaluationError(x, con.name)
@@ -199,8 +197,6 @@ def minimize(
     scaled inequality violation at most ``feas_tol``.
     """
     config = config or SolverConfig()
-    if constraints.equalities:
-        raise EqualityConstraintError("equality constraints unsupported")
     counters = RunCounters()
     prob = _ScaledProblem(objective, constraints.inequalities, constraints.bounds, counters)
     start = np.asarray(start, dtype=float)
@@ -309,12 +305,8 @@ def minimize(
         if v_r <= config.feas_tol:
             candidates.append(auglag(s_r, _RHO_RESTORED, config.max_outer))
 
-    def quality(cand):
-        _, f, _, _, violation = cand
-        feasible = violation <= config.feas_tol
-        return (not feasible, f if feasible else (violation, f))
-
-    s, f_final, converged, residual, violation = min(candidates, key=quality)
+    s, f_final, converged, residual, violation = min(
+        candidates, key=lambda c: _quality(c[1], c[4], config.feas_tol))
     return SolveOutcome(
         x=tuple(prob.to_raw(s)),
         objective=f_final,
@@ -323,19 +315,6 @@ def minimize(
         constraint_violation=violation,
         counters=counters,
         objective_at_start=f_start,
-    )
-
-
-def _improves(challenger: SolveOutcome, incumbent: SolveOutcome, feas_tol: float) -> bool:
-    ca = challenger.constraint_violation <= feas_tol
-    cb = incumbent.constraint_violation <= feas_tol
-    if ca != cb:
-        return ca
-    if ca:
-        return challenger.objective < incumbent.objective
-    return (challenger.constraint_violation, challenger.objective) < (
-        incumbent.constraint_violation,
-        incumbent.objective,
     )
 
 
@@ -351,13 +330,12 @@ def multistart_minimize(
     """
     config = config or SolverConfig()
     starts = stratified_starts(constraints.bounds, config.n_starts, config.seed)
+    outcomes = [minimize(objective, constraints, start, config) for start in starts]
     total = RunCounters()
-    best: SolveOutcome | None = None
-    for start in starts:
-        outcome = minimize(objective, constraints, start, config)
+    for outcome in outcomes:
         total.add(outcome.counters)
-        if best is None or _improves(outcome, best, config.feas_tol):
-            best = outcome
-    assert best is not None
+    # min keeps the first of equal keys: the lowest start index
+    best = min(outcomes, key=lambda o: _quality(o.objective, o.constraint_violation,
+                                                config.feas_tol))
     feasible = best.constraint_violation <= config.feas_tol
     return replace(best, counters=total, converged=best.converged and feasible)

@@ -3,7 +3,9 @@
 Four scalarizations are provided: the relative-deviation criterion (a p-norm of
 deviations from the per-objective optima), the lexicographic sequence, the
 normalized weighted sum, and the epsilon-constraint method, plus the shared
-individual-optima (utopia and anti-optimum) computation they rely on.
+individual-optima (utopia and anti-optimum) computation they rely on. Each
+routine returns a RoutineResult: its front, its solved points (MethodResult)
+and its counters.
 
 Maximized objectives are converted to minimization by negation internally;
 every reported response is in natural, un-negated units.
@@ -239,16 +241,20 @@ def _deviation(values: np.ndarray, stars: np.ndarray, p: int):
     value = m[..., 0] * np.power(np.power(d / np.where(m > 0, m, 1.0), p).sum(axis=-1), 1.0 / p)
     # dF/dd_i = (d_i / F)^(p-1), with d_i <= F guaranteed for p >= 1; 0 where F is 0
     weights = np.power(d / np.where(value > 0, value, 1.0)[..., None], p - 1)
-    return value, weights * (np.sign(diff) / np.abs(stars))
+    # feasible values satisfy f_i >= f_i*, so at the kink f_i = f_i* the one-sided
+    # derivative (+1) applies; sign(0) = 0 would drop objective i's gradient there
+    return value, weights * (np.where(diff < 0, -1.0, 1.0) / np.abs(stars))
 
 
 @dataclass(frozen=True)
 class MethodResult:
-    """Shared shape of every routine's answer: point, natural responses, solver outcome."""
+    """One solved point of a routine: its tag, point, natural responses and solver outcome."""
 
+    tag: str
     x: tuple[float, ...]
     responses: tuple[float, ...]
     outcome: SolveOutcome
+    feasible: bool = True
 
 
 @dataclass(frozen=True)
@@ -267,44 +273,41 @@ class WeightedSumResult(MethodResult):
 class EpsilonResult(MethodResult):
     epsilons: tuple[float, ...] = ()
     active: tuple[bool, ...] = ()
-    feasible: bool = True
 
 
 @dataclass(frozen=True)
-class LexStage:
-    objective: str
-    x: tuple[float, ...]
-    responses: tuple[float, ...]
-    optimum: float
-    outcome: SolveOutcome
+class LexStage(MethodResult):
+    """One lexicographic stage, tagged by the objective it optimized."""
+
+    objective: str = ""
+    optimum: float = math.nan
 
 
 @dataclass(frozen=True)
-class LexicographicResult(MethodResult):
-    order: tuple[str, ...] = ()
-    stages: tuple[LexStage, ...] = ()
-    terminated_early: bool = False
-    counters: RunCounters = field(default_factory=RunCounters)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """A parameter sweep: the labeled front plus per-point results and total counters."""
+class RoutineResult:
+    """Every routine's answer: its labeled front, its solved points and its total counters."""
 
     front: Front
-    results: tuple
+    results: tuple[MethodResult, ...]
     counters: RunCounters
 
 
-def _sweep(problem: MooProblem, results: list, method: str, tag) -> SweepResult:
-    """Front of the per-point results, tagged by ``tag(result)``, dominated points flagged."""
+@dataclass(frozen=True)
+class LexicographicResult(RoutineResult):
+    """The stages are the results; the front is the final stage's point."""
+
+    order: tuple[str, ...] = ()
+    terminated_early: bool = False
+
+
+def _sweep(problem: MooProblem, results: list[MethodResult], method: str) -> RoutineResult:
+    """Front of the per-point results under their own tags, dominated points flagged."""
     counters = RunCounters()
     for r in results:
         counters.add(r.outcome.counters)
-    points = [ParetoPoint(r.x, r.responses, method, tag(r), feasible=getattr(r, "feasible", True))
-              for r in results]
-    return SweepResult(annotate_dominance(Front(tuple(points), problem.senses)), tuple(results),
-                       counters)
+    points = [ParetoPoint(r.x, r.responses, method, r.tag, feasible=r.feasible) for r in results]
+    return RoutineResult(annotate_dominance(Front(tuple(points), problem.senses)), tuple(results),
+                         counters)
 
 
 def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: int) -> SmoothFunction:
@@ -336,6 +339,7 @@ def global_criterion(
     utopia = utopia or individual_optima(problem, config)
     outcome = multistart_minimize(_criterion_fn(problem, utopia, p), problem.constraints, config)
     return GlobalCriterionResult(
+        tag=f"p={p}",
         x=outcome.x,
         responses=problem.responses_at(outcome.x),
         outcome=outcome,
@@ -349,12 +353,12 @@ def global_criterion_sweep(
     p_values: Sequence[int] = DEFAULT_P_VALUES,
     config: SolverConfig | None = None,
     utopia: UtopiaRecord | None = None,
-) -> SweepResult:
+) -> RoutineResult:
     """One criterion solve per p; dominated points are kept but flagged."""
     config = config or SolverConfig()
     utopia = utopia or individual_optima(problem, config)
     results = [global_criterion(problem, p, config, utopia) for p in p_values]
-    return _sweep(problem, results, "global_criterion", lambda r: f"p={r.p}")
+    return _sweep(problem, results, "global_criterion")
 
 
 def _normalized_ranges(problem: MooProblem, bounds: NormalizationBounds):
@@ -400,6 +404,7 @@ def weighted_sum(
     fn = SmoothFunction(vg, model_cost=stack.size, name=f"weighted sum {weights}")
     outcome = multistart_minimize(fn, problem.constraints, config)
     return WeightedSumResult(
+        tag=f"w={weights[0]:g}",
         x=outcome.x,
         responses=problem.responses_at(outcome.x),
         outcome=outcome,
@@ -413,7 +418,7 @@ def weighted_sum_sweep(
     steps: int = 11,
     config: SolverConfig | None = None,
     utopia: UtopiaRecord | None = None,
-) -> SweepResult:
+) -> RoutineResult:
     """Sweep the first objective's weight over {0, 1/(steps-1), ..., 1}."""
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
@@ -424,7 +429,7 @@ def weighted_sum_sweep(
     normalization = utopia.normalization_bounds()
     weights = [k / (steps - 1) for k in range(steps)]
     results = [weighted_sum(problem, (w, 1.0 - w), normalization, config) for w in weights]
-    return _sweep(problem, results, "weighted_sum", lambda r: f"w={r.weights[0]:g}")
+    return _sweep(problem, results, "weighted_sum")
 
 
 def _epsilon_solve(problem, primary_idx, epsilons, config):
@@ -442,9 +447,9 @@ def _epsilon_solve(problem, primary_idx, epsilons, config):
     responses = problem.responses_at(outcome.x)
     active = tuple((objectives[i].sign * responses[i] - eps) / max(1.0, abs(eps)) >= -ACTIVE_TOL
                    for i, eps in zip(others, epsilons))
-    return EpsilonResult(x=outcome.x, responses=responses, outcome=outcome,
-                         epsilons=tuple(float(e) for e in epsilons), active=active,
-                         feasible=outcome.constraint_violation <= config.feas_tol)
+    return EpsilonResult(tag=f"eps={epsilons[0]:.6g}", x=outcome.x, responses=responses,
+                         outcome=outcome, feasible=outcome.constraint_violation <= config.feas_tol,
+                         epsilons=tuple(float(e) for e in epsilons), active=active)
 
 
 def epsilon_constraint(
@@ -476,7 +481,7 @@ def epsilon_sweep(
     n_points: int = 11,
     config: SolverConfig | None = None,
     utopia: UtopiaRecord | None = None,
-) -> SweepResult:
+) -> RoutineResult:
     """Uniform epsilon grid between the bounded objective's optimum and anti-optimum.
 
     Infeasible grid points are recorded as such, not fatal.
@@ -494,7 +499,7 @@ def epsilon_sweep(
     hi = entry.worst if entry.sense is Sense.MINIMIZE else -entry.worst
     results = [_epsilon_solve(problem, primary_idx, (float(eps),), config)
                for eps in np.linspace(lo, hi, n_points)]
-    return _sweep(problem, results, "epsilon_constraint", lambda r: f"eps={r.epsilons[0]:.6g}")
+    return _sweep(problem, results, "epsilon_constraint")
 
 
 def lexicographic(
@@ -533,15 +538,9 @@ def lexicographic(
                 f"stage optimizing {obj.name!r} infeasible under prior constraints {blockers} "
                 f"(violation {outcome.constraint_violation:.3g} scaled)"
             )
-        stages.append(
-            LexStage(
-                objective=obj.name,
-                x=outcome.x,
-                responses=problem.responses_at(outcome.x),
-                optimum=obj.sign * outcome.objective,
-                outcome=outcome,
-            )
-        )
+        stages.append(LexStage(tag=obj.name, x=outcome.x, responses=problem.responses_at(outcome.x),
+                               outcome=outcome, objective=obj.name,
+                               optimum=obj.sign * outcome.objective))
         scaled = (np.asarray(outcome.x) - lb) / span
         if prev_scaled is not None and float(np.max(np.abs(scaled - prev_scaled))) <= equality_tol:
             terminated = True
@@ -551,12 +550,7 @@ def lexicographic(
         extra.append(obj.function(bound=f_star + LEX_SLACK_REL * abs(f_star),
                                   scale=max(1.0, abs(f_star)), name=f"hold {obj.name}"))
     final = stages[-1]
-    return LexicographicResult(
-        x=final.x,
-        responses=final.responses,
-        outcome=final.outcome,
-        order=tuple(problem.objectives[i].name for i in indices),
-        stages=tuple(stages),
-        terminated_early=terminated,
-        counters=counters,
-    )
+    order = tuple(problem.objectives[i].name for i in indices)
+    point = ParetoPoint(final.x, final.responses, "lexicographic", "order=" + ">".join(order))
+    return LexicographicResult(Front((point,), problem.senses), tuple(stages), counters,
+                               order=order, terminated_early=terminated)

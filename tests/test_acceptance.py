@@ -175,17 +175,17 @@ def test_criterion_3_global_criterion(gc_sweep, deviation_grid_subset):
 
 def test_criterion_4_lexicographic(lex_result):
     failures = []
-    if len(lex_result.stages) != 2 or not lex_result.terminated_early:
-        failures.append(f"expected 2 stages with early termination, got {len(lex_result.stages)}")
-    x = lex_result.x
+    if len(lex_result.results) != 2 or not lex_result.terminated_early:
+        failures.append(f"expected 2 stages with early termination, got {len(lex_result.results)}")
+    x = lex_result.results[-1].x
     for value, target, tol, name in ((x[0], 314.0, 0.5, "vc"), (x[1], 0.16, 1e-3, "fz"),
                                      (x[2], 0.6, 1e-3, "t")):
         if abs(value - target) > tol:
             failures.append(f"{name} {value} vs {target} +- {tol}")
-    if abs(lex_result.responses[0] - 0.7962) > 0.005:
-        failures.append(f"Ra {lex_result.responses[0]:.4f} vs 0.7962 +- 0.005")
-    if abs(lex_result.responses[1] - MRR_STAR) > 0.01 * MRR_STAR:
-        failures.append(f"MRR {lex_result.responses[1]:.1f} vs 35241 +- 1%")
+    if abs(lex_result.results[-1].responses[0] - 0.7962) > 0.005:
+        failures.append(f"Ra {lex_result.results[-1].responses[0]:.4f} vs 0.7962 +- 0.005")
+    if abs(lex_result.results[-1].responses[1] - MRR_STAR) > 0.01 * MRR_STAR:
+        failures.append(f"MRR {lex_result.results[-1].responses[1]:.1f} vs 35241 +- 1%")
     _report(4, "lexicographic (MRR, Ra) stops after two identical stages at the corner",
             failures)
 

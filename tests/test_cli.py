@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pareto_forge.cli import main
+from pareto_forge.cli import ConfigError, RunConfig, load_config, main
 
 SMALL_CONFIG = {
     "solver": {"starts": 2, "seed": 3},
@@ -99,15 +101,31 @@ def test_compare_outputs(tmp_path):
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "efficiency.csv").read_text().strip().splitlines()
-    assert lines[0] == "routine,total_iterations,total_function_evals,total_gradient_evals"
+    assert lines[0] == "routine,total_iterations,total_function_evals"
     rows = {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
     expected = {"individual_optima", "global_criterion", "lexicographic",
                 "weighted_sum", "epsilon_constraint", "ga"}
     assert set(rows) == expected
-    for name, (iters, fevals, _) in rows.items():
+    for name, (iters, fevals) in rows.items():
         assert int(fevals) > 0, name
     assert (out / "front_all.csv").exists()
     assert (out / "front_all.svg").exists()
+    # one rule per solved point: its result's fields plus its solver outcome
+    solved = {"tag", "x", "responses", "feasible", "objective", "converged", "kkt_residual",
+              "constraint_violation", "counters"}
+    gc = json.loads((out / "outcome_global_criterion.json").read_text())
+    assert [pt["p"] for pt in gc["points"]] == gc["parameters"]["p_values"]
+    for method in ("global_criterion", "weighted_sum", "epsilon_constraint"):
+        points = json.loads((out / f"outcome_{method}.json").read_text())["points"]
+        tags = [row.split(",")[1] for row in
+                (out / f"front_{method}.csv").read_text().splitlines()[1:]]
+        assert [pt["tag"] for pt in points] == tags
+        assert all(solved <= set(pt) for pt in points), method
+    for stage in json.loads((out / "outcome_lexicographic.json").read_text())["stages"]:
+        assert stage["tag"] == stage["objective"] and stage["x"] == stage["outcome"]["x"]
+        assert solved - {"tag", "x", "responses", "feasible"} <= set(stage["outcome"])
+    for pt in json.loads((out / "outcome_ga.json").read_text())["points"]:
+        assert set(pt) == {"tag", "x", "responses"}
 
 
 def test_compare_default_merged_front_has_all_method_labels(tmp_path):
@@ -176,14 +194,95 @@ def test_bad_parameter_values_are_config_errors(tmp_path, capsys):
     {"method": {"epsilon_points": 1.5}},
     {"solver": {"max_outer": 0}},
     {"solver": {"max_inner": 0}},
+    '{"ga": {"eta_c": NaN}}',
+    '{"solver": {"kkt_tol": NaN}}',
+    '{"solver": {"feas_tol": Infinity}}',
+    '{"ga": {"pm": -Infinity}}',
+    '{"ga": {"eta_m": 1e999}}',
+    '{"bounds": {"lower": [78, 0.04, NaN], "upper": [314, 0.16, 0.6]}}',
+    {"ga": {"pc": True}},
+    {"ga": {"seed": -1}},
+    {"solver": {"seed": -1}},
+    {"bounds": {"lower": ["78", 0.04, 0.2], "upper": [314, 0.16, 0.6]}},
+    {"solver": [["starts", 2]]},
+    {"out": None},
+    {"data": ["builtin"]},
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, config):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     assert main(["optimize", "--method", "weighted_sum", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", [
+    {"epsilon_points": 1},
+    {"weight_steps": 1},
+    {"epsilon_primary": True},
+    {"epsilon_primary": 1},
+    {"epsilon_primary": "speed"},
+    {"order": "mrr"},
+    {"order": []},
+    {"order": ["mrr", "MRR"]},
+    {"order": ["mrr", "feed"]},
+    {"p_values": []},
+    {"p_values": [2, 0]},
+    {"method": "simplex"},
+])
+def test_bad_method_block_exits_2_before_any_output(tmp_path, capsys, method):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "method": method}))
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+    assert not list(out.glob("outcome_*.json")) and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_bad_method_flags_exit_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    for flags in (["--p", "0"], ["--epsilon-points", "1"], ["--order", "mrr,speed"]):
+        assert main(["optimize", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8,
+)
+_KNOWN_KEYS = {
+    None: ("data", "models", "bounds", "method", "solver", "ga", "out"),
+    "bounds": ("lower", "upper"),
+    "method": ("method", "p_values", "weight_steps", "epsilon_points", "epsilon_primary",
+               "order"),
+    "solver": ("starts", "seed", "kkt_tol", "feas_tol", "max_outer", "max_inner"),
+    "ga": ("pop", "gens", "pc", "eta_c", "pm", "eta_m", "elite", "seed"),
+}
+
+
+# each top-level key holds any JSON value or, for a block, an object of its known keys
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    name: st.dictionaries(st.sampled_from(_KNOWN_KEYS[name]), _JSON) | _JSON
+    if name in _KNOWN_KEYS else _JSON
+    for name in _KNOWN_KEYS[None]
+}) | _JSON
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS)
+def test_load_config_returns_a_config_or_raises_config_error(tmp_path_factory, raw):
+    # integers are bounded, so no accepted draw can ask for a huge population
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(raw))
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except ConfigError:
+        pass
 
 
 def test_nested_out_dir_created(tmp_path):

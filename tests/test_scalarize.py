@@ -9,6 +9,7 @@ from pareto_forge import (
     Objective,
     ObjectiveRange,
     PolynomialModel,
+    RoutineResult,
     Sense,
     SmoothFunction,
     SolverConfig,
@@ -22,9 +23,11 @@ from pareto_forge import (
     multistart_minimize,
     normalize,
     relative_deviation_norm,
+    run_ga,
     weighted_sum,
     weighted_sum_sweep,
 )
+from pareto_forge.evolve import GaConfig
 
 FAST = SolverConfig(n_starts=4, seed=0)
 
@@ -226,26 +229,26 @@ def test_epsilon_sweep_validation(problem, utopia):
 def test_lexicographic_case_study_order(problem):
     res = lexicographic(problem, ("mrr", "ra"), FAST)
     assert res.order == ("MRR", "Ra")
-    assert len(res.stages) == 2
+    assert len(res.results) == 2
     assert res.terminated_early
-    a, b = res.stages
+    a, b = res.results
     assert np.allclose(a.x, b.x, atol=1e-3)
-    assert abs(res.responses[0] - 0.7962) <= 0.005
+    assert abs(res.results[-1].responses[0] - 0.7962) <= 0.005
 
 
 def test_lexicographic_reverse_order_stage_monotonicity(problem):
     res = lexicographic(problem, ("ra", "mrr"), FAST)
-    ra_star = res.stages[0].optimum
+    ra_star = res.results[0].optimum
     slack = 1e-6 * abs(ra_star) + 1e-6 * max(1.0, abs(ra_star))
-    for stage in res.stages[1:]:
+    for stage in res.results[1:]:
         assert stage.responses[0] <= ra_star + slack
 
 
 def test_lexicographic_single_objective_equals_plain_minimize(problem):
     res = lexicographic(problem, ("ra",), FAST)
-    assert len(res.stages) == 1
+    assert len(res.results) == 1
     direct = multistart_minimize(problem.objectives[0].function(), problem.constraints, FAST)
-    assert res.x == direct.x
+    assert res.results[-1].x == direct.x
 
 
 def test_lexicographic_order_validation(problem):
@@ -292,11 +295,11 @@ def test_epsilon_solution_matches_constrained_grid_optimum(problem, grid):
 
 def test_lexicographic_second_stage_matches_constrained_grid(problem, grid):
     res = lexicographic(problem, ("ra", "mrr"), FAST)
-    assert len(res.stages) == 2
-    ra_star = res.stages[0].optimum
+    assert len(res.results) == 2
+    ra_star = res.results[0].optimum
     mask = grid.ra <= ra_star + 1e-6 * abs(ra_star)
     grid_best = float(np.where(mask, grid.mrr, -np.inf).max())
-    assert abs(res.stages[1].responses[1] - grid_best) <= 1e-3 * abs(grid_best)
+    assert abs(res.results[1].responses[1] - grid_best) <= 1e-3 * abs(grid_best)
 
 
 def test_sense_conversion_leaves_argmin_unchanged(problem, neg_problem):
@@ -321,7 +324,7 @@ def test_sense_conversion_leaves_argmin_unchanged(problem, neg_problem):
 
     la = lexicographic(problem, ("mrr", "ra"), cfg)
     lb = lexicographic(neg_problem, ("neg_MRR", "ra"), cfg)
-    assert la.x == lb.x
+    assert la.results[-1].x == lb.results[-1].x
 
 
 def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
@@ -349,3 +352,40 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
     for run in runs:
         made["n"] = 0
         assert run().function_evals == made["n"] > 0
+
+
+@pytest.mark.parametrize("seed", range(20, 44))
+def test_p1_optimum_at_the_utopia_corner_is_converged(problem, seed):
+    # at p = 1 the optimum is the MRR utopia corner, where |f - f*| has its kink;
+    # the one-sided derivative must leave the true optimum reported as converged
+    cfg = SolverConfig(seed=seed)
+    res = global_criterion(problem, 1, cfg, individual_optima(problem, cfg))
+    assert res.outcome.converged, res.outcome.kkt_residual
+
+
+def test_every_routine_returns_a_routine_result(problem, utopia):
+    sweeps = {
+        "global_criterion": global_criterion_sweep(problem, (2, 4), FAST, utopia),
+        "weighted_sum": weighted_sum_sweep(problem, 2, FAST, utopia),
+        "epsilon_constraint": epsilon_sweep(problem, "mrr", 2, FAST, utopia),
+    }
+    for method, res in sweeps.items():
+        assert isinstance(res, RoutineResult)
+        assert [p.method for p in res.front.points] == [method] * len(res.results)
+        assert [(p.tag, p.x, p.feasible) for p in res.front.points] == [
+            (r.tag, r.x, r.feasible) for r in res.results]
+        assert res.counters.function_evals == sum(
+            r.outcome.counters.function_evals for r in res.results)
+    assert [r.tag for r in sweeps["global_criterion"].results] == ["p=2", "p=4"]
+    assert [r.tag for r in sweeps["weighted_sum"].results] == ["w=0", "w=1"]
+
+    lex = lexicographic(problem, ("mrr", "ra"), FAST)
+    assert isinstance(lex, RoutineResult)
+    (point,) = lex.front.points
+    assert (point.method, point.tag) == ("lexicographic", "order=MRR>Ra")
+    assert (point.x, point.responses) == (lex.results[-1].x, lex.results[-1].responses)
+    assert [s.tag for s in lex.results] == [s.objective for s in lex.results] == ["MRR", "Ra"]
+    assert lex.counters.iterations == sum(s.outcome.counters.iterations for s in lex.results)
+
+    ga = run_ga(problem, GaConfig(pop_size=8, generations=2))
+    assert isinstance(ga, RoutineResult) and ga.results == () and ga.front.points
