@@ -57,6 +57,8 @@ SCALARIZATION_METHODS = ("global_criterion", "lexicographic", "weighted_sum", "e
 ALL_METHODS = SCALARIZATION_METHODS + ("ga",)
 #: objective names, in the order the problem holds them
 OBJECTIVES = ("ra", "mrr")
+#: where the response models come from: a fit to the data or a published pair
+MODEL_SOURCES = ("refit", "eq23", "eq21")
 #: routines that start from the individual optima, which one run computes once
 UTOPIA_METHODS = ("global_criterion", "weighted_sum", "epsilon_constraint")
 
@@ -191,6 +193,9 @@ def load_config(path: str | Path | None) -> RunConfig:
         if "data" in raw:
             cfg.data = raw["data"]
         if "models" in raw:
+            if raw["models"] not in MODEL_SOURCES:
+                raise ConfigError(f"unknown model source {raw['models']!r}; "
+                                  f"expected one of {MODEL_SOURCES}")
             cfg.models = raw["models"]
         if "bounds" in raw:
             cfg.bounds = Bounds(**_mapped_kwargs(raw, "bounds", _BOUNDS_KEYS))
@@ -246,9 +251,7 @@ def _select_models(cfg: RunConfig, records) -> tuple[PolynomialModel, Polynomial
     if cfg.models == "refit":
         return tuple(fit_ols(records, PolyBasis.FULL_QUADRATIC_TRIPLE, name).model
                      for name in OBJECTIVES)
-    if cfg.models in ("eq21", "eq23"):
-        return published_pair(cfg.models)
-    raise ConfigError(f"unknown model source {cfg.models!r}; expected refit, eq23 or eq21")
+    return published_pair(cfg.models)
 
 
 def _build_problem(cfg: RunConfig, models) -> MooProblem:
@@ -487,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--data", help="experiment CSV path, or 'builtin'")
-        p.add_argument("--models", choices=("refit", "eq23", "eq21"), help="model source")
+        p.add_argument("--models", choices=MODEL_SOURCES, help="model source")
         p.add_argument("--out", help="output directory")
 
     p_fit = sub.add_parser("fit", help="fit models and write APD/MAPD diagnostics")

@@ -124,52 +124,56 @@ def builtin_case_study() -> list[ExperimentRecord]:
     return [ExperimentRecord(*row) for row in _CASE_STUDY_ROWS]
 
 
-def load_experiments(path: str | Path, schema: Sequence[str] = SCHEMA) -> list[ExperimentRecord]:
+def load_experiments(path: str | Path) -> list[ExperimentRecord]:
     """Load experiment records from a CSV file with a ``vc,fz,t,ra,mrr`` header.
 
     Comma separated, ``.`` decimal point, UTF-8. Raises DatasetError naming the
     offending row and column on malformed input.
     """
-    schema = tuple(schema)
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file, expected header {','.join(schema)}") from None
-        header = tuple(h.strip().lower() for h in header)
-        if header != schema:
-            missing = [c for c in schema if c not in header]
-            extra = [c for c in header if c not in schema]
-            detail = []
-            if missing:
-                detail.append(f"missing columns: {', '.join(missing)}")
-            if extra:
-                detail.append(f"extra columns: {', '.join(extra)}")
-            if not detail:
-                detail.append(f"column order must be {','.join(schema)}")
-            raise DatasetError(f"{path}: bad header ({'; '.join(detail)})")
-        records = []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(schema):
-                raise DatasetError(f"{path}: row {row_no} has {len(row)} cells, expected {len(schema)}")
-            values = {}
-            for name, cell in zip(schema, row):
-                try:
-                    values[name] = float(cell)
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: row {row_no}, column {name}: not a number: {cell.strip()!r}"
-                    ) from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from None
+    except csv.Error as exc:
+        # a field over the csv module's 128 KiB limit
+        raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise DatasetError(f"{path}: empty file, expected header {','.join(SCHEMA)}")
+    header = tuple(h.strip().lower() for h in rows[0])
+    if header != SCHEMA:
+        missing = [c for c in SCHEMA if c not in header]
+        extra = [c for c in header if c not in SCHEMA]
+        detail = []
+        if missing:
+            detail.append(f"missing columns: {', '.join(missing)}")
+        if extra:
+            detail.append(f"extra columns: {', '.join(extra)}")
+        if not detail:
+            detail.append(f"column order must be {','.join(SCHEMA)}")
+        raise DatasetError(f"{path}: bad header ({'; '.join(detail)})")
+    records = []
+    for row_no, row in enumerate(rows[1:], start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(SCHEMA):
+            raise DatasetError(f"{path}: row {row_no} has {len(row)} cells, expected {len(SCHEMA)}")
+        values = {}
+        for name, cell in zip(SCHEMA, row):
             try:
-                records.append(ExperimentRecord(**values))
-            except ValueError as exc:
-                raise DatasetError(f"{path}: row {row_no}: {exc}") from None
+                values[name] = float(cell)
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: row {row_no}, column {name}: not a number: {cell.strip()!r}"
+                ) from None
+        try:
+            records.append(ExperimentRecord(**values))
+        except ValueError as exc:
+            raise DatasetError(f"{path}: row {row_no}: {exc}") from None
     if not records:
         raise DatasetError(f"{path}: empty dataset")
     return records

@@ -182,16 +182,10 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
         comb_ranks = nondominated_sort(combined_resp, senses)
         comb_crowd = _crowding_by_rank(combined_resp, comb_ranks, senses)
         order = _selection_order(comb_ranks, comb_crowd)
-        chosen = list(order[:elite_count])
-        if len(chosen) < n:
-            taken = set(chosen)
-            for idx in order:
-                if idx >= n and idx not in taken:
-                    chosen.append(idx)
-                    if len(chosen) == n:
-                        break
-        chosen_arr = np.array(chosen[:n])
-        pop, resp = combined[chosen_arr], combined_resp[chosen_arr]
+        # the elites, then the best of the children not among them
+        rest = order[elite_count:]
+        chosen = np.concatenate([order[:elite_count], rest[rest >= n]])[:n]
+        pop, resp = combined[chosen], combined_resp[chosen]
         ranks = nondominated_sort(resp, senses)
         crowd = _crowding_by_rank(resp, ranks, senses)
         counters.iterations += 1

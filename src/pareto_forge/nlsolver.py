@@ -37,8 +37,9 @@ class SmoothFunction:
     """A scalar function with gradient, both evaluated through ``value_and_grad``.
 
     ``model_cost`` is how many response-model evaluations one call represents;
-    it drives the run counters. ``scale`` sets the unit in which a constraint's
-    feasibility is measured (violation = positive part / scale).
+    it drives the run counters. The solver divides the value and gradient by
+    ``scale``, the unit of a constraint's feasibility (violation = positive part /
+    scale); objectives keep the default 1, so their values are reported unscaled.
     """
 
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -125,10 +126,12 @@ def stratified_starts(bounds: Bounds, n_starts: int, seed: int) -> np.ndarray:
     return points
 
 
-def _quality(objective: float, violation: float, feas_tol: float) -> tuple:
+def _quality(objective: float, violation: float, converged: bool, feas_tol: float) -> tuple:
     """Candidate order key, best first: feasible candidates by objective, then
-    infeasible ones by violation and objective."""
-    return (0, objective) if violation <= feas_tol else (1, violation, objective)
+    infeasible ones by violation and objective; a converged candidate wins a tie."""
+    if violation <= feas_tol:
+        return (0, objective, not converged)
+    return (1, violation, objective, not converged)
 
 
 def _projected_residual(s: np.ndarray, grad: np.ndarray) -> float:
@@ -149,9 +152,7 @@ def _inner_solve(fun, s0: np.ndarray, gtol: float, maxiter: int):
 class _ScaledProblem:
     """Unit-cube view of the raw problem; every evaluation updates the counters."""
 
-    def __init__(self, objective: SmoothFunction, ineqs: Sequence[SmoothFunction],
-                 bounds: Bounds, counters: RunCounters):
-        self.objective = objective
+    def __init__(self, ineqs: Sequence[SmoothFunction], bounds: Bounds, counters: RunCounters):
         self.ineqs = list(ineqs)
         self.lb = np.asarray(bounds.lower)
         self.ub = np.asarray(bounds.upper)
@@ -164,24 +165,15 @@ class _ScaledProblem:
     def to_unit(self, x: np.ndarray) -> np.ndarray:
         return np.clip((np.asarray(x, dtype=float) - self.lb) / self.span, 0.0, 1.0)
 
-    def eval_objective(self, s: np.ndarray) -> tuple[float, np.ndarray]:
+    def evaluate(self, fn: SmoothFunction, s: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and unit-cube gradient of ``fn``, both divided by its scale."""
         x = self.to_raw(s)
-        f, g = self.objective.value_and_grad(x)
-        self.counters.function_evals += self.objective.model_cost
-        g = np.asarray(g, dtype=float)
-        if not np.isfinite(f) or not np.all(np.isfinite(g)):
-            raise NonFiniteEvaluationError(x, self.objective.name)
-        return float(f), g * self.span
-
-    def eval_constraint(self, i: int, s: np.ndarray) -> tuple[float, np.ndarray]:
-        con = self.ineqs[i]
-        x = self.to_raw(s)
-        v, g = con.value_and_grad(x)
-        self.counters.function_evals += con.model_cost
+        v, g = fn.value_and_grad(x)
+        self.counters.function_evals += fn.model_cost
         g = np.asarray(g, dtype=float)
         if not np.isfinite(v) or not np.all(np.isfinite(g)):
-            raise NonFiniteEvaluationError(x, con.name)
-        return float(v) / con.scale, g * self.span / con.scale
+            raise NonFiniteEvaluationError(x, fn.name)
+        return float(v) / fn.scale, g * self.span / fn.scale
 
 
 def minimize(
@@ -198,35 +190,15 @@ def minimize(
     """
     config = config or SolverConfig()
     counters = RunCounters()
-    prob = _ScaledProblem(objective, constraints.inequalities, constraints.bounds, counters)
+    prob = _ScaledProblem(constraints.inequalities, constraints.bounds, counters)
     start = np.asarray(start, dtype=float)
     if not constraints.bounds.contains(start, tol=1e-9):
         raise ValueError(f"start {start.tolist()} outside bounds")
     s = prob.to_unit(start)
 
-    f_start, _ = prob.eval_objective(s)
+    f_start, _ = prob.evaluate(objective, s)
     f_scale = max(1.0, abs(f_start))
     n_con = len(prob.ineqs)
-
-    if n_con == 0:
-        def fused(sv):
-            f, g = prob.eval_objective(sv)
-            return f / f_scale, g / f_scale
-
-        res = _inner_solve(fused, s, gtol=0.1 * config.kkt_tol, maxiter=config.max_inner)
-        counters.iterations += res.nit
-        s = np.asarray(res.x)
-        f_final, g_final = prob.eval_objective(s)
-        residual = _projected_residual(s, g_final / f_scale)
-        return SolveOutcome(
-            x=tuple(prob.to_raw(s)),
-            objective=f_final,
-            converged=residual <= config.kkt_tol,
-            kkt_residual=residual,
-            constraint_violation=0.0,
-            counters=counters,
-            objective_at_start=f_start,
-        )
 
     def auglag(s_init: np.ndarray, rho0: float, max_outer: int):
         """Multiplier loop from ``s_init``; returns (s, f, converged, residual, violation)."""
@@ -235,30 +207,29 @@ def minimize(
         s_cur = s_init
         v_prev = np.inf
         f_cur, residual, violation = np.nan, np.inf, np.inf
+
+        def fused(sv):
+            f, g = prob.evaluate(objective, sv)
+            f /= f_scale
+            g = g / f_scale
+            for i, con in enumerate(prob.ineqs):
+                ci, gi = prob.evaluate(con, sv)
+                mult = max(0.0, lam[i] + rho * ci)
+                f += (mult * mult - lam[i] * lam[i]) / (2.0 * rho)
+                g = g + mult * gi
+            return f, g
+
         for outer in range(max_outer):
-            lam_k, rho_k = lam.copy(), rho
-
-            def fused(sv, _lam=lam_k, _rho=rho_k):
-                f, g = prob.eval_objective(sv)
-                f /= f_scale
-                g = g / f_scale
-                for i in range(n_con):
-                    ci, gi = prob.eval_constraint(i, sv)
-                    mult = max(0.0, _lam[i] + _rho * ci)
-                    f += (mult * mult - _lam[i] * _lam[i]) / (2.0 * _rho)
-                    g = g + mult * gi
-                return f, g
-
-            gtol = max(0.1 * config.kkt_tol, 1e-4 * 0.1 ** outer)
+            gtol = max(0.1 * config.kkt_tol, 1e-4 * 0.1 ** outer if n_con else 0.0)
             res = _inner_solve(fused, s_cur, gtol=gtol, maxiter=config.max_inner)
             counters.iterations += res.nit
             s_cur = np.asarray(res.x)
 
-            f_cur, g_obj = prob.eval_objective(s_cur)
+            f_cur, g_obj = prob.evaluate(objective, s_cur)
             con_vals = np.empty(n_con)
             grad_lagr = g_obj / f_scale
-            for i in range(n_con):
-                ci, gi = prob.eval_constraint(i, s_cur)
+            for i, con in enumerate(prob.ineqs):
+                ci, gi = prob.evaluate(con, s_cur)
                 con_vals[i] = ci
                 lam_i = max(0.0, lam[i] + rho * ci)
                 grad_lagr = grad_lagr + lam_i * gi
@@ -281,8 +252,8 @@ def minimize(
         def fused(sv):
             total = 0.0
             grad = np.zeros_like(sv)
-            for i in range(n_con):
-                ci, gi = prob.eval_constraint(i, sv)
+            for con in prob.ineqs:
+                ci, gi = prob.evaluate(con, sv)
                 pos = max(0.0, ci)
                 total += pos * pos
                 grad = grad + 2.0 * pos * gi
@@ -291,22 +262,24 @@ def minimize(
         res = _inner_solve(fused, s_init, gtol=1e-12, maxiter=config.max_inner)
         counters.iterations += res.nit
         s_cur = np.asarray(res.x)
-        violation = max(0.0, max(prob.eval_constraint(i, s_cur)[0] for i in range(n_con)))
+        violation = max(0.0, max(prob.evaluate(con, s_cur)[0] for con in prob.ineqs))
         return s_cur, violation
 
-    candidates = [auglag(s, _RHO_INIT, config.max_outer)]
+    # with no inequalities there is no multiplier to update: one inner solve
+    candidates = [auglag(s, _RHO_INIT, config.max_outer if n_con else 1)]
     if candidates[0][4] > config.feas_tol:
         # The multiplier loop can stall in a locally-infeasible basin when the
         # feasible set is tiny (an epsilon bound at the exact optimum, say).
         s_r, v_r = restore(s)
         if v_r < candidates[0][4]:
-            f_r, g_r = prob.eval_objective(s_r)
+            f_r, g_r = prob.evaluate(objective, s_r)
             candidates.append((s_r, f_r, False, _projected_residual(s_r, g_r / f_scale), v_r))
         if v_r <= config.feas_tol:
             candidates.append(auglag(s_r, _RHO_RESTORED, config.max_outer))
 
+    # ties occur: the loop restarted from the restoration point can end on it
     s, f_final, converged, residual, violation = min(
-        candidates, key=lambda c: _quality(c[1], c[4], config.feas_tol))
+        candidates, key=lambda c: _quality(c[1], c[4], c[2], config.feas_tol))
     return SolveOutcome(
         x=tuple(prob.to_raw(s)),
         objective=f_final,
@@ -325,8 +298,8 @@ def multistart_minimize(
 ) -> SolveOutcome:
     """Best feasible outcome over seeded deterministic starts.
 
-    Counters are summed over all starts. Among equal-quality starts the lowest
-    start index wins, so results do not depend on evaluation scheduling.
+    Counters are summed over all starts. Ties go to a converged start, then to the
+    lowest start index, so results do not depend on evaluation scheduling.
     """
     config = config or SolverConfig()
     starts = stratified_starts(constraints.bounds, config.n_starts, config.seed)
@@ -336,6 +309,6 @@ def multistart_minimize(
         total.add(outcome.counters)
     # min keeps the first of equal keys: the lowest start index
     best = min(outcomes, key=lambda o: _quality(o.objective, o.constraint_violation,
-                                                config.feas_tol))
+                                                o.converged, config.feas_tol))
     feasible = best.constraint_violation <= config.feas_tol
     return replace(best, counters=total, converged=best.converged and feasible)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -146,14 +147,15 @@ def merge_fronts(fronts: Sequence[Front], eps=0.0) -> Front:
     return Front(tuple(filter_nondominated(merged, senses, eps)), senses)
 
 
-def front_to_csv_text(front: Front, include_infeasible: bool = False) -> str:
+def front_to_csv_text(front: Front) -> str:
     """CSV rendering with the fixed ``method,param,vc,fz,t,ra,mrr`` schema.
 
-    Requires three design variables and two responses (the case-study layout).
+    Infeasible points are left out. Requires three design variables and two
+    responses (the case-study layout).
     """
     lines = [",".join(FRONT_CSV_HEADER)]
     for p in front.points:
-        if not p.feasible and not include_infeasible:
+        if not p.feasible:
             continue
         if len(p.x) != 3 or len(p.responses) != 2:
             raise ValueError("front CSV needs 3 design variables and 2 responses per point")
@@ -162,22 +164,39 @@ def front_to_csv_text(front: Front, include_infeasible: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_front_csv(path: str | Path, front: Front, include_infeasible: bool = False) -> None:
-    Path(path).write_text(front_to_csv_text(front, include_infeasible), encoding="utf-8")
+def write_front_csv(path: str | Path, front: Front) -> None:
+    Path(path).write_text(front_to_csv_text(front), encoding="utf-8")
 
 
 def read_front_csv(path: str | Path, senses: Sequence[Sense]) -> Front:
+    """Read a front CSV as ``write_front_csv`` writes it.
+
+    Raises ValueError naming the path and the row for a bad header, a wrong
+    cell count, a value that is not a finite number, or unreadable CSV.
+    """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != FRONT_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(FRONT_CSV_HEADER)}")
-        points = []
-        for row in reader:
-            if not row:
-                continue
-            method, tag, *nums = row
-            vc, fz, t, ra, mrr = (float(v) for v in nums)
-            points.append(ParetoPoint((vc, fz, t), (ra, mrr), method, tag))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if tuple(rows[0] if rows else ()) != FRONT_CSV_HEADER:
+        raise ValueError(f"{path}: expected header {','.join(FRONT_CSV_HEADER)}")
+    points = []
+    for row_no, row in enumerate(rows[1:], start=1):
+        if not row:
+            continue
+        if len(row) != len(FRONT_CSV_HEADER):
+            raise ValueError(
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(FRONT_CSV_HEADER)}")
+        method, tag, *cells = row
+        try:
+            nums = [float(v) for v in cells]
+        except ValueError:
+            nums = None
+        if nums is None or not all(map(math.isfinite, nums)):
+            raise ValueError(
+                f"{path}: row {row_no}: values must be finite numbers, got {','.join(cells)}")
+        points.append(ParetoPoint(tuple(nums[:3]), tuple(nums[3:]), method, tag))
     return Front(tuple(points), tuple(senses))

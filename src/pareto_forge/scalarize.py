@@ -36,6 +36,10 @@ DEFAULT_P_VALUES = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
 #: Relative slack applied to a stage optimum when it becomes a constraint bound.
 LEX_SLACK_REL = 1e-6
 
+#: Lexicographic stages stop early when two in a row return the same point
+#: within this distance on box-scaled variables.
+LEX_EQUALITY_TOL = 1e-4
+
 #: Scaled constraint values above -ACTIVE_TOL count as active.
 ACTIVE_TOL = 1e-5
 
@@ -506,14 +510,12 @@ def lexicographic(
     problem: MooProblem,
     order: Sequence[int | str],
     config: SolverConfig | None = None,
-    equality_tol: float = 1e-4,
 ) -> LexicographicResult:
     """Optimize objectives in preference order, pinning each stage's optimum.
 
     Stage i minimizes its objective subject to every earlier objective staying
     within a relative slack of its stage optimum. The sequence stops early when
-    two consecutive stages return the same point within ``equality_tol`` on
-    box-scaled variables.
+    two consecutive stages return the same point (``LEX_EQUALITY_TOL``).
     """
     config = config or SolverConfig()
     indices = [problem.index_of(o) for o in order]
@@ -542,7 +544,8 @@ def lexicographic(
                                outcome=outcome, objective=obj.name,
                                optimum=obj.sign * outcome.objective))
         scaled = (np.asarray(outcome.x) - lb) / span
-        if prev_scaled is not None and float(np.max(np.abs(scaled - prev_scaled))) <= equality_tol:
+        if (prev_scaled is not None
+                and float(np.max(np.abs(scaled - prev_scaled))) <= LEX_EQUALITY_TOL):
             terminated = True
             break
         prev_scaled = scaled

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pareto_forge import ExperimentRecord, Sense, load_experiments, read_front_csv
 from pareto_forge.cli import ConfigError, RunConfig, load_config, main
 
 SMALL_CONFIG = {
@@ -283,6 +285,83 @@ def test_load_config_returns_a_config_or_raises_config_error(tmp_path_factory, r
         assert isinstance(load_config(path), RunConfig)
     except ConfigError:
         pass
+
+
+def test_unknown_model_source_in_config_exits_2_before_any_output(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"models": "bogus"}))
+    out = tmp_path / "o"
+    assert main(["fit", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "unknown model source 'bogus'" in capsys.readouterr().err
+
+
+def test_oversized_csv_field_exits_2(tmp_path, capsys):
+    # the csv module refuses fields over 128 KiB with csv.Error, not a ValueError
+    field = "1" * (200 * 1024)
+    data = tmp_path / "runs.csv"
+    data.write_text(f"vc,fz,t,ra,mrr\n{field},0.1,0.3,1,1\n")
+    assert main(["validate", "--data", str(data)]) == 2
+    front = tmp_path / "front.csv"
+    front.write_text(f"method,param,vc,fz,t,ra,mrr\n{field},a,100,0.1,0.3,1,1000\n")
+    out = tmp_path / "o"
+    assert main(["front", str(front), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "field larger than field limit" in err and "Traceback" not in err
+
+
+def test_front_with_nan_row_exits_2_before_any_output(tmp_path, capsys):
+    front = tmp_path / "front.csv"
+    front.write_text("method,param,vc,fz,t,ra,mrr\n"
+                     "ga,a,200,0.1,0.3,1.0,2000\n"
+                     "ga,b,100,0.1,0.3,nan,1000\n")
+    out = tmp_path / "o"
+    assert main(["front", str(front), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{front}: row 2" in capsys.readouterr().err
+
+
+_NUMBERS = st.floats().map(repr) | st.sampled_from(["nan", "inf", "-inf", "1e400"])
+_CELLS = _NUMBERS | st.sampled_from(["", " ", "abc", '"', "\x00", "\r"]) | st.text(max_size=4)
+
+
+def _csv_files(header):
+    """File contents: the given header or another first row, then up to five rows,
+    each all numbers of the header's width or any cells of about that width, as
+    UTF-8; or arbitrary bytes."""
+    width = header.count(",") + 1
+    rows = (st.lists(_NUMBERS, min_size=width, max_size=width)
+            | st.lists(_CELLS, min_size=width - 1, max_size=width + 1)).map(",".join)
+    text = st.builds(lambda first, body: "\n".join([first, *body]),
+                     st.just(header) | rows, st.lists(rows, max_size=5))
+    return text.map(lambda s: s.encode("utf-8")) | st.binary(max_size=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_files("vc,fz,t,ra,mrr"))
+def test_load_experiments_returns_records_or_raises_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "runs.csv"
+    path.write_bytes(data)
+    try:
+        records = load_experiments(path)
+    except ValueError:
+        return
+    assert records and all(isinstance(r, ExperimentRecord) for r in records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_files("method,param,vc,fz,t,ra,mrr"))
+def test_read_front_csv_returns_a_finite_front_or_raises_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "front.csv"
+    path.write_bytes(data)
+    try:
+        front = read_front_csv(path, (Sense.MINIMIZE, Sense.MAXIMIZE))
+    except ValueError:
+        return
+    for p in front.points:
+        assert len(p.x) == 3 and len(p.responses) == 2
+        assert all(math.isfinite(v) for v in (*p.x, *p.responses))
 
 
 def test_nested_out_dir_created(tmp_path):

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import pytest
 
@@ -45,6 +47,25 @@ def test_load_case_study_csv(tmp_path, records):
 def test_load_missing_file(tmp_path):
     with pytest.raises(DatasetError, match="no such file"):
         load_experiments(tmp_path / "nope.csv")
+
+
+def test_load_unreadable_path_is_a_dataset_error(tmp_path):
+    with pytest.raises(DatasetError, match="cannot read"):
+        load_experiments(tmp_path)
+
+
+def test_load_from_a_pipe(tmp_path, records):
+    # a FIFO exists but is not a regular file, as with --data <(cat runs.csv)
+    fifo = tmp_path / "runs.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=save_experiments, args=(fifo, records))
+    writer.start()
+    try:
+        assert load_experiments(fifo) == records
+    finally:
+        if writer.is_alive():
+            fifo.read_bytes()  # the pipe was never opened: let the writer finish
+        writer.join()
 
 
 def test_load_header_only(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pareto_forge import nlsolver
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
     ConstraintSet,
@@ -150,6 +151,23 @@ def test_multistart_ties_go_to_the_lowest_start_index(violation):
     assert best.x == minimize(flat, constraints, CASE_STUDY_BOUNDS.center, cfg).x
 
 
+def test_multistart_tie_goes_to_a_converged_start():
+    # the same value everywhere, but a slope claimed at the box center only: the
+    # first start (the center) cannot move and ends unconverged, the others are
+    # converged where they begin, all with the same objective
+    center = np.asarray(CASE_STUDY_BOUNDS.center)
+
+    def vg(x):
+        return 1.0, (np.ones(3) if np.array_equal(x, center) else np.zeros(3))
+
+    flat = SmoothFunction(vg, name="flat, sloped at the center")
+    cfg = SolverConfig(n_starts=5, seed=4)
+    assert not minimize(flat, BOX, center, cfg).converged
+    best = multistart_minimize(flat, BOX, cfg)
+    assert best.converged
+    assert best.x != tuple(center)
+
+
 def test_counters_accumulate():
     cfg = SolverConfig(n_starts=4, seed=1)
     single = minimize(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center, cfg)
@@ -170,6 +188,37 @@ def test_inequality_constrained_solve_is_feasible_and_active():
     assert out.kkt_residual <= 1e-8
     assert abs(out.x[0] - 150.0) <= 1e-3
     assert out.x[1] == pytest.approx(LB[1]) and out.x[2] == pytest.approx(LB[2])
+
+
+def test_two_inequalities_both_active():
+    # pulled to the lower corner, held at vc >= 150 and t >= 0.4
+    walls = (
+        SmoothFunction(lambda x: (150.0 - x[0], np.array([-1.0, 0.0, 0.0])), scale=150.0,
+                       name="vc >= 150"),
+        SmoothFunction(lambda x: (0.4 - x[2], np.array([0.0, 0.0, -1.0])), name="t >= 0.4"),
+    )
+    constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=walls)
+    out = multistart_minimize(quadratic_objective(LB), constraints, SolverConfig(seed=5))
+    assert out.converged
+    assert out.constraint_violation <= 1e-6
+    assert np.allclose(out.x, [150.0, LB[1], 0.4], atol=1e-6)
+
+
+def test_box_only_solve_is_one_inner_solve(monkeypatch):
+    calls = []
+    inner = nlsolver._inner_solve
+
+    def counting(fun, s0, gtol, maxiter):
+        calls.append(gtol)
+        return inner(fun, s0, gtol, maxiter)
+
+    monkeypatch.setattr(nlsolver, "_inner_solve", counting)
+    cfg = SolverConfig(max_inner=1)
+    out = minimize(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center, cfg)
+    # unconverged, yet not restarted up to max_outer times
+    assert not out.converged
+    assert calls == [0.1 * cfg.kkt_tol]
+    assert out.counters.iterations == 1
 
 
 def test_returned_point_respects_bounds_exactly():

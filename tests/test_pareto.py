@@ -188,6 +188,18 @@ def test_front_csv_skips_infeasible(tmp_path):
     assert len(path.read_text().strip().splitlines()) == 2
 
 
+@pytest.mark.parametrize("row,message", [
+    ("eps,a,314,0.04,0.2,inf,2781", "row 2: values must be finite"),
+    ("eps,a,314,0.04,0.2,0.5", "row 2 has 6 cells, expected 7"),
+    ("eps,a,314,0.04,0.2,0.5,x", "row 2: values must be finite numbers"),
+])
+def test_read_front_csv_names_path_and_row(tmp_path, row, message):
+    path = tmp_path / "front.csv"
+    path.write_text(f"method,param,vc,fz,t,ra,mrr\neps,b,314,0.16,0.6,0.8,35240\n{row}\n")
+    with pytest.raises(ValueError, match=f"{path}: {message}"):
+        read_front_csv(path, MIN_MAX)
+
+
 def test_front_senses_length_enforced():
     with pytest.raises(ValueError, match="responses"):
         Front((pt((1.0, 2.0, 3.0)),), MIN_MAX)

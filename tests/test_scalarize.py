@@ -221,6 +221,16 @@ def test_epsilon_sweep_monotone(problem, utopia):
     assert len(sweep.front.points) == 5
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_first_epsilon_point_is_converged(problem, utopia, seed):
+    # eps = Ra* leaves one feasible corner; the restoration point and the loop
+    # restarted from it end there with the same objective, and the converged one wins
+    sweep = epsilon_sweep(problem, "mrr", 2, SolverConfig(seed=seed), utopia)
+    first = sweep.results[0].outcome
+    assert first.converged, first.kkt_residual
+    assert np.allclose(first.x, [314.0, 0.04, 0.2])
+
+
 def test_epsilon_sweep_validation(problem, utopia):
     with pytest.raises(ValueError, match="at least 2"):
         epsilon_sweep(problem, "mrr", 1, FAST, utopia)
