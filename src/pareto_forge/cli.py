@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -122,95 +123,76 @@ class RunConfig:
     out: Path = Path("results")
 
 
-_SOLVER_KEYS = {"starts": "n_starts", "seed": "seed", "kkt_tol": "kkt_tol", "feas_tol": "feas_tol",
-                "max_outer": "max_outer", "max_inner": "max_inner"}
-_GA_KEYS = {"pop": "pop_size", "gens": "generations", "pc": "crossover_prob",
-            "eta_c": "crossover_eta", "pm": "mutation_prob", "eta_m": "mutation_eta",
-            "elite": "elite_fraction", "seed": "seed"}
-_METHOD_KEYS = {k: k for k in ("method", "p_values", "weight_steps", "epsilon_points",
-                                "epsilon_primary", "order")}
-_BOUNDS_KEYS = {"lower": "lower", "upper": "upper"}
-#: config keys whose values must be JSON integers; ranges are checked by the consumers
-_INTEGER_KEYS = {"weight_steps", "epsilon_points", "starts", "seed", "max_outer", "max_inner",
-                 "pop", "gens", "p_values"}
-#: config keys whose values must be finite JSON numbers
-_REAL_KEYS = {"kkt_tol", "feas_tol", "pc", "eta_c", "pm", "eta_m", "elite", "lower", "upper"}
-#: number keys that hold a list of numbers
-_LIST_KEYS = {"p_values", "lower", "upper"}
+#: the config file's keys, per block ("" is the top level): JSON key -> dataclass field.
+#: Each value's JSON type is read from its field's annotation (see ``_from_json``).
+CONFIG_KEYS = {
+    "": {k: k for k in ("data", "models", "bounds", "method", "solver", "ga", "out")},
+    "bounds": {"lower": "lower", "upper": "upper"},
+    "method": {k: k for k in ("method", "p_values", "weight_steps", "epsilon_points",
+                              "epsilon_primary", "order")},
+    "solver": {"starts": "n_starts", "seed": "seed", "kkt_tol": "kkt_tol",
+               "feas_tol": "feas_tol", "max_outer": "max_outer", "max_inner": "max_inner"},
+    "ga": {"pop": "pop_size", "gens": "generations", "pc": "crossover_prob",
+           "eta_c": "crossover_eta", "pm": "mutation_prob", "eta_m": "mutation_eta",
+           "elite": "elite_fraction", "seed": "seed"},
+}
+#: field annotation -> the JSON values it takes and their name in errors
+_JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+               str: (str, "a string"), Path: (str, "a string")}
 
 
-def _check_numbers(block: dict, label: str) -> None:
-    """Reject number keys of ``block`` holding anything but JSON numbers of their kind:
-    integers for integer keys, finite numbers for the others, never booleans."""
-    for key, value in block.items():
-        if key not in _INTEGER_KEYS | _REAL_KEYS:
-            continue
-        if key in _LIST_KEYS and not isinstance(value, list):
-            raise ConfigError(f"{label}.{key} must be a list of numbers, got {value!r}")
-        integer = key in _INTEGER_KEYS
-        for item in value if key in _LIST_KEYS else [value]:
-            if isinstance(item, bool) or not isinstance(item, int if integer else (int, float)):
-                kind = "an integer" if integer else "a number"
-                raise ConfigError(f"{label}.{key} must be {kind}, got {item!r}")
-            # an integer too large for a float raises OverflowError: load_config reports it
-            if not integer and not math.isfinite(item):
-                raise ConfigError(f"{label}.{key} must be finite, got {item!r}")
+def _from_json(value, hint, label: str):
+    """The JSON ``value`` as a field annotated ``hint`` takes it: a dataclass from an
+    object of its block's keys, a ``tuple[...]`` from a list of its item type, ``int``
+    from an integer, ``float`` from a finite number, ``str`` and ``Path`` from a
+    string. A boolean is never a number."""
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, label)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{label} must be a list, got {value!r}")
+        return tuple(_from_json(v, typing.get_args(hint)[0], label) for v in value)
+    kinds, name = _JSON_KINDS[hint]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{label} must be {name}, got {value!r}")
+    # an integer too large for a float raises OverflowError: load_config reports it
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"{label} must be finite, got {value!r}")
+    return Path(value) if hint is Path else value
 
 
-def _mapped_kwargs(raw: dict, name: str, mapping: dict[str, str]) -> dict:
-    """The JSON object ``raw[name]``, type-checked, with its keys mapped to field names."""
-    block = raw[name]
-    if not isinstance(block, dict):
-        raise ConfigError(f"config block {name!r} must be a JSON object, got {block!r}")
-    unknown = set(block) - set(mapping)
+def _build(cls, raw, block: str):
+    """The dataclass ``cls`` from the JSON object ``raw`` of config block ``block``;
+    keys it omits keep their defaults, and ``cls`` checks the values' ranges."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{block or 'config'} must be a JSON object, got {raw!r}")
+    keys = CONFIG_KEYS[block]
+    unknown = set(raw) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
-    _check_numbers(block, name)
-    return {mapping[k]: tuple(v) if isinstance(v, list) else v for k, v in block.items()}
+        raise ConfigError(f"unknown {block or 'config'} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{keys[k]: _from_json(v, hints[keys[k]], f"{block}.{k}" if block else k)
+                  for k, v in raw.items()})
 
 
 def load_config(path: str | Path | None) -> RunConfig:
-    """Build a RunConfig from a JSON file; missing blocks keep their defaults."""
-    cfg = RunConfig()
+    """Build a RunConfig from a JSON file; missing blocks and keys keep their defaults."""
     if path is None:
-        return cfg
+        return RunConfig()
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {"data", "models", "bounds", "method", "solver", "ga", "out"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("data", "models", "out"):
-        if key in raw and not isinstance(raw[key], str):
-            raise ConfigError(f"config {key!r} must be a string, got {raw[key]!r}")
     try:
-        if "data" in raw:
-            cfg.data = raw["data"]
-        if "models" in raw:
-            if raw["models"] not in MODEL_SOURCES:
-                raise ConfigError(f"unknown model source {raw['models']!r}; "
-                                  f"expected one of {MODEL_SOURCES}")
-            cfg.models = raw["models"]
-        if "bounds" in raw:
-            cfg.bounds = Bounds(**_mapped_kwargs(raw, "bounds", _BOUNDS_KEYS))
-        if "method" in raw:
-            cfg.method = MethodConfig(**_mapped_kwargs(raw, "method", _METHOD_KEYS))
-        if "solver" in raw:
-            cfg.solver = SolverConfig(**_mapped_kwargs(raw, "solver", _SOLVER_KEYS))
-        if "ga" in raw:
-            cfg.ga = GaConfig(**_mapped_kwargs(raw, "ga", _GA_KEYS))
-        if "out" in raw:
-            cfg.out = Path(raw["out"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        cfg = _build(RunConfig, raw, "")
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
+    if cfg.models not in MODEL_SOURCES:
+        raise ConfigError(f"unknown model source {cfg.models!r}; expected one of {MODEL_SOURCES}")
     return cfg
 
 
@@ -293,13 +275,21 @@ def _utopia_dict(utopia) -> dict:
     }
 
 
+def _make_out_dir(cfg: RunConfig) -> None:
+    """Make the output directory if missing; a path that cannot be one is a config error."""
+    try:
+        cfg.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {cfg.out}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def cmd_fit(cfg: RunConfig) -> int:
     records = _load_records(cfg)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(cfg)
     pair = _select_models(cfg, records)
     baseline = published_pair("eq21")
     label = cfg.models
@@ -367,7 +357,7 @@ def _run_method(method: str, cfg: RunConfig, problem: MooProblem, utopia):
         result = scalarize.lexicographic(problem, mc.order, solver)
         return result, {"order": list(result.order)}
     # "ga", the one name left that MethodConfig admits
-    return run_ga(problem, cfg.ga), {k: getattr(cfg.ga, f) for k, f in _GA_KEYS.items()}
+    return run_ga(problem, cfg.ga), {k: getattr(cfg.ga, f) for k, f in CONFIG_KEYS["ga"].items()}
 
 
 def _point_dict(result: MethodResult) -> dict:
@@ -403,7 +393,7 @@ def _run_methods(cfg: RunConfig, methods) -> tuple:
     """Run ``methods`` and write each one's outputs; returns (utopia, results by method)."""
     records = _load_records(cfg)
     problem = _build_problem(cfg, _select_models(cfg, records))
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(cfg)
     utopia = (scalarize.individual_optima(problem, cfg.solver)
               if any(m in UTOPIA_METHODS for m in methods) else None)
     results = {}
@@ -473,7 +463,7 @@ def cmd_front(cfg: RunConfig, csv_paths) -> int:
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     merged = _merge_feasible(fronts)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(cfg)
     write_front_csv(cfg.out / "front_all.csv", merged)
     write_front_svg(cfg.out / "front_all.svg", merged, title="merged front")
     print(f"merged {len(fronts)} front(s) into {len(merged.points)} points in {cfg.out}/")

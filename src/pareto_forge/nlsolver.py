@@ -271,13 +271,10 @@ def minimize(
         # The multiplier loop can stall in a locally-infeasible basin when the
         # feasible set is tiny (an epsilon bound at the exact optimum, say).
         s_r, v_r = restore(s)
-        if v_r < candidates[0][4]:
-            f_r, g_r = prob.evaluate(objective, s_r)
-            candidates.append((s_r, f_r, False, _projected_residual(s_r, g_r / f_scale), v_r))
         if v_r <= config.feas_tol:
             candidates.append(auglag(s_r, _RHO_RESTORED, config.max_outer))
 
-    # ties occur: the loop restarted from the restoration point can end on it
+    # a restart exists only when the first loop ended infeasible: a feasible restart wins
     s, f_final, converged, residual, violation = min(
         candidates, key=lambda c: _quality(c[1], c[4], c[2], config.feas_tol))
     return SolveOutcome(

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import os
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pareto_forge import ExperimentRecord, Sense, load_experiments, read_front_csv
-from pareto_forge.cli import ConfigError, RunConfig, load_config, main
+from pareto_forge.cli import CONFIG_KEYS, ConfigError, RunConfig, load_config, main
 
 SMALL_CONFIG = {
     "solver": {"starts": 2, "seed": 3},
@@ -368,3 +373,51 @@ def test_nested_out_dir_created(tmp_path):
     out = tmp_path / "deep" / "nested" / "dir"
     assert main(["fit", "--out", str(out)]) == 0
     assert (out / "fit.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "optimize", "front"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    front = tmp_path / "front.csv"
+    front.write_text("method,param,vc,fz,t,ra,mrr\nga,a,200,0.1,0.3,1.0,2000\n")
+    argv = {"fit": ["fit"],
+            "optimize": ["optimize", "--method", "lexicographic", "--starts", "2"],
+            "front": ["front", str(front)]}[command]
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "x"):
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err and "Traceback" not in err
+    assert afile.read_text() == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONFIGS)
+def test_main_exits_0_2_or_3_without_a_traceback(tmp_path_factory, raw):
+    # drawn "data" strings are relative paths, so each run has a working directory of its own
+    work = tmp_path_factory.mktemp("main")
+    (work / "cfg.json").write_text(json.dumps(raw))
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["optimize", "--method", "weighted_sum", "--config", "cfg.json",
+                         "--out", str(work / "o")])
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_readme_config_example_names_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"--config config.json`.*?```json\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    assert isinstance(load_config(path), RunConfig)
+    raw = json.loads(example)
+    assert set(raw) == set(CONFIG_KEYS[""])
+    for block, keys in CONFIG_KEYS.items():
+        if block:
+            assert set(raw[block]) == set(keys), block

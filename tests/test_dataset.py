@@ -63,6 +63,8 @@ def test_load_from_a_pipe(tmp_path, records):
     try:
         assert load_experiments(fifo) == records
     finally:
+        # a writer that wrote everything can still be alive for a moment after the load
+        writer.join(timeout=10)
         if writer.is_alive():
             fifo.read_bytes()  # the pipe was never opened: let the writer finish
         writer.join()
