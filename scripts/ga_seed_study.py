@@ -34,9 +34,8 @@ def main(n_seeds: int = 10) -> int:
         (Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
         ConstraintSet(CASE_STUDY_BOUNDS),
     )
-    utopia = individual_optima(problem)
-    ra_star = utopia.entries[0].best
-    mrr_star = utopia.entries[1].best
+    ideal = individual_optima(problem).ideal  # minimization form: MRR's entry is -MRR*
+    ra_star, mrr_star = ideal[0], -ideal[1]
     print(f"solver optima: Ra {ra_star:.4f}, MRR {mrr_star:.1f}")
     print(f"{'seed':>4} {'front':>5} {'Ra min':>8} {'MRR max':>10} "
           f"{'Ra gap %':>9} {'MRR gap %':>10} {'evals':>6}")

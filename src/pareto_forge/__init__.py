@@ -71,9 +71,7 @@ from .scalarize import (
     LexicographicResult,
     MethodResult,
     MooProblem,
-    NormalizationBounds,
     Objective,
-    ObjectiveRange,
     RoutineResult,
     StageInfeasibleError,
     UtopiaRecord,
@@ -83,7 +81,6 @@ from .scalarize import (
     global_criterion_sweep,
     individual_optima,
     lexicographic,
-    normalize,
     relative_deviation_norm,
     weighted_sum,
     weighted_sum_sweep,

@@ -27,7 +27,7 @@ from .dataset import (
 )
 from .evolve import GaConfig, GaResult, run_ga
 from .nlsolver import ConstraintSet, NonFiniteEvaluationError, RunCounters, SolverConfig
-from .pareto import Front, Sense, merge_fronts, read_front_csv, write_front_csv
+from .pareto import Front, Sense, front_to_csv_text, merge_fronts, read_front_csv
 from .polymodel import PolyBasis, PolynomialModel, model_to_dict, published_pair
 from .regression import (
     RegressionError,
@@ -48,7 +48,7 @@ from .scalarize import (
     StageInfeasibleError,
     UtopiaSolveError,
 )
-from .svgplot import write_front_svg
+from .svgplot import front_svg
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -259,18 +259,19 @@ def _outcome_dict(outcome) -> dict:
     }
 
 
-def _utopia_dict(utopia) -> dict:
+def _utopia_dict(problem: MooProblem, utopia) -> dict:
+    """The ideal/nadir pair per objective, in natural units."""
     return {
         "counters": _counters_dict(utopia.counters),
         "objectives": {
-            e.name: {
-                "sense": e.sense.value,
-                "best": e.best,
-                "best_x": list(e.best_x),
-                "worst": e.worst,
-                "worst_x": list(e.worst_x),
+            o.name: {
+                "sense": o.sense.value,
+                "best": float(o.sign * utopia.ideal[i]),
+                "best_x": utopia.ideal_x[i].tolist(),
+                "worst": float(o.sign * utopia.nadir[i]),
+                "worst_x": utopia.nadir_x[i].tolist(),
             }
-            for e in utopia.entries
+            for i, o in enumerate(problem.objectives)
         },
     }
 
@@ -283,8 +284,22 @@ def _make_out_dir(cfg: RunConfig) -> None:
         raise ConfigError(f"cannot make output directory {cfg.out}: {exc}") from exc
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file; a path that cannot be written is a config error."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_front(out: Path, stem: str, front: Front, title: str) -> None:
+    """``stem``.csv and ``stem``.svg of ``front`` in ``out``."""
+    _write(out / f"{stem}.csv", front_to_csv_text(front))
+    _write(out / f"{stem}.svg", front_svg(front, title=title))
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -319,7 +334,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         },
     }
     _write_json(cfg.out / "fit.json", payload)
-    (cfg.out / "comparison.csv").write_text(comparison_csv_text(cmp), encoding="utf-8")
+    _write(cfg.out / "comparison.csv", comparison_csv_text(cmp))
     print(f"fit: {len(records)} records, models={cfg.models}")
     print(f"  MAPD Ra={cmp.mapd_a[0]:.4f} MRR={cmp.mapd_a[1]:.4f} "
           f"(eq21 baseline: Ra={cmp.mapd_b[0]:.4f} MRR={cmp.mapd_b[1]:.4f})")
@@ -373,11 +388,11 @@ def _point_dict(result: MethodResult) -> dict:
     return {**fields, **_outcome_dict(result.outcome)}
 
 
-def _routine_payload(method: str, result: RoutineResult, parameters: dict, utopia) -> dict:
+def _routine_payload(method: str, result: RoutineResult, parameters: dict, optima) -> dict:
     payload = {"method": method, "counters": _counters_dict(result.counters),
                "parameters": parameters}
     if method in UTOPIA_METHODS:
-        payload["individual_optima"] = _utopia_dict(utopia)
+        payload["individual_optima"] = optima
     if isinstance(result, LexicographicResult):
         payload["terminated_early"] = result.terminated_early
         payload["stages"] = [_point_dict(r) for r in result.results]
@@ -396,15 +411,14 @@ def _run_methods(cfg: RunConfig, methods) -> tuple:
     _make_out_dir(cfg)
     utopia = (scalarize.individual_optima(problem, cfg.solver)
               if any(m in UTOPIA_METHODS for m in methods) else None)
+    optima = None if utopia is None else _utopia_dict(problem, utopia)
     results = {}
     for method in methods:
         result, parameters = _run_method(method, cfg, problem, utopia)
         results[method] = result
         _write_json(cfg.out / f"outcome_{method}.json",
-                    _routine_payload(method, result, parameters, utopia))
-        write_front_csv(cfg.out / f"front_{method}.csv", result.front)
-        write_front_svg(cfg.out / f"front_{method}.svg", result.front,
-                        title=method.replace("_", " "))
+                    _routine_payload(method, result, parameters, optima))
+        _write_front(cfg.out, f"front_{method}", result.front, method.replace("_", " "))
         n_feasible = sum(p.feasible for p in result.front.points)
         print(f"{method}: {n_feasible} point(s), "
               f"{result.counters.iterations} iterations, "
@@ -446,10 +460,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     rows.extend((m, results[m].counters) for m in ALL_METHODS)
     lines = ["routine,total_iterations,total_function_evals"]
     lines += [f"{name},{c.iterations},{c.function_evals}" for name, c in rows]
-    (cfg.out / "efficiency.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write(cfg.out / "efficiency.csv", "\n".join(lines) + "\n")
     merged = _merge_feasible([r.front for r in results.values()])
-    write_front_csv(cfg.out / "front_all.csv", merged)
-    write_front_svg(cfg.out / "front_all.svg", merged, title="all methods")
+    _write_front(cfg.out, "front_all", merged, "all methods")
     print(f"efficiency report and merged front ({len(merged.points)} points) in {cfg.out}/")
     return EXIT_OK
 
@@ -464,8 +477,7 @@ def cmd_front(cfg: RunConfig, csv_paths) -> int:
         raise ConfigError(str(exc)) from exc
     merged = _merge_feasible(fronts)
     _make_out_dir(cfg)
-    write_front_csv(cfg.out / "front_all.csv", merged)
-    write_front_svg(cfg.out / "front_all.svg", merged, title="merged front")
+    _write_front(cfg.out, "front_all", merged, "merged front")
     print(f"merged {len(fronts)} front(s) into {len(merged.points)} points in {cfg.out}/")
     return EXIT_OK
 

@@ -123,9 +123,6 @@ def _mutate(child, prob: float, eta: float, rng) -> None:
 class GaResult(RoutineResult):
     """The final rank-0 set; no point is a separate solve, so ``results`` is empty."""
 
-    #: best minimization-form value per objective after each evaluation step
-    extreme_history: tuple[tuple[float, ...], ...] = ()
-
 
 def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
     """Evolve a population within the box and return the final rank-0 set.
@@ -140,7 +137,6 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
     bounds = problem.constraints.bounds
     lb, span = np.asarray(bounds.lower), np.asarray(bounds.span)
     senses = problem.senses
-    signs = np.array([o.sign for o in problem.objectives])
     n, n_obj = config.pop_size, len(problem.objectives)
     rng = np.random.default_rng(config.seed)
     counters = RunCounters()
@@ -155,7 +151,6 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
     resp = evaluate_pop(pop)
     ranks = nondominated_sort(resp, senses)
     crowd = _crowding_by_rank(resp, ranks, senses)
-    history = [tuple((resp * signs).min(axis=0))]
 
     elite_count = min(n, int(round(config.elite_fraction * 2 * n)))
     for _ in range(config.generations):
@@ -189,7 +184,6 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
         ranks = nondominated_sort(resp, senses)
         crowd = _crowding_by_rank(resp, ranks, senses)
         counters.iterations += 1
-        history.append(tuple((resp * signs).min(axis=0)))
 
     final_mask = ranks == 0
     tag = f"seed={config.seed}"
@@ -198,4 +192,4 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
         for i in np.flatnonzero(final_mask)
     ]
     front = Front(tuple(filter_nondominated(points, senses)), senses)
-    return GaResult(front=front, results=(), counters=counters, extreme_history=tuple(history))
+    return GaResult(front=front, results=(), counters=counters)

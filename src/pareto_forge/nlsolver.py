@@ -101,7 +101,6 @@ class SolveOutcome:
     kkt_residual: float
     constraint_violation: float
     counters: RunCounters
-    objective_at_start: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
@@ -284,7 +283,6 @@ def minimize(
         kkt_residual=residual,
         constraint_violation=violation,
         counters=counters,
-        objective_at_start=f_start,
     )
 
 

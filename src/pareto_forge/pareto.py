@@ -22,6 +22,12 @@ class Sense(Enum):
     MINIMIZE = "min"
     MAXIMIZE = "max"
 
+    @property
+    def sign(self) -> float:
+        """+1 for minimized objectives, -1 for maximized ones: value * sign is the
+        minimization form."""
+        return 1.0 if self is Sense.MINIMIZE else -1.0
+
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -57,9 +63,7 @@ class Front:
 
 
 def _min_form(values: Sequence[float], senses: Sequence[Sense]) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    sign = np.array([1.0 if s is Sense.MINIMIZE else -1.0 for s in senses])
-    return v * sign
+    return np.asarray(values, dtype=float) * np.array([s.sign for s in senses])
 
 
 def _eps_array(eps, n: int) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Classical multi-objective routines over the constrained response models.
 
 Four scalarizations are provided: the relative-deviation criterion (a p-norm of
-deviations from the per-objective optima), the lexicographic sequence, the
-normalized weighted sum, and the epsilon-constraint method, plus the shared
-individual-optima (utopia and anti-optimum) computation they rely on. Each
-routine returns a RoutineResult: its front, its solved points (MethodResult)
-and its counters.
+deviations from the ideal point), the lexicographic sequence, the weighted sum
+of objectives normalized by the ideal/nadir pair, and the epsilon-constraint
+method swept from the ideal to the nadir. ``individual_optima`` computes that
+pair once (the optimum and anti-optimum of each objective) for the three
+routines that read it. Each routine returns a RoutineResult: its front, its
+solved points (MethodResult) and its counters.
 
-Maximized objectives are converted to minimization by negation internally;
-every reported response is in natural, un-negated units.
+Maximized objectives are converted to minimization by negation internally, and
+the ideal/nadir pair is held in that form; every reported response is in
+natural, un-negated units.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class Objective:
     @property
     def sign(self) -> float:
         """+1 for minimized objectives, -1 for maximized ones."""
-        return 1.0 if self.sense is Sense.MINIMIZE else -1.0
+        return self.sense.sign
 
     def function(self, negate: bool = False, bound: float = 0.0, scale: float = 1.0,
                  name: str = "") -> SmoothFunction:
@@ -132,70 +134,31 @@ class MooProblem:
 
 
 @dataclass(frozen=True)
-class ObjectiveRange:
-    """Feasible-region extremes of one objective, in natural units."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"degenerate range: lo {self.lo} must be below hi {self.hi}")
-
-
-@dataclass(frozen=True)
-class NormalizationBounds:
-    ranges: tuple[ObjectiveRange, ...]
-
-
-def normalize(value: float, bounds: ObjectiveRange | Sequence[float]) -> float:
-    """Map ``value`` to (value - lo) / (hi - lo); not clamped to [0, 1]."""
-    if not isinstance(bounds, ObjectiveRange):
-        lo, hi = bounds
-        bounds = ObjectiveRange(float(lo), float(hi))
-    return (value - bounds.lo) / (bounds.hi - bounds.lo)
-
-
-@dataclass(frozen=True)
-class UtopiaEntry:
-    name: str
-    sense: Sense
-    best: float
-    best_x: tuple[float, ...]
-    worst: float
-    worst_x: tuple[float, ...]
-
-    def range(self) -> ObjectiveRange:
-        lo, hi = sorted((self.best, self.worst))
-        return ObjectiveRange(lo, hi)
-
-
-@dataclass(frozen=True)
 class UtopiaRecord:
-    """Per-objective optimum and anti-optimum over the feasible region."""
+    """The ideal point and the nadir stand-in, both in minimization form.
 
-    entries: tuple[UtopiaEntry, ...]
+    ``ideal[i]`` is objective i's optimum over the feasible region, z* in
+    Miettinen, *Nonlinear Multiobjective Optimization* (1999), Part I, section 2.4, and
+    ``ideal_x[i]`` a point attaining it. ``nadir[i]`` is the anti-optimum, the
+    worst feasible value, attained at ``nadir_x[i]``. The true nadir is the worst
+    value over the Pareto set alone; the anti-optimum bounds it and stands in for
+    it. The natural-unit value of objective i is ``objective.sign * ideal[i]``.
+    """
+
+    ideal: np.ndarray
+    nadir: np.ndarray
+    ideal_x: np.ndarray
+    nadir_x: np.ndarray
     counters: RunCounters
-
-    def normalization_bounds(self) -> NormalizationBounds:
-        return NormalizationBounds(tuple(e.range() for e in self.entries))
-
-    def best_minimized(self, i: int) -> float:
-        e = self.entries[i]
-        return e.best if e.sense is Sense.MINIMIZE else -e.best
 
 
 def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -> UtopiaRecord:
-    """Multistart optimum and anti-optimum of every objective, in its own sense.
-
-    The anti-optimum (worst feasible value) feeds normalization and sweep ranges.
-    """
+    """Multistart optimum and anti-optimum of every objective: the ideal/nadir pair."""
     config = config or SolverConfig()
     counters = RunCounters()
-    entries = []
+    best, worst = [], []
     for obj in problem.objectives:
-        results = {}
-        for negate in (False, True):
+        for negate, found in ((False, best), (True, worst)):
             outcome = multistart_minimize(obj.function(negate), problem.constraints, config)
             counters.add(outcome.counters)
             if not outcome.converged:
@@ -205,20 +168,14 @@ def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -
                     f"(violation {outcome.constraint_violation:.3g}, "
                     f"kkt {outcome.kkt_residual:.3g})"
                 )
-            results[negate] = outcome
-        best_minform = results[False].objective
-        worst_minform = -results[True].objective
-        entries.append(
-            UtopiaEntry(
-                name=obj.name,
-                sense=obj.sense,
-                best=obj.sign * best_minform,
-                best_x=results[False].x,
-                worst=obj.sign * worst_minform,
-                worst_x=results[True].x,
-            )
-        )
-    return UtopiaRecord(tuple(entries), counters)
+            found.append(outcome)
+    return UtopiaRecord(
+        ideal=np.array([o.objective for o in best]),
+        nadir=np.array([-o.objective for o in worst]),
+        ideal_x=np.array([o.x for o in best]),
+        nadir_x=np.array([o.x for o in worst]),
+        counters=counters,
+    )
 
 
 def relative_deviation_norm(values, utopia_values, p: int):
@@ -315,7 +272,7 @@ def _sweep(problem: MooProblem, results: list[MethodResult], method: str) -> Rou
 
 
 def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: int) -> SmoothFunction:
-    stars = np.array([utopia.best_minimized(i) for i in range(len(problem.objectives))])
+    stars = utopia.ideal
     if np.any(stars == 0.0):
         zero = problem.objectives[int(np.argmin(np.abs(stars)))].name
         raise ValueError(f"deviation criterion undefined: optimum of {zero!r} is zero")
@@ -365,26 +322,17 @@ def global_criterion_sweep(
     return _sweep(problem, results, "global_criterion")
 
 
-def _normalized_ranges(problem: MooProblem, bounds: NormalizationBounds):
-    """Minimization-form (offset, width) per objective for the weighted sum."""
-    out = []
-    for obj, rng in zip(problem.objectives, bounds.ranges):
-        lo_min_form = rng.lo if obj.sense is Sense.MINIMIZE else -rng.hi
-        out.append((lo_min_form, rng.hi - rng.lo))
-    return out
-
-
 def weighted_sum(
     problem: MooProblem,
     weights: Sequence[float],
-    normalization: NormalizationBounds | None = None,
     config: SolverConfig | None = None,
     utopia: UtopiaRecord | None = None,
 ) -> WeightedSumResult:
-    """Minimize the weighted sum of normalized minimization-form objectives.
+    """Minimize the weighted sum of (f_i - ideal_i) / (nadir_i - ideal_i).
 
     Weights must be non-negative and sum to one. A zero weight is allowed for
-    sweep endpoints, but the result is then only weakly Pareto optimal.
+    sweep endpoints, but the result is then only weakly Pareto optimal. An
+    objective whose nadir does not lie above its ideal cannot be normalized.
     """
     config = config or SolverConfig()
     weights = tuple(float(w) for w in weights)
@@ -394,16 +342,17 @@ def weighted_sum(
         raise ValueError(f"negative weight in {weights}")
     if abs(math.fsum(weights) - 1.0) > _WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1, got {math.fsum(weights)!r}")
-    if normalization is None:
-        utopia = utopia or individual_optima(problem, config)
-        normalization = utopia.normalization_bounds()
-    lo, width = np.array(_normalized_ranges(problem, normalization)).T
+    utopia = utopia or individual_optima(problem, config)
+    ideal, width = utopia.ideal, utopia.nadir - utopia.ideal
+    if not np.all(width > 0):
+        flat = problem.objectives[int(np.argmin(width))].name
+        raise ValueError(f"degenerate range: nadir of {flat!r} does not lie above its ideal")
     w = np.array(weights)
     stack = problem.stack
 
     def vg(x):
         f, jac = stack.value_and_jacobian(x)
-        return float(np.sum(w * (f - lo) / width)), (w / width) @ jac
+        return float(np.sum(w * (f - ideal) / width)), (w / width) @ jac
 
     fn = SmoothFunction(vg, model_cost=stack.size, name=f"weighted sum {weights}")
     outcome = multistart_minimize(fn, problem.constraints, config)
@@ -430,9 +379,8 @@ def weighted_sum_sweep(
         raise ValueError("the weight sweep supports exactly two objectives")
     config = config or SolverConfig()
     utopia = utopia or individual_optima(problem, config)
-    normalization = utopia.normalization_bounds()
     weights = [k / (steps - 1) for k in range(steps)]
-    results = [weighted_sum(problem, (w, 1.0 - w), normalization, config) for w in weights]
+    results = [weighted_sum(problem, (w, 1.0 - w), config, utopia) for w in weights]
     return _sweep(problem, results, "weighted_sum")
 
 
@@ -497,12 +445,9 @@ def epsilon_sweep(
     config = config or SolverConfig()
     utopia = utopia or individual_optima(problem, config)
     primary_idx = problem.index_of(primary)
-    other_idx = 1 - primary_idx
-    lo = utopia.best_minimized(other_idx)
-    entry = utopia.entries[other_idx]
-    hi = entry.worst if entry.sense is Sense.MINIMIZE else -entry.worst
+    j = 1 - primary_idx
     results = [_epsilon_solve(problem, primary_idx, (float(eps),), config)
-               for eps in np.linspace(lo, hi, n_points)]
+               for eps in np.linspace(utopia.ideal[j], utopia.nadir[j], n_points)]
     return _sweep(problem, results, "epsilon_constraint")
 
 

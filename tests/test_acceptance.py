@@ -18,7 +18,6 @@ from pareto_forge import (
     fit_ols,
     gradient,
     model_diagnostics,
-    normalize,
     published_pair,
     run_ga,
 )
@@ -26,7 +25,6 @@ from pareto_forge.pareto import ParetoPoint
 from pareto_forge.polymodel import basis_eval, evaluate
 from pareto_forge.scalarize import (
     DEFAULT_P_VALUES,
-    ObjectiveRange,
     epsilon_sweep,
     global_criterion_sweep,
     lexicographic,
@@ -113,8 +111,8 @@ def test_criterion_1_regression_reproduction(records):
 
 def test_criterion_2_utopia_reproduction(utopia, grid):
     failures = []
-    ra_best = utopia.entries[0].best
-    mrr_best = utopia.entries[1].best
+    ra_best = utopia.ideal[0]
+    mrr_best = -utopia.ideal[1]
     if abs(ra_best - RA_STAR) > 0.005:
         failures.append(f"Ra optimum {ra_best:.4f} vs {RA_STAR} +- 0.005")
     if abs(mrr_best - MRR_STAR) > 0.01 * MRR_STAR:
@@ -139,8 +137,8 @@ def _deviation_criterion(devs, p):
 def deviation_grid_subset(grid, utopia):
     # The criterion rises with each relative deviation, so its grid minimum sits
     # on the non-dominated subset of (dev_Ra, dev_MRR); reduce once, reuse per p.
-    ra_star = utopia.entries[0].best
-    mrr_star = utopia.entries[1].best
+    ra_star = utopia.ideal[0]
+    mrr_star = -utopia.ideal[1]
     d1 = (np.abs(grid.ra - ra_star) / abs(ra_star)).ravel()
     d2 = (np.abs(grid.mrr - mrr_star) / abs(mrr_star)).ravel()
     order = np.lexsort((d2, d1))
@@ -234,8 +232,8 @@ def test_criterion_6_epsilon_constraint(eps_sweep_result):
 
 def test_criterion_7_genetic_algorithm(problem, utopia, ga_results):
     failures = []
-    ra_best = utopia.entries[0].best
-    mrr_best = utopia.entries[1].best
+    ra_best = utopia.ideal[0]
+    mrr_best = -utopia.ideal[1]
     for seed, res in ga_results.items():
         pts = res.front.points
         resp = np.array([p.responses for p in pts])
@@ -281,7 +279,7 @@ def test_criterion_8_efficiency_report(utopia, gc_sweep, ws_sweep, eps_sweep_res
             failures)
 
 
-def test_criterion_9_property_suites(records, refit_models):
+def test_criterion_9_property_suites(records, refit_models, problem, utopia):
     failures = []
     rng = np.random.default_rng(99)
     senses = (Sense.MINIMIZE, Sense.MAXIMIZE)
@@ -331,11 +329,12 @@ def test_criterion_9_property_suites(records, refit_models):
         if {p.responses for p in filter_nondominated(perm, senses)} != {p.responses for p in once}:
             failures.append(f"filter membership changed under permutation on trial {trial}")
 
-    bounds = ObjectiveRange(0.5055, 2.5574)
-    if normalize(bounds.lo, bounds) != 0.0 or normalize(bounds.hi, bounds) != 1.0:
-        failures.append("normalization endpoint identities broken")
-    mid = 0.5 * (bounds.lo + bounds.hi)
-    if abs(normalize(mid, bounds) - 0.5) > 1e-12:
-        failures.append("normalization midpoint broken")
+    if not np.all(utopia.ideal < utopia.nadir):
+        failures.append(f"ideal {utopia.ideal} not below nadir {utopia.nadir}")
+    for i in range(len(problem.objectives)):
+        for name, z, at in (("ideal", utopia.ideal, utopia.ideal_x),
+                            ("nadir", utopia.nadir, utopia.nadir_x)):
+            if problem.stack.value_and_jacobian(at[i])[0][i] != z[i]:
+                failures.append(f"{name}[{i}] not reproduced at its point")
     _report(9, "dominance axioms, gradients, OLS orthogonality, filter and normalization "
                "properties hold", failures)

@@ -391,6 +391,20 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
     assert afile.read_text() == ""
 
 
+@pytest.mark.parametrize("command, blocked", [
+    (["fit"], "fit.json"),
+    (["optimize", "--method", "lexicographic"], "front_lexicographic.svg"),
+    (["compare"], "efficiency.csv"),
+])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, command, blocked):
+    # a directory where an output file goes makes the write fail inside --out
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    assert main([*command, "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / blocked}") and "Traceback" not in err
+
+
 @settings(max_examples=200, deadline=None)
 @given(_CONFIGS)
 def test_main_exits_0_2_or_3_without_a_traceback(tmp_path_factory, raw):

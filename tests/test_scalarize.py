@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from pareto_forge import (
     InfeasibleEpsilonError,
     MooProblem,
     Objective,
-    ObjectiveRange,
     PolynomialModel,
     RoutineResult,
     Sense,
@@ -21,12 +22,12 @@ from pareto_forge import (
     individual_optima,
     lexicographic,
     multistart_minimize,
-    normalize,
     relative_deviation_norm,
     run_ga,
     weighted_sum,
     weighted_sum_sweep,
 )
+from pareto_forge import scalarize
 from pareto_forge.evolve import GaConfig
 
 FAST = SolverConfig(n_starts=4, seed=0)
@@ -45,19 +46,6 @@ def neg_problem(refit_models):
         (Objective(ra, Sense.MINIMIZE), Objective(negated(mrr), Sense.MINIMIZE)),
         ConstraintSet(CASE_STUDY_BOUNDS),
     )
-
-
-def test_normalize_endpoints():
-    rng = ObjectiveRange(2.0, 10.0)
-    assert normalize(2.0, rng) == 0.0
-    assert normalize(10.0, rng) == 1.0
-    assert normalize(6.0, rng) == 0.5
-    assert normalize(14.0, rng) == 1.5  # deliberately not clamped
-
-
-def test_normalize_degenerate_bounds():
-    with pytest.raises(ValueError, match="degenerate"):
-        normalize(1.0, (3.0, 3.0))
 
 
 def test_deviation_norm_single_objective_at_optimum():
@@ -125,14 +113,37 @@ def test_minimized_sign(problem):
 
 
 def test_individual_optima_match_case_study(utopia):
-    ra_entry, mrr_entry = utopia.entries
-    assert abs(ra_entry.best - 0.5055) <= 0.005
-    assert abs(ra_entry.worst - 2.557) <= 0.01
-    assert abs(mrr_entry.best - 35241.0) <= 352.41
+    # minimization form: MRR's entries are -MRR
+    assert abs(utopia.ideal[0] - 0.5055) <= 0.005
+    assert abs(utopia.nadir[0] - 2.557) <= 0.01
+    assert abs(-utopia.ideal[1] - 35241.0) <= 352.41
+    assert np.all(utopia.ideal < utopia.nadir)
+    assert utopia.ideal_x.shape == utopia.nadir_x.shape == (2, 3)
     assert utopia.counters.function_evals > 0
-    bounds = utopia.normalization_bounds()
-    assert bounds.ranges[0].lo == ra_entry.best and bounds.ranges[0].hi == ra_entry.worst
-    assert bounds.ranges[1].lo == mrr_entry.worst and bounds.ranges[1].hi == mrr_entry.best
+
+
+def test_swapped_objectives_reverse_the_pair(refit_models, utopia, solver_config):
+    ra, mrr = refit_models
+    swapped = MooProblem((Objective(mrr, Sense.MAXIMIZE), Objective(ra, Sense.MINIMIZE)),
+                         ConstraintSet(CASE_STUDY_BOUNDS))
+    rev = individual_optima(swapped, solver_config)
+    assert np.array_equal(rev.ideal, utopia.ideal[::-1])
+    assert np.array_equal(rev.nadir, utopia.nadir[::-1])
+    assert np.array_equal(rev.ideal_x, utopia.ideal_x[::-1])
+    assert np.array_equal(rev.nadir_x, utopia.nadir_x[::-1])
+
+
+def test_weighted_sum_rejects_degenerate_pair(problem, utopia, monkeypatch):
+    flat = replace(utopia, nadir=np.array([utopia.ideal[0], utopia.nadir[1]]))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the pair was checked")
+
+    monkeypatch.setattr(scalarize, "multistart_minimize", no_solve)
+    with pytest.raises(ValueError, match="degenerate"):
+        weighted_sum(problem, (0.5, 0.5), FAST, flat)
+    with pytest.raises(ValueError, match="degenerate"):
+        weighted_sum_sweep(problem, 3, FAST, flat)
 
 
 def test_global_criterion_rejects_bad_p(problem, utopia):
@@ -165,20 +176,19 @@ def test_global_criterion_sweep_stays_on_edge(problem, utopia):
 
 
 def test_weighted_sum_validation(problem, utopia):
-    norm = utopia.normalization_bounds()
     with pytest.raises(ValueError, match="negative weight"):
-        weighted_sum(problem, (-0.1, 1.1), norm, FAST)
+        weighted_sum(problem, (-0.1, 1.1), FAST, utopia)
     with pytest.raises(ValueError, match="sum to 1"):
-        weighted_sum(problem, (0.5, 0.4), norm, FAST)
+        weighted_sum(problem, (0.5, 0.4), FAST, utopia)
     with pytest.raises(ValueError, match="weights for"):
-        weighted_sum(problem, (1.0,), norm, FAST)
+        weighted_sum(problem, (1.0,), FAST, utopia)
 
 
 def test_weighted_sum_zero_weight_flagged(problem, utopia):
-    res = weighted_sum(problem, (0.0, 1.0), utopia.normalization_bounds(), FAST)
+    res = weighted_sum(problem, (0.0, 1.0), FAST, utopia)
     assert res.weak_pareto_only
     assert abs(res.responses[1] - 35241.0) <= 352.41
-    res = weighted_sum(problem, (0.9, 0.1), utopia.normalization_bounds(), FAST)
+    res = weighted_sum(problem, (0.9, 0.1), FAST, utopia)
     assert not res.weak_pareto_only
 
 
@@ -186,8 +196,8 @@ def test_weighted_sum_sweep_endpoints_hit_individual_optima(problem, utopia):
     sweep = weighted_sum_sweep(problem, 2, FAST, utopia)
     assert len(sweep.results) == 2
     pure_mrr, pure_ra = sweep.results
-    assert abs(pure_ra.responses[0] - utopia.entries[0].best) <= 0.005
-    assert abs(pure_mrr.responses[1] - utopia.entries[1].best) <= 0.01 * 35241
+    assert abs(pure_ra.responses[0] - utopia.ideal[0]) <= 0.005
+    assert abs(pure_mrr.responses[1] + utopia.ideal[1]) <= 0.01 * 35241
 
 
 def test_weighted_sum_sweep_validation(problem, utopia):
@@ -280,18 +290,17 @@ def test_lexicographic_stage_infeasible(refit_models):
 
 
 def test_anti_optima_match_grid_extremes(utopia, grid):
-    assert abs(utopia.entries[0].worst - float(grid.ra.max())) <= 1e-3
-    assert abs(utopia.entries[1].worst - float(grid.mrr.min())) <= 1e-3 * abs(float(grid.mrr.min()))
+    assert abs(utopia.nadir[0] - float(grid.ra.max())) <= 1e-3
+    assert abs(-utopia.nadir[1] - float(grid.mrr.min())) <= 1e-3 * abs(float(grid.mrr.min()))
 
 
 def test_weighted_sum_point_not_dominated_by_grid(problem, utopia, grid):
     # strictly positive weights must land on the Pareto set: no grid point may
     # beat the result in both objectives beyond 1e-3 of each response scale
-    norm = utopia.normalization_bounds()
     tol_ra = 1e-3 * max(1.0, float(np.abs(grid.ra).max()))
     tol_mrr = 1e-3 * max(1.0, float(np.abs(grid.mrr).max()))
     for w in (0.3, 0.5, 0.7, 0.9):
-        res = weighted_sum(problem, (w, 1.0 - w), norm, FAST)
+        res = weighted_sum(problem, (w, 1.0 - w), FAST, utopia)
         ra0, mrr0 = res.responses
         better = (grid.ra < ra0 - tol_ra) & (grid.mrr > mrr0 + tol_mrr)
         assert not bool(better.any()), f"w={w}: grid dominates {res.responses}"
@@ -317,15 +326,16 @@ def test_sense_conversion_leaves_argmin_unchanged(problem, neg_problem):
     cfg = FAST
     pos_utopia = individual_optima(problem, cfg)
     neg_utopia = individual_optima(neg_problem, cfg)
-    for entry, neg_entry in zip(pos_utopia.entries, neg_utopia.entries):
-        assert entry.best_x == neg_entry.best_x
+    for name in ("ideal", "nadir", "ideal_x", "nadir_x"):
+        a, b = getattr(pos_utopia, name), getattr(neg_utopia, name)
+        assert a.tobytes() == b.tobytes(), name
 
     a = global_criterion(problem, 2, cfg, pos_utopia)
     b = global_criterion(neg_problem, 2, cfg, neg_utopia)
     assert a.x == b.x
 
-    wa = weighted_sum(problem, (0.9, 0.1), pos_utopia.normalization_bounds(), cfg)
-    wb = weighted_sum(neg_problem, (0.9, 0.1), neg_utopia.normalization_bounds(), cfg)
+    wa = weighted_sum(problem, (0.9, 0.1), cfg, pos_utopia)
+    wb = weighted_sum(neg_problem, (0.9, 0.1), cfg, neg_utopia)
     assert wa.x == wb.x
 
     ea = epsilon_constraint(problem, "mrr", (0.7107,), cfg)
@@ -352,10 +362,9 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
     cfg = SolverConfig(n_starts=2, seed=1)
     utopia = individual_optima(problem, cfg)
     assert utopia.counters.function_evals == made["n"] > 0
-    norm = utopia.normalization_bounds()
     runs = [
         lambda: global_criterion(problem, 4, cfg, utopia).outcome.counters,
-        lambda: weighted_sum(problem, (0.4, 0.6), norm, cfg).outcome.counters,
+        lambda: weighted_sum(problem, (0.4, 0.6), cfg, utopia).outcome.counters,
         lambda: epsilon_constraint(problem, "mrr", (0.7107,), cfg).outcome.counters,
         lambda: lexicographic(problem, ("ra", "mrr"), cfg).counters,
     ]
