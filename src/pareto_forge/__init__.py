@@ -27,6 +27,7 @@ from .nlsolver import (
     SolveOutcome,
     SolverConfig,
     minimize,
+    minimize_starts,
     multistart_minimize,
     stratified_starts,
 )
@@ -53,7 +54,7 @@ from .polymodel import (
     published_model,
     published_pair,
     save_model,
-    value_and_jacobian,
+    value_jacobian_hessian,
 )
 from .regression import (
     FitDiagnostics,

@@ -1,10 +1,13 @@
 """Local minimization under box bounds and smooth inequality constraints.
 
 The engine beneath every scalarization routine: an augmented-Lagrangian outer
-loop handles nonlinear inequalities, with a projected quasi-Newton (L-BFGS-B)
-inner solve on the box. Variables are rescaled to the unit cube internally, so
-all tolerances below are quoted on the scaled problem. Deterministic seeded
-multistart mitigates local optima of nonconvex scalarizations.
+loop (Conn, Gould & Toint, SIAM J. Numer. Anal. 28:545, 1991) handles nonlinear
+inequalities, with a projected Newton inner solve on the box (Bertsekas, SIAM J.
+Control Optim. 20:221, 1982) that uses exact Hessians. Variables are rescaled to
+the unit cube internally, so all tolerances below are quoted on the scaled
+problem. Deterministic seeded multistart mitigates local optima of nonconvex
+scalarizations; the starts of one multistart are solved together, one row of
+the same arrays each, and a row's arithmetic never depends on the other rows.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .dataset import Bounds
 
@@ -22,9 +24,23 @@ _RHO_GROWTH = 10.0
 _RHO_MAX = 1e16
 _RHO_RESTORED = 1e6
 
+#: Cap on the eps of the eps-active set: a variable within eps = min(cap,
+#: projected residual) of a bound, with its gradient pointing out of the box, is
+#: decoupled from the Newton system and left to the projection.
+_ACTIVE_EPS = 1e-2
+#: Eigenvalues of the reduced Hessian are replaced by their magnitude, floored
+#: at this fraction of the largest one (and of 1).
+_CURVATURE_FLOOR = 1e-10
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 30
+#: A predicted decrease below 100 ulps of the value is lost in rounding; such a
+#: step is taken if it does not raise the value beyond that and lowers the
+#: projected residual.
+_ROUNDING = 100.0 * np.finfo(float).eps
+
 
 class NonFiniteEvaluationError(RuntimeError):
-    """An objective or constraint produced a non-finite value or gradient."""
+    """An objective or constraint produced a non-finite value, gradient or Hessian."""
 
     def __init__(self, point: np.ndarray, name: str = ""):
         self.point = np.asarray(point, dtype=float).copy()
@@ -34,15 +50,18 @@ class NonFiniteEvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """A scalar function with gradient, both evaluated through ``value_and_grad``.
+    """A scalar function with its exact derivatives, evaluated through ``value_and_grad``.
 
-    ``model_cost`` is how many response-model evaluations one call represents;
-    it drives the run counters. The solver divides the value and gradient by
-    ``scale``, the unit of a constraint's feasibility (violation = positive part /
-    scale); objectives keep the default 1, so their values are reported unscaled.
+    ``value_and_grad`` takes points x of shape (n, 3) and returns the values (n,),
+    the gradients (n, 3) and the Hessians (n, 3, 3); results that broadcast to
+    those shapes are accepted. ``model_cost`` is how many response-model
+    evaluations one point represents; it drives the run counters. The solver
+    divides the value and its derivatives by ``scale``, the unit of a
+    constraint's feasibility (violation = positive part / scale); objectives keep
+    the default 1, so their values are reported unscaled.
     """
 
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    value_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     model_cost: int = 1
     scale: float = 1.0
     name: str = ""
@@ -61,7 +80,7 @@ class ConstraintSet:
 
 @dataclass
 class RunCounters:
-    """Totals for one solve or one routine: inner iterations and model evaluations."""
+    """Totals for one solve or one routine: Newton steps and model evaluations."""
 
     iterations: int = 0
     function_evals: int = 0
@@ -133,46 +152,285 @@ def _quality(objective: float, violation: float, converged: bool, feas_tol: floa
     return (1, violation, objective, not converged)
 
 
-def _projected_residual(s: np.ndarray, grad: np.ndarray) -> float:
-    return float(np.max(np.abs(s - np.clip(s - grad, 0.0, 1.0))))
+def _unit(s: np.ndarray) -> np.ndarray:
+    """``s`` projected onto the unit cube."""
+    return np.minimum(np.maximum(s, 0.0), 1.0)
+
+
+def _projected_residual(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Largest projected-gradient component of each row."""
+    return np.max(np.abs(s - _unit(s - grad)), axis=-1)
+
+
+def _newton_direction(s: np.ndarray, grad: np.ndarray, hess: np.ndarray,
+                      residual: np.ndarray) -> np.ndarray:
+    """Projected-Newton direction of each row, at most 1 in every component.
+
+    Variables within eps = min(_ACTIVE_EPS, residual) of a bound, with the
+    gradient pointing out of the box, are active: they are decoupled from the
+    rest and take a diagonal Newton step. The free block's eigenvalues are
+    replaced by their floored magnitude, so the direction descends on a
+    nonconvex function too.
+    """
+    eps = np.minimum(_ACTIVE_EPS, residual)[:, None]
+    active = ((s <= eps) & (grad > 0)) | ((s >= 1.0 - eps) & (grad < 0))
+    free = ~active
+    coupled = (free[:, :, None] & free[:, None, :]) | np.eye(3, dtype=bool)
+    lam, vec = np.linalg.eigh(np.where(coupled, hess, 0.0))
+    mag = np.abs(lam)
+    floor = _CURVATURE_FLOOR * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
+    # V |L|^-1 V^T g as explicit products and sums, not BLAS: a row's result does
+    # not depend on how many rows are computed with it
+    coef = np.sum(vec * grad[:, :, None], axis=1) / np.maximum(mag, floor)
+    d = -np.sum(vec * coef[:, None, :], axis=-1)
+    # the free block keeps its direction; an active variable is clipped on its own
+    longest = np.where(free, np.abs(d), 0.0).max(axis=-1, keepdims=True)
+    return np.where(free, d / np.maximum(1.0, longest), np.clip(d, -1.0, 1.0))
 
 
 def _inner_solve(fun, s0: np.ndarray, gtol: float, maxiter: int):
-    return _scipy_minimize(
-        fun,
-        s0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, 1.0)] * s0.size,
-        options={"maxiter": maxiter, "ftol": 1e-16, "gtol": gtol, "maxcor": 10},
-    )
+    """Projected Newton on the unit cube for every row of ``s0``.
+
+    ``fun(rows, s)`` returns the value (r,), gradient (r, 3) and Hessian (r, 3, 3)
+    of the rows ``rows`` of the batch at their points ``s``; one call serves
+    every row still running. A row stops when its projected residual is at most
+    ``gtol``, after ``maxiter`` steps, or when the Armijo search along the
+    projection arc finds no acceptable step. Returns the final points and each
+    row's number of steps.
+    """
+    n = len(s0)
+    s = s0.copy()
+    f, g, h = fun(np.arange(n), s)
+    steps = np.zeros(n, dtype=int)
+    live = np.arange(n)
+    while True:
+        residual = _projected_residual(s[live], g[live])
+        keep = (residual > gtol) & (steps[live] < maxiter)
+        live, residual = live[keep], residual[keep]
+        if not live.size:
+            return s, steps
+        d = _newton_direction(s[live], g[live], h[live], residual)
+        base, f0, g0 = s[live], f[live], g[live]
+        noise = _ROUNDING * np.maximum(1.0, np.abs(f0))
+        alpha = 1.0
+        search = np.arange(live.size)
+        moved = np.zeros(live.size, dtype=bool)
+        for _ in range(_MAX_BACKTRACKS):
+            trial = _unit(base[search] + alpha * d[search])
+            # a row whose step no longer moves the point has stalled
+            moving = np.any(trial != base[search], axis=-1)
+            search, trial = search[moving], trial[moving]
+            slope = np.sum(g0[search] * (trial - base[search]), axis=-1)
+            # a clipped step can point uphill: only a descending one is evaluated
+            down = slope < 0
+            accepted = np.zeros(search.size, dtype=bool)
+            if down.any():
+                k, t, sl = search[down], trial[down], slope[down]
+                ft, gt, ht = fun(live[k], t)
+                rise = ft - f0[k]
+                good = (rise <= _ARMIJO * sl) | (
+                    (-sl <= noise[k]) & (rise <= noise[k])
+                    & (_projected_residual(t, gt) < residual[k]))
+                done = live[k[good]]
+                s[done], f[done], g[done], h[done] = t[good], ft[good], gt[good], ht[good]
+                steps[done] += 1
+                moved[k[good]] = True
+                accepted[down] = good
+            search = search[~accepted]
+            if not search.size:
+                break
+            alpha *= 0.5
+        live = live[moved]
 
 
 class _ScaledProblem:
-    """Unit-cube view of the raw problem; every evaluation updates the counters."""
+    """Unit-cube view of the raw problem for a batch of rows.
 
-    def __init__(self, ineqs: Sequence[SmoothFunction], bounds: Bounds, counters: RunCounters):
-        self.ineqs = list(ineqs)
-        self.lb = np.asarray(bounds.lower)
-        self.ub = np.asarray(bounds.upper)
+    Function 0 is the objective and function i > 0 is inequality i - 1. Each
+    function keeps its last point and results per row, so evaluating a row at
+    the same point again costs nothing (an inner solve starts where the last one
+    ended). Every model evaluation adds its cost to the counters of its row.
+    """
+
+    def __init__(self, objective: SmoothFunction, constraints: ConstraintSet, n_rows: int):
+        self.functions = (objective,) + constraints.inequalities
+        self.n_con = len(constraints.inequalities)
+        self.lb = np.asarray(constraints.bounds.lower)
+        self.ub = np.asarray(constraints.bounds.upper)
         self.span = self.ub - self.lb
-        self.counters = counters
+        self.f_scale = np.ones(n_rows)
+        self.iterations = np.zeros(n_rows, dtype=int)
+        self.function_evals = np.zeros(n_rows, dtype=int)
+        n_fn = len(self.functions)
+        self._points = np.full((n_fn, n_rows, 3), np.nan)
+        self._values = np.zeros((n_fn, n_rows))
+        self._grads = np.zeros((n_fn, n_rows, 3))
+        self._hessians = np.zeros((n_fn, n_rows, 3, 3))
 
     def to_raw(self, s: np.ndarray) -> np.ndarray:
-        return np.clip(self.lb + s * self.span, self.lb, self.ub)
+        return np.minimum(np.maximum(self.lb + s * self.span, self.lb), self.ub)
 
     def to_unit(self, x: np.ndarray) -> np.ndarray:
         return np.clip((np.asarray(x, dtype=float) - self.lb) / self.span, 0.0, 1.0)
 
-    def evaluate(self, fn: SmoothFunction, s: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and unit-cube gradient of ``fn``, both divided by its scale."""
-        x = self.to_raw(s)
-        v, g = fn.value_and_grad(x)
-        self.counters.function_evals += fn.model_cost
-        g = np.asarray(g, dtype=float)
-        if not np.isfinite(v) or not np.all(np.isfinite(g)):
-            raise NonFiniteEvaluationError(x, fn.name)
-        return float(v) / fn.scale, g * self.span / fn.scale
+    def evaluate(self, i: int, rows: np.ndarray, s: np.ndarray):
+        """Value, unit-cube gradient and Hessian of function ``i`` at the rows'
+        points, each divided by the function's scale."""
+        fresh = np.any(self._points[i, rows] != s, axis=-1)
+        if fresh.any():
+            fn, at, x = self.functions[i], rows[fresh], self.to_raw(s[fresh])
+            v, g, h = fn.value_and_grad(x)
+            self.function_evals[at] += fn.model_cost
+            finite = (np.isfinite(v) & np.isfinite(g).all(axis=-1)
+                      & np.isfinite(h).all(axis=(-2, -1)))
+            if not np.all(finite):
+                raise NonFiniteEvaluationError(x[np.argmin(finite)], fn.name)
+            span = self.span
+            self._points[i, at] = s[fresh]
+            self._values[i, at] = v / fn.scale
+            self._grads[i, at] = g * span / fn.scale
+            self._hessians[i, at] = h * (span[:, None] * span) / fn.scale
+        return self._values[i, rows], self._grads[i, rows], self._hessians[i, rows]
+
+    def lagrangian(self, rows: np.ndarray, s: np.ndarray, lam: np.ndarray, rho: np.ndarray):
+        """Augmented Lagrangian of the rows: the objective over its row's scale plus
+        sum_i (mult_i^2 - lam_i^2) / (2 rho), mult_i = max(0, lam_i + rho c_i)."""
+        f, g, h = self.evaluate(0, rows, s)
+        scale = self.f_scale[rows]
+        f, g, h = f / scale, g / scale[:, None], h / scale[:, None, None]
+        for i in range(self.n_con):
+            c, gc, hc = self.evaluate(1 + i, rows, s)
+            mult = np.maximum(0.0, lam[:, i] + rho * c)
+            f = f + (mult * mult - lam[:, i] * lam[:, i]) / (2.0 * rho)
+            g = g + mult[:, None] * gc
+            penalty = np.where(mult > 0, rho, 0.0)[:, None, None] * gc[:, :, None] * gc[:, None, :]
+            h = h + mult[:, None, None] * hc + penalty
+        return f, g, h
+
+    def squared_violation(self, rows: np.ndarray, s: np.ndarray):
+        """Sum of the squared positive parts of the constraints, for restoration."""
+        total, g, h = np.zeros(len(s)), np.zeros((len(s), 3)), np.zeros((len(s), 3, 3))
+        for i in range(self.n_con):
+            c, gc, hc = self.evaluate(1 + i, rows, s)
+            pos = np.maximum(0.0, c)
+            total = total + pos * pos
+            g = g + 2.0 * pos[:, None] * gc
+            outer = np.where(c > 0, 2.0, 0.0)[:, None, None] * gc[:, :, None] * gc[:, None, :]
+            h = h + outer + 2.0 * pos[:, None, None] * hc
+        return total, g, h
+
+
+def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
+            max_outer: int, config: SolverConfig):
+    """Multiplier loop of every row from ``s0``; a row leaves it when converged.
+
+    Returns arrays over the rows: (s, f, converged, residual, violation).
+    """
+    n_con = prob.n_con
+    n = len(rows)
+    s = s0.copy()
+    lam = np.zeros((n, n_con))
+    rho = np.full(n, rho0)
+    v_prev = np.full(n, np.inf)
+    f = np.full(n, np.nan)
+    residual = np.full(n, np.inf)
+    violation = np.full(n, np.inf)
+    converged = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    for outer in range(max_outer):
+        gtol = max(0.1 * config.kkt_tol, 1e-4 * 0.1 ** outer if n_con else 0.0)
+        batch, lam_b, rho_b = rows[live], lam[live], rho[live]
+        s_b, steps = _inner_solve(
+            lambda k, sv: prob.lagrangian(batch[k], sv, lam_b[k], rho_b[k]),
+            s[live], gtol, config.max_inner)
+        prob.iterations[batch] += steps
+
+        f_b, g_obj, _ = prob.evaluate(0, batch, s_b)
+        con_vals = np.empty((live.size, n_con))
+        grad_lagr = g_obj / prob.f_scale[batch][:, None]
+        for i in range(n_con):
+            c, gc, _ = prob.evaluate(1 + i, batch, s_b)
+            con_vals[:, i] = c
+            grad_lagr = grad_lagr + np.maximum(0.0, lam_b[:, i] + rho_b * c)[:, None] * gc
+        viol_b = np.maximum(0.0, con_vals.max(axis=-1, initial=0.0))
+        # shifted measure: feasibility plus complementarity, so an active
+        # constraint approached from the feasible side still drives lambda home
+        shifted = np.max(np.abs(np.maximum(con_vals, -lam_b / rho_b[:, None])), axis=-1,
+                         initial=0.0)
+        lam[live] = np.maximum(0.0, lam_b + rho_b[:, None] * con_vals)
+        res_b = _projected_residual(s_b, grad_lagr)
+        s[live], f[live], residual[live], violation[live] = s_b, f_b, res_b, viol_b
+        done = (shifted <= config.feas_tol) & (res_b <= config.kkt_tol)
+        converged[live[done]] = True
+        grow = shifted > 0.25 * v_prev[live]
+        rho[live] = np.where(grow, np.minimum(rho_b * _RHO_GROWTH, _RHO_MAX), rho_b)
+        v_prev[live] = shifted
+        live = live[~done]
+        if not live.size:
+            break
+    return s, f, converged, residual, violation
+
+
+def minimize_starts(
+    objective: SmoothFunction,
+    constraints: ConstraintSet,
+    starts: Sequence[Sequence[float]] | np.ndarray,
+    config: SolverConfig | None = None,
+) -> list[SolveOutcome]:
+    """Minimize from every start point at once; one outcome per start, in order.
+
+    Each start is one row of the same arrays, so outcome k is bit for bit the
+    outcome of :func:`minimize` from start k, counters included.
+    """
+    config = config or SolverConfig()
+    starts = np.asarray(starts, dtype=float).reshape(-1, 3)
+    for start in starts:
+        if not constraints.bounds.contains(start, tol=1e-9):
+            raise ValueError(f"start {start.tolist()} outside bounds")
+    n = len(starts)
+    every = np.arange(n)
+    prob = _ScaledProblem(objective, constraints, n)
+    s = prob.to_unit(starts)
+    f_start, _, _ = prob.evaluate(0, every, s)
+    prob.f_scale = np.maximum(1.0, np.abs(f_start))
+    n_con = prob.n_con
+
+    # with no inequalities there is no multiplier to update: one inner solve
+    first = _auglag(prob, every, s, _RHO_INIT, config.max_outer if n_con else 1, config)
+    candidates = [[tuple(a[k] for a in first)] for k in every]
+    # The multiplier loop can stall in a locally-infeasible basin when the
+    # feasible set is tiny (an epsilon bound at the exact optimum, say): such rows
+    # drive the squared violation to zero on the box from their start, and a
+    # feasible restoration restarts the loop there.
+    stuck = every[first[4] > config.feas_tol]
+    if stuck.size:
+        s_r, steps = _inner_solve(prob.squared_violation, s[stuck], 1e-12, config.max_inner)
+        prob.iterations[stuck] += steps
+        v_r = np.zeros(stuck.size)
+        for i in range(n_con):
+            v_r = np.maximum(v_r, prob.evaluate(1 + i, stuck, s_r)[0])
+        restored = v_r <= config.feas_tol
+        if restored.any():
+            again = _auglag(prob, stuck[restored], s_r[restored], _RHO_RESTORED,
+                            config.max_outer, config)
+            for j, k in enumerate(stuck[restored]):
+                candidates[k].append(tuple(a[j] for a in again))
+
+    outcomes = []
+    for k in every:
+        # a restart exists only when the first loop ended infeasible: a feasible
+        # restart wins
+        s_k, f_k, converged, residual, violation = min(
+            candidates[k], key=lambda c: _quality(c[1], c[4], c[2], config.feas_tol))
+        outcomes.append(SolveOutcome(
+            x=tuple(prob.to_raw(s_k)),
+            objective=float(f_k),
+            converged=bool(converged),
+            kkt_residual=float(residual),
+            constraint_violation=float(violation),
+            counters=RunCounters(int(prob.iterations[k]), int(prob.function_evals[k])),
+        ))
+    return outcomes
 
 
 def minimize(
@@ -185,105 +443,10 @@ def minimize(
 
     The returned point satisfies the box exactly. With ``converged`` True, the
     projected-gradient residual of the Lagrangian is at most ``kkt_tol`` and the
-    scaled inequality violation at most ``feas_tol``.
+    scaled inequality violation at most ``feas_tol``. It is the one-row case of
+    :func:`minimize_starts`.
     """
-    config = config or SolverConfig()
-    counters = RunCounters()
-    prob = _ScaledProblem(constraints.inequalities, constraints.bounds, counters)
-    start = np.asarray(start, dtype=float)
-    if not constraints.bounds.contains(start, tol=1e-9):
-        raise ValueError(f"start {start.tolist()} outside bounds")
-    s = prob.to_unit(start)
-
-    f_start, _ = prob.evaluate(objective, s)
-    f_scale = max(1.0, abs(f_start))
-    n_con = len(prob.ineqs)
-
-    def auglag(s_init: np.ndarray, rho0: float, max_outer: int):
-        """Multiplier loop from ``s_init``; returns (s, f, converged, residual, violation)."""
-        lam = np.zeros(n_con)
-        rho = rho0
-        s_cur = s_init
-        v_prev = np.inf
-        f_cur, residual, violation = np.nan, np.inf, np.inf
-
-        def fused(sv):
-            f, g = prob.evaluate(objective, sv)
-            f /= f_scale
-            g = g / f_scale
-            for i, con in enumerate(prob.ineqs):
-                ci, gi = prob.evaluate(con, sv)
-                mult = max(0.0, lam[i] + rho * ci)
-                f += (mult * mult - lam[i] * lam[i]) / (2.0 * rho)
-                g = g + mult * gi
-            return f, g
-
-        for outer in range(max_outer):
-            gtol = max(0.1 * config.kkt_tol, 1e-4 * 0.1 ** outer if n_con else 0.0)
-            res = _inner_solve(fused, s_cur, gtol=gtol, maxiter=config.max_inner)
-            counters.iterations += res.nit
-            s_cur = np.asarray(res.x)
-
-            f_cur, g_obj = prob.evaluate(objective, s_cur)
-            con_vals = np.empty(n_con)
-            grad_lagr = g_obj / f_scale
-            for i, con in enumerate(prob.ineqs):
-                ci, gi = prob.evaluate(con, s_cur)
-                con_vals[i] = ci
-                lam_i = max(0.0, lam[i] + rho * ci)
-                grad_lagr = grad_lagr + lam_i * gi
-            violation = float(max(0.0, con_vals.max(initial=0.0)))
-            # shifted measure: feasibility plus complementarity, so an active
-            # constraint approached from the feasible side still drives lambda home
-            shifted = float(np.max(np.abs(np.maximum(con_vals, -lam / rho)), initial=0.0))
-            lam = np.maximum(0.0, lam + rho * con_vals)
-            residual = _projected_residual(s_cur, grad_lagr)
-            if shifted <= config.feas_tol and residual <= config.kkt_tol:
-                return s_cur, f_cur, True, residual, violation
-            if shifted > 0.25 * v_prev:
-                rho = min(rho * _RHO_GROWTH, _RHO_MAX)
-            v_prev = shifted
-        return s_cur, f_cur, False, residual, violation
-
-    def restore(s_init: np.ndarray):
-        """Phase-1 fallback: drive the squared constraint violation to zero on the box."""
-
-        def fused(sv):
-            total = 0.0
-            grad = np.zeros_like(sv)
-            for con in prob.ineqs:
-                ci, gi = prob.evaluate(con, sv)
-                pos = max(0.0, ci)
-                total += pos * pos
-                grad = grad + 2.0 * pos * gi
-            return total, grad
-
-        res = _inner_solve(fused, s_init, gtol=1e-12, maxiter=config.max_inner)
-        counters.iterations += res.nit
-        s_cur = np.asarray(res.x)
-        violation = max(0.0, max(prob.evaluate(con, s_cur)[0] for con in prob.ineqs))
-        return s_cur, violation
-
-    # with no inequalities there is no multiplier to update: one inner solve
-    candidates = [auglag(s, _RHO_INIT, config.max_outer if n_con else 1)]
-    if candidates[0][4] > config.feas_tol:
-        # The multiplier loop can stall in a locally-infeasible basin when the
-        # feasible set is tiny (an epsilon bound at the exact optimum, say).
-        s_r, v_r = restore(s)
-        if v_r <= config.feas_tol:
-            candidates.append(auglag(s_r, _RHO_RESTORED, config.max_outer))
-
-    # a restart exists only when the first loop ended infeasible: a feasible restart wins
-    s, f_final, converged, residual, violation = min(
-        candidates, key=lambda c: _quality(c[1], c[4], c[2], config.feas_tol))
-    return SolveOutcome(
-        x=tuple(prob.to_raw(s)),
-        objective=f_final,
-        converged=converged,
-        kkt_residual=residual,
-        constraint_violation=violation,
-        counters=counters,
-    )
+    return minimize_starts(objective, constraints, [start], config)[0]
 
 
 def multistart_minimize(
@@ -298,7 +461,7 @@ def multistart_minimize(
     """
     config = config or SolverConfig()
     starts = stratified_starts(constraints.bounds, config.n_starts, config.seed)
-    outcomes = [minimize(objective, constraints, start, config) for start in starts]
+    outcomes = minimize_starts(objective, constraints, starts, config)
     total = RunCounters()
     for outcome in outcomes:
         total.add(outcome.counters)

@@ -5,9 +5,10 @@ in fixed term order; term order is part of the contract, since coefficients
 printed in the source study are shipped as fixtures. Each table is closed under
 differentiation, so every partial derivative of a model is a model over the same
 table, and a model's Jacobian is a fixed linear map of the basis vector. The
-values and exact gradients of m models therefore come from one basis vector and
-one (4m, k) matrix (:class:`ModelStack`). :func:`evaluate` and :func:`gradient`
-use the rows of the same matrix for one model, with the same arithmetic.
+values, exact gradients and exact Hessians of m models therefore come from one
+basis vector and one (10m, k) matrix (:class:`ModelStack`). :func:`evaluate` and
+:func:`gradient` use the rows of the same matrix for one model, with the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -132,15 +133,26 @@ def evaluate(model: PolynomialModel, x):
 
 def gradient(model: PolynomialModel, x) -> np.ndarray:
     """Exact partial derivatives with respect to (vc, fz, t), shape (..., 3)."""
-    return _product(model.stack, x, slice(1, None))
+    return _product(model.stack, x, slice(1, 4))
+
+
+#: (v, w) variable pairs of the six distinct second partials, in row order
+_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _lower(e: tuple[int, ...], v: int) -> tuple[float, tuple[int, ...]]:
+    """d/dv of the monomial x^e: its factor e_v and exponents, a term of the table."""
+    return e[v], tuple(ev - (w == v) for w, ev in enumerate(e))
 
 
 class ModelStack:
-    """m models over the union of their bases, evaluated together with exact Jacobians.
+    """m models over the union of their bases, evaluated together with exact
+    Jacobians and Hessians.
 
     Each model is multiplied by its sign, exactly; -1 puts a maximized response in
     minimization form. ``matrix`` holds the m value rows, then the d/dvc, d/dfz
-    and d/dt rows of each model in turn.
+    and d/dt rows of each model in turn, then the six second-partial rows of each
+    model in ``_PAIRS`` order.
     """
 
     def __init__(self, models: Sequence[PolynomialModel], signs: Sequence[float] | None = None):
@@ -150,18 +162,25 @@ class ModelStack:
         exponents = tuple(dict.fromkeys(e for m in models for e in m.basis.exponents))
         self.table = _Table(exponents)
         self.size = len(models)
-        rows = np.zeros((len(models), 4, len(exponents)))
+        rows = np.zeros((len(models), 10, len(exponents)))
         for i, (model, sign) in enumerate(zip(models, signs)):
             for c, e in zip(model.coefficients, model.basis.exponents):
                 rows[i, 0, exponents.index(e)] = sign * c
                 for v in range(3):
-                    if e[v]:  # d/dv of c x^e is (c e_v) x^(e - unit v), a term of the table
-                        lowered = tuple(ev - (w == v) for w, ev in enumerate(e))
-                        rows[i, 1 + v, exponents.index(lowered)] = sign * c * e[v]
-        self.matrix = np.vstack([rows[:, 0], rows[:, 1:].reshape(-1, len(exponents))])
+                    a, lowered = _lower(e, v)
+                    if a:  # d/dv of c x^e is (c e_v) x^(e - unit v), a term of the table
+                        rows[i, 1 + v, exponents.index(lowered)] = sign * c * a
+                for r, (v, w) in enumerate(_PAIRS):
+                    a, lowered = _lower(e, v)
+                    b, twice = _lower(lowered, w)
+                    if a * b:
+                        rows[i, 4 + r, exponents.index(twice)] = sign * c * a * b
+        k = len(exponents)
+        self.matrix = np.vstack([rows[:, 0], rows[:, 1:4].reshape(-1, k),
+                                 rows[:, 4:].reshape(-1, k)])
 
-    def value_and_jacobian(self, x):
-        return value_and_jacobian(self, x)
+    def value_jacobian_hessian(self, x):
+        return value_jacobian_hessian(self, x)
 
 
 def _product(stack: ModelStack, x, rows: slice = slice(None)) -> np.ndarray:
@@ -175,12 +194,20 @@ def _product(stack: ModelStack, x, rows: slice = slice(None)) -> np.ndarray:
     return np.add.reduce(stack.matrix[rows] * phi[..., None, :], axis=-1)
 
 
-def value_and_jacobian(stack: ModelStack, x) -> tuple[np.ndarray, np.ndarray]:
-    """Values f (..., m) and Jacobian J (..., m, 3) of the models of ``stack`` at ``x``:
-    one basis evaluation and one matrix product per point serve all m models."""
+#: where each entry of a symmetric 3x3 Hessian sits among its six distinct partials
+_HESSIAN_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+def value_jacobian_hessian(stack: ModelStack, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values f (..., m), Jacobian J (..., m, 3) and Hessians H (..., m, 3, 3) of the
+    models of ``stack`` at ``x``: one basis evaluation and one matrix product per
+    point serve all m models."""
     m = stack.size
     out = _product(stack, x)
-    return out[..., :m], out[..., m:].reshape(out.shape[:-1] + (m, 3))
+    lead = out.shape[:-1]
+    second = out[..., 4 * m:].reshape(lead + (m, 6))
+    return (out[..., :m], out[..., m:4 * m].reshape(lead + (m, 3)),
+            second[..., _HESSIAN_INDEX])
 
 
 # Fixed-coefficient models exactly as printed in the source study. The 7-term pair

@@ -78,15 +78,15 @@ class Objective:
                  name: str = "") -> SmoothFunction:
         """Solver callback for the minimization form minus ``bound``, or its negation.
 
-        One model evaluation a call. With ``bound`` and ``scale`` it is the
+        One model evaluation a point. With ``bound`` and ``scale`` it is the
         inequality constraint ``f - bound <= 0``.
         """
         sign = -self.sign if negate else self.sign
         stack = self.model.stack
 
         def vg(x):
-            f, jac = stack.value_and_jacobian(x)
-            return sign * f[0] - bound, sign * jac[0]
+            f, jac, hess = stack.value_jacobian_hessian(x)
+            return sign * f[..., 0] - bound, sign * jac[..., 0, :], sign * hess[..., 0, :, :]
 
         label = name or (f"-{self.name}" if negate else self.name)
         return SmoothFunction(vg, model_cost=1, scale=scale, name=label)
@@ -190,21 +190,34 @@ def relative_deviation_norm(values, utopia_values, p: int):
     stars = np.asarray(utopia_values, dtype=float)
     if np.any(stars == 0.0):
         raise ValueError("deviation criterion undefined: an individual optimum is zero")
-    out, _ = _deviation(np.asarray(values, dtype=float), stars, p)
+    out, _, _ = _deviation(np.asarray(values, dtype=float), stars, p)
     return out if out.ndim else float(out)
 
 
 def _deviation(values: np.ndarray, stars: np.ndarray, p: int):
-    """The deviation criterion F and dF/dvalues, over the last axis of ``values``."""
+    """The deviation criterion F, dF/df and d2F/df2 (..., m, m), over the last axis
+    of the objective values f.
+
+    With u_i = d_i / F and a_i = dd_i/df_i, d2F/df2 = (p - 1) / F (diag(u^(p-2) a^2)
+    - (dF/df)(dF/df)^T); it is 0 at p = 1 and where F is 0.
+    """
     diff = values - stars
     d = np.abs(diff) / np.abs(stars)
     m = d.max(axis=-1, keepdims=True)
     value = m[..., 0] * np.power(np.power(d / np.where(m > 0, m, 1.0), p).sum(axis=-1), 1.0 / p)
     # dF/dd_i = (d_i / F)^(p-1), with d_i <= F guaranteed for p >= 1; 0 where F is 0
-    weights = np.power(d / np.where(value > 0, value, 1.0)[..., None], p - 1)
+    safe = np.where(value > 0, value, 1.0)[..., None]
+    u = d / safe
     # feasible values satisfy f_i >= f_i*, so at the kink f_i = f_i* the one-sided
     # derivative (+1) applies; sign(0) = 0 would drop objective i's gradient there
-    return value, weights * (np.where(diff < 0, -1.0, 1.0) / np.abs(stars))
+    a = np.where(diff < 0, -1.0, 1.0) / np.abs(stars)
+    grad = np.power(u, p - 1) * a
+    second = np.zeros(d.shape + d.shape[-1:])
+    if p > 1:
+        diag = np.eye(d.shape[-1]) * (np.power(u, p - 2) * a * a)[..., None, :]
+        second = (p - 1) / safe[..., None] * (diag - grad[..., :, None] * grad[..., None, :])
+        second = np.where((value > 0)[..., None, None], second, 0.0)
+    return value, grad, second
 
 
 @dataclass(frozen=True)
@@ -271,6 +284,14 @@ def _sweep(problem: MooProblem, results: list[MethodResult], method: str) -> Rou
                          counters)
 
 
+def _weighted(weights: np.ndarray, arrays: np.ndarray) -> np.ndarray:
+    """sum_i weights[..., i] * arrays[..., i, ...]: ``weights`` has the shape of the
+    values f (..., m). Explicit products and sums, so each point's result does not
+    depend on the batch around it."""
+    extra = arrays.ndim - weights.ndim
+    return np.sum(weights.reshape(weights.shape + (1,) * extra) * arrays, axis=weights.ndim - 1)
+
+
 def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: int) -> SmoothFunction:
     stars = utopia.ideal
     if np.any(stars == 0.0):
@@ -280,9 +301,12 @@ def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: int) -> SmoothFu
     stack = problem.stack
 
     def vg(x):
-        f, jac = stack.value_and_jacobian(x)
-        value, weights = _deviation(f, stars, p)
-        return float(value), weights @ jac
+        f, jac, hess = stack.value_jacobian_hessian(x)
+        value, weights, second = _deviation(f, stars, p)
+        # chain rule: sum_i (dF/df_i) H_i + J^T (d2F/df2) J
+        w_jac = np.sum(second[..., :, :, None] * jac[..., None, :, :], axis=-2)
+        curvature = np.sum(jac[..., :, :, None] * w_jac[..., :, None, :], axis=-3)
+        return value, _weighted(weights, jac), _weighted(weights, hess) + curvature
 
     return SmoothFunction(vg, model_cost=stack.size, name=f"deviation p={p}")
 
@@ -351,8 +375,10 @@ def weighted_sum(
     stack = problem.stack
 
     def vg(x):
-        f, jac = stack.value_and_jacobian(x)
-        return float(np.sum(w * (f - ideal) / width)), (w / width) @ jac
+        f, jac, hess = stack.value_jacobian_hessian(x)
+        scaled = np.broadcast_to(w / width, f.shape)
+        return np.sum(w * (f - ideal) / width, axis=-1), _weighted(scaled, jac), \
+            _weighted(scaled, hess)
 
     fn = SmoothFunction(vg, model_cost=stack.size, name=f"weighted sum {weights}")
     outcome = multistart_minimize(fn, problem.constraints, config)

@@ -334,7 +334,7 @@ def test_criterion_9_property_suites(records, refit_models, problem, utopia):
     for i in range(len(problem.objectives)):
         for name, z, at in (("ideal", utopia.ideal, utopia.ideal_x),
                             ("nadir", utopia.nadir, utopia.nadir_x)):
-            if problem.stack.value_and_jacobian(at[i])[0][i] != z[i]:
+            if problem.stack.value_jacobian_hessian(at[i])[0][i] != z[i]:
                 failures.append(f"{name}[{i}] not reproduced at its point")
     _report(9, "dominance axioms, gradients, OLS orthogonality, filter and normalization "
                "properties hold", failures)

@@ -4,14 +4,35 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pareto_forge import ExperimentRecord, Sense, load_experiments, read_front_csv
-from pareto_forge.cli import CONFIG_KEYS, ConfigError, RunConfig, load_config, main
+from pareto_forge import (
+    CASE_STUDY_BOUNDS,
+    ExperimentRecord,
+    GaConfig,
+    Sense,
+    SolverConfig,
+    load_experiments,
+    read_front_csv,
+)
+from pareto_forge.cli import (
+    ALL_METHODS,
+    CONFIG_KEYS,
+    MODEL_SOURCES,
+    OBJECTIVES,
+    ConfigError,
+    MethodConfig,
+    RunConfig,
+    load_config,
+    main,
+)
 
 SMALL_CONFIG = {
     "solver": {"starts": 2, "seed": 3},
@@ -424,6 +445,69 @@ def test_main_exits_0_2_or_3_without_a_traceback(tmp_path_factory, raw):
     assert "Traceback" not in err.getvalue()
 
 
+# Typed configs: every key draws a well-typed, in-range value, so each draw runs
+# its routines with non-default settings. Sizes stay small: pop <= 12, gens <= 5,
+# starts <= 3, sweep points <= 5.
+_DECADES = st.integers(-12, -1).map(lambda k: 10.0 ** k)
+_BY_ANNOTATION = {int: st.integers(0, 2 ** 16), float: _DECADES}
+_SIZED = {
+    ("method", "method"): st.sampled_from(ALL_METHODS + ("all",)),
+    ("method", "p_values"): st.lists(st.integers(1, 20), min_size=1, max_size=3),
+    ("method", "weight_steps"): st.integers(2, 5),
+    ("method", "epsilon_points"): st.integers(2, 5),
+    ("method", "epsilon_primary"): st.sampled_from(OBJECTIVES),
+    ("method", "order"): st.permutations(OBJECTIVES).flatmap(
+        lambda names: st.integers(1, len(names)).map(lambda k: list(names[:k]))),
+    ("solver", "starts"): st.integers(1, 3),
+    ("solver", "max_outer"): st.integers(1, 3) | st.just(50),
+    ("solver", "max_inner"): st.integers(1, 3) | st.just(200),
+    ("ga", "pop"): st.sampled_from([4, 6, 8, 10, 12]),
+    ("ga", "gens"): st.integers(0, 5),
+}
+
+
+def _typed_block(block, cls):
+    hints = typing.get_type_hints(cls)
+    return st.fixed_dictionaries({}, optional={
+        key: _SIZED.get((block, key), _BY_ANNOTATION.get(hints[name]))
+        for key, name in CONFIG_KEYS[block].items()})
+
+
+def _sub_box(fractions):
+    lb, span = CASE_STUDY_BOUNDS.lower, CASE_STUDY_BOUNDS.span
+    return {"lower": [lo + 0.4 * a * w for lo, a, w in zip(lb, fractions[:3], span)],
+            "upper": [lo + (1.0 - 0.4 * b) * w for lo, b, w in zip(lb, fractions[3:], span)]}
+
+
+_TYPED_CONFIGS = st.fixed_dictionaries({}, optional={
+    "models": st.sampled_from(MODEL_SOURCES),
+    "bounds": st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6).map(_sub_box),
+    "method": _typed_block("method", MethodConfig),
+    "solver": _typed_block("solver", SolverConfig),
+    "ga": _typed_block("ga", GaConfig),
+})
+
+
+def test_typed_strategy_draws_every_key():
+    for block, cls in (("method", MethodConfig), ("solver", SolverConfig), ("ga", GaConfig)):
+        hints = typing.get_type_hints(cls)
+        for key, name in CONFIG_KEYS[block].items():
+            assert (block, key) in _SIZED or hints[name] in _BY_ANNOTATION, (block, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_TYPED_CONFIGS)
+def test_main_runs_typed_configs(tmp_path_factory, raw):
+    # a well-typed, in-range config is never a config error: it runs, or a solve fails
+    work = tmp_path_factory.mktemp("typed")
+    (work / "cfg.json").write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["optimize", "--config", str(work / "cfg.json"), "--out", str(work / "o")])
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 def test_readme_config_example_names_every_key(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = re.search(r"--config config.json`.*?```json\n(.*?)```", readme, re.S).group(1)
@@ -435,3 +519,13 @@ def test_readme_config_example_names_every_key(tmp_path):
     for block, keys in CONFIG_KEYS.items():
         if block:
             assert set(raw[block]) == set(keys), block
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the runtime needs numpy alone; scipy is a test and benchmark dependency
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import pareto_forge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -23,7 +23,7 @@ def quadratic_objective(center):
 
     def vg(x):
         d = (x - center) / SPAN
-        return float(d @ d), 2.0 * d / SPAN
+        return np.sum(d * d, axis=-1), 2.0 * d / SPAN, np.diag(2.0 / SPAN ** 2)
 
     return SmoothFunction(vg, name="quadratic")
 
@@ -40,10 +40,18 @@ def _well_grad(u):
     return (u - 0.35) * (u - 0.55) * (u - 0.9)
 
 
+def _well_curvature(u):
+    return (u - 0.55) * (u - 0.9) + (u - 0.35) * (u - 0.9) + (u - 0.35) * (u - 0.55)
+
+
 def bimodal_objective():
     def vg(x):
-        u = (x[0] - 78.0) / 236.0
-        return _well(u), np.array([_well_grad(u) / 236.0, 0.0, 0.0])
+        u = (x[..., 0] - 78.0) / 236.0
+        grad = np.zeros(x.shape)
+        grad[..., 0] = _well_grad(u) / 236.0
+        hess = np.zeros(x.shape + (3,))
+        hess[..., 0, 0] = _well_curvature(u) / 236.0 ** 2
+        return _well(u), grad, hess
 
     return SmoothFunction(vg, name="double well")
 
@@ -79,7 +87,8 @@ def test_refit_roughness_minimized_from_interior_start(refit_models):
     ra_model, _ = refit_models
 
     def vg(x):
-        return float(ra_model.evaluate(x)), ra_model.gradient(x)
+        f, jac, hess = ra_model.stack.value_jacobian_hessian(x)
+        return f[..., 0], jac[..., 0, :], hess[..., 0, :, :]
 
     out = minimize(SmoothFunction(vg, name="Ra"), BOX, [200.0, 0.1, 0.4])
     assert out.converged
@@ -119,7 +128,7 @@ def test_stratified_starts_layout():
 
 
 def test_nonfinite_objective_reports_point():
-    bad = SmoothFunction(lambda x: (float("nan"), np.zeros(3)), name="broken")
+    bad = SmoothFunction(lambda x: (float("nan"), np.zeros(3), np.zeros((3, 3))), name="broken")
     with pytest.raises(NonFiniteEvaluationError, match="broken") as err:
         minimize(bad, BOX, CASE_STUDY_BOUNDS.center)
     assert np.allclose(err.value.point, CASE_STUDY_BOUNDS.center)
@@ -144,8 +153,8 @@ def test_descent_on_box_only_solves():
 def test_multistart_ties_go_to_the_lowest_start_index(violation):
     # a flat objective leaves every start where it began with the same objective
     # and, here, the same violation: the first start (the box center) must win
-    flat = SmoothFunction(lambda x: (1.0, np.zeros(3)), name="flat")
-    wall = SmoothFunction(lambda x: (violation, np.zeros(3)), name="constant")
+    flat = SmoothFunction(lambda x: (1.0, np.zeros(3), np.zeros((3, 3))), name="flat")
+    wall = SmoothFunction(lambda x: (violation, np.zeros(3), np.zeros((3, 3))), name="constant")
     constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,))
     cfg = SolverConfig(n_starts=5, seed=4)
     best = multistart_minimize(flat, constraints, cfg)
@@ -159,7 +168,8 @@ def test_multistart_tie_goes_to_a_converged_start():
     center = np.asarray(CASE_STUDY_BOUNDS.center)
 
     def vg(x):
-        return 1.0, (np.ones(3) if np.array_equal(x, center) else np.zeros(3))
+        sloped = np.all(x == center, axis=-1)[..., None]
+        return 1.0, np.where(sloped, 1.0, 0.0) * np.ones(3), np.zeros((3, 3))
 
     flat = SmoothFunction(vg, name="flat, sloped at the center")
     cfg = SolverConfig(n_starts=5, seed=4)
@@ -180,7 +190,8 @@ def test_counters_accumulate():
 def test_inequality_constrained_solve_is_feasible_and_active():
     objective = quadratic_objective(LB)
     wall = SmoothFunction(
-        lambda x: (150.0 - x[0], np.array([-1.0, 0.0, 0.0])), scale=150.0, name="vc >= 150"
+        lambda x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))), scale=150.0,
+        name="vc >= 150"
     )
     constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,))
     out = multistart_minimize(objective, constraints, SolverConfig(seed=2))
@@ -194,9 +205,10 @@ def test_inequality_constrained_solve_is_feasible_and_active():
 def test_two_inequalities_both_active():
     # pulled to the lower corner, held at vc >= 150 and t >= 0.4
     walls = (
-        SmoothFunction(lambda x: (150.0 - x[0], np.array([-1.0, 0.0, 0.0])), scale=150.0,
-                       name="vc >= 150"),
-        SmoothFunction(lambda x: (0.4 - x[2], np.array([0.0, 0.0, -1.0])), name="t >= 0.4"),
+        SmoothFunction(lambda x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))),
+                       scale=150.0, name="vc >= 150"),
+        SmoothFunction(lambda x: (0.4 - x[..., 2], np.array([0.0, 0.0, -1.0]), np.zeros((3, 3))),
+                       name="t >= 0.4"),
     )
     constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=walls)
     out = multistart_minimize(quadratic_objective(LB), constraints, SolverConfig(seed=5))

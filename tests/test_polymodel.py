@@ -15,7 +15,7 @@ from pareto_forge import (
     published_model,
     published_pair,
     save_model,
-    value_and_jacobian,
+    value_jacobian_hessian,
 )
 
 QUAD = PolyBasis.FULL_QUADRATIC_TRIPLE
@@ -220,33 +220,53 @@ def test_value_and_jacobian_matches_central_differences(refit_models):
     step = 1e-5 * np.array(CASE_STUDY_BOUNDS.span)
     pts = _box_points(40, 9)
     for stack in _stack_pairs(refit_models):
-        f, jac = value_and_jacobian(stack, pts)
+        f, jac, _ = value_jacobian_hessian(stack, pts)
         assert f.shape == (40, stack.size) and jac.shape == (40, stack.size, 3)
         for v in range(3):
             e = np.zeros(3)
             e[v] = step[v]
-            fd = (value_and_jacobian(stack, pts + e)[0]
-                  - value_and_jacobian(stack, pts - e)[0]) / (2 * step[v])
+            fd = (value_jacobian_hessian(stack, pts + e)[0]
+                  - value_jacobian_hessian(stack, pts - e)[0]) / (2 * step[v])
             an = jac[..., v]
             assert np.all(np.abs(fd - an) <= 1e-5 * np.maximum(1.0, np.abs(an)))
-        f0, jac0 = stack.value_and_jacobian(pts[0])
+        f0, jac0, _ = stack.value_jacobian_hessian(pts[0])
         assert f0.shape == (stack.size,) and jac0.shape == (stack.size, 3)
 
 
 def test_value_and_jacobian_batch_equals_per_point(refit_models):
     pts = _box_points(25, 4)
     for stack in _stack_pairs(refit_models):
-        f, jac = stack.value_and_jacobian(pts)
+        f, jac, hess = stack.value_jacobian_hessian(pts)
         for i, x in enumerate(pts):
-            fi, ji = stack.value_and_jacobian(x)
+            fi, ji, hi = stack.value_jacobian_hessian(x)
             assert np.array_equal(f[i], fi) and np.array_equal(jac[i], ji)
+            assert np.array_equal(hess[i], hi)
+
+
+def test_hessian_rows_match_central_differences_of_the_jacobian(refit_models):
+    step = 1e-5 * np.array(CASE_STUDY_BOUNDS.span)
+    pts = _box_points(30, 11)
+    for stack in _stack_pairs(refit_models):
+        _, _, hess = value_jacobian_hessian(stack, pts)
+        assert hess.shape == (30, stack.size, 3, 3)
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+        for v in range(3):
+            e = np.zeros(3)
+            e[v] = step[v]
+            fd = (value_jacobian_hessian(stack, pts + e)[1]
+                  - value_jacobian_hessian(stack, pts - e)[1]) / (2 * step[v])
+            an = hess[..., v]
+            assert np.all(np.abs(fd - an) <= 1e-5 * np.maximum(1.0, np.abs(an)))
+        # one point: the same Hessians without the leading axis
+        _, _, one = value_jacobian_hessian(stack, pts[3])
+        assert one.shape == (stack.size, 3, 3) and np.array_equal(one, hess[3])
 
 
 def test_stack_rows_equal_single_model_arithmetic(refit_models):
     ra, mrr = refit_models
     stack = ModelStack((ra, mrr), (1.0, -1.0))
     for x in _box_points(50, 6):
-        f, jac = stack.value_and_jacobian(x)
+        f, jac, _ = stack.value_jacobian_hessian(x)
         assert f[0] == evaluate(ra, x) and f[1] == -evaluate(mrr, x)
         assert np.array_equal(jac[0], gradient(ra, x))
         assert np.array_equal(jac[1], -gradient(mrr, x))

@@ -21,9 +21,12 @@ from pareto_forge import (
     global_criterion_sweep,
     individual_optima,
     lexicographic,
+    minimize,
+    minimize_starts,
     multistart_minimize,
     relative_deviation_norm,
     run_ga,
+    stratified_starts,
     weighted_sum,
     weighted_sum_sweep,
 )
@@ -103,12 +106,12 @@ def test_index_of(problem):
 def test_minimized_sign(problem):
     x = np.array(CASE_STUDY_BOUNDS.center)
     ra_obj, mrr_obj = problem.objectives
-    f, _ = problem.stack.value_and_jacobian(x)
+    f, _, _ = problem.stack.value_jacobian_hessian(x)
     assert f[1] == -float(mrr_obj.model.evaluate(x))
     assert f[0] == float(ra_obj.model.evaluate(x))
-    f, _ = mrr_obj.function().value_and_grad(x)
+    f, _, _ = mrr_obj.function().value_and_grad(x)
     assert f == -float(mrr_obj.model.evaluate(x))
-    f, _ = ra_obj.function().value_and_grad(x)
+    f, _, _ = ra_obj.function().value_and_grad(x)
     assert f == float(ra_obj.model.evaluate(x))
 
 
@@ -280,7 +283,8 @@ def test_lexicographic_order_validation(problem):
 
 def test_lexicographic_stage_infeasible(refit_models):
     ra, mrr = refit_models
-    impossible = SmoothFunction(lambda x: (1.0, np.zeros(3)), name="always violated")
+    impossible = SmoothFunction(lambda x: (1.0, np.zeros(3), np.zeros((3, 3))),
+                                name="always violated")
     problem = MooProblem(
         (Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
         ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(impossible,)),
@@ -352,13 +356,13 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
     from pareto_forge import polymodel
 
     made = {"n": 0}
-    evaluate_models = polymodel.value_and_jacobian
+    evaluate_models = polymodel.value_jacobian_hessian
 
     def counting(stack, x):
         made["n"] += stack.size * (np.size(x) // 3)
         return evaluate_models(stack, x)
 
-    monkeypatch.setattr(polymodel, "value_and_jacobian", counting)
+    monkeypatch.setattr(polymodel, "value_jacobian_hessian", counting)
     cfg = SolverConfig(n_starts=2, seed=1)
     utopia = individual_optima(problem, cfg)
     assert utopia.counters.function_evals == made["n"] > 0
@@ -408,3 +412,108 @@ def test_every_routine_returns_a_routine_result(problem, utopia):
 
     ga = run_ga(problem, GaConfig(pop_size=8, generations=2))
     assert isinstance(ga, RoutineResult) and ga.results == () and ga.front.points
+
+
+# (compare seed, p) points of the deviation-criterion sweep that stopped at KKT
+# residual 1.0-3.7e-8, above kkt_tol, at the floor of a quasi-Newton line search
+HIGH_P_FLOOR_POINTS = [(20, 18), (21, 20), (25, 6), (25, 20), (28, 20), (29, 20), (35, 20),
+                       (36, 8), (38, 6), (38, 20), (39, 16), (40, 8), (42, 8), (42, 12),
+                       (42, 20)]
+
+
+@pytest.mark.parametrize("seed, p", HIGH_P_FLOOR_POINTS)
+def test_high_p_criterion_points_converge(problem, seed, p):
+    cfg = SolverConfig(seed=seed)
+    res = global_criterion(problem, p, cfg, individual_optima(problem, cfg))
+    assert res.outcome.converged and res.outcome.kkt_residual <= 1e-8, res.outcome.kkt_residual
+
+
+class _Captured(Exception):
+    pass
+
+
+def _solver_objective(monkeypatch, run):
+    """The objective callback that ``run`` hands to the multistart solver."""
+    seen = []
+
+    def capture(objective, constraints, config=None):
+        seen.append(objective)
+        raise _Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scalarize, "multistart_minimize", capture)
+        with pytest.raises(_Captured):
+            run()
+    return seen[0]
+
+
+def _interior_points(n, seed):
+    lb = np.array(CASE_STUDY_BOUNDS.lower)
+    span = np.array(CASE_STUDY_BOUNDS.span)
+    return lb + (0.05 + 0.9 * np.random.default_rng(seed).random((n, 3))) * span
+
+
+def _assert_hessian_matches_gradient_differences(fn):
+    step = 1e-5 * np.array(CASE_STUDY_BOUNDS.span)
+    pts = _interior_points(20, 3)
+    value, grad, hess = fn.value_and_grad(pts)
+    assert value.shape == (20,) and grad.shape == (20, 3) and hess.shape == (20, 3, 3)
+    assert np.allclose(hess, np.swapaxes(hess, -1, -2), rtol=1e-12, atol=0.0)
+    for v in range(3):
+        e = np.zeros(3)
+        e[v] = step[v]
+        fd = (fn.value_and_grad(pts + e)[1] - fn.value_and_grad(pts - e)[1]) / (2 * step[v])
+        scale = np.maximum(1.0, np.abs(hess).max(axis=(-2, -1)))[:, None]
+        assert np.all(np.abs(fd - hess[..., v]) <= 1e-5 * scale)
+    # one point: the batch's row, without the leading axis
+    one = fn.value_and_grad(pts[7])
+    assert np.array_equal(one[0], value[7]) and np.array_equal(one[2], hess[7])
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 20])
+def test_deviation_criterion_hessian_matches_gradient_differences(problem, utopia, p,
+                                                                   monkeypatch):
+    fn = _solver_objective(monkeypatch, lambda: global_criterion(problem, p, FAST, utopia))
+    _assert_hessian_matches_gradient_differences(fn)
+
+
+def test_weighted_sum_hessian_matches_gradient_differences(problem, utopia, monkeypatch):
+    fn = _solver_objective(monkeypatch, lambda: weighted_sum(problem, (0.3, 0.7), FAST, utopia))
+    _assert_hessian_matches_gradient_differences(fn)
+
+
+def test_objective_and_bound_hessians_match_gradient_differences(problem):
+    mrr = problem.objectives[1]
+    for fn in (mrr.function(), mrr.function(negate=True),
+               mrr.function(bound=-20000.0, scale=20000.0)):
+        _assert_hessian_matches_gradient_differences(fn)
+
+
+def _batched_cases(problem, utopia, monkeypatch):
+    ws = _solver_objective(monkeypatch, lambda: weighted_sum(problem, (0.3, 0.7), FAST, utopia))
+    p20 = _solver_objective(monkeypatch, lambda: global_criterion(problem, 20, FAST, utopia))
+    ra, mrr = problem.objectives
+    # maximise MRR with Ra held at 0.7107: the bound is active at the optimum
+    held = problem.constrained_by([ra.function(bound=0.7107, name="Ra<= 0.7107")])
+    return {"weighted sum": (ws, problem.constraints), "p=20": (p20, problem.constraints),
+            "epsilon": (mrr.function(), held)}
+
+
+@pytest.mark.parametrize("case", ["weighted sum", "p=20", "epsilon"])
+def test_batched_starts_equal_single_start_solves(problem, utopia, monkeypatch, case):
+    fn, constraints = _batched_cases(problem, utopia, monkeypatch)[case]
+    cfg = SolverConfig(seed=5)
+    starts = stratified_starts(CASE_STUDY_BOUNDS, cfg.n_starts, cfg.seed)
+    batched = minimize_starts(fn, constraints, starts, cfg)
+    assert len(batched) == len(starts)
+    for start, outcome in zip(starts, batched):
+        single = minimize(fn, constraints, start, cfg)
+        assert (outcome.x, outcome.objective, outcome.converged, outcome.kkt_residual,
+                outcome.constraint_violation, outcome.counters) == (
+            single.x, single.objective, single.converged, single.kkt_residual,
+            single.constraint_violation, single.counters)
+    best = multistart_minimize(fn, constraints, cfg)
+    assert best.counters.function_evals == sum(o.counters.function_evals for o in batched)
+    if case == "epsilon":
+        assert best.constraint_violation <= cfg.feas_tol
+        assert problem.responses_at(best.x)[0] == pytest.approx(0.7107, abs=1e-5)
