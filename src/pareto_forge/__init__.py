@@ -36,6 +36,7 @@ from .pareto import (
     ParetoPoint,
     Sense,
     annotate_dominance,
+    dominance_matrix,
     dominated_mask,
     dominates,
     filter_nondominated,

@@ -423,6 +423,9 @@ def _run_methods(cfg: RunConfig, methods) -> tuple:
         print(f"{method}: {n_feasible} point(s), "
               f"{result.counters.iterations} iterations, "
               f"{result.counters.function_evals} function evals")
+        unconverged = [r.tag for r in result.results if not r.outcome.converged]
+        if unconverged:
+            print(f"  unconverged: {', '.join(unconverged)}")
     return utopia, results
 
 

@@ -2,8 +2,12 @@
 
 Non-dominated sorting with crowding-distance selection, binary tournament on
 (rank, crowding), simulated-binary crossover and polynomial mutation on
-box-scaled variables. Fronts are bitwise reproducible for a fixed seed; the
-generator is numpy's documented PCG64.
+box-scaled variables. A generation is a fixed sequence of array operations:
+its uniforms are drawn as whole arrays, a fixed number in a fixed order, and
+its ranks come from one dominance matrix. Fronts are bitwise reproducible for
+a fixed seed on one host; the generator is numpy's documented PCG64. numpy's
+array power may round the last bit differently on CPUs with other SIMD
+support, so bytes can differ between hosts.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .nlsolver import RunCounters
-from .pareto import Front, ParetoPoint, Sense, dominated_mask, filter_nondominated
+from .nlsolver import RunCounters, reject_nonfinite
+from .pareto import Front, ParetoPoint, Sense, dominance_matrix, filter_nondominated
+from .polymodel import stack_values
 from .scalarize import MooProblem, RoutineResult
 
 
@@ -30,6 +35,7 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        reject_nonfinite(self)
         if self.pop_size < 4 or self.pop_size % 2:
             raise ValueError(f"population size must be even and >= 4, got {self.pop_size}")
         if self.generations < 0 or self.seed < 0:
@@ -44,20 +50,50 @@ class GaConfig:
             raise ValueError("distribution indices must be positive")
 
 
+def _peel(dom: np.ndarray) -> np.ndarray:
+    """Rank per row of a dominance matrix (``[i, j]``: j dominates i): 0 for rows
+    that no row dominates, k for rows that no row dominates once the rows of
+    ranks < k are removed. Each peel subtracts the columns of the rank just
+    assigned from the rows' domination counts (Deb et al., IEEE TEC 6:182,
+    2002); no comparison is repeated."""
+    count = dom.sum(axis=1)
+    ranks = np.full(len(dom), -1)
+    rank = 0
+    current = np.flatnonzero(count == 0)
+    while current.size:
+        ranks[current] = rank
+        count -= dom[:, current].sum(axis=1)
+        current = np.flatnonzero((count == 0) & (ranks < 0))
+        rank += 1
+    return ranks
+
+
 def nondominated_sort(points, senses: Sequence[Sense]) -> np.ndarray:
     """Rank per point: 0 for the mutually non-dominated set, k after peeling ranks < k."""
     values = np.asarray(points, dtype=float)
     if values.ndim != 2:
         raise ValueError("points must be a 2-D array of response vectors")
-    ranks = np.full(len(values), -1, dtype=int)
-    remaining = np.arange(len(values))
-    rank = 0
-    while remaining.size:
-        dominated = dominated_mask(values[remaining], senses)
-        ranks[remaining[~dominated]] = rank
-        remaining = remaining[dominated]
-        rank += 1
-    return ranks
+    return _peel(dominance_matrix(values, senses))
+
+
+def _crowding_by_rank(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """:func:`crowding_distance` of each rank's points, all ranks at once.
+
+    Per objective, one sort by (rank, value, index) lays each rank out as the
+    run its own stable sort would give, so every sum is taken in the same order.
+    """
+    dist = np.zeros(len(values))
+    for j in range(values.shape[1]):
+        order = np.lexsort((values[:, j], ranks))
+        r, v = ranks[order], values[order, j]
+        first = np.concatenate(([True], r[1:] != r[:-1]))
+        last = np.concatenate((r[1:] != r[:-1], [True]))
+        run = np.cumsum(first) - 1
+        lo, hi = v[first][run], v[last][run]
+        inner = np.flatnonzero(~(first | last) & (hi != lo))
+        dist[order[inner]] += (v[inner + 1] - v[inner - 1]) / (hi[inner] - lo[inner])
+        dist[order[first | last]] = np.inf
+    return dist
 
 
 def crowding_distance(front, senses: Sequence[Sense]) -> np.ndarray:
@@ -66,25 +102,7 @@ def crowding_distance(front, senses: Sequence[Sense]) -> np.ndarray:
     values = np.asarray(front, dtype=float)
     if values.ndim != 2 or len(values) == 0:
         raise ValueError("front must be a non-empty 2-D array of response vectors")
-    n, n_obj = values.shape
-    dist = np.zeros(n)
-    for j in range(n_obj):
-        order = np.argsort(values[:, j], kind="stable")
-        lo, hi = values[order[0], j], values[order[-1], j]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        if hi == lo:
-            continue
-        gaps = (values[order[2:], j] - values[order[:-2], j]) / (hi - lo)
-        dist[order[1:-1]] += gaps
-    return dist
-
-
-def _crowding_by_rank(values: np.ndarray, ranks: np.ndarray, senses) -> np.ndarray:
-    crowd = np.zeros(len(values))
-    for r in np.unique(ranks):
-        mask = ranks == r
-        crowd[mask] = crowding_distance(values[mask], senses)
-    return crowd
+    return _crowding_by_rank(values, np.zeros(len(values), dtype=int))
 
 
 def _selection_order(ranks: np.ndarray, crowd: np.ndarray) -> np.ndarray:
@@ -92,31 +110,25 @@ def _selection_order(ranks: np.ndarray, crowd: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(ranks)), -crowd, ranks))
 
 
-def _sbx_pair(p1, p2, eta: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    c1, c2 = p1.copy(), p2.copy()
-    for j in range(len(p1)):
-        if rng.random() > 0.5:
-            continue
-        u = rng.random()
-        if u <= 0.5:
-            beta = (2.0 * u) ** (1.0 / (eta + 1.0))
-        else:
-            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
-        c1[j] = 0.5 * ((1.0 + beta) * p1[j] + (1.0 - beta) * p2[j])
-        c2[j] = 0.5 * ((1.0 - beta) * p1[j] + (1.0 + beta) * p2[j])
+def _sbx(p1, p2, coin, swap, u, prob: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Simulated binary crossover (Deb & Agrawal 1995) of the parent rows ``p1`` and
+    ``p2``: a pair crosses where its ``coin`` < ``prob``, and then each gene where
+    its ``swap`` < 0.5, with the spread factor drawn from ``u``. Draws are in
+    [0, 1), so ``prob`` 0 never crosses."""
+    e = 1.0 / (eta + 1.0)
+    beta = np.where(u <= 0.5, (2.0 * u) ** e, (1.0 / (2.0 * (1.0 - u))) ** e)
+    cross = (coin[:, None] < prob) & (swap < 0.5)
+    c1 = np.where(cross, 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2), p1)
+    c2 = np.where(cross, 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2), p2)
     return c1, c2
 
 
-def _mutate(child, prob: float, eta: float, rng) -> None:
-    for j in range(len(child)):
-        if rng.random() >= prob:
-            continue
-        u = rng.random()
-        if u < 0.5:
-            delta = (2.0 * u) ** (1.0 / (eta + 1.0)) - 1.0
-        else:
-            delta = 1.0 - (2.0 * (1.0 - u)) ** (1.0 / (eta + 1.0))
-        child[j] += delta
+def _mutate(children, coin, u, prob: float, eta: float) -> np.ndarray:
+    """Polynomial mutation (Deb & Goyal 1996) of each gene whose ``coin`` < ``prob``,
+    with the perturbation drawn from ``u``."""
+    e = 1.0 / (eta + 1.0)
+    delta = np.where(u < 0.5, (2.0 * u) ** e - 1.0, 1.0 - (2.0 * (1.0 - u)) ** e)
+    return np.where(coin < prob, children + delta, children)
 
 
 @dataclass(frozen=True)
@@ -137,20 +149,21 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
     bounds = problem.constraints.bounds
     lb, span = np.asarray(bounds.lower), np.asarray(bounds.span)
     senses = problem.senses
-    n, n_obj = config.pop_size, len(problem.objectives)
+    n = config.pop_size
     rng = np.random.default_rng(config.seed)
     counters = RunCounters()
+    signs = np.array([o.sign for o in problem.objectives])
 
     def evaluate_pop(unit_pop: np.ndarray) -> np.ndarray:
-        x = lb + unit_pop * span
-        responses = np.column_stack([o.model.evaluate(x) for o in problem.objectives])
+        # the stack holds minimization forms; the signs give back natural units
+        responses = stack_values(problem.stack, lb + unit_pop * span) * signs
         counters.function_evals += responses.size
         return responses
 
     pop = rng.random((n, 3))
     resp = evaluate_pop(pop)
-    ranks = nondominated_sort(resp, senses)
-    crowd = _crowding_by_rank(resp, ranks, senses)
+    ranks = _peel(dominance_matrix(resp, senses))
+    crowd = _crowding_by_rank(resp, ranks)
 
     elite_count = min(n, int(round(config.elite_fraction * 2 * n)))
     for _ in range(config.generations):
@@ -159,30 +172,32 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
         position = np.empty(n, dtype=int)
         position[key] = np.arange(n)
         parents = np.where(position[idx_a] <= position[idx_b], idx_a, idx_b)
-        children = np.empty_like(pop)
-        for k in range(0, n, 2):
-            p1, p2 = pop[parents[k]], pop[parents[k + 1]]
-            if rng.random() <= config.crossover_prob:
-                c1, c2 = _sbx_pair(p1, p2, config.crossover_eta, rng)
-            else:
-                c1, c2 = p1.copy(), p2.copy()
-            _mutate(c1, config.mutation_prob, config.mutation_eta, rng)
-            _mutate(c2, config.mutation_prob, config.mutation_eta, rng)
-            children[k], children[k + 1] = c1, c2
+        # one generation's draws, a fixed number in a fixed order
+        half = n // 2
+        cross_coin = rng.random(half)
+        swap, u_sbx = rng.random((half, 3)), rng.random((half, 3))
+        mut_coin, u_mut = rng.random((n, 3)), rng.random((n, 3))
+        c1, c2 = _sbx(pop[parents[0::2]], pop[parents[1::2]], cross_coin, swap, u_sbx,
+                      config.crossover_prob, config.crossover_eta)
+        # pair k's children are rows 2k and 2k + 1
+        children = np.stack([c1, c2], axis=1).reshape(n, 3)
+        children = _mutate(children, mut_coin, u_mut, config.mutation_prob, config.mutation_eta)
         np.clip(children, 0.0, 1.0, out=children)
         child_resp = evaluate_pop(children)
 
         combined = np.vstack([pop, children])
         combined_resp = np.vstack([resp, child_resp])
-        comb_ranks = nondominated_sort(combined_resp, senses)
-        comb_crowd = _crowding_by_rank(combined_resp, comb_ranks, senses)
+        dom = dominance_matrix(combined_resp, senses)
+        comb_ranks = _peel(dom)
+        comb_crowd = _crowding_by_rank(combined_resp, comb_ranks)
         order = _selection_order(comb_ranks, comb_crowd)
         # the elites, then the best of the children not among them
         rest = order[elite_count:]
         chosen = np.concatenate([order[:elite_count], rest[rest >= n]])[:n]
         pop, resp = combined[chosen], combined_resp[chosen]
-        ranks = nondominated_sort(resp, senses)
-        crowd = _crowding_by_rank(resp, ranks, senses)
+        # the survivors' dominance is a submatrix of the combined one
+        ranks = _peel(dom[np.ix_(chosen, chosen)])
+        crowd = _crowding_by_rank(resp, ranks)
         counters.iterations += 1
 
     final_mask = ranks == 0

@@ -12,7 +12,8 @@ the same arrays each, and a row's arithmetic never depends on the other rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +91,16 @@ class RunCounters:
         self.function_evals += other.function_evals
 
 
+def reject_nonfinite(config) -> None:
+    """ValueError naming the first field of the dataclass ``config`` that holds a
+    NaN or an infinite float; a comparison with NaN is false, so range checks
+    alone let it through."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     n_starts: int = 8
@@ -100,6 +111,7 @@ class SolverConfig:
     max_inner: int = 200
 
     def __post_init__(self) -> None:
+        reject_nonfinite(self)
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
         if self.seed < 0:

@@ -198,6 +198,12 @@ def _product(stack: ModelStack, x, rows: slice = slice(None)) -> np.ndarray:
 _HESSIAN_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
+def stack_values(stack: ModelStack, x) -> np.ndarray:
+    """Values f (..., m) of the models of ``stack`` at ``x``, without derivatives:
+    the value rows of :func:`value_jacobian_hessian`, bit for bit."""
+    return _product(stack, x, slice(0, stack.size))
+
+
 def value_jacobian_hessian(stack: ModelStack, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values f (..., m), Jacobian J (..., m, 3) and Hessians H (..., m, 3, 3) of the
     models of ``stack`` at ``x``: one basis evaluation and one matrix product per

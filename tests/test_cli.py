@@ -110,6 +110,29 @@ def test_optimize_lexicographic_trace(tmp_path):
     assert all(abs(a - b) <= 1e-3 for a, b in zip(x1, x2))
 
 
+@pytest.mark.parametrize("method, max_inner, rows", [
+    ("lexicographic", 1, "stages"),
+    ("global_criterion", 3, "points"),
+])
+def test_unconverged_points_printed_after_summary(tmp_path, capsys, method, max_inner, rows):
+    cfg = write_config(tmp_path, solver={"starts": 2, "seed": 3, "max_inner": max_inner})
+    out = tmp_path / "run"
+    assert main(["optimize", "--method", method, "--config", cfg, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    payload = json.loads((out / f"outcome_{method}.json").read_text())
+    tags = [pt["tag"] for pt in payload[rows]
+            if not pt.get("outcome", pt)["converged"]]
+    assert tags
+    summary = next(i for i, line in enumerate(lines) if line.startswith(f"{method}:"))
+    assert lines[summary + 1] == "  unconverged: " + ", ".join(tags)
+
+
+def test_converged_run_prints_no_unconverged_line(tmp_path, capsys):
+    assert main(["optimize", "--method", "weighted_sum", "--steps", "3", "--starts", "2",
+                 "--out", str(tmp_path / "ws")]) == 0
+    assert "unconverged" not in capsys.readouterr().out
+
+
 def test_optimize_all_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "run1", tmp_path / "run2"

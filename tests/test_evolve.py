@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,11 @@ from pareto_forge import (
     Sense,
     SmoothFunction,
     crowding_distance,
+    dominance_matrix,
     nondominated_sort,
     run_ga,
 )
+from pareto_forge.evolve import _crowding_by_rank, _mutate, _peel, _sbx
 
 MIN_MIN = (Sense.MINIMIZE, Sense.MINIMIZE)
 MIN_MAX = (Sense.MINIMIZE, Sense.MAXIMIZE)
@@ -127,6 +131,134 @@ def test_crowding_constant_objective_ignored():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         GaConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["crossover_prob", "crossover_eta", "mutation_prob", "mutation_eta", "elite_fraction"]
+)
+def test_config_rejects_nonfinite_floats(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GaConfig(**{name: value})
+
+
+def _pow(base, e):
+    # numpy's array power may take a SIMD path that rounds the last bit differently
+    # from the scalar ``**``; the reference takes it on a one-element array
+    return float(np.power(np.array([base]), e)[0])
+
+
+def reference_sbx(p1, p2, coin, swap, u, prob, eta):
+    """The crossover one gene at a time, in plain Python."""
+    c1, c2 = p1.copy(), p2.copy()
+    e = 1.0 / (eta + 1.0)
+    for k in range(len(p1)):
+        if coin[k] >= prob:
+            continue
+        for j in range(p1.shape[1]):
+            if swap[k, j] >= 0.5:
+                continue
+            uk = u[k, j]
+            beta = _pow(2.0 * uk, e) if uk <= 0.5 else _pow(1.0 / (2.0 * (1.0 - uk)), e)
+            c1[k, j] = 0.5 * ((1.0 + beta) * p1[k, j] + (1.0 - beta) * p2[k, j])
+            c2[k, j] = 0.5 * ((1.0 - beta) * p1[k, j] + (1.0 + beta) * p2[k, j])
+    return c1, c2
+
+
+def reference_mutate(children, coin, u, prob, eta):
+    """The mutation one gene at a time, in plain Python."""
+    out = children.copy()
+    e = 1.0 / (eta + 1.0)
+    for i, j in np.ndindex(children.shape):
+        if coin[i, j] >= prob:
+            continue
+        ui = u[i, j]
+        delta = _pow(2.0 * ui, e) - 1.0 if ui < 0.5 else 1.0 - _pow(2.0 * (1.0 - ui), e)
+        out[i, j] += delta
+    return out
+
+
+def _uniforms(rng, shape):
+    # random draws with the branch edges 0 and 0.5 and the largest draw below 1 mixed in
+    u = rng.random(shape)
+    u.flat[:3] = (0.0, 0.5, np.nextafter(1.0, 0.0))
+    return u
+
+
+def test_array_sbx_and_mutation_match_per_gene_reference():
+    rng = np.random.default_rng(11)
+    half = 40
+    p1, p2 = rng.random((half, 3)), rng.random((half, 3))
+    coin, swap, u = rng.random(half), _uniforms(rng, (half, 3)), _uniforms(rng, (half, 3))
+    coin[:2] = (0.9, np.nextafter(0.9, 1.0))
+    swap.flat[3] = 0.5
+    c1, c2 = _sbx(p1, p2, coin, swap, u, 0.9, 15.0)
+    r1, r2 = reference_sbx(p1, p2, coin, swap, u, 0.9, 15.0)
+    assert np.array_equal(c1, r1) and np.array_equal(c2, r2)
+    assert not np.array_equal(c1, p1)
+
+    children = np.vstack([c1, c2])
+    m_coin, m_u = _uniforms(rng, children.shape), _uniforms(rng, children.shape)
+    m_coin.flat[3] = 1.0 / 3.0
+    got = _mutate(children, m_coin, m_u, 1.0 / 3.0, 20.0)
+    assert np.array_equal(got, reference_mutate(children, m_coin, m_u, 1.0 / 3.0, 20.0))
+    assert not np.array_equal(got, children)
+
+
+def test_sbx_preserves_each_gene_pair_sum():
+    rng = np.random.default_rng(5)
+    p1, p2 = rng.random((60, 3)), rng.random((60, 3))
+    coin, swap, u = rng.random(60), rng.random((60, 3)), _uniforms(rng, (60, 3))
+    c1, c2 = _sbx(p1, p2, coin, swap, u, 1.0, 15.0)
+    c1, c2 = _mutate(c1, u, u, 0.0, 20.0), _mutate(c2, u, u, 0.0, 20.0)
+    assert not np.array_equal(c1, p1)
+    np.testing.assert_allclose(c1 + c2, p1 + p2, rtol=0, atol=1e-14)
+
+
+def test_no_crossover_and_no_mutation_copies_the_parents():
+    rng = np.random.default_rng(6)
+    p1, p2 = rng.random((60, 3)), rng.random((60, 3))
+    coin, swap, u = _uniforms(rng, 60), _uniforms(rng, (60, 3)), _uniforms(rng, (60, 3))
+    c1, c2 = _sbx(p1, p2, coin, swap, u, 0.0, 15.0)
+    c1, c2 = _mutate(c1, swap, u, 0.0, 20.0), _mutate(c2, swap, u, 0.0, 20.0)
+    assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
+
+
+@pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
+def test_ranks_from_matrix_and_submatrix_match_brute_force(senses):
+    rng = np.random.default_rng(23)
+    values = rng.integers(0, 9, size=(80, 2)).astype(float)
+    dom = dominance_matrix(values, senses)
+    assert _peel(dom).tolist() == brute_force_ranks([tuple(v) for v in values], senses)
+    chosen = rng.permutation(80)[:40]
+    assert (_peel(dom[np.ix_(chosen, chosen)]).tolist()
+            == brute_force_ranks([tuple(v) for v in values[chosen]], senses))
+
+
+def reference_crowding(values):
+    """Crowding distance one objective at a time, as a sort per front."""
+    n, n_obj = values.shape
+    dist = np.zeros(n)
+    for j in range(n_obj):
+        order = np.argsort(values[:, j], kind="stable")
+        lo, hi = values[order[0], j], values[order[-1], j]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        if hi == lo:
+            continue
+        dist[order[1:-1]] += (values[order[2:], j] - values[order[:-2], j]) / (hi - lo)
+    return dist
+
+
+def test_crowding_by_rank_matches_per_rank_crowding_bitwise():
+    rng = np.random.default_rng(29)
+    values = np.vstack([rng.integers(0, 6, size=(60, 2)).astype(float), rng.random((60, 2)),
+                        np.full((3, 2), 0.25)])
+    ranks = nondominated_sort(values, MIN_MAX)
+    crowd = _crowding_by_rank(values, ranks)
+    for r in np.unique(ranks):
+        mask = ranks == r
+        assert np.array_equal(crowd[mask], crowding_distance(values[mask], MIN_MAX))
+        assert np.array_equal(crowd[mask], reference_crowding(values[mask]))
 
 
 def test_ga_is_deterministic(problem):

@@ -244,3 +244,10 @@ def test_solver_config_validation():
         SolverConfig(n_starts=0)
     with pytest.raises(ValueError):
         SolverConfig(kkt_tol=0.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["kkt_tol", "feas_tol"])
+def test_solver_config_rejects_nonfinite_floats(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SolverConfig(**{name: value})

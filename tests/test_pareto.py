@@ -8,6 +8,7 @@ from pareto_forge import (
     ParetoPoint,
     Sense,
     annotate_dominance,
+    dominance_matrix,
     dominated_mask,
     dominates,
     filter_nondominated,
@@ -232,6 +233,8 @@ def test_dominance_kernel_matches_pairwise_reference(resps, eps, senses):
     expected = [any(dominates(b, a, senses, eps) for j, b in enumerate(resps) if j != i)
                 for i, a in enumerate(resps)]
     assert dominated_mask(values, senses, eps).tolist() == expected
+    assert dominance_matrix(values, senses, eps).tolist() == [
+        [dominates(b, a, senses, eps) for b in resps] for a in resps]
     flagged = annotate_dominance(Front(tuple(points), senses), eps)
     assert [p.dominated for p in flagged.points] == expected
     assert ([p.tag for p in filter_nondominated(points, senses, eps)]
@@ -241,11 +244,15 @@ def test_dominance_kernel_matches_pairwise_reference(resps, eps, senses):
 def test_dominance_kernel_blocks_agree(monkeypatch):
     rng = np.random.default_rng(3)
     values = rng.integers(0, 20, size=(300, 2)).astype(float)
-    whole = dominated_mask(values, MIN_MAX)
+    whole, matrix = dominated_mask(values, MIN_MAX), dominance_matrix(values, MIN_MAX)
+    assert np.array_equal(matrix.any(axis=1), whole)
     monkeypatch.setattr(pareto, "DOMINANCE_BLOCK", 7)
     assert np.array_equal(dominated_mask(values, MIN_MAX), whole)
+    assert np.array_equal(dominance_matrix(values, MIN_MAX), matrix)
 
 
 def test_dominance_kernel_shape_checked():
     with pytest.raises(ValueError, match="shape"):
         dominated_mask(np.zeros((3, 3)), MIN_MAX)
+    with pytest.raises(ValueError, match="shape"):
+        dominance_matrix(np.zeros((3, 3)), MIN_MAX)
