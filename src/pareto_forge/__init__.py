@@ -87,6 +87,6 @@ from .scalarize import (
     weighted_sum,
     weighted_sum_sweep,
 )
-from .svgplot import front_svg, write_front_svg
+from .svgplot import front_svg
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from .regression import (
     comparison_csv_text,
     compare_models,
     fit_ols,
-    model_diagnostics,
 )
 from .scalarize import (
     DEFAULT_P_VALUES,
@@ -110,7 +109,7 @@ class MethodConfig:
                              f"got {self.order!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs: data source, model source, methods, outputs."""
 
@@ -121,6 +120,11 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     ga: GaConfig = field(default_factory=GaConfig)
     out: Path = Path("results")
+
+    def __post_init__(self) -> None:
+        if self.models not in MODEL_SOURCES:
+            raise ValueError(f"unknown model source {self.models!r}; "
+                             f"expected one of {MODEL_SOURCES}")
 
 
 #: the config file's keys, per block ("" is the top level): JSON key -> dataclass field.
@@ -136,6 +140,14 @@ CONFIG_KEYS = {
            "eta_c": "crossover_eta", "pm": "mutation_prob", "eta_m": "mutation_eta",
            "elite": "elite_fraction", "seed": "seed"},
 }
+#: command-line flag -> the config keys it sets ("block.key", or "key" at the top level)
+FLAG_KEYS = {
+    "--data": ("data",), "--models": ("models",), "--out": ("out",),
+    "--method": ("method.method",), "--p": ("method.p_values",),
+    "--steps": ("method.weight_steps",), "--epsilon-points": ("method.epsilon_points",),
+    "--order": ("method.order",), "--starts": ("solver.starts",),
+    "--seed": ("solver.seed", "ga.seed"),
+}
 #: field annotation -> the JSON values it takes and their name in errors
 _JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
                str: (str, "a string"), Path: (str, "a string")}
@@ -145,7 +157,8 @@ def _from_json(value, hint, label: str):
     """The JSON ``value`` as a field annotated ``hint`` takes it: a dataclass from an
     object of its block's keys, a ``tuple[...]`` from a list of its item type, ``int``
     from an integer, ``float`` from a finite number, ``str`` and ``Path`` from a
-    string. A boolean is never a number."""
+    string, not an empty one for a ``Path`` (that would be the working directory).
+    A boolean is never a number."""
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, label)
     if typing.get_origin(hint) is tuple:
@@ -158,6 +171,8 @@ def _from_json(value, hint, label: str):
     # an integer too large for a float raises OverflowError: load_config reports it
     if hint is float and not math.isfinite(value):
         raise ConfigError(f"{label} must be finite, got {value!r}")
+    if hint is Path and not value:
+        raise ConfigError(f"{label} must be a non-empty path")
     return Path(value) if hint is Path else value
 
 
@@ -175,52 +190,35 @@ def _build(cls, raw, block: str):
                   for k, v in raw.items()})
 
 
-def load_config(path: str | Path | None) -> RunConfig:
-    """Build a RunConfig from a JSON file; missing blocks and keys keep their defaults."""
-    if path is None:
-        return RunConfig()
+def load_config(path: str | Path | None, args: argparse.Namespace | None = None) -> RunConfig:
+    """Build a RunConfig from a JSON file, then from the file with the flags given in
+    ``args`` laid over it (see ``FLAG_KEYS``); missing blocks and keys keep their
+    defaults, and a flag's value takes the checks of its config key."""
+    raw = {}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    cfg = _build_config(raw)
+    flags = {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in FLAG_KEYS}
+    given = {flag: value for flag, value in flags.items() if value is not None}
+    for flag, value in given.items():
+        for key in FLAG_KEYS[flag]:
+            block, _, name = key.rpartition(".")
+            (raw.setdefault(block, {}) if block else raw)[name] = value
+    return _build_config(raw) if given else cfg
+
+
+def _build_config(raw) -> RunConfig:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        cfg = _build(RunConfig, raw, "")
+        return _build(RunConfig, raw, "")
     except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
-    if cfg.models not in MODEL_SOURCES:
-        raise ConfigError(f"unknown model source {cfg.models!r}; expected one of {MODEL_SOURCES}")
-    return cfg
-
-
-def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "data", None):
-        cfg.data = args.data
-    if getattr(args, "models", None):
-        cfg.models = args.models
-    if getattr(args, "out", None):
-        cfg.out = Path(args.out)
-    method = {}
-    if getattr(args, "method", None):
-        method["method"] = args.method
-    if getattr(args, "p", None):
-        method["p_values"] = tuple(args.p)
-    if getattr(args, "steps", None) is not None:
-        method["weight_steps"] = args.steps
-    if getattr(args, "epsilon_points", None) is not None:
-        method["epsilon_points"] = args.epsilon_points
-    if getattr(args, "order", None):
-        method["order"] = tuple(s.strip() for s in args.order.split(","))
-    cfg.method = dataclasses.replace(cfg.method, **method)
-    if getattr(args, "starts", None) is not None:
-        cfg.solver = dataclasses.replace(cfg.solver, n_starts=args.starts)
-    if getattr(args, "seed", None) is not None:
-        cfg.solver = dataclasses.replace(cfg.solver, seed=args.seed)
-        cfg.ga = dataclasses.replace(cfg.ga, seed=args.seed)
-    return cfg
 
 
 def _load_records(cfg: RunConfig):
@@ -305,14 +303,13 @@ def _write_front(out: Path, stem: str, front: Front, title: str) -> None:
 def cmd_fit(cfg: RunConfig) -> int:
     records = _load_records(cfg)
     _make_out_dir(cfg)
-    pair = _select_models(cfg, records)
-    baseline = published_pair("eq21")
     label = cfg.models
-    cmp = compare_models(records, pair, baseline, label_a=label, label_b="eq21")
-    diag = {
-        "ra": model_diagnostics(records, pair[0], "ra"),
-        "mrr": model_diagnostics(records, pair[1], "mrr"),
-    }
+    cmp = compare_models(records, _select_models(cfg, records), published_pair("eq21"),
+                         label_a=label, label_b="eq21")
+    summary = {key: {label: [getattr(d, key) for d in cmp.a],
+                     "eq21": [getattr(d, key) for d in cmp.b]}
+               for key in ("mapd", "max_predicted", "min_predicted")}
+    summary["winner_by_lower_mapd"] = dict(zip(OBJECTIVES, cmp.winners))
     payload = {
         "data": cfg.data,
         "models": {
@@ -324,20 +321,16 @@ def cmd_fit(cfg: RunConfig) -> int:
                 "max_predicted": d.max_predicted,
                 "min_predicted": d.min_predicted,
             }
-            for resp, d in diag.items()
+            for resp, d in zip(OBJECTIVES, cmp.a)
         },
-        "summary": {
-            "mapd": {label: list(cmp.mapd_a), "eq21": list(cmp.mapd_b)},
-            "max_predicted": {label: list(cmp.max_predicted_a), "eq21": list(cmp.max_predicted_b)},
-            "min_predicted": {label: list(cmp.min_predicted_a), "eq21": list(cmp.min_predicted_b)},
-            "winner_by_lower_mapd": {"ra": cmp.winners[0], "mrr": cmp.winners[1]},
-        },
+        "summary": summary,
     }
     _write_json(cfg.out / "fit.json", payload)
     _write(cfg.out / "comparison.csv", comparison_csv_text(cmp))
     print(f"fit: {len(records)} records, models={cfg.models}")
-    print(f"  MAPD Ra={cmp.mapd_a[0]:.4f} MRR={cmp.mapd_a[1]:.4f} "
-          f"(eq21 baseline: Ra={cmp.mapd_b[0]:.4f} MRR={cmp.mapd_b[1]:.4f})")
+    (ra_a, mrr_a), (ra_b, mrr_b) = cmp.a, cmp.b
+    print(f"  MAPD Ra={ra_a.mapd:.4f} MRR={mrr_a.mapd:.4f} "
+          f"(eq21 baseline: Ra={ra_b.mapd:.4f} MRR={mrr_b.mapd:.4f})")
     print(f"  wrote {cfg.out / 'fit.json'} and {cfg.out / 'comparison.csv'}")
     return EXIT_OK
 
@@ -511,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--steps", type=int, help="weight sweep step count")
     p_opt.add_argument("--epsilon-points", type=int, dest="epsilon_points",
                        help="epsilon sweep point count")
-    p_opt.add_argument("--order", help="lexicographic preference order, e.g. mrr,ra")
+    p_opt.add_argument("--order", type=lambda text: [s.strip() for s in text.split(",")],
+                       help="lexicographic preference order, e.g. mrr,ra")
     p_opt.add_argument("--seed", type=int, help="seed for solver starts and the GA")
     p_opt.add_argument("--starts", type=int, help="multistart count")
 
@@ -531,7 +525,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = apply_overrides(load_config(getattr(args, "config", None)), args)
+        cfg = load_config(getattr(args, "config", None), args)
         if args.command == "fit":
             return cmd_fit(cfg)
         if args.command == "validate":

@@ -216,8 +216,4 @@ def validate_records(records: Sequence[ExperimentRecord], bounds: Bounds) -> Val
                 violations.append(BoundsViolation(i, name, f"{name} below lower bound ({value} < {lo})"))
             elif value > hi:
                 violations.append(BoundsViolation(i, name, f"{name} above upper bound ({value} > {hi})"))
-        for name in ("ra", "mrr"):
-            value = getattr(rec, name)
-            if not math.isfinite(value) or value <= 0:
-                violations.append(BoundsViolation(i, name, f"{name} must be positive and finite"))
     return ValidationReport(tuple(violations))

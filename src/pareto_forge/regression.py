@@ -113,28 +113,29 @@ def fit_ols(records: Sequence[ExperimentRecord], basis: PolyBasis, response: str
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    actual: tuple[float, float]
-    predicted_a: tuple[float, float]
-    predicted_b: tuple[float, float]
-    apd_a: tuple[float, float]
-    apd_b: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class ModelComparison:
     """Side-by-side APD comparison of two (Ra, MRR) model pairs over a dataset."""
 
     label_a: str
     label_b: str
-    rows: tuple[ComparisonRow, ...]
-    mapd_a: tuple[float, float]
-    mapd_b: tuple[float, float]
-    max_predicted_a: tuple[float, float]
-    min_predicted_a: tuple[float, float]
-    max_predicted_b: tuple[float, float]
-    min_predicted_b: tuple[float, float]
-    winners: tuple[str, str]
+    #: each run's measured (ra, mrr)
+    actual: tuple[tuple[float, float], ...]
+    #: each pair's (Ra, MRR) diagnostics over the runs
+    a: tuple[FitDiagnostics, FitDiagnostics]
+    b: tuple[FitDiagnostics, FitDiagnostics]
+
+    @property
+    def winners(self) -> tuple[str, str]:
+        """Per response, the label of the pair with the lower MAPD; equal MAPDs tie."""
+        winners = []
+        for da, db in zip(self.a, self.b):
+            if da.mapd < db.mapd:
+                winners.append(self.label_a)
+            elif db.mapd < da.mapd:
+                winners.append(self.label_b)
+            else:
+                winners.append("tie")
+        return tuple(winners)
 
 
 def compare_models(
@@ -144,46 +145,13 @@ def compare_models(
     label_a: str = "a",
     label_b: str = "b",
 ) -> ModelComparison:
-    """Per-run predictions and APDs for both pairs, MAPD summary, and a winner per response.
-
-    The winner of each response is the pair with the lower MAPD; equal MAPDs tie.
-    """
-    diag = {
-        ("a", "ra"): _diagnose(pair_a[0], records, "ra"),
-        ("a", "mrr"): _diagnose(pair_a[1], records, "mrr"),
-        ("b", "ra"): _diagnose(pair_b[0], records, "ra"),
-        ("b", "mrr"): _diagnose(pair_b[1], records, "mrr"),
-    }
-    rows = tuple(
-        ComparisonRow(
-            actual=(rec.ra, rec.mrr),
-            predicted_a=(diag[("a", "ra")].predicted[i], diag[("a", "mrr")].predicted[i]),
-            predicted_b=(diag[("b", "ra")].predicted[i], diag[("b", "mrr")].predicted[i]),
-            apd_a=(diag[("a", "ra")].apd_per_row[i], diag[("a", "mrr")].apd_per_row[i]),
-            apd_b=(diag[("b", "ra")].apd_per_row[i], diag[("b", "mrr")].apd_per_row[i]),
-        )
-        for i, rec in enumerate(records)
-    )
-
-    def winner(resp: str) -> str:
-        ma, mb = diag[("a", resp)].mapd, diag[("b", resp)].mapd
-        if ma < mb:
-            return label_a
-        if mb < ma:
-            return label_b
-        return "tie"
-
+    """Per-run predictions and APDs of both pairs, with their MAPDs and extremes."""
     return ModelComparison(
         label_a=label_a,
         label_b=label_b,
-        rows=rows,
-        mapd_a=(diag[("a", "ra")].mapd, diag[("a", "mrr")].mapd),
-        mapd_b=(diag[("b", "ra")].mapd, diag[("b", "mrr")].mapd),
-        max_predicted_a=(diag[("a", "ra")].max_predicted, diag[("a", "mrr")].max_predicted),
-        min_predicted_a=(diag[("a", "ra")].min_predicted, diag[("a", "mrr")].min_predicted),
-        max_predicted_b=(diag[("b", "ra")].max_predicted, diag[("b", "mrr")].max_predicted),
-        min_predicted_b=(diag[("b", "ra")].min_predicted, diag[("b", "mrr")].min_predicted),
-        winners=(winner("ra"), winner("mrr")),
+        actual=tuple((rec.ra, rec.mrr) for rec in records),
+        a=tuple(_diagnose(m, records, resp) for m, resp in zip(pair_a, _RESPONSE_META)),
+        b=tuple(_diagnose(m, records, resp) for m, resp in zip(pair_b, _RESPONSE_META)),
     )
 
 
@@ -195,8 +163,9 @@ def comparison_csv_text(cmp: ModelComparison) -> str:
         f"ra_{a}", f"mrr_{a}", f"ra_{b}", f"mrr_{b}",
         f"apd_ra_{a}", f"apd_mrr_{a}", f"apd_ra_{b}", f"apd_mrr_{b}",
     ]
+    diags = cmp.a + cmp.b
     lines = [",".join(header)]
-    for row in cmp.rows:
-        cells = (*row.actual, *row.predicted_a, *row.predicted_b, *row.apd_a, *row.apd_b)
+    for i, actual in enumerate(cmp.actual):
+        cells = (*actual, *(d.predicted[i] for d in diags), *(d.apd_per_row[i] for d in diags))
         lines.append(",".join(f"{v:.10g}" for v in cells))
     return "\n".join(lines) + "\n"

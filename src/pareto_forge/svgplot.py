@@ -8,7 +8,6 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from .pareto import Front
 
@@ -156,7 +155,3 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_front_svg(path: str | Path, front: Front, **kwargs) -> None:
-    Path(path).write_text(front_svg(front, **kwargs), encoding="utf-8")

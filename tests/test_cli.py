@@ -17,22 +17,30 @@ from pareto_forge import (
     CASE_STUDY_BOUNDS,
     ExperimentRecord,
     GaConfig,
+    PolyBasis,
     Sense,
     SolverConfig,
+    builtin_case_study,
+    fit_ols,
     load_experiments,
+    model_diagnostics,
+    published_pair,
     read_front_csv,
 )
 from pareto_forge.cli import (
     ALL_METHODS,
     CONFIG_KEYS,
+    FLAG_KEYS,
     MODEL_SOURCES,
     OBJECTIVES,
     ConfigError,
     MethodConfig,
     RunConfig,
+    build_parser,
     load_config,
     main,
 )
+from pareto_forge.polymodel import model_to_dict
 
 SMALL_CONFIG = {
     "solver": {"starts": 2, "seed": 3},
@@ -68,6 +76,22 @@ def test_fit_published_linear_models(tmp_path):
     assert main(["fit", "--models", "eq21", "--out", str(out)]) == 0
     payload = json.loads((out / "fit.json").read_text())
     assert abs(payload["summary"]["mapd"]["eq21"][0] - 0.0707) <= 0.002
+
+
+@pytest.mark.parametrize("models", MODEL_SOURCES)
+def test_fit_json_models_are_the_pair_diagnostics(tmp_path, models):
+    out = tmp_path / "fitout"
+    assert main(["fit", "--models", models, "--out", str(out)]) == 0
+    written = json.loads((out / "fit.json").read_text())["models"]
+    records = builtin_case_study()
+    pair = (tuple(fit_ols(records, PolyBasis.FULL_QUADRATIC_TRIPLE, r).model for r in OBJECTIVES)
+            if models == "refit" else published_pair(models))
+    for resp, model in zip(OBJECTIVES, pair):
+        d = model_diagnostics(records, model, resp)
+        expected = {"model": model_to_dict(d.model), "mapd": d.mapd,
+                    "apd_per_row": list(d.apd_per_row), "predicted": list(d.predicted),
+                    "max_predicted": d.max_predicted, "min_predicted": d.min_predicted}
+        assert written[resp] == json.loads(json.dumps(expected)), resp
 
 
 def test_validate_builtin(capsys):
@@ -290,6 +314,60 @@ def test_bad_method_block_exits_2_before_any_output(tmp_path, capsys, method):
     assert not list(out.glob("outcome_*.json")) and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+#: per flag, its command-line values and the config file that holds the same setting
+_FLAG_FILES = {
+    "--data": (["runs.csv"], {"data": "runs.csv"}),
+    "--models": (["eq23"], {"models": "eq23"}),
+    "--out": (["elsewhere"], {"out": "elsewhere"}),
+    "--method": (["ga"], {"method": {"method": "ga"}}),
+    "--p": (["1", "3"], {"method": {"p_values": [1, 3]}}),
+    "--steps": (["4"], {"method": {"weight_steps": 4}}),
+    "--epsilon-points": (["5"], {"method": {"epsilon_points": 5}}),
+    "--order": (["ra, mrr"], {"method": {"order": ["ra", "mrr"]}}),
+    "--starts": (["2"], {"solver": {"starts": 2}}),
+    "--seed": (["9"], {"solver": {"seed": 9}, "ga": {"seed": 9}}),
+}
+
+
+def test_every_flag_but_config_is_a_config_key():
+    parser = build_parser()
+    dests = {flag[2:].replace("-", "_") for flag in FLAG_KEYS}
+    assert set(vars(parser.parse_args(["optimize"]))) - {"command", "config"} == dests
+    for argv in (["fit"], ["validate"], ["compare"], ["front"]):
+        assert set(vars(parser.parse_args(argv))) - {"command", "config", "csvs"} <= dests
+    assert set(_FLAG_FILES) == set(FLAG_KEYS)
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_KEYS))
+def test_flag_equals_its_config_keys(tmp_path, flag):
+    values, raw = _FLAG_FILES[flag]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    from_flag = load_config(None, build_parser().parse_args(["optimize", flag, *values]))
+    assert from_flag == load_config(path) != RunConfig()
+
+
+def test_flag_overrides_the_file_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"solver": {"seed": 1, "starts": 4}, "ga": {"seed": 2}}))
+    cfg = load_config(path, build_parser().parse_args(["compare", "--seed", "5"]))
+    assert (cfg.solver.seed, cfg.ga.seed, cfg.solver.n_starts) == (5, 5, 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", ""],
+    ["optimize", "--data", ""],
+    ["optimize", "--order", ""],
+    ["optimize", "--out", ""],
+])
+def test_empty_flag_value_exits_2_before_any_output(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_method_flags_exit_2_before_any_output(tmp_path, capsys):

@@ -116,20 +116,20 @@ def test_refit_beats_published_linear_models(records):
     refit = (fit_ols(records, QUAD, "ra").model, fit_ols(records, QUAD, "mrr").model)
     cmp = compare_models(records, refit, published_pair("eq21"), "refit", "eq21")
     assert cmp.winners == ("refit", "refit")
-    assert abs(cmp.mapd_a[0] - 0.0235) <= 0.002
-    assert abs(cmp.mapd_a[1] - 0.0518) <= 0.005
-    assert abs(cmp.mapd_b[0] - 0.0707) <= 0.002
-    assert abs(cmp.mapd_b[1] - 0.2047) <= 0.005
-    assert cmp.mapd_a[0] <= cmp.mapd_b[0] and cmp.mapd_a[1] <= cmp.mapd_b[1]
+    assert abs(cmp.a[0].mapd - 0.0235) <= 0.002
+    assert abs(cmp.a[1].mapd - 0.0518) <= 0.005
+    assert abs(cmp.b[0].mapd - 0.0707) <= 0.002
+    assert abs(cmp.b[1].mapd - 0.2047) <= 0.005
+    assert cmp.a[0].mapd <= cmp.b[0].mapd and cmp.a[1].mapd <= cmp.b[1].mapd
 
 
 def test_identical_pairs_tie(records):
     pair = published_pair("eq23")
     cmp = compare_models(records, pair, pair)
     assert cmp.winners == ("tie", "tie")
-    for row in cmp.rows:
-        assert row.predicted_a == row.predicted_b
-        assert row.apd_a == row.apd_b
+    for da, db in zip(cmp.a, cmp.b):
+        assert da.predicted == db.predicted
+        assert da.apd_per_row == db.apd_per_row
 
 
 def test_comparison_csv_layout(records):
