@@ -18,7 +18,7 @@ from .dataset import (
     save_experiments,
     validate_records,
 )
-from .evolve import GaConfig, GaResult, crowding_distance, nondominated_sort, run_ga
+from .evolve import GaConfig, crowding_distance, nondominated_sort, run_ga
 from .nlsolver import (
     ConstraintSet,
     NonFiniteEvaluationError,
@@ -42,7 +42,6 @@ from .pareto import (
     filter_nondominated,
     merge_fronts,
     read_front_csv,
-    write_front_csv,
 )
 from .polymodel import (
     ModelStack,

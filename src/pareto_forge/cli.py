@@ -16,6 +16,8 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import scalarize
 from .dataset import (
     CASE_STUDY_BOUNDS,
@@ -25,8 +27,8 @@ from .dataset import (
     load_experiments,
     validate_records,
 )
-from .evolve import GaConfig, GaResult, run_ga
-from .nlsolver import ConstraintSet, NonFiniteEvaluationError, RunCounters, SolverConfig
+from .evolve import GaConfig, run_ga
+from .nlsolver import ConstraintSet, NonFiniteEvaluationError, SolverConfig
 from .pareto import Front, Sense, front_to_csv_text, merge_fronts, read_front_csv
 from .polymodel import PolyBasis, PolynomialModel, model_to_dict, published_pair
 from .regression import (
@@ -38,7 +40,6 @@ from .regression import (
 from .scalarize import (
     DEFAULT_P_VALUES,
     InfeasibleEpsilonError,
-    LexicographicResult,
     LexStage,
     MethodResult,
     MooProblem,
@@ -122,6 +123,8 @@ class RunConfig:
     out: Path = Path("results")
 
     def __post_init__(self) -> None:
+        if not self.data:
+            raise ValueError("data must name a CSV file or 'builtin', got ''")
         if self.models not in MODEL_SOURCES:
             raise ValueError(f"unknown model source {self.models!r}; "
                              f"expected one of {MODEL_SOURCES}")
@@ -140,14 +143,29 @@ CONFIG_KEYS = {
            "eta_c": "crossover_eta", "pm": "mutation_prob", "eta_m": "mutation_eta",
            "elite": "elite_fraction", "seed": "seed"},
 }
-#: command-line flag -> the config keys it sets ("block.key", or "key" at the top level)
-FLAG_KEYS = {
-    "--data": ("data",), "--models": ("models",), "--out": ("out",),
-    "--method": ("method.method",), "--p": ("method.p_values",),
-    "--steps": ("method.weight_steps",), "--epsilon-points": ("method.epsilon_points",),
-    "--order": ("method.order",), "--starts": ("solver.starts",),
-    "--seed": ("solver.seed", "ga.seed"),
+#: command-line argument -> the config keys it sets ("block.key", or "key" at the top
+#: level) and its argparse options; ``--config`` and the positional ``csvs`` set none
+FLAGS = {
+    "--config": ((), {"help": "JSON config file"}),
+    "--data": (("data",), {"help": "experiment CSV path, or 'builtin'"}),
+    "--models": (("models",), {"choices": MODEL_SOURCES, "help": "model source"}),
+    "--out": (("out",), {"help": "output directory"}),
+    "--method": (("method.method",), {"choices": ALL_METHODS + ("all",),
+                                      "help": "routine to run"}),
+    "--p": (("method.p_values",), {"type": int, "nargs": "+",
+                                   "help": "p values for the deviation criterion"}),
+    "--steps": (("method.weight_steps",), {"type": int, "help": "weight sweep step count"}),
+    "--epsilon-points": (("method.epsilon_points",),
+                         {"type": int, "help": "epsilon sweep point count"}),
+    "--order": (("method.order",), {"type": lambda text: [o.strip() for o in text.split(",")],
+                                    "help": "lexicographic preference order, e.g. mrr,ra"}),
+    "--seed": (("solver.seed", "ga.seed"),
+               {"type": int, "help": "seed for solver starts and the GA"}),
+    "--starts": (("solver.starts",), {"type": int, "help": "multistart count"}),
+    "csvs": ((), {"nargs": "*", "help": "front CSV files to merge"}),
 }
+#: command-line flag -> the config keys it sets
+FLAG_KEYS = {flag: keys for flag, (keys, _) in FLAGS.items() if keys}
 #: field annotation -> the JSON values it takes and their name in errors
 _JSON_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
                str: (str, "a string"), Path: (str, "a string")}
@@ -242,25 +260,10 @@ def _build_problem(cfg: RunConfig, models) -> MooProblem:
     )
 
 
-def _counters_dict(c: RunCounters) -> dict:
-    return {"iterations": c.iterations, "function_evals": c.function_evals}
-
-
-def _outcome_dict(outcome) -> dict:
-    return {
-        "x": list(outcome.x),
-        "objective": outcome.objective,
-        "converged": outcome.converged,
-        "kkt_residual": outcome.kkt_residual,
-        "constraint_violation": outcome.constraint_violation,
-        "counters": _counters_dict(outcome.counters),
-    }
-
-
 def _utopia_dict(problem: MooProblem, utopia) -> dict:
     """The ideal/nadir pair per objective, in natural units."""
     return {
-        "counters": _counters_dict(utopia.counters),
+        "counters": dataclasses.asdict(utopia.counters),
         "objectives": {
             o.name: {
                 "sense": o.sense.value,
@@ -374,23 +377,24 @@ def _point_dict(result: MethodResult) -> dict:
     A lexicographic stage's ``objective`` names the objective it optimized, so
     its outcome (whose ``objective`` is the optimum) is nested instead.
     """
-    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)
-              if f.name != "outcome"}
+    fields = dataclasses.asdict(result)
+    outcome = fields.pop("outcome")
     if isinstance(result, LexStage):
-        return {**fields, "outcome": _outcome_dict(result.outcome)}
-    return {**fields, **_outcome_dict(result.outcome)}
+        return {**fields, "outcome": outcome}
+    return {**fields, **outcome}
 
 
 def _routine_payload(method: str, result: RoutineResult, parameters: dict, optima) -> dict:
-    payload = {"method": method, "counters": _counters_dict(result.counters),
+    payload = {"method": method, "counters": dataclasses.asdict(result.counters),
                "parameters": parameters}
     if method in UTOPIA_METHODS:
         payload["individual_optima"] = optima
-    if isinstance(result, LexicographicResult):
+    if method == "lexicographic":
         payload["terminated_early"] = result.terminated_early
         payload["stages"] = [_point_dict(r) for r in result.results]
-    elif isinstance(result, GaResult):
-        payload["points"] = [{"tag": p.tag, "x": list(p.x), "responses": list(p.responses)}
+    elif method == "ga":
+        # no GA point is a separate solve: its front's points are its results
+        payload["points"] = [{"tag": p.tag, "x": p.x, "responses": p.responses}
                              for p in result.front.points]
     else:
         payload["points"] = [_point_dict(r) for r in result.results]
@@ -429,20 +433,15 @@ def cmd_optimize(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _merge_tolerance(fronts) -> tuple[float, ...]:
+def _merge_tolerance(fronts) -> np.ndarray:
     """Per-objective epsilon for cross-method merging.
 
     1e-9 of the response scale: well above last-bit solver noise, well below
     the 1e-6 relative slack the lexicographic stages trade away, so genuinely
     distinct points never eliminate each other.
     """
-    n_obj = len(fronts[0].senses)
-    spans = [1.0] * n_obj
-    for front in fronts:
-        for p in front.points:
-            for j, v in enumerate(p.responses):
-                spans[j] = max(spans[j], abs(v))
-    return tuple(1e-9 * s for s in spans)
+    values = np.array([p.responses for f in fronts for p in f.points], dtype=float)
+    return 1e-9 * np.abs(values.reshape(-1, len(fronts[0].senses))).max(axis=0, initial=1.0)
 
 
 def _merge_feasible(fronts):
@@ -478,70 +477,46 @@ def cmd_front(cfg: RunConfig, csv_paths) -> int:
     return EXIT_OK
 
 
+_COMMON = ("--config", "--data", "--models", "--out")
+#: subcommand -> its function, its help text and its arguments (keys of ``FLAGS``);
+#: the function takes the config, then the values of the positional arguments
+COMMANDS = {
+    "fit": (cmd_fit, "fit models and write APD/MAPD diagnostics", _COMMON),
+    "validate": (cmd_validate, "check records against the variable bounds", _COMMON),
+    "optimize": (cmd_optimize, "run one routine (or all) and emit fronts",
+                 _COMMON + ("--method", "--p", "--steps", "--epsilon-points", "--order",
+                            "--seed", "--starts")),
+    "compare": (cmd_compare, "run all five routines and the efficiency report",
+                _COMMON + ("--seed", "--starts")),
+    "front": (cmd_front, "merge front CSVs into one filtered front", ("csvs", "--out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pareto-forge",
         description="Fit milling response models and generate Pareto fronts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--data", help="experiment CSV path, or 'builtin'")
-        p.add_argument("--models", choices=MODEL_SOURCES, help="model source")
-        p.add_argument("--out", help="output directory")
-
-    p_fit = sub.add_parser("fit", help="fit models and write APD/MAPD diagnostics")
-    add_common(p_fit)
-
-    p_val = sub.add_parser("validate", help="check records against the variable bounds")
-    add_common(p_val)
-
-    p_opt = sub.add_parser("optimize", help="run one routine (or all) and emit fronts")
-    add_common(p_opt)
-    p_opt.add_argument("--method", choices=ALL_METHODS + ("all",), help="routine to run")
-    p_opt.add_argument("--p", type=int, nargs="+", help="p values for the deviation criterion")
-    p_opt.add_argument("--steps", type=int, help="weight sweep step count")
-    p_opt.add_argument("--epsilon-points", type=int, dest="epsilon_points",
-                       help="epsilon sweep point count")
-    p_opt.add_argument("--order", type=lambda text: [s.strip() for s in text.split(",")],
-                       help="lexicographic preference order, e.g. mrr,ra")
-    p_opt.add_argument("--seed", type=int, help="seed for solver starts and the GA")
-    p_opt.add_argument("--starts", type=int, help="multistart count")
-
-    p_cmp = sub.add_parser("compare", help="run all five routines and the efficiency report")
-    add_common(p_cmp)
-    p_cmp.add_argument("--seed", type=int, help="seed for solver starts and the GA")
-    p_cmp.add_argument("--starts", type=int, help="multistart count")
-
-    p_front = sub.add_parser("front", help="merge front CSVs into one filtered front")
-    p_front.add_argument("csvs", nargs="*", help="front CSV files to merge")
-    p_front.add_argument("--out", help="output directory")
-
+    for command, (_, text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in names:
+            p.add_argument(name, **FLAGS[name][1])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _, names = COMMANDS[args.command]
     try:
         cfg = load_config(getattr(args, "config", None), args)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "optimize":
-            return cmd_optimize(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "front":
-            return cmd_front(cfg, args.csvs)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return run(cfg, *(getattr(args, n) for n in names if not n.startswith("-")))
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DatasetError, ValueError) as exc:
-        # remaining ValueErrors are bad parameter values (step counts, seeds, ...)
+    except (ConfigError, DatasetError, ValueError, MemoryError) as exc:
+        # remaining ValueErrors are bad parameter values (step counts, seeds, ...);
+        # a MemoryError is a size too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

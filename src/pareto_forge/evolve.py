@@ -19,7 +19,6 @@ import numpy as np
 
 from .nlsolver import RunCounters, reject_nonfinite
 from .pareto import Front, ParetoPoint, Sense, dominance_matrix, filter_nondominated
-from .polymodel import stack_values
 from .scalarize import MooProblem, RoutineResult
 
 
@@ -131,13 +130,9 @@ def _mutate(children, coin, u, prob: float, eta: float) -> np.ndarray:
     return np.where(coin < prob, children + delta, children)
 
 
-@dataclass(frozen=True)
-class GaResult(RoutineResult):
-    """The final rank-0 set; no point is a separate solve, so ``results`` is empty."""
-
-
-def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
-    """Evolve a population within the box and return the final rank-0 set.
+def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult:
+    """Evolve a population within the box and return the final rank-0 set; no point
+    is a separate solve, so ``results`` is empty.
 
     Only box constraints are supported on this path. Counters report
     generations as iterations and model evaluations as function counts, so the
@@ -152,11 +147,9 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
     n = config.pop_size
     rng = np.random.default_rng(config.seed)
     counters = RunCounters()
-    signs = np.array([o.sign for o in problem.objectives])
 
     def evaluate_pop(unit_pop: np.ndarray) -> np.ndarray:
-        # the stack holds minimization forms; the signs give back natural units
-        responses = stack_values(problem.stack, lb + unit_pop * span) * signs
+        responses = problem.natural_values(lb + unit_pop * span)
         counters.function_evals += responses.size
         return responses
 
@@ -207,4 +200,4 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> GaResult:
         for i in np.flatnonzero(final_mask)
     ]
     front = Front(tuple(filter_nondominated(points, senses)), senses)
-    return GaResult(front=front, results=(), counters=counters)
+    return RoutineResult(front=front, results=(), counters=counters)

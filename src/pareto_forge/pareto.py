@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -178,25 +179,23 @@ def front_to_csv_text(front: Front) -> str:
     """CSV rendering with the fixed ``method,param,vc,fz,t,ra,mrr`` schema.
 
     Infeasible points are left out. Requires three design variables and two
-    responses (the case-study layout).
+    responses (the case-study layout). A label that holds a comma, a quote or a
+    line break is quoted, so :func:`read_front_csv` reads it back unchanged.
     """
-    lines = [",".join(FRONT_CSV_HEADER)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(FRONT_CSV_HEADER)
     for p in front.points:
         if not p.feasible:
             continue
         if len(p.x) != 3 or len(p.responses) != 2:
             raise ValueError("front CSV needs 3 design variables and 2 responses per point")
-        cells = [p.method, p.tag] + [f"{v:.10g}" for v in (*p.x, *p.responses)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def write_front_csv(path: str | Path, front: Front) -> None:
-    Path(path).write_text(front_to_csv_text(front), encoding="utf-8")
+        writer.writerow([p.method, p.tag] + [f"{v:.10g}" for v in (*p.x, *p.responses)])
+    return text.getvalue()
 
 
 def read_front_csv(path: str | Path, senses: Sequence[Sense]) -> Front:
-    """Read a front CSV as ``write_front_csv`` writes it.
+    """Read a front CSV as ``front_to_csv_text`` writes it.
 
     Raises ValueError naming the path and the row for a bad header, a wrong
     cell count, a value that is not a finite number, or unreadable CSV.

@@ -30,7 +30,7 @@ from .nlsolver import (
     multistart_minimize,
 )
 from .pareto import Front, ParetoPoint, Sense, annotate_dominance
-from .polymodel import ModelStack, PolynomialModel, evaluate
+from .polymodel import ModelStack, PolynomialModel, stack_values
 
 #: p grid used by the deviation-criterion sweep in the case study.
 DEFAULT_P_VALUES = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
@@ -118,8 +118,13 @@ class MooProblem:
         """The problem's constraints plus the inequalities ``extra``."""
         return replace(self.constraints, inequalities=self.constraints.inequalities + tuple(extra))
 
+    def natural_values(self, x) -> np.ndarray:
+        """Every objective's value (..., m) at ``x``, a point or a batch, in natural
+        units: the stack holds minimization forms, and the signs undo them."""
+        return stack_values(self.stack, x) * np.array([o.sign for o in self.objectives])
+
     def responses_at(self, x) -> tuple[float, ...]:
-        return tuple(float(evaluate(o.model, x)) for o in self.objectives)
+        return tuple(float(v) for v in self.natural_values(x))
 
     def index_of(self, objective: int | str) -> int:
         if isinstance(objective, int):

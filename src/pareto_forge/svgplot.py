@@ -7,6 +7,7 @@ inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import html
 import math
 
 from .pareto import Front
@@ -83,7 +84,7 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
+            f'font-family="sans-serif" font-size="16">{html.escape(title)}</text>'
         )
     if points:
         x_lo, x_hi = _data_range([p.responses[0] for p in points])
@@ -132,9 +133,8 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
             ly = MARGIN_TOP + 14 + 20 * i
             lx = WIDTH - MARGIN_RIGHT - 170
             parts.append(_marker(shape, lx, ly - 4, color))
-            parts.append(
-                f'<text x="{lx + 12}" y="{ly}" font-family="sans-serif" font-size="12">{m}</text>'
-            )
+            parts.append(f'<text x="{lx + 12}" y="{ly}" font-family="sans-serif" '
+                         f'font-size="12">{html.escape(m)}</text>')
 
     parts.append(
         f'<line x1="{MARGIN_LEFT}" y1="{HEIGHT - MARGIN_BOTTOM}" x2="{WIDTH - MARGIN_RIGHT}" '
@@ -146,12 +146,12 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
     )
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{x_label}</text>'
+        f'font-family="sans-serif" font-size="14">{html.escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="20" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 20 {MARGIN_TOP + plot_h / 2:.0f})">{y_label}</text>'
+        f'transform="rotate(-90 20 {MARGIN_TOP + plot_h / 2:.0f})">{html.escape(y_label)}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -29,6 +29,7 @@ from pareto_forge import (
 )
 from pareto_forge.cli import (
     ALL_METHODS,
+    COMMANDS,
     CONFIG_KEYS,
     FLAG_KEYS,
     MODEL_SOURCES,
@@ -375,6 +376,55 @@ def test_bad_method_flags_exit_2_before_any_output(tmp_path, capsys):
     for flags in (["--p", "0"], ["--epsilon-points", "1"], ["--order", "mrr,speed"]):
         assert main(["optimize", *flags, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_each_command_help_names_its_flags(capsys):
+    for command, (_, _, names) in COMMANDS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert shown == {name for name in names if name.startswith("--")}, command
+        assert ("--config" in shown) == (command != "front"), command
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", ""],
+    ["validate", "--config", "{config}"],
+])
+def test_empty_data_names_its_key(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"data": ""}))
+    assert main([a.format(config="cfg.json") for a in argv]) == 2
+    assert "data must name a CSV file or 'builtin', got ''" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+
+# Each size fails at its first numpy allocation, so no memory is taken. They lie
+# beyond a 128 TiB address space, so the allocation fails whatever the host's
+# overcommit policy.
+@pytest.mark.parametrize("argv", [
+    ["--method", "weighted_sum", "--starts", str(10**15)],
+    ["--method", "epsilon_constraint", "--epsilon-points", str(10**15)],
+    ["--method", "ga", "--config", "{config}"],
+])
+def test_allocation_that_fails_exits_2(tmp_path, capsys, argv):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"ga": {"pop": 10**15}}))
+    argv = [a.format(config=config) for a in argv]
+    assert main(["optimize", *argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
+def test_front_labels_survive_two_merges(tmp_path):
+    label = 'a,b "c"\nd'
+    first = tmp_path / "in.csv"
+    first.write_text(f'method,param,vc,fz,t,ra,mrr\n"a,b ""c""\nd","tag a,b ""c""\nd",'
+                     "200,0.1,0.3,1.0,2000\n", encoding="utf-8")
+    for src, out in ((first, "m1"), (tmp_path / "m1" / "front_all.csv", "m2")):
+        assert main(["front", str(src), "--out", str(tmp_path / out)]) == 0
+    merged = read_front_csv(tmp_path / "m2" / "front_all.csv", (Sense.MINIMIZE, Sense.MAXIMIZE))
+    assert [(p.method, p.tag) for p in merged.points] == [(label, f"tag {label}")]
 
 
 _JSON = st.recursive(

@@ -14,9 +14,9 @@ from pareto_forge import (
     filter_nondominated,
     merge_fronts,
     read_front_csv,
-    write_front_csv,
 )
 from pareto_forge import pareto
+from pareto_forge.pareto import front_to_csv_text
 
 MIN_MAX = (Sense.MINIMIZE, Sense.MAXIMIZE)
 MIN_MIN = (Sense.MINIMIZE, Sense.MINIMIZE)
@@ -166,7 +166,7 @@ def test_front_csv_roundtrip(tmp_path):
         MIN_MAX,
     )
     path = tmp_path / "front.csv"
-    write_front_csv(path, front)
+    path.write_text(front_to_csv_text(front), encoding="utf-8")
     text = path.read_text()
     assert text.splitlines()[0] == "method,param,vc,fz,t,ra,mrr"
     loaded = read_front_csv(path, MIN_MAX)
@@ -185,7 +185,7 @@ def test_front_csv_skips_infeasible(tmp_path):
         MIN_MAX,
     )
     path = tmp_path / "front.csv"
-    write_front_csv(path, front)
+    path.write_text(front_to_csv_text(front), encoding="utf-8")
     assert len(path.read_text().strip().splitlines()) == 2
 
 

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from xml.dom import minidom
 
 from pareto_forge import Front, ParetoPoint, Sense
 from pareto_forge.svgplot import front_svg
@@ -59,3 +60,10 @@ def test_svg_skips_infeasible_points():
     )
     svg = front_svg(front)
     assert svg.count("<circle") == 2  # one data point + one legend swatch
+
+
+def test_svg_escapes_labels_and_title():
+    front = Front((ParetoPoint((314.0, 0.04, 0.2), (0.5, 2781.0), "a&b<c>", "w=1"),), MIN_MAX)
+    dom = minidom.parseString(front_svg(front, title='"x" < y & z'))
+    texts = [t.firstChild.data for t in dom.getElementsByTagName("text") if t.firstChild]
+    assert "a&b<c>" in texts and '"x" < y & z' in texts
