@@ -26,6 +26,7 @@ from .nlsolver import (
     SmoothFunction,
     SolveOutcome,
     SolverConfig,
+    grouped_multistart,
     minimize,
     minimize_starts,
     multistart_minimize,

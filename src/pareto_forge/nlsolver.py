@@ -6,8 +6,9 @@ inequalities, with a projected Newton inner solve on the box (Bertsekas, SIAM J.
 Control Optim. 20:221, 1982) that uses exact Hessians. Variables are rescaled to
 the unit cube internally, so all tolerances below are quoted on the scaled
 problem. Deterministic seeded multistart mitigates local optima of nonconvex
-scalarizations; the starts of one multistart are solved together, one row of
-the same arrays each, and a row's arithmetic never depends on the other rows.
+scalarizations. Every start is one row of the same arrays, and a row's arithmetic
+never depends on the other rows, so a sweep solves all its points' starts in one
+call (:func:`grouped_multistart`).
 """
 
 from __future__ import annotations
@@ -53,18 +54,20 @@ class NonFiniteEvaluationError(RuntimeError):
 class SmoothFunction:
     """A scalar function with its exact derivatives, evaluated through ``value_and_grad``.
 
-    ``value_and_grad`` takes points x of shape (n, 3) and returns the values (n,),
-    the gradients (n, 3) and the Hessians (n, 3, 3); results that broadcast to
-    those shapes are accepted. ``model_cost`` is how many response-model
-    evaluations one point represents; it drives the run counters. The solver
-    divides the value and its derivatives by ``scale``, the unit of a
-    constraint's feasibility (violation = positive part / scale); objectives keep
-    the default 1, so their values are reported unscaled.
+    ``value_and_grad(rows, x)`` takes row indices (n,) of the batch and their points
+    x (n, 3), and returns the values (n,), the gradients (n, 3) and the Hessians
+    (n, 3, 3); results that broadcast to those shapes are accepted. A parameter
+    per row, such as a sweep point's bound, is read as ``param[rows]``.
+    ``model_cost`` is how many response-model evaluations one point represents;
+    it drives the run counters. The solver divides the value and its derivatives
+    by ``scale`` (one value, or one per row), the unit of a constraint's
+    feasibility (violation = positive part / scale); objectives keep the default
+    1, so their values are reported unscaled.
     """
 
-    value_and_grad: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    value_and_grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     model_cost: int = 1
-    scale: float = 1.0
+    scale: float | np.ndarray = 1.0
     name: str = ""
 
 
@@ -271,6 +274,8 @@ class _ScaledProblem:
         self.ub = np.asarray(constraints.bounds.upper)
         self.span = self.ub - self.lb
         self.f_scale = np.ones(n_rows)
+        self.scales = [np.broadcast_to(np.asarray(fn.scale, dtype=float), (n_rows,))
+                       for fn in self.functions]
         self.iterations = np.zeros(n_rows, dtype=int)
         self.function_evals = np.zeros(n_rows, dtype=int)
         n_fn = len(self.functions)
@@ -291,17 +296,17 @@ class _ScaledProblem:
         fresh = np.any(self._points[i, rows] != s, axis=-1)
         if fresh.any():
             fn, at, x = self.functions[i], rows[fresh], self.to_raw(s[fresh])
-            v, g, h = fn.value_and_grad(x)
+            v, g, h = fn.value_and_grad(at, x)
             self.function_evals[at] += fn.model_cost
             finite = (np.isfinite(v) & np.isfinite(g).all(axis=-1)
                       & np.isfinite(h).all(axis=(-2, -1)))
             if not np.all(finite):
                 raise NonFiniteEvaluationError(x[np.argmin(finite)], fn.name)
-            span = self.span
+            span, scale = self.span, self.scales[i][at]
             self._points[i, at] = s[fresh]
-            self._values[i, at] = v / fn.scale
-            self._grads[i, at] = g * span / fn.scale
-            self._hessians[i, at] = h * (span[:, None] * span) / fn.scale
+            self._values[i, at] = v / scale
+            self._grads[i, at] = g * span / scale[:, None]
+            self._hessians[i, at] = h * (span[:, None] * span) / scale[:, None, None]
         return self._values[i, rows], self._grads[i, rows], self._hessians[i, rows]
 
     def lagrangian(self, rows: np.ndarray, s: np.ndarray, lam: np.ndarray, rho: np.ndarray):
@@ -392,7 +397,8 @@ def minimize_starts(
     """Minimize from every start point at once; one outcome per start, in order.
 
     Each start is one row of the same arrays, so outcome k is bit for bit the
-    outcome of :func:`minimize` from start k, counters included.
+    outcome of :func:`minimize` from start k, counters included. The functions'
+    ``rows`` index ``starts``, and so does a per-row ``scale``.
     """
     config = config or SolverConfig()
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
@@ -409,12 +415,12 @@ def minimize_starts(
 
     # with no inequalities there is no multiplier to update: one inner solve
     first = _auglag(prob, every, s, _RHO_INIT, config.max_outer if n_con else 1, config)
-    candidates = [[tuple(a[k] for a in first)] for k in every]
+    s_f, f_f, conv, res, viol = first
     # The multiplier loop can stall in a locally-infeasible basin when the
     # feasible set is tiny (an epsilon bound at the exact optimum, say): such rows
     # drive the squared violation to zero on the box from their start, and a
     # feasible restoration restarts the loop there.
-    stuck = every[first[4] > config.feas_tol]
+    stuck = every[viol > config.feas_tol]
     if stuck.size:
         s_r, steps = _inner_solve(prob.squared_violation, s[stuck], 1e-12, config.max_inner)
         prob.iterations[stuck] += steps
@@ -423,26 +429,24 @@ def minimize_starts(
             v_r = np.maximum(v_r, prob.evaluate(1 + i, stuck, s_r)[0])
         restored = v_r <= config.feas_tol
         if restored.any():
-            again = _auglag(prob, stuck[restored], s_r[restored], _RHO_RESTORED,
-                            config.max_outer, config)
-            for j, k in enumerate(stuck[restored]):
-                candidates[k].append(tuple(a[j] for a in again))
-
-    outcomes = []
-    for k in every:
-        # a restart exists only when the first loop ended infeasible: a feasible
-        # restart wins
-        s_k, f_k, converged, residual, violation = min(
-            candidates[k], key=lambda c: _quality(c[1], c[4], c[2], config.feas_tol))
-        outcomes.append(SolveOutcome(
-            x=tuple(prob.to_raw(s_k)),
-            objective=float(f_k),
-            converged=bool(converged),
-            kkt_residual=float(residual),
-            constraint_violation=float(violation),
-            counters=RunCounters(int(prob.iterations[k]), int(prob.function_evals[k])),
-        ))
-    return outcomes
+            rows = stuck[restored]
+            again = _auglag(prob, rows, s_r[restored], _RHO_RESTORED, config.max_outer, config)
+            # a restart exists only when the first loop ended infeasible: it takes
+            # the row's place when better, as a feasible restart always is
+            for j, k in enumerate(rows):
+                if (_quality(again[1][j], again[4][j], again[2][j], config.feas_tol)
+                        < _quality(f_f[k], viol[k], conv[k], config.feas_tol)):
+                    for final, restart in zip(first, again):
+                        final[k] = restart[j]
+    x = prob.to_raw(s_f)
+    return [SolveOutcome(
+        x=tuple(x[k]),
+        objective=float(f_f[k]),
+        converged=bool(conv[k]),
+        kkt_residual=float(res[k]),
+        constraint_violation=float(viol[k]),
+        counters=RunCounters(int(prob.iterations[k]), int(prob.function_evals[k])),
+    ) for k in every]
 
 
 def minimize(
@@ -461,24 +465,41 @@ def minimize(
     return minimize_starts(objective, constraints, [start], config)[0]
 
 
+def grouped_multistart(
+    objective: SmoothFunction,
+    constraints: ConstraintSet,
+    n_groups: int,
+    config: SolverConfig | None = None,
+) -> list[SolveOutcome]:
+    """Best feasible outcome of each of ``n_groups`` seeded multistarts, one batch.
+
+    Row r is start r % n_starts of group r // n_starts, so a per-row parameter is
+    its group's value repeated n_starts times. Counters are summed over a group's
+    starts. Ties go to a converged start, then to the lowest start index.
+    """
+    config = config or SolverConfig()
+    n = config.n_starts
+    starts = np.tile(stratified_starts(constraints.bounds, n, config.seed), (n_groups, 1))
+    outcomes = minimize_starts(objective, constraints, starts, config)
+    best = []
+    for g in range(n_groups):
+        group = outcomes[g * n:(g + 1) * n]
+        total = RunCounters()
+        for outcome in group:
+            total.add(outcome.counters)
+        # min keeps the first of equal keys: the lowest start index
+        top = min(group, key=lambda o: _quality(o.objective, o.constraint_violation,
+                                                o.converged, config.feas_tol))
+        feasible = top.constraint_violation <= config.feas_tol
+        best.append(replace(top, counters=total, converged=top.converged and feasible))
+    return best
+
+
 def multistart_minimize(
     objective: SmoothFunction,
     constraints: ConstraintSet,
     config: SolverConfig | None = None,
 ) -> SolveOutcome:
-    """Best feasible outcome over seeded deterministic starts.
-
-    Counters are summed over all starts. Ties go to a converged start, then to the
-    lowest start index, so results do not depend on evaluation scheduling.
-    """
-    config = config or SolverConfig()
-    starts = stratified_starts(constraints.bounds, config.n_starts, config.seed)
-    outcomes = minimize_starts(objective, constraints, starts, config)
-    total = RunCounters()
-    for outcome in outcomes:
-        total.add(outcome.counters)
-    # min keeps the first of equal keys: the lowest start index
-    best = min(outcomes, key=lambda o: _quality(o.objective, o.constraint_violation,
-                                                o.converged, config.feas_tol))
-    feasible = best.constraint_violation <= config.feas_tol
-    return replace(best, counters=total, converged=best.converged and feasible)
+    """Best feasible outcome over seeded deterministic starts, counters summed over
+    all starts: the one-group case of :func:`grouped_multistart`."""
+    return grouped_multistart(objective, constraints, 1, config)[0]

@@ -184,13 +184,16 @@ def front_to_csv_text(front: Front) -> str:
     """
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
+    # minimal quoting looks for the line terminator's characters only, not a bare \r
+    quoted = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(FRONT_CSV_HEADER)
     for p in front.points:
         if not p.feasible:
             continue
         if len(p.x) != 3 or len(p.responses) != 2:
             raise ValueError("front CSV needs 3 design variables and 2 responses per point")
-        writer.writerow([p.method, p.tag] + [f"{v:.10g}" for v in (*p.x, *p.responses)])
+        row = [p.method, p.tag] + [f"{v:.10g}" for v in (*p.x, *p.responses)]
+        (quoted if "\r" in p.method + p.tag else writer).writerow(row)
     return text.getvalue()
 
 

@@ -6,7 +6,9 @@ of objectives normalized by the ideal/nadir pair, and the epsilon-constraint
 method swept from the ideal to the nadir. ``individual_optima`` computes that
 pair once (the optimum and anti-optimum of each objective) for the three
 routines that read it. Each routine returns a RoutineResult: its front, its
-solved points (MethodResult) and its counters.
+solved points (MethodResult) and its counters. Each sweep, and each one-point
+routine as its one-point case, is one batched solve of points x starts rows;
+only the lexicographic stages, each bound by the one before, go one by one.
 
 Maximized objectives are converted to minimization by negation internally, and
 the ideal/nadir pair is held in that form; every reported response is in
@@ -27,6 +29,7 @@ from .nlsolver import (
     SmoothFunction,
     SolveOutcome,
     SolverConfig,
+    grouped_multistart,
     multistart_minimize,
 )
 from .pareto import Front, ParetoPoint, Sense, annotate_dominance
@@ -74,19 +77,20 @@ class Objective:
         """+1 for minimized objectives, -1 for maximized ones."""
         return self.sense.sign
 
-    def function(self, negate: bool = False, bound: float = 0.0, scale: float = 1.0,
-                 name: str = "") -> SmoothFunction:
+    def function(self, negate: bool = False, bound: float | np.ndarray = 0.0,
+                 scale: float | np.ndarray = 1.0, name: str = "") -> SmoothFunction:
         """Solver callback for the minimization form minus ``bound``, or its negation.
 
-        One model evaluation a point. With ``bound`` and ``scale`` it is the
-        inequality constraint ``f - bound <= 0``.
+        One model evaluation a point. With ``bound`` and ``scale`` (each one value
+        or one per row) it is the inequality constraint ``f - bound <= 0``.
         """
         sign = -self.sign if negate else self.sign
         stack = self.model.stack
 
-        def vg(x):
+        def vg(rows, x):
             f, jac, hess = stack.value_jacobian_hessian(x)
-            return sign * f[..., 0] - bound, sign * jac[..., 0, :], sign * hess[..., 0, :, :]
+            at = bound[rows] if np.ndim(bound) else bound
+            return sign * f[..., 0] - at, sign * jac[..., 0, :], sign * hess[..., 0, :, :]
 
         label = name or (f"-{self.name}" if negate else self.name)
         return SmoothFunction(vg, model_cost=1, scale=scale, name=label)
@@ -157,23 +161,42 @@ class UtopiaRecord:
     counters: RunCounters
 
 
+def _split_by(keys: np.ndarray, shapes, compute) -> tuple[np.ndarray, ...]:
+    """Arrays of the shapes ``keys.shape + shape`` filled, for each distinct key k,
+    at the points ``on`` holding k with the results of ``compute(k, on)``."""
+    out = tuple(np.empty(keys.shape + shape) for shape in shapes)
+    for key in np.unique(keys):
+        on = keys == key
+        for whole, part in zip(out, compute(key.item(), on)):
+            whole[on] = part
+    return out
+
+
 def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -> UtopiaRecord:
-    """Multistart optimum and anti-optimum of every objective: the ideal/nadir pair."""
+    """Multistart optimum and anti-optimum of every objective: the ideal/nadir pair,
+    one batch in which each row evaluates only its own objective's model."""
     config = config or SolverConfig()
+    # group 2i is objective i's optimum, group 2i + 1 its anti-optimum
+    functions = [obj.function(negate) for obj in problem.objectives for negate in (False, True)]
+    which = np.repeat(np.arange(len(functions)), config.n_starts)
+
+    def vg(rows, x):
+        return _split_by(which[rows], ((), (3,), (3, 3)),
+                         lambda k, on: functions[k].value_and_grad(rows[on], x[on]))
+
+    outcomes = grouped_multistart(SmoothFunction(vg, model_cost=1, name="individual optima"),
+                                  problem.constraints, len(functions), config)
     counters = RunCounters()
-    best, worst = [], []
-    for obj in problem.objectives:
-        for negate, found in ((False, best), (True, worst)):
-            outcome = multistart_minimize(obj.function(negate), problem.constraints, config)
-            counters.add(outcome.counters)
-            if not outcome.converged:
-                kind = "anti-optimum" if negate else "optimum"
-                raise UtopiaSolveError(
-                    f"solver failed on the {kind} of objective {obj.name!r} "
-                    f"(violation {outcome.constraint_violation:.3g}, "
-                    f"kkt {outcome.kkt_residual:.3g})"
-                )
-            found.append(outcome)
+    for g, outcome in enumerate(outcomes):
+        counters.add(outcome.counters)
+        if not outcome.converged:
+            kind = "anti-optimum" if g % 2 else "optimum"
+            raise UtopiaSolveError(
+                f"solver failed on the {kind} of objective {problem.objectives[g // 2].name!r} "
+                f"(violation {outcome.constraint_violation:.3g}, "
+                f"kkt {outcome.kkt_residual:.3g})"
+            )
+    best, worst = outcomes[0::2], outcomes[1::2]
     return UtopiaRecord(
         ideal=np.array([o.objective for o in best]),
         nadir=np.array([-o.objective for o in worst]),
@@ -199,13 +222,18 @@ def relative_deviation_norm(values, utopia_values, p: int):
     return out if out.ndim else float(out)
 
 
-def _deviation(values: np.ndarray, stars: np.ndarray, p: int):
+def _deviation(values: np.ndarray, stars: np.ndarray, p):
     """The deviation criterion F, dF/df and d2F/df2 (..., m, m), over the last axis
-    of the objective values f.
+    of the objective values f; ``p`` is one exponent or an array of one per point.
 
     With u_i = d_i / F and a_i = dd_i/df_i, d2F/df2 = (p - 1) / F (diag(u^(p-2) a^2)
-    - (dF/df)(dF/df)^T); it is 0 at p = 1 and where F is 0.
+    - (dF/df)(dF/df)^T); it is 0 at p = 1 and where F is 0. Each p's points go
+    with p a scalar: numpy's power squares for a scalar 2 (and 1/2), where an
+    array exponent's pow can differ in the last bit.
     """
+    if np.ndim(p):
+        m = values.shape[-1:]
+        return _split_by(p, ((), m, m + m), lambda q, on: _deviation(values[on], stars, q))
     diff = values - stars
     d = np.abs(diff) / np.abs(stars)
     m = d.max(axis=-1, keepdims=True)
@@ -297,7 +325,7 @@ def _weighted(weights: np.ndarray, arrays: np.ndarray) -> np.ndarray:
     return np.sum(weights.reshape(weights.shape + (1,) * extra) * arrays, axis=weights.ndim - 1)
 
 
-def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: int) -> SmoothFunction:
+def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: np.ndarray) -> SmoothFunction:
     stars = utopia.ideal
     if np.any(stars == 0.0):
         zero = problem.objectives[int(np.argmin(np.abs(stars)))].name
@@ -305,15 +333,15 @@ def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: int) -> SmoothFu
 
     stack = problem.stack
 
-    def vg(x):
+    def vg(rows, x):
         f, jac, hess = stack.value_jacobian_hessian(x)
-        value, weights, second = _deviation(f, stars, p)
+        value, weights, second = _deviation(f, stars, p[rows])
         # chain rule: sum_i (dF/df_i) H_i + J^T (d2F/df2) J
         w_jac = np.sum(second[..., :, :, None] * jac[..., None, :, :], axis=-2)
         curvature = np.sum(jac[..., :, :, None] * w_jac[..., :, None, :], axis=-3)
         return value, _weighted(weights, jac), _weighted(weights, hess) + curvature
 
-    return SmoothFunction(vg, model_cost=stack.size, name=f"deviation p={p}")
+    return SmoothFunction(vg, model_cost=stack.size, name="deviation criterion")
 
 
 def global_criterion(
@@ -322,20 +350,9 @@ def global_criterion(
     config: SolverConfig | None = None,
     utopia: UtopiaRecord | None = None,
 ) -> GlobalCriterionResult:
-    """Minimize the p-norm of relative deviations from the individual optima."""
-    if not isinstance(p, int) or p < 1:
-        raise ValueError(f"p must be a positive integer, got {p!r}")
-    config = config or SolverConfig()
-    utopia = utopia or individual_optima(problem, config)
-    outcome = multistart_minimize(_criterion_fn(problem, utopia, p), problem.constraints, config)
-    return GlobalCriterionResult(
-        tag=f"p={p}",
-        x=outcome.x,
-        responses=problem.responses_at(outcome.x),
-        outcome=outcome,
-        p=p,
-        criterion=outcome.objective,
-    )
+    """Minimize the p-norm of relative deviations from the individual optima: the
+    one-point case of :func:`global_criterion_sweep`."""
+    return global_criterion_sweep(problem, (p,), config, utopia).results[0]
 
 
 def global_criterion_sweep(
@@ -344,11 +361,46 @@ def global_criterion_sweep(
     config: SolverConfig | None = None,
     utopia: UtopiaRecord | None = None,
 ) -> RoutineResult:
-    """One criterion solve per p; dominated points are kept but flagged."""
+    """One criterion point per p, in one batch; dominated points are kept but flagged."""
+    for p in p_values:
+        if not isinstance(p, int) or p < 1:
+            raise ValueError(f"p must be a positive integer, got {p!r}")
     config = config or SolverConfig()
     utopia = utopia or individual_optima(problem, config)
-    results = [global_criterion(problem, p, config, utopia) for p in p_values]
+    fn = _criterion_fn(problem, utopia, np.repeat(p_values, config.n_starts))
+    outcomes = grouped_multistart(fn, problem.constraints, len(p_values), config)
+    results = [GlobalCriterionResult(tag=f"p={p}", x=o.x, responses=problem.responses_at(o.x),
+                                     outcome=o, p=p, criterion=o.objective)
+               for p, o in zip(p_values, outcomes)]
     return _sweep(problem, results, "global_criterion")
+
+
+def _weighted_sums(problem: MooProblem, points: list[tuple[float, ...]],
+                   config: SolverConfig | None, utopia: UtopiaRecord | None) -> RoutineResult:
+    """One weighted-sum point per weight tuple of ``points``, in one batch."""
+    config = config or SolverConfig()
+    utopia = utopia or individual_optima(problem, config)
+    ideal, width = utopia.ideal, utopia.nadir - utopia.ideal
+    if not np.all(width > 0):
+        flat = problem.objectives[int(np.argmin(width))].name
+        raise ValueError(f"degenerate range: nadir of {flat!r} does not lie above its ideal")
+    w = np.repeat(np.array(points), config.n_starts, axis=0)
+    stack = problem.stack
+
+    def vg(rows, x):
+        f, jac, hess = stack.value_jacobian_hessian(x)
+        at = w[rows]
+        scaled = np.broadcast_to(at / width, f.shape)
+        return np.sum(at * (f - ideal) / width, axis=-1), _weighted(scaled, jac), \
+            _weighted(scaled, hess)
+
+    fn = SmoothFunction(vg, model_cost=stack.size, name="weighted sum")
+    outcomes = grouped_multistart(fn, problem.constraints, len(points), config)
+    results = [WeightedSumResult(tag=f"w={weights[0]:g}", x=o.x,
+                                 responses=problem.responses_at(o.x), outcome=o, weights=weights,
+                                 weak_pareto_only=any(w == 0.0 for w in weights))
+               for weights, o in zip(points, outcomes)]
+    return _sweep(problem, results, "weighted_sum")
 
 
 def weighted_sum(
@@ -362,8 +414,8 @@ def weighted_sum(
     Weights must be non-negative and sum to one. A zero weight is allowed for
     sweep endpoints, but the result is then only weakly Pareto optimal. An
     objective whose nadir does not lie above its ideal cannot be normalized.
+    This is the one-point case of :func:`weighted_sum_sweep`.
     """
-    config = config or SolverConfig()
     weights = tuple(float(w) for w in weights)
     if len(weights) != len(problem.objectives):
         raise ValueError(f"{len(weights)} weights for {len(problem.objectives)} objectives")
@@ -371,30 +423,7 @@ def weighted_sum(
         raise ValueError(f"negative weight in {weights}")
     if abs(math.fsum(weights) - 1.0) > _WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1, got {math.fsum(weights)!r}")
-    utopia = utopia or individual_optima(problem, config)
-    ideal, width = utopia.ideal, utopia.nadir - utopia.ideal
-    if not np.all(width > 0):
-        flat = problem.objectives[int(np.argmin(width))].name
-        raise ValueError(f"degenerate range: nadir of {flat!r} does not lie above its ideal")
-    w = np.array(weights)
-    stack = problem.stack
-
-    def vg(x):
-        f, jac, hess = stack.value_jacobian_hessian(x)
-        scaled = np.broadcast_to(w / width, f.shape)
-        return np.sum(w * (f - ideal) / width, axis=-1), _weighted(scaled, jac), \
-            _weighted(scaled, hess)
-
-    fn = SmoothFunction(vg, model_cost=stack.size, name=f"weighted sum {weights}")
-    outcome = multistart_minimize(fn, problem.constraints, config)
-    return WeightedSumResult(
-        tag=f"w={weights[0]:g}",
-        x=outcome.x,
-        responses=problem.responses_at(outcome.x),
-        outcome=outcome,
-        weights=weights,
-        weak_pareto_only=any(w == 0.0 for w in weights),
-    )
+    return _weighted_sums(problem, [weights], config, utopia).results[0]
 
 
 def weighted_sum_sweep(
@@ -408,31 +437,36 @@ def weighted_sum_sweep(
         raise ValueError(f"steps must be at least 2, got {steps}")
     if len(problem.objectives) != 2:
         raise ValueError("the weight sweep supports exactly two objectives")
-    config = config or SolverConfig()
-    utopia = utopia or individual_optima(problem, config)
     weights = [k / (steps - 1) for k in range(steps)]
-    results = [weighted_sum(problem, (w, 1.0 - w), config, utopia) for w in weights]
-    return _sweep(problem, results, "weighted_sum")
+    return _weighted_sums(problem, [(w, 1.0 - w) for w in weights], config, utopia)
 
 
-def _epsilon_solve(problem, primary_idx, epsilons, config):
-    others = [i for i in range(len(problem.objectives)) if i != primary_idx]
-    if len(epsilons) != len(others):
-        raise ValueError(f"{len(epsilons)} bounds for {len(others)} non-primary objectives")
+def _epsilon_points(problem: MooProblem, primary_idx: int, points: Sequence[Sequence[float]],
+                    config: SolverConfig) -> list[EpsilonResult]:
+    """One epsilon-constraint point per tuple of bounds (one per non-primary
+    objective, in order) in ``points``, in one batch."""
     objectives = problem.objectives
-    extra = [
-        objectives[i].function(bound=eps, scale=max(1.0, abs(eps)),
-                               name=f"{objectives[i].name}<= {eps:g}")
-        for i, eps in zip(others, epsilons)
-    ]
-    outcome = multistart_minimize(objectives[primary_idx].function(),
-                                  problem.constrained_by(extra), config)
-    responses = problem.responses_at(outcome.x)
-    active = tuple((objectives[i].sign * responses[i] - eps) / max(1.0, abs(eps)) >= -ACTIVE_TOL
-                   for i, eps in zip(others, epsilons))
-    return EpsilonResult(tag=f"eps={epsilons[0]:.6g}", x=outcome.x, responses=responses,
-                         outcome=outcome, feasible=outcome.constraint_violation <= config.feas_tol,
-                         epsilons=tuple(float(e) for e in epsilons), active=active)
+    others = [i for i in range(len(objectives)) if i != primary_idx]
+    for epsilons in points:
+        if len(epsilons) != len(others):
+            raise ValueError(f"{len(epsilons)} bounds for {len(others)} non-primary objectives")
+    bounds = np.repeat(np.array(points, dtype=float).reshape(len(points), len(others)),
+                       config.n_starts, axis=0)
+    extra = [objectives[i].function(bound=bounds[:, k], scale=np.maximum(1.0, np.abs(bounds[:, k])),
+                                    name=f"{objectives[i].name}<= eps")
+             for k, i in enumerate(others)]
+    outcomes = grouped_multistart(objectives[primary_idx].function(),
+                                  problem.constrained_by(extra), len(points), config)
+    results = []
+    for epsilons, outcome in zip(points, outcomes):
+        responses = problem.responses_at(outcome.x)
+        active = tuple((objectives[i].sign * responses[i] - eps) / max(1.0, abs(eps))
+                       >= -ACTIVE_TOL for i, eps in zip(others, epsilons))
+        results.append(EpsilonResult(
+            tag=f"eps={epsilons[0]:.6g}", x=outcome.x, responses=responses, outcome=outcome,
+            feasible=outcome.constraint_violation <= config.feas_tol,
+            epsilons=tuple(float(e) for e in epsilons), active=active))
+    return results
 
 
 def epsilon_constraint(
@@ -445,11 +479,11 @@ def epsilon_constraint(
 
     Bounds apply to the minimization form of each non-primary objective (for a
     minimized objective that is simply its natural upper bound). Raises
-    InfeasibleEpsilonError when the bounds admit no feasible point.
+    InfeasibleEpsilonError when the bounds admit no feasible point. This is the
+    one-point case of :func:`epsilon_sweep`.
     """
     config = config or SolverConfig()
-    primary_idx = problem.index_of(primary)
-    result = _epsilon_solve(problem, primary_idx, epsilons, config)
+    result = _epsilon_points(problem, problem.index_of(primary), [tuple(epsilons)], config)[0]
     if not result.feasible:
         raise InfeasibleEpsilonError(
             f"bounds {result.epsilons} on the non-primary objectives are unattainable "
@@ -465,7 +499,8 @@ def epsilon_sweep(
     config: SolverConfig | None = None,
     utopia: UtopiaRecord | None = None,
 ) -> RoutineResult:
-    """Uniform epsilon grid between the bounded objective's optimum and anti-optimum.
+    """Uniform epsilon grid between the bounded objective's optimum and anti-optimum,
+    in one batch.
 
     Infeasible grid points are recorded as such, not fatal.
     """
@@ -477,8 +512,8 @@ def epsilon_sweep(
     utopia = utopia or individual_optima(problem, config)
     primary_idx = problem.index_of(primary)
     j = 1 - primary_idx
-    results = [_epsilon_solve(problem, primary_idx, (float(eps),), config)
-               for eps in np.linspace(utopia.ideal[j], utopia.nadir[j], n_points)]
+    grid = np.linspace(utopia.ideal[j], utopia.nadir[j], n_points)
+    results = _epsilon_points(problem, primary_idx, [(float(eps),) for eps in grid], config)
     return _sweep(problem, results, "epsilon_constraint")
 
 

@@ -417,14 +417,18 @@ def test_allocation_that_fails_exits_2(tmp_path, capsys, argv):
 
 
 def test_front_labels_survive_two_merges(tmp_path):
-    label = 'a,b "c"\nd'
-    first = tmp_path / "in.csv"
-    first.write_text(f'method,param,vc,fz,t,ra,mrr\n"a,b ""c""\nd","tag a,b ""c""\nd",'
-                     "200,0.1,0.3,1.0,2000\n", encoding="utf-8")
-    for src, out in ((first, "m1"), (tmp_path / "m1" / "front_all.csv", "m2")):
-        assert main(["front", str(src), "--out", str(tmp_path / out)]) == 0
-    merged = read_front_csv(tmp_path / "m2" / "front_all.csv", (Sense.MINIMIZE, Sense.MAXIMIZE))
-    assert [(p.method, p.tag) for p in merged.points] == [(label, f"tag {label}")]
+    # a comma, quotes and a line feed; then a bare carriage return, which the csv
+    # writer's minimal quoting leaves alone unless told
+    for k, label in enumerate(('a,b "c"\nd', "a\rb")):
+        cell = label.replace('"', '""')
+        first = tmp_path / f"in{k}.csv"
+        first.write_text(f'method,param,vc,fz,t,ra,mrr\n"{cell}","tag {cell}",'
+                         "200,0.1,0.3,1.0,2000\n", encoding="utf-8")
+        for src, out in ((first, f"m1_{k}"), (tmp_path / f"m1_{k}" / "front_all.csv", f"m2_{k}")):
+            assert main(["front", str(src), "--out", str(tmp_path / out)]) == 0
+        merged = read_front_csv(tmp_path / f"m2_{k}" / "front_all.csv",
+                                (Sense.MINIMIZE, Sense.MAXIMIZE))
+        assert [(p.method, p.tag) for p in merged.points] == [(label, f"tag {label}")]
 
 
 _JSON = st.recursive(

@@ -318,7 +318,7 @@ def test_ga_front_mutually_nondominated(problem):
 
 def test_ga_rejects_nonbox_constraints(refit_models):
     ra, mrr = refit_models
-    wall = SmoothFunction(lambda x: (x[0] - 200.0, np.array([1.0, 0.0, 0.0])))
+    wall = SmoothFunction(lambda rows, x: (x[0] - 200.0, np.array([1.0, 0.0, 0.0])))
     problem = MooProblem(
         (Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
         ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,)),

@@ -21,7 +21,7 @@ SPAN = np.array(CASE_STUDY_BOUNDS.span)
 def quadratic_objective(center):
     center = np.asarray(center, dtype=float)
 
-    def vg(x):
+    def vg(rows, x):
         d = (x - center) / SPAN
         return np.sum(d * d, axis=-1), 2.0 * d / SPAN, np.diag(2.0 / SPAN ** 2)
 
@@ -45,7 +45,7 @@ def _well_curvature(u):
 
 
 def bimodal_objective():
-    def vg(x):
+    def vg(rows, x):
         u = (x[..., 0] - 78.0) / 236.0
         grad = np.zeros(x.shape)
         grad[..., 0] = _well_grad(u) / 236.0
@@ -86,7 +86,7 @@ def test_multistart_beats_single_start_for_every_seed():
 def test_refit_roughness_minimized_from_interior_start(refit_models):
     ra_model, _ = refit_models
 
-    def vg(x):
+    def vg(rows, x):
         f, jac, hess = ra_model.stack.value_jacobian_hessian(x)
         return f[..., 0], jac[..., 0, :], hess[..., 0, :, :]
 
@@ -128,7 +128,7 @@ def test_stratified_starts_layout():
 
 
 def test_nonfinite_objective_reports_point():
-    bad = SmoothFunction(lambda x: (float("nan"), np.zeros(3), np.zeros((3, 3))), name="broken")
+    bad = SmoothFunction(lambda rows, x: (float("nan"), np.zeros(3), np.zeros((3, 3))), name="broken")
     with pytest.raises(NonFiniteEvaluationError, match="broken") as err:
         minimize(bad, BOX, CASE_STUDY_BOUNDS.center)
     assert np.allclose(err.value.point, CASE_STUDY_BOUNDS.center)
@@ -146,15 +146,15 @@ def test_descent_on_box_only_solves():
         start = LB + rng.random(3) * SPAN
         objective = quadratic_objective(target)
         out = minimize(objective, BOX, start)
-        assert out.objective <= objective.value_and_grad(start)[0] + 1e-12
+        assert out.objective <= objective.value_and_grad(0, start)[0] + 1e-12
 
 
 @pytest.mark.parametrize("violation", [0.0, 1.0])
 def test_multistart_ties_go_to_the_lowest_start_index(violation):
     # a flat objective leaves every start where it began with the same objective
     # and, here, the same violation: the first start (the box center) must win
-    flat = SmoothFunction(lambda x: (1.0, np.zeros(3), np.zeros((3, 3))), name="flat")
-    wall = SmoothFunction(lambda x: (violation, np.zeros(3), np.zeros((3, 3))), name="constant")
+    flat = SmoothFunction(lambda rows, x: (1.0, np.zeros(3), np.zeros((3, 3))), name="flat")
+    wall = SmoothFunction(lambda rows, x: (violation, np.zeros(3), np.zeros((3, 3))), name="constant")
     constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,))
     cfg = SolverConfig(n_starts=5, seed=4)
     best = multistart_minimize(flat, constraints, cfg)
@@ -167,7 +167,7 @@ def test_multistart_tie_goes_to_a_converged_start():
     # converged where they begin, all with the same objective
     center = np.asarray(CASE_STUDY_BOUNDS.center)
 
-    def vg(x):
+    def vg(rows, x):
         sloped = np.all(x == center, axis=-1)[..., None]
         return 1.0, np.where(sloped, 1.0, 0.0) * np.ones(3), np.zeros((3, 3))
 
@@ -190,7 +190,7 @@ def test_counters_accumulate():
 def test_inequality_constrained_solve_is_feasible_and_active():
     objective = quadratic_objective(LB)
     wall = SmoothFunction(
-        lambda x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))), scale=150.0,
+        lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))), scale=150.0,
         name="vc >= 150"
     )
     constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,))
@@ -205,9 +205,9 @@ def test_inequality_constrained_solve_is_feasible_and_active():
 def test_two_inequalities_both_active():
     # pulled to the lower corner, held at vc >= 150 and t >= 0.4
     walls = (
-        SmoothFunction(lambda x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))),
+        SmoothFunction(lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))),
                        scale=150.0, name="vc >= 150"),
-        SmoothFunction(lambda x: (0.4 - x[..., 2], np.array([0.0, 0.0, -1.0]), np.zeros((3, 3))),
+        SmoothFunction(lambda rows, x: (0.4 - x[..., 2], np.array([0.0, 0.0, -1.0]), np.zeros((3, 3))),
                        name="t >= 0.4"),
     )
     constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=walls)

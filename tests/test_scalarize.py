@@ -109,9 +109,9 @@ def test_minimized_sign(problem):
     f, _, _ = problem.stack.value_jacobian_hessian(x)
     assert f[1] == -float(mrr_obj.model.evaluate(x))
     assert f[0] == float(ra_obj.model.evaluate(x))
-    f, _, _ = mrr_obj.function().value_and_grad(x)
+    f, _, _ = mrr_obj.function().value_and_grad(0, x)
     assert f == -float(mrr_obj.model.evaluate(x))
-    f, _, _ = ra_obj.function().value_and_grad(x)
+    f, _, _ = ra_obj.function().value_and_grad(0, x)
     assert f == float(ra_obj.model.evaluate(x))
 
 
@@ -142,7 +142,7 @@ def test_weighted_sum_rejects_degenerate_pair(problem, utopia, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the pair was checked")
 
-    monkeypatch.setattr(scalarize, "multistart_minimize", no_solve)
+    monkeypatch.setattr(scalarize, "grouped_multistart", no_solve)
     with pytest.raises(ValueError, match="degenerate"):
         weighted_sum(problem, (0.5, 0.5), FAST, flat)
     with pytest.raises(ValueError, match="degenerate"):
@@ -283,7 +283,7 @@ def test_lexicographic_order_validation(problem):
 
 def test_lexicographic_stage_infeasible(refit_models):
     ra, mrr = refit_models
-    impossible = SmoothFunction(lambda x: (1.0, np.zeros(3), np.zeros((3, 3))),
+    impossible = SmoothFunction(lambda rows, x: (1.0, np.zeros(3), np.zeros((3, 3))),
                                 name="always violated")
     problem = MooProblem(
         (Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
@@ -371,10 +371,27 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
         lambda: weighted_sum(problem, (0.4, 0.6), cfg, utopia).outcome.counters,
         lambda: epsilon_constraint(problem, "mrr", (0.7107,), cfg).outcome.counters,
         lambda: lexicographic(problem, ("ra", "mrr"), cfg).counters,
+        # a sweep is one batched solve: its rows count as the points' own solves did
+        lambda: global_criterion_sweep(problem, (1, 2, 20), cfg, utopia).counters,
+        lambda: weighted_sum_sweep(problem, 3, cfg, utopia).counters,
+        lambda: epsilon_sweep(problem, "mrr", 3, cfg, utopia).counters,
     ]
     for run in runs:
         made["n"] = 0
         assert run().function_evals == made["n"] > 0
+
+
+def test_deviation_of_mixed_p_equals_one_call_per_p(problem, utopia):
+    # each p's points computed with p a scalar: an array of exponents would give
+    # numpy's pow, not its square for 2, and differ in the last bit
+    values = problem.stack.value_jacobian_hessian(_interior_points(300, 5))[0]
+    p = np.random.default_rng(6).choice([1, 2, 3, 20], size=len(values))
+    batch = scalarize._deviation(values, utopia.ideal, p)
+    for q in (1, 2, 3, 20):
+        on = p == q
+        assert on.any()
+        for got, want in zip(batch, scalarize._deviation(values[on], utopia.ideal, q)):
+            assert got[on].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20, 44))
@@ -436,12 +453,12 @@ def _solver_objective(monkeypatch, run):
     """The objective callback that ``run`` hands to the multistart solver."""
     seen = []
 
-    def capture(objective, constraints, config=None):
+    def capture(objective, constraints, n_groups, config=None):
         seen.append(objective)
         raise _Captured
 
     with monkeypatch.context() as patch:
-        patch.setattr(scalarize, "multistart_minimize", capture)
+        patch.setattr(scalarize, "grouped_multistart", capture)
         with pytest.raises(_Captured):
             run()
     return seen[0]
@@ -456,17 +473,20 @@ def _interior_points(n, seed):
 def _assert_hessian_matches_gradient_differences(fn):
     step = 1e-5 * np.array(CASE_STUDY_BOUNDS.span)
     pts = _interior_points(20, 3)
-    value, grad, hess = fn.value_and_grad(pts)
+    # every point as row 0: a captured callback holds one point's per-row parameters
+    rows = np.zeros(len(pts), dtype=int)
+    value, grad, hess = fn.value_and_grad(rows, pts)
     assert value.shape == (20,) and grad.shape == (20, 3) and hess.shape == (20, 3, 3)
     assert np.allclose(hess, np.swapaxes(hess, -1, -2), rtol=1e-12, atol=0.0)
     for v in range(3):
         e = np.zeros(3)
         e[v] = step[v]
-        fd = (fn.value_and_grad(pts + e)[1] - fn.value_and_grad(pts - e)[1]) / (2 * step[v])
+        fd = (fn.value_and_grad(rows, pts + e)[1] - fn.value_and_grad(rows, pts - e)[1]) \
+            / (2 * step[v])
         scale = np.maximum(1.0, np.abs(hess).max(axis=(-2, -1)))[:, None]
         assert np.all(np.abs(fd - hess[..., v]) <= 1e-5 * scale)
     # one point: the batch's row, without the leading axis
-    one = fn.value_and_grad(pts[7])
+    one = fn.value_and_grad(0, pts[7])
     assert np.array_equal(one[0], value[7]) and np.array_equal(one[2], hess[7])
 
 
@@ -489,9 +509,9 @@ def test_objective_and_bound_hessians_match_gradient_differences(problem):
         _assert_hessian_matches_gradient_differences(fn)
 
 
-def _batched_cases(problem, utopia, monkeypatch):
-    ws = _solver_objective(monkeypatch, lambda: weighted_sum(problem, (0.3, 0.7), FAST, utopia))
-    p20 = _solver_objective(monkeypatch, lambda: global_criterion(problem, 20, FAST, utopia))
+def _batched_cases(problem, utopia, monkeypatch, cfg):
+    ws = _solver_objective(monkeypatch, lambda: weighted_sum(problem, (0.3, 0.7), cfg, utopia))
+    p20 = _solver_objective(monkeypatch, lambda: global_criterion(problem, 20, cfg, utopia))
     ra, mrr = problem.objectives
     # maximise MRR with Ra held at 0.7107: the bound is active at the optimum
     held = problem.constrained_by([ra.function(bound=0.7107, name="Ra<= 0.7107")])
@@ -501,8 +521,8 @@ def _batched_cases(problem, utopia, monkeypatch):
 
 @pytest.mark.parametrize("case", ["weighted sum", "p=20", "epsilon"])
 def test_batched_starts_equal_single_start_solves(problem, utopia, monkeypatch, case):
-    fn, constraints = _batched_cases(problem, utopia, monkeypatch)[case]
     cfg = SolverConfig(seed=5)
+    fn, constraints = _batched_cases(problem, utopia, monkeypatch, cfg)[case]
     starts = stratified_starts(CASE_STUDY_BOUNDS, cfg.n_starts, cfg.seed)
     batched = minimize_starts(fn, constraints, starts, cfg)
     assert len(batched) == len(starts)
