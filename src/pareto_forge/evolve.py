@@ -4,21 +4,22 @@ Non-dominated sorting with crowding-distance selection, binary tournament on
 (rank, crowding), simulated-binary crossover and polynomial mutation on
 box-scaled variables. A generation is a fixed sequence of array operations:
 its uniforms are drawn as whole arrays, a fixed number in a fixed order, and
-its ranks come from one dominance matrix. Fronts are bitwise reproducible for
-a fixed seed on one host; the generator is numpy's documented PCG64. numpy's
-array power may round the last bit differently on CPUs with other SIMD
-support, so bytes can differ between hosts.
+for two objectives its ranks come from one sort. Fronts are bitwise
+reproducible for a fixed seed on one host; the generator is numpy's documented
+PCG64. numpy's array power may round the last bit differently on CPUs with
+other SIMD support, so bytes can differ between hosts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .nlsolver import RunCounters, reject_nonfinite
-from .pareto import Front, ParetoPoint, Sense, dominance_matrix, filter_nondominated
+from .pareto import Front, ParetoPoint, Sense, _min_form_columns, dominance_matrix, filter_nondominated
 from .scalarize import MooProblem, RoutineResult
 
 
@@ -67,12 +68,38 @@ def _peel(dom: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
+    """What ``_peel(dominance_matrix(values, senses))`` returns, by one sort for two
+    objectives (Jensen, IEEE TEC 7:503, 2003). In (f1, f2) order of the
+    minimization forms no row is dominated by a later one, and each row joins the
+    first front whose last row does not dominate it. Those last rows, keyed
+    (f2, f1), stay sorted; an equal key is an equal point, which does not
+    dominate. A row with a NaN dominates none and none dominates it: rank 0."""
+    if len(senses) != 2:
+        return _peel(dominance_matrix(values, senses))
+    f1, f2 = _min_form_columns(values, senses)
+    ranks = np.zeros(len(f1), dtype=int)
+    rows = np.flatnonzero(~(np.isnan(f1) | np.isnan(f2)))
+    rows = rows[np.lexsort((f2[rows], f1[rows]))]
+    last: list[tuple[float, float]] = []
+    fronts = []
+    for key in zip(f2[rows].tolist(), f1[rows].tolist()):
+        k = bisect_left(last, key)
+        if k < len(last):
+            last[k] = key
+        else:
+            last.append(key)
+        fronts.append(k)
+    ranks[rows] = fronts
+    return ranks
+
+
 def nondominated_sort(points, senses: Sequence[Sense]) -> np.ndarray:
     """Rank per point: 0 for the mutually non-dominated set, k after peeling ranks < k."""
     values = np.asarray(points, dtype=float)
     if values.ndim != 2:
         raise ValueError("points must be a 2-D array of response vectors")
-    return _peel(dominance_matrix(values, senses))
+    return _ranks(values, senses)
 
 
 def _crowding_by_rank(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -155,7 +182,7 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
 
     pop = rng.random((n, 3))
     resp = evaluate_pop(pop)
-    ranks = _peel(dominance_matrix(resp, senses))
+    ranks = _ranks(resp, senses)
     crowd = _crowding_by_rank(resp, ranks)
 
     elite_count = min(n, int(round(config.elite_fraction * 2 * n)))
@@ -180,16 +207,14 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
 
         combined = np.vstack([pop, children])
         combined_resp = np.vstack([resp, child_resp])
-        dom = dominance_matrix(combined_resp, senses)
-        comb_ranks = _peel(dom)
+        comb_ranks = _ranks(combined_resp, senses)
         comb_crowd = _crowding_by_rank(combined_resp, comb_ranks)
         order = _selection_order(comb_ranks, comb_crowd)
         # the elites, then the best of the children not among them
         rest = order[elite_count:]
         chosen = np.concatenate([order[:elite_count], rest[rest >= n]])[:n]
         pop, resp = combined[chosen], combined_resp[chosen]
-        # the survivors' dominance is a submatrix of the combined one
-        ranks = _peel(dom[np.ix_(chosen, chosen)])
+        ranks = _ranks(resp, senses)
         crowd = _crowding_by_rank(resp, ranks)
         counters.iterations += 1
 

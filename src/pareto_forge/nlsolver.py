@@ -402,9 +402,12 @@ def minimize_starts(
     """
     config = config or SolverConfig()
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
-    for start in starts:
-        if not constraints.bounds.contains(start, tol=1e-9):
-            raise ValueError(f"start {start.tolist()} outside bounds")
+    # the test of Bounds.contains(start, tol=1e-9), over every start at once
+    lo, hi = np.asarray(constraints.bounds.lower), np.asarray(constraints.bounds.upper)
+    tol = 1e-9 * (hi - lo)
+    outside = ~np.all((lo - tol <= starts) & (starts <= hi + tol), axis=1)
+    if outside.any():
+        raise ValueError(f"start {starts[np.argmax(outside)].tolist()} outside bounds")
     n = len(starts)
     every = np.arange(n)
     prob = _ScaledProblem(objective, constraints, n)

@@ -16,7 +16,8 @@ from pareto_forge import (
     nondominated_sort,
     run_ga,
 )
-from pareto_forge.evolve import _crowding_by_rank, _mutate, _peel, _sbx
+from pareto_forge import evolve
+from pareto_forge.evolve import _crowding_by_rank, _mutate, _peel, _ranks, _sbx
 
 MIN_MIN = (Sense.MINIMIZE, Sense.MINIMIZE)
 MIN_MAX = (Sense.MINIMIZE, Sense.MAXIMIZE)
@@ -92,6 +93,53 @@ def test_sort_against_brute_force_random():
 def test_sort_rejects_ragged_input():
     with pytest.raises(ValueError, match="2-D"):
         nondominated_sort([1.0, 2.0], MIN_MIN)
+
+
+def test_sort_of_three_objectives_against_brute_force():
+    rng = np.random.default_rng(19)
+    pts = rng.integers(0, 5, size=(70, 3)).astype(float)
+    senses = (Sense.MINIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE)
+    assert nondominated_sort(pts, senses).tolist() == brute_force_ranks(pts.tolist(), senses)
+
+
+def rank_cases():
+    """Two-objective inputs rich in ties: integer grids, exact duplicates, +-inf,
+    NaN rows, one row and no rows."""
+    rng = np.random.default_rng(31)
+    cases = [np.array([[3.0, 4.0]]), np.array([[np.nan, 1.0]]), np.empty((0, 2))]
+    for k in range(40):
+        values = rng.integers(0, 2 + k % 7, size=(1 + 3 * k, 2)).astype(float)
+        if k % 4 == 1:
+            values[rng.random(values.shape) < 0.15] = np.inf
+            values[rng.random(values.shape) < 0.15] = -np.inf
+        elif k % 4 == 2:
+            values[rng.random(len(values)) < 0.2, rng.integers(0, 2)] = np.nan
+        elif k % 4 == 3:
+            values = values[rng.integers(0, len(values), size=len(values))]
+        cases.append(values)
+    return cases
+
+
+@pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
+def test_ranks_equal_matrix_peel_and_brute_force(senses):
+    for values in rank_cases():
+        got = _ranks(values, senses)
+        assert np.array_equal(got, _peel(dominance_matrix(values, senses)))
+        assert got.tolist() == brute_force_ranks(values.tolist(), senses)
+
+
+@pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
+def test_permuting_rows_permutes_ranks(senses):
+    rng = np.random.default_rng(37)
+    for values in rank_cases():
+        perm = rng.permutation(len(values))
+        assert np.array_equal(_ranks(values[perm], senses), _ranks(values, senses)[perm])
+
+
+@pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
+def test_swapping_the_objectives_leaves_ranks_unchanged(senses):
+    for values in rank_cases():
+        assert np.array_equal(_ranks(values[:, ::-1], senses[::-1]), _ranks(values, senses))
 
 
 def test_crowding_two_points_infinite():
@@ -283,6 +331,17 @@ def test_ga_zero_generations_returns_initial_nondominated(problem):
     ranks = brute_force_ranks([tuple(r) for r in resp], MIN_MAX)
     expected = {tuple(resp[i]) for i in range(4) if ranks[i] == 0}
     assert {p.responses for p in res.front.points} == expected
+
+
+@pytest.mark.parametrize("pop_size", [60, 120])
+def test_ga_equals_the_dominance_matrix_path(problem, pop_size, monkeypatch):
+    configs = [GaConfig(pop_size=pop_size, seed=seed) for seed in range(6)]
+    by_sort = [run_ga(problem, cfg) for cfg in configs]
+    monkeypatch.setattr(evolve, "_ranks", lambda v, s: _peel(dominance_matrix(v, s)))
+    by_matrix = [run_ga(problem, cfg) for cfg in configs]
+    for a, b in zip(by_sort, by_matrix):
+        assert a.front == b.front
+        assert a.counters == b.counters
 
 
 def test_ga_front_within_bounds(problem):

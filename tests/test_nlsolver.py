@@ -139,6 +139,30 @@ def test_start_outside_bounds_rejected():
         minimize(quadratic_objective(LB), BOX, [77.0, 0.1, 0.4])
 
 
+def test_first_bad_start_among_many_is_named():
+    starts = LB + np.random.default_rng(4).random((40, 3)) * SPAN
+    starts[17, 1] = 0.17
+    starts[29, 2] = 0.1
+    with pytest.raises(ValueError) as err:
+        nlsolver.minimize_starts(quadratic_objective(LB), BOX, starts)
+    assert str(err.value) == f"start {starts[17].tolist()} outside bounds"
+
+
+def test_start_at_the_tolerance_edge_is_accepted():
+    lo, hi = CASE_STUDY_BOUNDS.lower, CASE_STUDY_BOUNDS.upper
+    # the edges of Bounds.contains(start, tol=1e-9), in its own arithmetic
+    low_edge = [a - 1e-9 * (b - a) for a, b in zip(lo, hi)]
+    high_edge = [b + 1e-9 * (b - a) for a, b in zip(lo, hi)]
+    assert CASE_STUDY_BOUNDS.contains(low_edge, tol=1e-9)
+    assert CASE_STUDY_BOUNDS.contains(high_edge, tol=1e-9)
+    outcomes = nlsolver.minimize_starts(quadratic_objective(LB), BOX, [low_edge, high_edge])
+    assert len(outcomes) == 2
+    beyond = [np.nextafter(low_edge[0], -np.inf)] + low_edge[1:]
+    assert not CASE_STUDY_BOUNDS.contains(beyond, tol=1e-9)
+    with pytest.raises(ValueError, match="outside bounds"):
+        nlsolver.minimize_starts(quadratic_objective(LB), BOX, [high_edge, beyond])
+
+
 def test_descent_on_box_only_solves():
     rng = np.random.default_rng(9)
     for _ in range(10):
