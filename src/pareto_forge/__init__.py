@@ -37,7 +37,6 @@ from .pareto import (
     ParetoPoint,
     Sense,
     annotate_dominance,
-    dominance_matrix,
     dominated_mask,
     dominates,
     filter_nondominated,

@@ -141,7 +141,7 @@ CONFIG_KEYS = {
                "feas_tol": "feas_tol", "max_outer": "max_outer", "max_inner": "max_inner"},
     "ga": {"pop": "pop_size", "gens": "generations", "pc": "crossover_prob",
            "eta_c": "crossover_eta", "pm": "mutation_prob", "eta_m": "mutation_eta",
-           "elite": "elite_fraction", "seed": "seed"},
+           "seed": "seed"},
 }
 #: command-line argument -> the config keys it sets ("block.key", or "key" at the top
 #: level) and its argparse options; ``--config`` and the positional ``csvs`` set none

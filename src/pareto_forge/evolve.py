@@ -4,10 +4,11 @@ Non-dominated sorting with crowding-distance selection, binary tournament on
 (rank, crowding), simulated-binary crossover and polynomial mutation on
 box-scaled variables. A generation is a fixed sequence of array operations:
 its uniforms are drawn as whole arrays, a fixed number in a fixed order, and
-for two objectives its ranks come from one sort. Fronts are bitwise
-reproducible for a fixed seed on one host; the generator is numpy's documented
-PCG64. numpy's array power may round the last bit differently on CPUs with
-other SIMD support, so bytes can differ between hosts.
+for two objectives its ranks come from one sort. The survivors are the best n
+of parents and children, and keep the ranks they had among both. Fronts are
+bitwise reproducible for a fixed seed on one host; the generator is numpy's
+documented PCG64. numpy's array power may round the last bit differently on
+CPUs with other SIMD support, so bytes can differ between hosts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .nlsolver import RunCounters, reject_nonfinite
-from .pareto import Front, ParetoPoint, Sense, _min_form_columns, dominance_matrix, filter_nondominated
+from .pareto import Front, ParetoPoint, Sense, _min_form_columns, dominated_mask, filter_nondominated
 from .scalarize import MooProblem, RoutineResult
 
 
@@ -31,7 +32,6 @@ class GaConfig:
     crossover_eta: float = 15.0
     mutation_prob: float = 1.0 / 3.0
     mutation_eta: float = 20.0
-    elite_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -44,39 +44,27 @@ class GaConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not 0.0 <= self.elite_fraction <= 0.5:
-            raise ValueError(f"elite_fraction must be in [0, 0.5], got {self.elite_fraction}")
         if self.crossover_eta <= 0 or self.mutation_eta <= 0:
             raise ValueError("distribution indices must be positive")
 
 
-def _peel(dom: np.ndarray) -> np.ndarray:
-    """Rank per row of a dominance matrix (``[i, j]``: j dominates i): 0 for rows
-    that no row dominates, k for rows that no row dominates once the rows of
-    ranks < k are removed. Each peel subtracts the columns of the rank just
-    assigned from the rows' domination counts (Deb et al., IEEE TEC 6:182,
-    2002); no comparison is repeated."""
-    count = dom.sum(axis=1)
-    ranks = np.full(len(dom), -1)
-    rank = 0
-    current = np.flatnonzero(count == 0)
-    while current.size:
-        ranks[current] = rank
-        count -= dom[:, current].sum(axis=1)
-        current = np.flatnonzero((count == 0) & (ranks < 0))
-        rank += 1
-    return ranks
-
-
 def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
-    """What ``_peel(dominance_matrix(values, senses))`` returns, by one sort for two
-    objectives (Jensen, IEEE TEC 7:503, 2003). In (f1, f2) order of the
-    minimization forms no row is dominated by a later one, and each row joins the
-    first front whose last row does not dominate it. Those last rows, keyed
-    (f2, f1), stay sorted; an equal key is an equal point, which does not
-    dominate. A row with a NaN dominates none and none dominates it: rank 0."""
+    """Rank per row: 0 for rows that no row dominates, k for rows that no row
+    dominates once the rows of ranks < k are removed; a row with a NaN, which
+    dominates none and none dominates, has rank 0. Two objectives take one sort
+    (Jensen, IEEE TEC 7:503, 2003): in (f1, f2) order of the minimization forms no
+    row is dominated by a later one, and each row joins the first front whose last
+    row does not dominate it; those last rows, keyed (f2, f1), stay sorted (an
+    equal key is an equal point, which does not dominate). More objectives peel
+    with :func:`dominated_mask`."""
     if len(senses) != 2:
-        return _peel(dominance_matrix(values, senses))
+        ranks = np.zeros(len(values), dtype=int)
+        rows = np.arange(len(values))
+        while rows.size:
+            dominated = dominated_mask(values[rows], senses)
+            ranks[rows] += dominated
+            rows = rows[dominated]
+        return ranks
     f1, f2 = _min_form_columns(values, senses)
     ranks = np.zeros(len(f1), dtype=int)
     rows = np.flatnonzero(~(np.isnan(f1) | np.isnan(f2)))
@@ -97,8 +85,8 @@ def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
 def nondominated_sort(points, senses: Sequence[Sense]) -> np.ndarray:
     """Rank per point: 0 for the mutually non-dominated set, k after peeling ranks < k."""
     values = np.asarray(points, dtype=float)
-    if values.ndim != 2:
-        raise ValueError("points must be a 2-D array of response vectors")
+    if values.ndim != 2 or values.shape[1] != len(senses):
+        raise ValueError(f"points must be a 2-D array of {len(senses)}-response vectors")
     return _ranks(values, senses)
 
 
@@ -185,7 +173,6 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
     ranks = _ranks(resp, senses)
     crowd = _crowding_by_rank(resp, ranks)
 
-    elite_count = min(n, int(round(config.elite_fraction * 2 * n)))
     for _ in range(config.generations):
         idx_a, idx_b = rng.permutation(n), rng.permutation(n)
         key = _selection_order(ranks, crowd)
@@ -209,20 +196,16 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
         combined_resp = np.vstack([resp, child_resp])
         comb_ranks = _ranks(combined_resp, senses)
         comb_crowd = _crowding_by_rank(combined_resp, comb_ranks)
-        order = _selection_order(comb_ranks, comb_crowd)
-        # the elites, then the best of the children not among them
-        rest = order[elite_count:]
-        chosen = np.concatenate([order[:elite_count], rest[rest >= n]])[:n]
-        pop, resp = combined[chosen], combined_resp[chosen]
-        ranks = _ranks(resp, senses)
+        # every row that dominates a survivor survives, so a survivor's rank is kept
+        chosen = _selection_order(comb_ranks, comb_crowd)[:n]
+        pop, resp, ranks = combined[chosen], combined_resp[chosen], comb_ranks[chosen]
         crowd = _crowding_by_rank(resp, ranks)
         counters.iterations += 1
 
-    final_mask = ranks == 0
     tag = f"seed={config.seed}"
     points = [
         ParetoPoint(tuple(lb + pop[i] * span), tuple(resp[i]), "genetic_algorithm", tag)
-        for i in np.flatnonzero(final_mask)
+        for i in np.flatnonzero(ranks == 0)
     ]
     front = Front(tuple(filter_nondominated(points, senses)), senses)
     return RoutineResult(front=front, results=(), counters=counters)

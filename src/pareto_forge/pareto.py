@@ -14,9 +14,8 @@ import numpy as np
 
 FRONT_CSV_HEADER = ("method", "param", "vc", "fz", "t", "ra", "mrr")
 
-#: Candidate rows compared against all rows at once by :func:`dominance_matrix`
-#: and :func:`dominated_mask`; bounds their temporaries to
-#: DOMINANCE_BLOCK * n * n_objectives booleans.
+#: Candidate rows compared against all rows at once by :func:`dominated_mask`;
+#: bounds its temporaries to DOMINANCE_BLOCK * n * n_objectives booleans.
 DOMINANCE_BLOCK = 256
 
 
@@ -101,37 +100,20 @@ def _min_form_columns(values, senses: Sequence[Sense]) -> np.ndarray:
     return np.ascontiguousarray(_min_form(v, senses).T)
 
 
-def _dominated_by(v: np.ndarray, e: np.ndarray, start: int) -> np.ndarray:
-    """[i, j]: column j of ``v`` dominates candidate column start + i, for the
-    DOMINANCE_BLOCK candidates from ``start``; the test of :func:`dominates`."""
-    cand = v[:, start:start + DOMINANCE_BLOCK, None]
-    no_worse = np.logical_and.reduce(v[:, None, :] <= cand + e[:, None, None])
-    better = np.logical_or.reduce(v[:, None, :] < cand - e[:, None, None])
-    return no_worse & better
-
-
-def dominance_matrix(values, senses: Sequence[Sense], eps=0.0) -> np.ndarray:
-    """(n, n) bools over the rows of ``values`` (n, n_objectives): ``[i, j]`` is
-    whether row j dominates row i, by the test of :func:`dominates`."""
-    v, e = _min_form_columns(values, senses), _eps_array(eps, len(senses))
-    n = v.shape[1]
-    out = np.empty((n, n), dtype=bool)
-    for start in range(0, n, DOMINANCE_BLOCK):
-        out[start:start + DOMINANCE_BLOCK] = _dominated_by(v, e, start)
-    return out
-
-
 def dominated_mask(values, senses: Sequence[Sense], eps=0.0) -> np.ndarray:
-    """Per row of ``values`` (n, n_objectives): whether some row dominates it.
-
-    The rows of :func:`dominance_matrix`, each reduced as its block is built, so
-    memory stays O(DOMINANCE_BLOCK * n).
+    """Per row of ``values`` (n, n_objectives): whether some row dominates it, by
+    the test of :func:`dominates`. Candidates are tested in blocks of
+    DOMINANCE_BLOCK rows, so memory stays O(DOMINANCE_BLOCK * n).
     """
     v, e = _min_form_columns(values, senses), _eps_array(eps, len(senses))
     n = v.shape[1]
     out = np.empty(n, dtype=bool)
     for start in range(0, n, DOMINANCE_BLOCK):
-        out[start:start + DOMINANCE_BLOCK] = _dominated_by(v, e, start).any(axis=1)
+        # [i, j]: column j is no worse than candidate start + i everywhere, better somewhere
+        cand = v[:, start:start + DOMINANCE_BLOCK, None]
+        no_worse = np.logical_and.reduce(v[:, None, :] <= cand + e[:, None, None])
+        better = np.logical_or.reduce(v[:, None, :] < cand - e[:, None, None])
+        out[start:start + DOMINANCE_BLOCK] = (no_worse & better).any(axis=1)
     return out
 
 

@@ -30,22 +30,35 @@ def _nice_step(span: float) -> float:
 
 def _ticks(lo: float, hi: float) -> list[float]:
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
     ticks = []
-    value = first
-    while value <= hi + 1e-12 * max(1.0, abs(hi)):
+    value = math.ceil(lo / step) * step
+    while value <= hi + step * 1e-9:
         ticks.append(0.0 if abs(value) < step * 1e-9 else value)
         value += step
     return ticks
 
 
-def _data_range(values: list[float]) -> tuple[float, float]:
+def _axis(values: list[float]) -> tuple[float, float, list[float]]:
+    """(lo, hi, ticks) of an axis over ``values``: their range with a 5% margin,
+    ticked at a 1-2-5 step. Where floats cannot hold that axis, because its span
+    passes the largest float or is too few units in the last place to step
+    through, it is the bare range of ``values``, ticked at its ends."""
     lo, hi = min(values), max(values)
+    pad = max(0.5, abs(lo) * 0.05) if hi == lo else (hi - lo) * 0.05
+    a, b = lo - pad, hi + pad
+    if math.isfinite(b - a) and b - a > 2.0 ** 20 * math.ulp(max(abs(a), abs(b))):
+        return a, b, _ticks(a, b)
+    return lo, hi, sorted({lo, hi})
+
+
+def _fraction(v: float, lo: float, hi: float) -> float:
+    """Where ``v`` lies on [lo, hi], from 0 to 1. A span past the largest float is
+    taken a quarter at a time."""
     if hi == lo:
-        pad = max(0.5, abs(lo) * 0.05)
-    else:
-        pad = (hi - lo) * 0.05
-    return lo - pad, hi + pad
+        return 0.5
+    if math.isinf(hi - lo):
+        return (v / 4.0 - lo / 4.0) / (hi / 4.0 - lo / 4.0)
+    return (v - lo) / (hi - lo)
 
 
 def _marker(shape: str, cx: float, cy: float, color: str) -> str:
@@ -87,16 +100,16 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
             f'font-family="sans-serif" font-size="16">{html.escape(title)}</text>'
         )
     if points:
-        x_lo, x_hi = _data_range([p.responses[0] for p in points])
-        y_lo, y_hi = _data_range([p.responses[1] for p in points])
+        x_lo, x_hi, x_ticks = _axis([p.responses[0] for p in points])
+        y_lo, y_hi, y_ticks = _axis([p.responses[1] for p in points])
 
         def sx(v: float) -> float:
-            return MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
+            return MARGIN_LEFT + _fraction(v, x_lo, x_hi) * plot_w
 
         def sy(v: float) -> float:
-            return HEIGHT - MARGIN_BOTTOM - (v - y_lo) / (y_hi - y_lo) * plot_h
+            return HEIGHT - MARGIN_BOTTOM - _fraction(v, y_lo, y_hi) * plot_h
 
-        for tick in _ticks(x_lo, x_hi):
+        for tick in x_ticks:
             px = sx(tick)
             parts.append(
                 f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN_BOTTOM}" x2="{px:.2f}" '
@@ -106,7 +119,7 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
                 f'<text x="{px:.2f}" y="{HEIGHT - MARGIN_BOTTOM + 22}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="12">{tick:g}</text>'
             )
-        for tick in _ticks(y_lo, y_hi):
+        for tick in y_ticks:
             py = sy(tick)
             parts.append(
                 f'<line x1="{MARGIN_LEFT - 6}" y1="{py:.2f}" x2="{MARGIN_LEFT}" '

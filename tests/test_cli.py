@@ -245,6 +245,15 @@ def test_unknown_config_key(tmp_path):
     assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_removed_ga_elite_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ga": {"elite": 0.5}}))
+    out = tmp_path / "o"
+    assert main(["optimize", "--method", "ga", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown ga keys: ['elite']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_too_few_records_is_numeric_error(tmp_path, capsys):
     csv = tmp_path / "tiny.csv"
     rows = ["vc,fz,t,ra,mrr"] + [f"{78 + i},0.04,0.2,2.23,730" for i in range(5)]
@@ -444,7 +453,7 @@ _KNOWN_KEYS = {
     "method": ("method", "p_values", "weight_steps", "epsilon_points", "epsilon_primary",
                "order"),
     "solver": ("starts", "seed", "kkt_tol", "feas_tol", "max_outer", "max_inner"),
-    "ga": ("pop", "gens", "pc", "eta_c", "pm", "eta_m", "elite", "seed"),
+    "ga": ("pop", "gens", "pc", "eta_c", "pm", "eta_m", "seed"),
 }
 
 

@@ -12,15 +12,17 @@ from pareto_forge import (
     Sense,
     SmoothFunction,
     crowding_distance,
-    dominance_matrix,
+    dominated_mask,
     nondominated_sort,
     run_ga,
 )
 from pareto_forge import evolve
-from pareto_forge.evolve import _crowding_by_rank, _mutate, _peel, _ranks, _sbx
+from pareto_forge.evolve import _crowding_by_rank, _mutate, _ranks, _sbx, _selection_order
 
 MIN_MIN = (Sense.MINIMIZE, Sense.MINIMIZE)
 MIN_MAX = (Sense.MINIMIZE, Sense.MAXIMIZE)
+MIN_MAX_MIN = (Sense.MINIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE)
+MAX_MIN_MIN_MAX = (Sense.MAXIMIZE, Sense.MINIMIZE, Sense.MINIMIZE, Sense.MAXIMIZE)
 
 # Final population reported by the source study's GA run (Ra, MRR pairs).
 STUDY_GA_FRONT = [
@@ -93,6 +95,9 @@ def test_sort_against_brute_force_random():
 def test_sort_rejects_ragged_input():
     with pytest.raises(ValueError, match="2-D"):
         nondominated_sort([1.0, 2.0], MIN_MIN)
+    # no rows to rank, but still one column per sense
+    with pytest.raises(ValueError, match="3-response"):
+        nondominated_sort(np.empty((0, 2)), MIN_MAX_MIN)
 
 
 def test_sort_of_three_objectives_against_brute_force():
@@ -102,30 +107,30 @@ def test_sort_of_three_objectives_against_brute_force():
     assert nondominated_sort(pts, senses).tolist() == brute_force_ranks(pts.tolist(), senses)
 
 
-def rank_cases():
-    """Two-objective inputs rich in ties: integer grids, exact duplicates, +-inf,
+def rank_cases(m=2, count=40, seed=31):
+    """m-objective inputs rich in ties: integer grids, exact duplicates, +-inf,
     NaN rows, one row and no rows."""
-    rng = np.random.default_rng(31)
-    cases = [np.array([[3.0, 4.0]]), np.array([[np.nan, 1.0]]), np.empty((0, 2))]
-    for k in range(40):
-        values = rng.integers(0, 2 + k % 7, size=(1 + 3 * k, 2)).astype(float)
+    rng = np.random.default_rng(seed)
+    cases = [np.arange(3.0, 3.0 + m)[None], np.array([[np.nan] + [1.0] * (m - 1)]),
+             np.empty((0, m))]
+    for k in range(count):
+        values = rng.integers(0, 2 + k % 7, size=(1 + 3 * k, m)).astype(float)
         if k % 4 == 1:
             values[rng.random(values.shape) < 0.15] = np.inf
             values[rng.random(values.shape) < 0.15] = -np.inf
         elif k % 4 == 2:
-            values[rng.random(len(values)) < 0.2, rng.integers(0, 2)] = np.nan
+            values[rng.random(len(values)) < 0.2, rng.integers(0, m)] = np.nan
         elif k % 4 == 3:
             values = values[rng.integers(0, len(values), size=len(values))]
         cases.append(values)
     return cases
 
 
-@pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
+@pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX, MIN_MAX_MIN, MAX_MIN_MIN_MAX])
 def test_ranks_equal_matrix_peel_and_brute_force(senses):
-    for values in rank_cases():
-        got = _ranks(values, senses)
-        assert np.array_equal(got, _peel(dominance_matrix(values, senses)))
-        assert got.tolist() == brute_force_ranks(values.tolist(), senses)
+    # the brute force is the matrix peel of Deb et al., one pairwise test at a time
+    for values in rank_cases(len(senses)):
+        assert _ranks(values, senses).tolist() == brute_force_ranks(values.tolist(), senses)
 
 
 @pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
@@ -171,9 +176,9 @@ def test_crowding_constant_objective_ignored():
         dict(pop_size=2),
         dict(crossover_prob=1.5),
         dict(mutation_prob=-0.1),
-        dict(elite_fraction=0.6),
         dict(crossover_eta=0.0),
         dict(generations=-1),
+        dict(mutation_eta=-1.0),
     ],
 )
 def test_config_validation(kwargs):
@@ -183,7 +188,7 @@ def test_config_validation(kwargs):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "name", ["crossover_prob", "crossover_eta", "mutation_prob", "mutation_eta", "elite_fraction"]
+    "name", ["crossover_prob", "crossover_eta", "mutation_prob", "mutation_eta"]
 )
 def test_config_rejects_nonfinite_floats(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -272,15 +277,19 @@ def test_no_crossover_and_no_mutation_copies_the_parents():
     assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
 
 
-@pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
-def test_ranks_from_matrix_and_submatrix_match_brute_force(senses):
+# the crowding of rows at +-inf is NaN (inf - inf); the ranks do not depend on it
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX, MIN_MAX_MIN])
+def test_survivors_keep_their_ranks(senses):
+    # the best half in (rank, crowding) order holds every row that dominates one of
+    # its rows, so ranking the survivors again gives the ranks they already have
     rng = np.random.default_rng(23)
-    values = rng.integers(0, 9, size=(80, 2)).astype(float)
-    dom = dominance_matrix(values, senses)
-    assert _peel(dom).tolist() == brute_force_ranks([tuple(v) for v in values], senses)
-    chosen = rng.permutation(80)[:40]
-    assert (_peel(dom[np.ix_(chosen, chosen)]).tolist()
-            == brute_force_ranks([tuple(v) for v in values[chosen]], senses))
+    for values in filter(len, rank_cases(len(senses), count=32, seed=23)):
+        if len(values) % 2:
+            values = np.vstack([values, values[rng.integers(len(values))]])
+        ranks = _ranks(values, senses)
+        chosen = _selection_order(ranks, _crowding_by_rank(values, ranks))[:len(values) // 2]
+        assert np.array_equal(_ranks(values[chosen], senses), ranks[chosen])
 
 
 def reference_crowding(values):
@@ -333,11 +342,30 @@ def test_ga_zero_generations_returns_initial_nondominated(problem):
     assert {p.responses for p in res.front.points} == expected
 
 
+def mask_peel(values, senses):
+    """Ranks by peeling: the rows that some unranked row dominates go up a rank."""
+    ranks = np.zeros(len(values), dtype=int)
+    rows = np.arange(len(values))
+    while rows.size:
+        dominated = dominated_mask(values[rows], senses)
+        ranks[rows] += dominated
+        rows = rows[dominated]
+    return ranks
+
+
 @pytest.mark.parametrize("pop_size", [60, 120])
 def test_ga_equals_the_dominance_matrix_path(problem, pop_size, monkeypatch):
     configs = [GaConfig(pop_size=pop_size, seed=seed) for seed in range(6)]
     by_sort = [run_ga(problem, cfg) for cfg in configs]
-    monkeypatch.setattr(evolve, "_ranks", lambda v, s: _peel(dominance_matrix(v, s)))
+    crowding = evolve._crowding_by_rank
+
+    def crowding_of_peeled_ranks(values, ranks):
+        # every ranking run_ga uses passes here, the survivors' kept ranks included
+        assert np.array_equal(ranks, mask_peel(values, problem.senses))
+        return crowding(values, ranks)
+
+    monkeypatch.setattr(evolve, "_ranks", mask_peel)
+    monkeypatch.setattr(evolve, "_crowding_by_rank", crowding_of_peeled_ranks)
     by_matrix = [run_ga(problem, cfg) for cfg in configs]
     for a, b in zip(by_sort, by_matrix):
         assert a.front == b.front

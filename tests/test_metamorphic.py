@@ -1,7 +1,9 @@
-"""Metamorphic tests: transform the records, and the fit and the routines' points
-must move exactly as the transform says, on the case study and on a 5x5x5
-factorial over its box. Solving a sweep's points as one batch, not one
+"""Metamorphic tests: transform the records or the problem, and the fit and the
+routines' points must move exactly as the transform says, on the case study and
+on a 5x5x5 factorial over its box. Solving a sweep's points as one batch, not one
 multistart each, must move nothing at all."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from pareto_forge import (
     DEFAULT_P_VALUES,
     ConstraintSet,
     ExperimentRecord,
+    Front,
+    GaConfig,
     MooProblem,
     Objective,
     PolyBasis,
@@ -23,8 +27,10 @@ from pareto_forge import (
     fit_ols,
     global_criterion_sweep,
     individual_optima,
+    lexicographic,
     multistart_minimize,
     published_pair,
+    run_ga,
     weighted_sum_sweep,
 )
 from pareto_forge import scalarize
@@ -213,3 +219,70 @@ def test_sweep_equals_one_multistart_per_point(problem, seed, sweep, one_by_one)
     config = SolverConfig(seed=seed)
     utopia = individual_optima(problem, config)
     assert sweep(problem, config, utopia).results == tuple(one_by_one(problem, utopia, config))
+
+
+def _mirrored(result):
+    """``result`` with the responses of every point and every solved point reversed,
+    as a problem with its objectives in reverse order reports them."""
+    points = tuple(dataclasses.replace(p, responses=p.responses[::-1])
+                   for p in result.front.points)
+    return dataclasses.replace(
+        result, front=Front(points, result.front.senses[::-1]),
+        results=tuple(dataclasses.replace(r, responses=r.responses[::-1])
+                      for r in result.results))
+
+
+@pytest.fixture(scope="module")
+def swapped(problem):
+    return MooProblem(problem.objectives[::-1], problem.constraints)
+
+
+@pytest.fixture(scope="module", params=[0, 3])
+def utopias(request, problem, swapped):
+    """(config, utopia of the problem, utopia of the swapped problem) for one seed."""
+    config = SolverConfig(seed=request.param)
+    return config, individual_optima(problem, config), individual_optima(swapped, config)
+
+
+def test_swapping_the_objectives_reverses_the_utopia(utopias):
+    _, base, swap = utopias
+    for name in ("ideal", "nadir", "ideal_x", "nadir_x"):
+        assert getattr(swap, name).tolist() == getattr(base, name)[::-1].tolist(), name
+    assert swap.counters == base.counters
+
+
+@pytest.mark.parametrize("routine", [
+    lambda problem, config, utopia: epsilon_sweep(problem, "mrr", 11, config, utopia),
+    lambda problem, config, utopia: epsilon_sweep(problem, "ra", 11, config, utopia),
+    lambda problem, config, utopia: global_criterion_sweep(problem, DEFAULT_P_VALUES, config,
+                                                           utopia),
+    lambda problem, config, utopia: lexicographic(problem, ["mrr", "ra"], config),
+    lambda problem, config, utopia: lexicographic(problem, ["ra", "mrr"], config),
+], ids=["epsilon_mrr_primary", "epsilon_ra_primary", "global_criterion", "lexicographic_mrr_ra",
+        "lexicographic_ra_mrr"])
+def test_swapping_the_objectives_mirrors_the_routine(problem, swapped, utopias, routine):
+    config, base, swap = utopias
+    assert routine(swapped, config, swap) == _mirrored(routine(problem, config, base))
+
+
+def test_swapping_the_objectives_reverses_the_weighted_sum_front(problem, swapped, utopias):
+    # point k of the swapped sweep weighs (ra, mrr) by (1 - k/10, k/10), and point
+    # 10 - k of the sweep by (1 - (10 - k)/10, (10 - k)/10) reversed: the same
+    # weights but for rounding, so each solve takes the same steps to the same
+    # point and only the weighted sum it reports may differ in the last place
+    config, base, swap = utopias
+    want = _mirrored(weighted_sum_sweep(problem, 11, config, base))
+    got = weighted_sum_sweep(swapped, 11, config, swap)
+    assert got.counters == want.counters
+    assert ([(p.x, p.responses, p.dominated) for p in got.front.points]
+            == [(p.x, p.responses, p.dominated) for p in want.front.points[::-1]])
+    for g, w in zip(got.results, want.results[::-1]):
+        assert (g.x, g.responses, g.weak_pareto_only) == (w.x, w.responses, w.weak_pareto_only)
+        assert dataclasses.replace(g.outcome, objective=w.outcome.objective) == w.outcome
+        assert g.outcome.objective == pytest.approx(w.outcome.objective, rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_swapping_the_objectives_mirrors_the_ga(problem, swapped, seed):
+    config = GaConfig(seed=seed)
+    assert run_ga(swapped, config) == _mirrored(run_ga(problem, config))

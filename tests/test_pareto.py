@@ -8,7 +8,6 @@ from pareto_forge import (
     ParetoPoint,
     Sense,
     annotate_dominance,
-    dominance_matrix,
     dominated_mask,
     dominates,
     filter_nondominated,
@@ -233,8 +232,6 @@ def test_dominance_kernel_matches_pairwise_reference(resps, eps, senses):
     expected = [any(dominates(b, a, senses, eps) for j, b in enumerate(resps) if j != i)
                 for i, a in enumerate(resps)]
     assert dominated_mask(values, senses, eps).tolist() == expected
-    assert dominance_matrix(values, senses, eps).tolist() == [
-        [dominates(b, a, senses, eps) for b in resps] for a in resps]
     flagged = annotate_dominance(Front(tuple(points), senses), eps)
     assert [p.dominated for p in flagged.points] == expected
     assert ([p.tag for p in filter_nondominated(points, senses, eps)]
@@ -244,15 +241,14 @@ def test_dominance_kernel_matches_pairwise_reference(resps, eps, senses):
 def test_dominance_kernel_blocks_agree(monkeypatch):
     rng = np.random.default_rng(3)
     values = rng.integers(0, 20, size=(300, 2)).astype(float)
-    whole, matrix = dominated_mask(values, MIN_MAX), dominance_matrix(values, MIN_MAX)
+    whole = dominated_mask(values, MIN_MAX)
+    v = values * [1.0, -1.0]  # [i, j]: row j dominates row i, as one matrix
+    matrix = (v[None] <= v[:, None]).all(axis=2) & (v[None] < v[:, None]).any(axis=2)
     assert np.array_equal(matrix.any(axis=1), whole)
     monkeypatch.setattr(pareto, "DOMINANCE_BLOCK", 7)
     assert np.array_equal(dominated_mask(values, MIN_MAX), whole)
-    assert np.array_equal(dominance_matrix(values, MIN_MAX), matrix)
 
 
 def test_dominance_kernel_shape_checked():
     with pytest.raises(ValueError, match="shape"):
         dominated_mask(np.zeros((3, 3)), MIN_MAX)
-    with pytest.raises(ValueError, match="shape"):
-        dominance_matrix(np.zeros((3, 3)), MIN_MAX)

@@ -1,8 +1,17 @@
+import math
+import re
+import signal
+from contextlib import contextmanager
 import xml.etree.ElementTree as ET
 from xml.dom import minidom
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pareto_forge import Front, ParetoPoint, Sense
-from pareto_forge.svgplot import front_svg
+from pareto_forge.cli import main
+from pareto_forge.svgplot import HEIGHT, WIDTH, front_svg
 
 MIN_MAX = (Sense.MINIMIZE, Sense.MAXIMIZE)
 
@@ -67,3 +76,75 @@ def test_svg_escapes_labels_and_title():
     dom = minidom.parseString(front_svg(front, title='"x" < y & z'))
     texts = [t.firstChild.data for t in dom.getElementsByTagName("text") if t.firstChild]
     assert "a&b<c>" in texts and '"x" < y & z' in texts
+
+
+def coordinates(svg):
+    """Every number in the position attributes of ``svg``'s elements."""
+    attrs = re.findall(r' (?:x|y|cx|cy|x1|y1|x2|y2|points|d)="([^"]*)"', svg)
+    return [float(t) for a in attrs for t in re.split(r"[ ,]+", a) if t not in ("M", "L")]
+
+
+def assert_plottable(svg):
+    minidom.parseString(svg)
+    values = coordinates(svg)
+    assert values and all(0.0 <= v <= max(WIDTH, HEIGHT) for v in values), values
+
+
+@contextmanager
+def within_5_s():
+    # a tick loop whose step no longer moves the tick never returns: fail instead
+    def expire(signum, frame):
+        raise TimeoutError("no return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("rows", [
+    # one unit in the last place apart, equal MRR: the merge's eps band keeps both
+    (("1e20", "5000"), ("100000000000000016384", "5000")),
+    (("-1e308", "4000"), ("1e308", "5000")),  # a span past the largest float
+])
+def test_front_of_extreme_finite_values_exits_0_with_a_plottable_svg(tmp_path, capsys, rows):
+    csv = tmp_path / "front.csv"
+    lines = [f"m,{i},100,0.1,0.3,{ra},{mrr}" for i, (ra, mrr) in enumerate(rows)]
+    csv.write_text("method,param,vc,fz,t,ra,mrr\n" + "\n".join(lines) + "\n")
+    with within_5_s():
+        assert main(["front", str(csv), "--out", str(tmp_path / "o")]) == 0
+    assert "into 2 points" in capsys.readouterr().out
+    assert_plottable((tmp_path / "o" / "front_all.svg").read_text())
+
+
+def near_equal(base, steps):
+    """``base`` and, per entry of ``steps``, the float that many units in the last
+    place above the one before."""
+    column = [base]
+    for k in steps:
+        for _ in range(k):
+            base = math.nextafter(base, math.inf)
+        column.append(base)
+    return column
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COLUMN = st.one_of(
+    st.lists(_FINITE, min_size=1, max_size=6),
+    st.lists(st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1.0, 1e308, -1e308,
+                              1.7976931348623157e308, -1.7976931348623157e308]),
+             min_size=1, max_size=6),
+    st.builds(near_equal, st.floats(-1e308, 1e308), st.lists(st.integers(1, 4), max_size=4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ra=_COLUMN, mrr=_COLUMN)
+def test_front_svg_of_finite_floats_is_plottable(ra, mrr):
+    points = tuple(ParetoPoint((314.0, 0.1, 0.4), (r, m), "m", "t") for r, m in zip(ra, mrr))
+    with within_5_s():
+        svg = front_svg(Front(points, MIN_MAX))
+    assert_plottable(svg)
