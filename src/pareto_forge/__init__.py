@@ -18,7 +18,7 @@ from .dataset import (
     save_experiments,
     validate_records,
 )
-from .evolve import GaConfig, crowding_distance, nondominated_sort, run_ga
+from .evolve import GaConfig, run_ga
 from .nlsolver import (
     ConstraintSet,
     NonFiniteEvaluationError,
@@ -27,9 +27,7 @@ from .nlsolver import (
     SolveOutcome,
     SolverConfig,
     grouped_multistart,
-    minimize,
     minimize_starts,
-    multistart_minimize,
     stratified_starts,
 )
 from .pareto import (
@@ -49,11 +47,8 @@ from .polymodel import (
     PolynomialModel,
     basis_eval,
     evaluate,
-    gradient,
-    load_model,
     published_model,
     published_pair,
-    save_model,
     value_jacobian_hessian,
 )
 from .regression import (
@@ -64,7 +59,6 @@ from .regression import (
     compare_models,
     fit_ols,
     mapd,
-    model_diagnostics,
 )
 from .scalarize import (
     DEFAULT_P_VALUES,
@@ -78,7 +72,6 @@ from .scalarize import (
     UtopiaRecord,
     epsilon_constraint,
     epsilon_sweep,
-    global_criterion,
     global_criterion_sweep,
     individual_optima,
     lexicographic,

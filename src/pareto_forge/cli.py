@@ -39,7 +39,6 @@ from .regression import (
 )
 from .scalarize import (
     DEFAULT_P_VALUES,
-    InfeasibleEpsilonError,
     LexStage,
     MethodResult,
     MooProblem,
@@ -65,7 +64,6 @@ UTOPIA_METHODS = ("global_criterion", "weighted_sum", "epsilon_constraint")
 
 _NUMERIC_ERRORS = (
     RegressionError,
-    InfeasibleEpsilonError,
     StageInfeasibleError,
     UtopiaSolveError,
     NonFiniteEvaluationError,

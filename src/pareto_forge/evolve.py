@@ -82,16 +82,10 @@ def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
     return ranks
 
 
-def nondominated_sort(points, senses: Sequence[Sense]) -> np.ndarray:
-    """Rank per point: 0 for the mutually non-dominated set, k after peeling ranks < k."""
-    values = np.asarray(points, dtype=float)
-    if values.ndim != 2 or values.shape[1] != len(senses):
-        raise ValueError(f"points must be a 2-D array of {len(senses)}-response vectors")
-    return _ranks(values, senses)
-
-
 def _crowding_by_rank(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """:func:`crowding_distance` of each rank's points, all ranks at once.
+    """Crowding distance of each rank's points, all ranks at once: infinite at
+    each objective's boundary points of the rank, the normalized cuboid side-sum
+    for its interior points.
 
     Per objective, one sort by (rank, value, index) lays each rank out as the
     run its own stable sort would give, so every sum is taken in the same order.
@@ -108,15 +102,6 @@ def _crowding_by_rank(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         dist[order[inner]] += (v[inner + 1] - v[inner - 1]) / (hi[inner] - lo[inner])
         dist[order[first | last]] = np.inf
     return dist
-
-
-def crowding_distance(front, senses: Sequence[Sense]) -> np.ndarray:
-    """Diversity measure over one front: infinite at the boundary points of each
-    objective, the normalized cuboid side-sum for interior points."""
-    values = np.asarray(front, dtype=float)
-    if values.ndim != 2 or len(values) == 0:
-        raise ValueError("front must be a non-empty 2-D array of response vectors")
-    return _crowding_by_rank(values, np.zeros(len(values), dtype=int))
 
 
 def _selection_order(ranks: np.ndarray, crowd: np.ndarray) -> np.ndarray:

@@ -395,10 +395,14 @@ def minimize_starts(
     config: SolverConfig | None = None,
 ) -> list[SolveOutcome]:
     """Minimize from every start point at once; one outcome per start, in order.
+    See the module docstring for the algorithm.
 
-    Each start is one row of the same arrays, so outcome k is bit for bit the
-    outcome of :func:`minimize` from start k, counters included. The functions'
-    ``rows`` index ``starts``, and so does a per-row ``scale``.
+    Each returned point satisfies the box exactly. With ``converged`` True, the
+    projected-gradient residual of the Lagrangian is at most ``kkt_tol`` and the
+    scaled inequality violation at most ``feas_tol``. Each start is one row of the
+    same arrays, so outcome k, counters included, does not depend on the other
+    starts. The functions' ``rows`` index ``starts``, and so does a per-row
+    ``scale``.
     """
     config = config or SolverConfig()
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
@@ -452,22 +456,6 @@ def minimize_starts(
     ) for k in every]
 
 
-def minimize(
-    objective: SmoothFunction,
-    constraints: ConstraintSet,
-    start: Sequence[float],
-    config: SolverConfig | None = None,
-) -> SolveOutcome:
-    """Minimize from one start point; see the module docstring for the algorithm.
-
-    The returned point satisfies the box exactly. With ``converged`` True, the
-    projected-gradient residual of the Lagrangian is at most ``kkt_tol`` and the
-    scaled inequality violation at most ``feas_tol``. It is the one-row case of
-    :func:`minimize_starts`.
-    """
-    return minimize_starts(objective, constraints, [start], config)[0]
-
-
 def grouped_multistart(
     objective: SmoothFunction,
     constraints: ConstraintSet,
@@ -496,13 +484,3 @@ def grouped_multistart(
         feasible = top.constraint_violation <= config.feas_tol
         best.append(replace(top, counters=total, converged=top.converged and feasible))
     return best
-
-
-def multistart_minimize(
-    objective: SmoothFunction,
-    constraints: ConstraintSet,
-    config: SolverConfig | None = None,
-) -> SolveOutcome:
-    """Best feasible outcome over seeded deterministic starts, counters summed over
-    all starts: the one-group case of :func:`grouped_multistart`."""
-    return grouped_multistart(objective, constraints, 1, config)[0]

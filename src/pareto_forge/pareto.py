@@ -138,9 +138,10 @@ def filter_nondominated(
     return survivors
 
 
-def annotate_dominance(front: Front, eps=0.0) -> Front:
-    """Return the same front with each point's ``dominated`` flag set; nothing is removed."""
-    dominated = dominated_mask(_responses(front.points, len(front.senses)), front.senses, eps)
+def annotate_dominance(front: Front) -> Front:
+    """Return the same front with each point's ``dominated`` flag set, by the exact
+    test; nothing is removed."""
+    dominated = dominated_mask(_responses(front.points, len(front.senses)), front.senses)
     flagged = [replace(p, dominated=bool(dom)) for p, dom in zip(front.points, dominated)]
     return Front(tuple(flagged), front.senses)
 

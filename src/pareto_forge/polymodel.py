@@ -6,23 +6,18 @@ printed in the source study are shipped as fixtures. Each table is closed under
 differentiation, so every partial derivative of a model is a model over the same
 table, and a model's Jacobian is a fixed linear map of the basis vector. The
 values, exact gradients and exact Hessians of m models therefore come from one
-basis vector and one (10m, k) matrix (:class:`ModelStack`). :func:`evaluate` and
-:func:`gradient` use the rows of the same matrix for one model, with the same
-arithmetic.
+basis vector and one (10m, k) matrix (:class:`ModelStack`). :func:`evaluate`
+uses the value row of the same matrix for one model, with the same arithmetic.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-
-VARIABLES = ("vc", "fz", "t")
 
 
 class PolyBasis(Enum):
@@ -39,13 +34,6 @@ class PolyBasis(Enum):
     @property
     def n_terms(self) -> int:
         return len(self.exponents)
-
-    @property
-    def term_names(self) -> tuple[str, ...]:
-        return tuple(
-            "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(VARIABLES, exps) if e) or "1"
-            for exps in self.exponents
-        )
 
 
 _EXPONENTS = {
@@ -102,7 +90,7 @@ class PolynomialModel:
     coefficients: tuple[float, ...]
     response: str
     units: str = ""
-    #: the model alone, which :func:`evaluate` and :func:`gradient` read
+    #: the model alone, which :func:`evaluate` reads
     stack: ModelStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,12 +104,6 @@ class PolynomialModel:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "stack", ModelStack((self,)))
 
-    def evaluate(self, x):
-        return evaluate(self, x)
-
-    def gradient(self, x):
-        return gradient(self, x)
-
 
 def evaluate(model: PolynomialModel, x):
     """Response value at ``x``: coefficients dotted with the basis monomials.
@@ -129,11 +111,6 @@ def evaluate(model: PolynomialModel, x):
     Broadcasts like :func:`basis_eval`; a single 3-vector yields a scalar.
     """
     return np.take(_product(model.stack, x, slice(0, 1)), 0, axis=-1)
-
-
-def gradient(model: PolynomialModel, x) -> np.ndarray:
-    """Exact partial derivatives with respect to (vc, fz, t), shape (..., 3)."""
-    return _product(model.stack, x, slice(1, 4))
 
 
 #: (v, w) variable pairs of the six distinct second partials, in row order
@@ -178,9 +155,6 @@ class ModelStack:
         k = len(exponents)
         self.matrix = np.vstack([rows[:, 0], rows[:, 1:4].reshape(-1, k),
                                  rows[:, 4:].reshape(-1, k)])
-
-    def value_jacobian_hessian(self, x):
-        return value_jacobian_hessian(self, x)
 
 
 def _product(stack: ModelStack, x, rows: slice = slice(None)) -> np.ndarray:
@@ -280,19 +254,3 @@ def model_to_dict(model: PolynomialModel) -> dict:
         "units": model.units,
         "coefficients": list(model.coefficients),
     }
-
-
-def model_from_dict(data: Mapping) -> PolynomialModel:
-    try:
-        basis = PolyBasis(data["basis"])
-        return PolynomialModel(basis, tuple(data["coefficients"]), str(data["response"]), str(data.get("units", "")))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ValueError(f"bad model description: {exc}") from exc
-
-
-def save_model(path: str | Path, model: PolynomialModel) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> PolynomialModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

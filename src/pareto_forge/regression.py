@@ -18,13 +18,12 @@ import numpy as np
 from .dataset import ExperimentRecord
 from .polymodel import PolyBasis, PolynomialModel, basis_eval, evaluate
 
-CONDITION_WARN_THRESHOLD = 1e10
-
 _RESPONSE_META = {"ra": ("Ra", "um"), "mrr": ("MRR", "mm^3/min")}
 
 
 class RegressionError(ValueError):
-    """Raised when a fit cannot be computed (too few records, rank deficiency)."""
+    """Raised when a fit cannot be computed (too few records, rank deficiency,
+    coefficients past the float range)."""
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,6 @@ class FitDiagnostics:
     mapd: float
     max_predicted: float
     min_predicted: float
-    condition_warning: bool
-    condition_estimate: float | None = None
 
 
 def apd(actual: float, predicted: float) -> float:
@@ -58,8 +55,7 @@ def _design_matrix(records: Sequence[ExperimentRecord], basis: PolyBasis) -> np.
     return basis_eval(basis, pts)
 
 
-def _diagnose(model: PolynomialModel, records, response: str,
-              condition_warning: bool = False, condition: float | None = None) -> FitDiagnostics:
+def _diagnose(model: PolynomialModel, records, response: str) -> FitDiagnostics:
     actual = np.array([getattr(r, response) for r in records], dtype=float)
     pts = np.array([r.point for r in records], dtype=float)
     predicted = np.asarray(evaluate(model, pts), dtype=float)
@@ -71,17 +67,7 @@ def _diagnose(model: PolynomialModel, records, response: str,
         mapd=mapd(apds),
         max_predicted=float(predicted.max()),
         min_predicted=float(predicted.min()),
-        condition_warning=condition_warning,
-        condition_estimate=condition,
     )
-
-
-def model_diagnostics(records: Sequence[ExperimentRecord], model: PolynomialModel,
-                      response: str) -> FitDiagnostics:
-    """APD/MAPD diagnostics of a fixed (already fitted or published) model."""
-    if response not in _RESPONSE_META:
-        raise ValueError(f"response must be 'ra' or 'mrr', got {response!r}")
-    return _diagnose(model, records, response)
 
 
 def fit_ols(records: Sequence[ExperimentRecord], basis: PolyBasis, response: str) -> FitDiagnostics:
@@ -100,16 +86,17 @@ def fit_ols(records: Sequence[ExperimentRecord], basis: PolyBasis, response: str
     col_scale = np.abs(A).max(axis=0)
     if np.any(col_scale == 0.0):
         raise RegressionError("design matrix is rank deficient (zero column)")
-    coeffs_scaled, _, rank, svals = np.linalg.lstsq(A / col_scale, y, rcond=None)
+    coeffs_scaled, _, rank, _ = np.linalg.lstsq(A / col_scale, y, rcond=None)
     if rank < k:
         raise RegressionError(f"design matrix is rank deficient (rank {rank} < {k} terms)")
-    condition = float(svals[0] / svals[-1])
-    coeffs = tuple(coeffs_scaled / col_scale)
+    # a coefficient past the float range becomes inf, reported below
+    with np.errstate(over="ignore"):
+        coeffs = coeffs_scaled / col_scale
+    if not np.all(np.isfinite(coeffs)):
+        raise RegressionError(f"{response} coefficients overflow the float range")
     name, units = _RESPONSE_META[response]
-    model = PolynomialModel(basis, coeffs, name, units)
-    return _diagnose(model, records, response,
-                     condition_warning=condition > CONDITION_WARN_THRESHOLD,
-                     condition=condition)
+    model = PolynomialModel(basis, tuple(coeffs), name, units)
+    return _diagnose(model, records, response)
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,9 @@ from .nlsolver import (
     SolveOutcome,
     SolverConfig,
     grouped_multistart,
-    multistart_minimize,
 )
 from .pareto import Front, ParetoPoint, Sense, annotate_dominance
-from .polymodel import ModelStack, PolynomialModel, stack_values
+from .polymodel import ModelStack, PolynomialModel, stack_values, value_jacobian_hessian
 
 #: p grid used by the deviation-criterion sweep in the case study.
 DEFAULT_P_VALUES = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
@@ -88,7 +87,7 @@ class Objective:
         stack = self.model.stack
 
         def vg(rows, x):
-            f, jac, hess = stack.value_jacobian_hessian(x)
+            f, jac, hess = value_jacobian_hessian(stack, x)
             at = bound[rows] if np.ndim(bound) else bound
             return sign * f[..., 0] - at, sign * jac[..., 0, :], sign * hess[..., 0, :, :]
 
@@ -334,7 +333,7 @@ def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: np.ndarray) -> S
     stack = problem.stack
 
     def vg(rows, x):
-        f, jac, hess = stack.value_jacobian_hessian(x)
+        f, jac, hess = value_jacobian_hessian(stack, x)
         value, weights, second = _deviation(f, stars, p[rows])
         # chain rule: sum_i (dF/df_i) H_i + J^T (d2F/df2) J
         w_jac = np.sum(second[..., :, :, None] * jac[..., None, :, :], axis=-2)
@@ -342,17 +341,6 @@ def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: np.ndarray) -> S
         return value, _weighted(weights, jac), _weighted(weights, hess) + curvature
 
     return SmoothFunction(vg, model_cost=stack.size, name="deviation criterion")
-
-
-def global_criterion(
-    problem: MooProblem,
-    p: int,
-    config: SolverConfig | None = None,
-    utopia: UtopiaRecord | None = None,
-) -> GlobalCriterionResult:
-    """Minimize the p-norm of relative deviations from the individual optima: the
-    one-point case of :func:`global_criterion_sweep`."""
-    return global_criterion_sweep(problem, (p,), config, utopia).results[0]
 
 
 def global_criterion_sweep(
@@ -388,7 +376,7 @@ def _weighted_sums(problem: MooProblem, points: list[tuple[float, ...]],
     stack = problem.stack
 
     def vg(rows, x):
-        f, jac, hess = stack.value_jacobian_hessian(x)
+        f, jac, hess = value_jacobian_hessian(stack, x)
         at = w[rows]
         scaled = np.broadcast_to(at / width, f.shape)
         return np.sum(at * (f - ideal) / width, axis=-1), _weighted(scaled, jac), \
@@ -543,7 +531,7 @@ def lexicographic(
     terminated = False
     for idx in indices:
         obj = problem.objectives[idx]
-        outcome = multistart_minimize(obj.function(), problem.constrained_by(extra), config)
+        outcome = grouped_multistart(obj.function(), problem.constrained_by(extra), 1, config)[0]
         counters.add(outcome.counters)
         if outcome.constraint_violation > config.feas_tol:
             blockers = [c.name for c in extra]

@@ -14,6 +14,7 @@ from .pareto import Front
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 90, 30, 40, 60
+X_LABEL, Y_LABEL = "Ra (um)", "MRR (mm^3/min)"
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARKERS = ("circle", "square", "triangle", "diamond", "cross")
@@ -51,6 +52,16 @@ def _axis(values: list[float]) -> tuple[float, float, list[float]]:
     return lo, hi, sorted({lo, hi})
 
 
+def _labels(ticks: list[float]) -> list[str]:
+    """Tick labels at 6 significant digits, or at the fewest more that tell the
+    ticks apart; 17 digits tell any two floats apart."""
+    for digits in range(6, 18):
+        labels = [f"{tick:.{digits}g}" for tick in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 def _fraction(v: float, lo: float, hi: float) -> float:
     """Where ``v`` lies on [lo, hi], from 0 to 1. A span past the largest float is
     taken a quarter at a time."""
@@ -83,8 +94,7 @@ def _marker(shape: str, cx: float, cy: float, color: str) -> str:
     )
 
 
-def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/min)",
-              title: str = "") -> str:
+def front_svg(front: Front, title: str = "") -> str:
     """Render the feasible points of ``front`` as an SVG scatter, grouped by method."""
     points = [p for p in front.points if p.feasible]
     parts = [
@@ -109,7 +119,7 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
         def sy(v: float) -> float:
             return HEIGHT - MARGIN_BOTTOM - _fraction(v, y_lo, y_hi) * plot_h
 
-        for tick in x_ticks:
+        for tick, label in zip(x_ticks, _labels(x_ticks)):
             px = sx(tick)
             parts.append(
                 f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN_BOTTOM}" x2="{px:.2f}" '
@@ -117,9 +127,9 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
             )
             parts.append(
                 f'<text x="{px:.2f}" y="{HEIGHT - MARGIN_BOTTOM + 22}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="12">{tick:g}</text>'
+                f'font-family="sans-serif" font-size="12">{label}</text>'
             )
-        for tick in y_ticks:
+        for tick, label in zip(y_ticks, _labels(y_ticks)):
             py = sy(tick)
             parts.append(
                 f'<line x1="{MARGIN_LEFT - 6}" y1="{py:.2f}" x2="{MARGIN_LEFT}" '
@@ -127,7 +137,7 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
             )
             parts.append(
                 f'<text x="{MARGIN_LEFT - 10}" y="{py + 4:.2f}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="12">{tick:g}</text>'
+                f'font-family="sans-serif" font-size="12">{label}</text>'
             )
 
         methods: list[str] = []
@@ -159,12 +169,12 @@ def front_svg(front: Front, x_label: str = "Ra (um)", y_label: str = "MRR (mm^3/
     )
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.0f}" y="{HEIGHT - 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{html.escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="14">{X_LABEL}</text>'
     )
     parts.append(
         f'<text x="20" y="{MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 20 {MARGIN_TOP + plot_h / 2:.0f})">{html.escape(y_label)}</text>'
+        f'transform="rotate(-90 20 {MARGIN_TOP + plot_h / 2:.0f})">{Y_LABEL}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,6 +7,8 @@ import re
 import subprocess
 import sys
 import typing
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,11 +23,12 @@ from pareto_forge import (
     Sense,
     SolverConfig,
     builtin_case_study,
+    compare_models,
     fit_ols,
     load_experiments,
-    model_diagnostics,
     published_pair,
     read_front_csv,
+    save_experiments,
 )
 from pareto_forge.cli import (
     ALL_METHODS,
@@ -87,8 +90,9 @@ def test_fit_json_models_are_the_pair_diagnostics(tmp_path, models):
     records = builtin_case_study()
     pair = (tuple(fit_ols(records, PolyBasis.FULL_QUADRATIC_TRIPLE, r).model for r in OBJECTIVES)
             if models == "refit" else published_pair(models))
-    for resp, model in zip(OBJECTIVES, pair):
-        d = model_diagnostics(records, model, resp)
+    diagnostics = compare_models(records, pair, published_pair("eq21")).a
+    for resp, model, d in zip(OBJECTIVES, pair, diagnostics):
+        assert d.model == model
         expected = {"model": model_to_dict(d.model), "mapd": d.mapd,
                     "apd_per_row": list(d.apd_per_row), "predicted": list(d.predicted),
                     "max_predicted": d.max_predicted, "min_predicted": d.min_predicted}
@@ -260,6 +264,20 @@ def test_too_few_records_is_numeric_error(tmp_path, capsys):
     csv.write_text("\n".join(rows) + "\n")
     assert main(["fit", "--data", str(csv), "--out", str(tmp_path / "o")]) == 3
     assert "fewer records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["fit"], ["compare", "--starts", "2"]])
+def test_overflowing_coefficients_are_numeric_errors(tmp_path, capsys, command):
+    # every MRR finite and positive, up to 1.05e308: the data is valid, but the
+    # least-squares coefficients pass the float range
+    csv = tmp_path / "huge_mrr.csv"
+    save_experiments(csv, [replace(r, mrr=r.mrr * 3e303) for r in builtin_case_study()])
+    assert main(["validate", "--data", str(csv)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*command, "--data", str(csv), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "overflow" in err
 
 
 def test_front_requires_inputs(capsys):

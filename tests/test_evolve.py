@@ -11,9 +11,8 @@ from pareto_forge import (
     Objective,
     Sense,
     SmoothFunction,
-    crowding_distance,
     dominated_mask,
-    nondominated_sort,
+    evaluate,
     run_ga,
 )
 from pareto_forge import evolve
@@ -73,38 +72,30 @@ def brute_force_ranks(points, senses):
 
 
 def test_sort_simple_chain():
-    assert nondominated_sort([(1, 1), (2, 2)], MIN_MIN).tolist() == [0, 1]
+    assert _ranks(np.array([(1.0, 1.0), (2.0, 2.0)]), MIN_MIN).tolist() == [0, 1]
 
 
 def test_sort_mutually_nondominated():
-    assert nondominated_sort([(1, 2), (2, 1)], MIN_MIN).tolist() == [0, 0]
+    assert _ranks(np.array([(1.0, 2.0), (2.0, 1.0)]), MIN_MIN).tolist() == [0, 0]
 
 
 def test_sort_against_brute_force_on_study_front():
-    got = nondominated_sort(STUDY_GA_FRONT, MIN_MAX).tolist()
+    got = _ranks(np.array(STUDY_GA_FRONT, dtype=float), MIN_MAX).tolist()
     assert got == brute_force_ranks(STUDY_GA_FRONT, MIN_MAX)
 
 
 def test_sort_against_brute_force_random():
     rng = np.random.default_rng(17)
     pts = rng.integers(0, 8, size=(60, 2)).astype(float)
-    got = nondominated_sort(pts, MIN_MIN).tolist()
+    got = _ranks(pts, MIN_MIN).tolist()
     assert got == brute_force_ranks([tuple(p) for p in pts], MIN_MIN)
-
-
-def test_sort_rejects_ragged_input():
-    with pytest.raises(ValueError, match="2-D"):
-        nondominated_sort([1.0, 2.0], MIN_MIN)
-    # no rows to rank, but still one column per sense
-    with pytest.raises(ValueError, match="3-response"):
-        nondominated_sort(np.empty((0, 2)), MIN_MAX_MIN)
 
 
 def test_sort_of_three_objectives_against_brute_force():
     rng = np.random.default_rng(19)
     pts = rng.integers(0, 5, size=(70, 3)).astype(float)
     senses = (Sense.MINIMIZE, Sense.MAXIMIZE, Sense.MINIMIZE)
-    assert nondominated_sort(pts, senses).tolist() == brute_force_ranks(pts.tolist(), senses)
+    assert _ranks(pts, senses).tolist() == brute_force_ranks(pts.tolist(), senses)
 
 
 def rank_cases(m=2, count=40, seed=31):
@@ -147,25 +138,31 @@ def test_swapping_the_objectives_leaves_ranks_unchanged(senses):
         assert np.array_equal(_ranks(values[:, ::-1], senses[::-1]), _ranks(values, senses))
 
 
+def one_front_crowding(front):
+    """Crowding distance over one front: every row at rank 0."""
+    values = np.asarray(front, dtype=float)
+    return _crowding_by_rank(values, np.zeros(len(values), dtype=int))
+
+
 def test_crowding_two_points_infinite():
-    dist = crowding_distance([(1, 2), (2, 1)], MIN_MIN)
+    dist = one_front_crowding([(1, 2), (2, 1)])
     assert np.isinf(dist).all()
 
 
 def test_crowding_equally_spaced_middle():
-    dist = crowding_distance([(0, 4), (1, 5), (2, 6)], MIN_MIN)
+    dist = one_front_crowding([(0, 4), (1, 5), (2, 6)])
     assert dist[1] == pytest.approx(2.0)
     assert np.isinf(dist[0]) and np.isinf(dist[2])
 
 
 def test_crowding_clustered_pair_smaller():
     front = [(0.0, 10.0), (4.0, 6.0), (9.0, 1.2), (10.0, 0.0)]
-    dist = crowding_distance(front, MIN_MIN)
+    dist = one_front_crowding(front)
     assert dist[2] < dist[1]
 
 
 def test_crowding_constant_objective_ignored():
-    dist = crowding_distance([(1, 5), (2, 5), (3, 5)], MIN_MIN)
+    dist = one_front_crowding([(1, 5), (2, 5), (3, 5)])
     assert dist[1] == pytest.approx(1.0)
 
 
@@ -310,11 +307,11 @@ def test_crowding_by_rank_matches_per_rank_crowding_bitwise():
     rng = np.random.default_rng(29)
     values = np.vstack([rng.integers(0, 6, size=(60, 2)).astype(float), rng.random((60, 2)),
                         np.full((3, 2), 0.25)])
-    ranks = nondominated_sort(values, MIN_MAX)
+    ranks = _ranks(values, MIN_MAX)
     crowd = _crowding_by_rank(values, ranks)
     for r in np.unique(ranks):
         mask = ranks == r
-        assert np.array_equal(crowd[mask], crowding_distance(values[mask], MIN_MAX))
+        assert np.array_equal(crowd[mask], one_front_crowding(values[mask]))
         assert np.array_equal(crowd[mask], reference_crowding(values[mask]))
 
 
@@ -336,7 +333,7 @@ def test_ga_zero_generations_returns_initial_nondominated(problem):
     span = np.array(CASE_STUDY_BOUNDS.span)
     unit = np.random.default_rng(9).random((4, 3))
     x = lb + unit * span
-    resp = np.column_stack([o.model.evaluate(x) for o in problem.objectives])
+    resp = np.column_stack([evaluate(o.model, x) for o in problem.objectives])
     ranks = brute_force_ranks([tuple(r) for r in resp], MIN_MAX)
     expected = {tuple(resp[i]) for i in range(4) if ranks[i] == 0}
     assert {p.responses for p in res.front.points} == expected

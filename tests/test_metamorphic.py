@@ -26,11 +26,12 @@ from pareto_forge import (
     evaluate,
     fit_ols,
     global_criterion_sweep,
+    grouped_multistart,
     individual_optima,
     lexicographic,
-    multistart_minimize,
     published_pair,
     run_ga,
+    value_jacobian_hessian,
     weighted_sum_sweep,
 )
 from pareto_forge import scalarize
@@ -43,6 +44,11 @@ from pareto_forge.scalarize import (
 
 QUAD = PolyBasis.FULL_QUADRATIC_TRIPLE
 MRR_SCALE = 7.0
+
+
+def _multistart(objective, constraints, config):
+    """One seeded multistart alone: the one-group case of the batched solve."""
+    return grouped_multistart(objective, constraints, 1, config)[0]
 
 
 def _fit_pair(records):
@@ -139,7 +145,7 @@ def problem(dataset):
 def test_individual_optima_equal_one_multistart_each(problem, seed):
     config = SolverConfig(seed=seed)
     utopia = individual_optima(problem, config)
-    best, worst = ([multistart_minimize(o.function(negate), problem.constraints, config)
+    best, worst = ([_multistart(o.function(negate), problem.constraints, config)
                     for o in problem.objectives] for negate in (False, True))
     assert utopia.ideal.tolist() == [o.objective for o in best]
     assert utopia.nadir.tolist() == [-o.objective for o in worst]
@@ -153,7 +159,7 @@ def _one_point_criterion(problem, utopia, p):
     """The deviation criterion's callback for one p alone, as a per-point solve had it."""
 
     def vg(rows, x):
-        f, jac, hess = problem.stack.value_jacobian_hessian(x)
+        f, jac, hess = value_jacobian_hessian(problem.stack, x)
         value, weights, second = scalarize._deviation(f, utopia.ideal, p)
         w_jac = np.sum(second[..., :, :, None] * jac[..., None, :, :], axis=-2)
         curvature = np.sum(jac[..., :, :, None] * w_jac[..., :, None, :], axis=-3)
@@ -168,7 +174,7 @@ def _one_point_weighted_sum(problem, utopia, weights):
     w, ideal, width = np.array(weights), utopia.ideal, utopia.nadir - utopia.ideal
 
     def vg(rows, x):
-        f, jac, hess = problem.stack.value_jacobian_hessian(x)
+        f, jac, hess = value_jacobian_hessian(problem.stack, x)
         scaled = np.broadcast_to(w / width, f.shape)
         return (np.sum(w * (f - ideal) / width, axis=-1), scalarize._weighted(scaled, jac),
                 scalarize._weighted(scaled, hess))
@@ -178,8 +184,7 @@ def _one_point_weighted_sum(problem, utopia, weights):
 
 def _criterion_points(problem, utopia, config):
     for p in DEFAULT_P_VALUES:
-        o = multistart_minimize(_one_point_criterion(problem, utopia, p), problem.constraints,
-                                config)
+        o = _multistart(_one_point_criterion(problem, utopia, p), problem.constraints, config)
         yield GlobalCriterionResult(tag=f"p={p}", x=o.x, responses=problem.responses_at(o.x),
                                     outcome=o, p=p, criterion=o.objective)
 
@@ -187,8 +192,8 @@ def _criterion_points(problem, utopia, config):
 def _weighted_sum_points(problem, utopia, config):
     for k in range(11):
         weights = (k / 10, 1.0 - k / 10)
-        o = multistart_minimize(_one_point_weighted_sum(problem, utopia, weights),
-                                problem.constraints, config)
+        o = _multistart(_one_point_weighted_sum(problem, utopia, weights), problem.constraints,
+                        config)
         yield WeightedSumResult(tag=f"w={weights[0]:g}", x=o.x,
                                 responses=problem.responses_at(o.x), outcome=o, weights=weights,
                                 weak_pareto_only=k in (0, 10))
@@ -198,7 +203,7 @@ def _epsilon_points(problem, utopia, config):
     ra, mrr = problem.objectives
     for eps in np.linspace(utopia.ideal[0], utopia.nadir[0], 11).tolist():
         held = problem.constrained_by([ra.function(bound=eps, scale=max(1.0, abs(eps)))])
-        o = multistart_minimize(mrr.function(), held, config)
+        o = _multistart(mrr.function(), held, config)
         responses = problem.responses_at(o.x)
         active = ((responses[0] - eps) / max(1.0, abs(eps)) >= -ACTIVE_TOL,)
         yield EpsilonResult(tag=f"eps={eps:.6g}", x=o.x, responses=responses, outcome=o,

@@ -8,14 +8,23 @@ from pareto_forge import (
     NonFiniteEvaluationError,
     SmoothFunction,
     SolverConfig,
-    minimize,
-    multistart_minimize,
+    grouped_multistart,
+    minimize_starts,
     stratified_starts,
+    value_jacobian_hessian,
 )
 
 BOX = ConstraintSet(CASE_STUDY_BOUNDS)
 LB = np.array(CASE_STUDY_BOUNDS.lower)
 SPAN = np.array(CASE_STUDY_BOUNDS.span)
+
+
+def one_start(objective, constraints, start, config=None):
+    return minimize_starts(objective, constraints, [start], config)[0]
+
+
+def one_multistart(objective, constraints, config=None):
+    return grouped_multistart(objective, constraints, 1, config)[0]
 
 
 def quadratic_objective(center):
@@ -58,7 +67,7 @@ def bimodal_objective():
 
 def test_convex_quadratic_reaches_center():
     target = np.array([200.0, 0.07, 0.35])
-    out = minimize(quadratic_objective(target), BOX, CASE_STUDY_BOUNDS.center)
+    out = one_start(quadratic_objective(target), BOX, CASE_STUDY_BOUNDS.center)
     assert out.converged
     assert np.all(np.abs((np.array(out.x) - target) / SPAN) <= 1e-6)
     assert out.kkt_residual <= 1e-8
@@ -66,7 +75,7 @@ def test_convex_quadratic_reaches_center():
 
 
 def test_single_start_falls_into_local_basin():
-    out = minimize(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center)
+    out = one_start(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center)
     u = (out.x[0] - 78.0) / 236.0
     assert abs(u - 0.35) < 0.01
 
@@ -74,9 +83,9 @@ def test_single_start_falls_into_local_basin():
 def test_multistart_beats_single_start_for_every_seed():
     grid = np.linspace(0.0, 1.0, 201)
     grid_min = _well(grid).min()
-    single = minimize(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center)
+    single = one_start(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center)
     for seed in range(5):
-        multi = multistart_minimize(bimodal_objective(), BOX, SolverConfig(seed=seed))
+        multi = one_multistart(bimodal_objective(), BOX, SolverConfig(seed=seed))
         assert multi.objective <= single.objective - 1e-4
         assert multi.objective <= grid_min + 1e-3
         u = (multi.x[0] - 78.0) / 236.0
@@ -87,10 +96,10 @@ def test_refit_roughness_minimized_from_interior_start(refit_models):
     ra_model, _ = refit_models
 
     def vg(rows, x):
-        f, jac, hess = ra_model.stack.value_jacobian_hessian(x)
+        f, jac, hess = value_jacobian_hessian(ra_model.stack, x)
         return f[..., 0], jac[..., 0, :], hess[..., 0, :, :]
 
-    out = minimize(SmoothFunction(vg, name="Ra"), BOX, [200.0, 0.1, 0.4])
+    out = one_start(SmoothFunction(vg, name="Ra"), BOX, [200.0, 0.1, 0.4])
     assert out.converged
     assert abs(out.objective - 0.5055) <= 0.005
     assert np.allclose(out.x, [314.0, 0.04, 0.2], atol=1e-4)
@@ -98,16 +107,16 @@ def test_refit_roughness_minimized_from_interior_start(refit_models):
 
 def test_multistart_with_one_start_equals_center_minimize():
     cfg = SolverConfig(n_starts=1, seed=11)
-    multi = multistart_minimize(bimodal_objective(), BOX, cfg)
-    single = minimize(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center, cfg)
+    multi = one_multistart(bimodal_objective(), BOX, cfg)
+    single = one_start(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center, cfg)
     assert multi.x == single.x
     assert multi.objective == single.objective
 
 
 def test_multistart_is_deterministic():
     cfg = SolverConfig(seed=7)
-    a = multistart_minimize(bimodal_objective(), BOX, cfg)
-    b = multistart_minimize(bimodal_objective(), BOX, cfg)
+    a = one_multistart(bimodal_objective(), BOX, cfg)
+    b = one_multistart(bimodal_objective(), BOX, cfg)
     assert a.x == b.x
     assert a.objective == b.objective
     assert a.counters == b.counters
@@ -130,13 +139,13 @@ def test_stratified_starts_layout():
 def test_nonfinite_objective_reports_point():
     bad = SmoothFunction(lambda rows, x: (float("nan"), np.zeros(3), np.zeros((3, 3))), name="broken")
     with pytest.raises(NonFiniteEvaluationError, match="broken") as err:
-        minimize(bad, BOX, CASE_STUDY_BOUNDS.center)
+        one_start(bad, BOX, CASE_STUDY_BOUNDS.center)
     assert np.allclose(err.value.point, CASE_STUDY_BOUNDS.center)
 
 
 def test_start_outside_bounds_rejected():
     with pytest.raises(ValueError, match="outside bounds"):
-        minimize(quadratic_objective(LB), BOX, [77.0, 0.1, 0.4])
+        one_start(quadratic_objective(LB), BOX, [77.0, 0.1, 0.4])
 
 
 def test_first_bad_start_among_many_is_named():
@@ -169,7 +178,7 @@ def test_descent_on_box_only_solves():
         target = LB + rng.random(3) * SPAN
         start = LB + rng.random(3) * SPAN
         objective = quadratic_objective(target)
-        out = minimize(objective, BOX, start)
+        out = one_start(objective, BOX, start)
         assert out.objective <= objective.value_and_grad(0, start)[0] + 1e-12
 
 
@@ -181,8 +190,8 @@ def test_multistart_ties_go_to_the_lowest_start_index(violation):
     wall = SmoothFunction(lambda rows, x: (violation, np.zeros(3), np.zeros((3, 3))), name="constant")
     constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,))
     cfg = SolverConfig(n_starts=5, seed=4)
-    best = multistart_minimize(flat, constraints, cfg)
-    assert best.x == minimize(flat, constraints, CASE_STUDY_BOUNDS.center, cfg).x
+    best = one_multistart(flat, constraints, cfg)
+    assert best.x == one_start(flat, constraints, CASE_STUDY_BOUNDS.center, cfg).x
 
 
 def test_multistart_tie_goes_to_a_converged_start():
@@ -197,17 +206,17 @@ def test_multistart_tie_goes_to_a_converged_start():
 
     flat = SmoothFunction(vg, name="flat, sloped at the center")
     cfg = SolverConfig(n_starts=5, seed=4)
-    assert not minimize(flat, BOX, center, cfg).converged
-    best = multistart_minimize(flat, BOX, cfg)
+    assert not one_start(flat, BOX, center, cfg).converged
+    best = one_multistart(flat, BOX, cfg)
     assert best.converged
     assert best.x != tuple(center)
 
 
 def test_counters_accumulate():
     cfg = SolverConfig(n_starts=4, seed=1)
-    single = minimize(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center, cfg)
+    single = one_start(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center, cfg)
     assert single.counters.function_evals >= single.counters.iterations > 0
-    multi = multistart_minimize(bimodal_objective(), BOX, cfg)
+    multi = one_multistart(bimodal_objective(), BOX, cfg)
     assert multi.counters.function_evals > single.counters.function_evals
 
 
@@ -218,7 +227,7 @@ def test_inequality_constrained_solve_is_feasible_and_active():
         name="vc >= 150"
     )
     constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,))
-    out = multistart_minimize(objective, constraints, SolverConfig(seed=2))
+    out = one_multistart(objective, constraints, SolverConfig(seed=2))
     assert out.converged
     assert out.constraint_violation <= 1e-6
     assert out.kkt_residual <= 1e-8
@@ -235,7 +244,7 @@ def test_two_inequalities_both_active():
                        name="t >= 0.4"),
     )
     constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=walls)
-    out = multistart_minimize(quadratic_objective(LB), constraints, SolverConfig(seed=5))
+    out = one_multistart(quadratic_objective(LB), constraints, SolverConfig(seed=5))
     assert out.converged
     assert out.constraint_violation <= 1e-6
     assert np.allclose(out.x, [150.0, LB[1], 0.4], atol=1e-6)
@@ -251,7 +260,7 @@ def test_box_only_solve_is_one_inner_solve(monkeypatch):
 
     monkeypatch.setattr(nlsolver, "_inner_solve", counting)
     cfg = SolverConfig(max_inner=1)
-    out = minimize(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center, cfg)
+    out = one_start(bimodal_objective(), BOX, CASE_STUDY_BOUNDS.center, cfg)
     # unconverged, yet not restarted up to max_outer times
     assert not out.converged
     assert calls == [0.1 * cfg.kkt_tol]
@@ -259,7 +268,7 @@ def test_box_only_solve_is_one_inner_solve(monkeypatch):
 
 
 def test_returned_point_respects_bounds_exactly():
-    out = multistart_minimize(quadratic_objective([1000.0, 1.0, 1.0]), BOX, SolverConfig(seed=4))
+    out = one_multistart(quadratic_objective([1000.0, 1.0, 1.0]), BOX, SolverConfig(seed=4))
     assert out.x == (314.0, 0.16, 0.6)
 
 

@@ -17,16 +17,16 @@ from pareto_forge import (
     StageInfeasibleError,
     epsilon_constraint,
     epsilon_sweep,
-    global_criterion,
+    evaluate,
     global_criterion_sweep,
+    grouped_multistart,
     individual_optima,
     lexicographic,
-    minimize,
     minimize_starts,
-    multistart_minimize,
     relative_deviation_norm,
     run_ga,
     stratified_starts,
+    value_jacobian_hessian,
     weighted_sum,
     weighted_sum_sweep,
 )
@@ -106,13 +106,13 @@ def test_index_of(problem):
 def test_minimized_sign(problem):
     x = np.array(CASE_STUDY_BOUNDS.center)
     ra_obj, mrr_obj = problem.objectives
-    f, _, _ = problem.stack.value_jacobian_hessian(x)
-    assert f[1] == -float(mrr_obj.model.evaluate(x))
-    assert f[0] == float(ra_obj.model.evaluate(x))
+    f, _, _ = value_jacobian_hessian(problem.stack, x)
+    assert f[1] == -float(evaluate(mrr_obj.model, x))
+    assert f[0] == float(evaluate(ra_obj.model, x))
     f, _, _ = mrr_obj.function().value_and_grad(0, x)
-    assert f == -float(mrr_obj.model.evaluate(x))
+    assert f == -float(evaluate(mrr_obj.model, x))
     f, _, _ = ra_obj.function().value_and_grad(0, x)
-    assert f == float(ra_obj.model.evaluate(x))
+    assert f == float(evaluate(ra_obj.model, x))
 
 
 def test_individual_optima_match_case_study(utopia):
@@ -151,13 +151,13 @@ def test_weighted_sum_rejects_degenerate_pair(problem, utopia, monkeypatch):
 
 def test_global_criterion_rejects_bad_p(problem, utopia):
     with pytest.raises(ValueError, match="positive integer"):
-        global_criterion(problem, 0, FAST, utopia)
+        global_criterion_sweep(problem, (0,), FAST, utopia)
     with pytest.raises(ValueError, match="positive integer"):
-        global_criterion(problem, 2.5, FAST, utopia)
+        global_criterion_sweep(problem, (2.5,), FAST, utopia)
 
 
 def test_global_criterion_p2(problem, utopia):
-    res = global_criterion(problem, 2, FAST, utopia)
+    res = global_criterion_sweep(problem, (2,), FAST, utopia).results[0]
     assert abs(res.responses[0] - 0.7111) <= 0.01
     assert abs(res.responses[1] - 25448.0) <= 0.015 * 25448.0
     assert res.criterion == pytest.approx(res.outcome.objective)
@@ -270,7 +270,7 @@ def test_lexicographic_reverse_order_stage_monotonicity(problem):
 def test_lexicographic_single_objective_equals_plain_minimize(problem):
     res = lexicographic(problem, ("ra",), FAST)
     assert len(res.results) == 1
-    direct = multistart_minimize(problem.objectives[0].function(), problem.constraints, FAST)
+    direct = grouped_multistart(problem.objectives[0].function(), problem.constraints, 1, FAST)[0]
     assert res.results[-1].x == direct.x
 
 
@@ -334,8 +334,8 @@ def test_sense_conversion_leaves_argmin_unchanged(problem, neg_problem):
         a, b = getattr(pos_utopia, name), getattr(neg_utopia, name)
         assert a.tobytes() == b.tobytes(), name
 
-    a = global_criterion(problem, 2, cfg, pos_utopia)
-    b = global_criterion(neg_problem, 2, cfg, neg_utopia)
+    a = global_criterion_sweep(problem, (2,), cfg, pos_utopia).results[0]
+    b = global_criterion_sweep(neg_problem, (2,), cfg, neg_utopia).results[0]
     assert a.x == b.x
 
     wa = weighted_sum(problem, (0.9, 0.1), cfg, pos_utopia)
@@ -362,12 +362,12 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
         made["n"] += stack.size * (np.size(x) // 3)
         return evaluate_models(stack, x)
 
-    monkeypatch.setattr(polymodel, "value_jacobian_hessian", counting)
+    monkeypatch.setattr(scalarize, "value_jacobian_hessian", counting)
     cfg = SolverConfig(n_starts=2, seed=1)
     utopia = individual_optima(problem, cfg)
     assert utopia.counters.function_evals == made["n"] > 0
     runs = [
-        lambda: global_criterion(problem, 4, cfg, utopia).outcome.counters,
+        lambda: global_criterion_sweep(problem, (4,), cfg, utopia).results[0].outcome.counters,
         lambda: weighted_sum(problem, (0.4, 0.6), cfg, utopia).outcome.counters,
         lambda: epsilon_constraint(problem, "mrr", (0.7107,), cfg).outcome.counters,
         lambda: lexicographic(problem, ("ra", "mrr"), cfg).counters,
@@ -384,7 +384,7 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
 def test_deviation_of_mixed_p_equals_one_call_per_p(problem, utopia):
     # each p's points computed with p a scalar: an array of exponents would give
     # numpy's pow, not its square for 2, and differ in the last bit
-    values = problem.stack.value_jacobian_hessian(_interior_points(300, 5))[0]
+    values = value_jacobian_hessian(problem.stack, _interior_points(300, 5))[0]
     p = np.random.default_rng(6).choice([1, 2, 3, 20], size=len(values))
     batch = scalarize._deviation(values, utopia.ideal, p)
     for q in (1, 2, 3, 20):
@@ -399,7 +399,7 @@ def test_p1_optimum_at_the_utopia_corner_is_converged(problem, seed):
     # at p = 1 the optimum is the MRR utopia corner, where |f - f*| has its kink;
     # the one-sided derivative must leave the true optimum reported as converged
     cfg = SolverConfig(seed=seed)
-    res = global_criterion(problem, 1, cfg, individual_optima(problem, cfg))
+    res = global_criterion_sweep(problem, (1,), cfg, individual_optima(problem, cfg)).results[0]
     assert res.outcome.converged, res.outcome.kkt_residual
 
 
@@ -441,7 +441,7 @@ HIGH_P_FLOOR_POINTS = [(20, 18), (21, 20), (25, 6), (25, 20), (28, 20), (29, 20)
 @pytest.mark.parametrize("seed, p", HIGH_P_FLOOR_POINTS)
 def test_high_p_criterion_points_converge(problem, seed, p):
     cfg = SolverConfig(seed=seed)
-    res = global_criterion(problem, p, cfg, individual_optima(problem, cfg))
+    res = global_criterion_sweep(problem, (p,), cfg, individual_optima(problem, cfg)).results[0]
     assert res.outcome.converged and res.outcome.kkt_residual <= 1e-8, res.outcome.kkt_residual
 
 
@@ -493,7 +493,7 @@ def _assert_hessian_matches_gradient_differences(fn):
 @pytest.mark.parametrize("p", [1, 2, 4, 20])
 def test_deviation_criterion_hessian_matches_gradient_differences(problem, utopia, p,
                                                                    monkeypatch):
-    fn = _solver_objective(monkeypatch, lambda: global_criterion(problem, p, FAST, utopia))
+    fn = _solver_objective(monkeypatch, lambda: global_criterion_sweep(problem, (p,), FAST, utopia))
     _assert_hessian_matches_gradient_differences(fn)
 
 
@@ -511,7 +511,8 @@ def test_objective_and_bound_hessians_match_gradient_differences(problem):
 
 def _batched_cases(problem, utopia, monkeypatch, cfg):
     ws = _solver_objective(monkeypatch, lambda: weighted_sum(problem, (0.3, 0.7), cfg, utopia))
-    p20 = _solver_objective(monkeypatch, lambda: global_criterion(problem, 20, cfg, utopia))
+    p20 = _solver_objective(monkeypatch,
+                            lambda: global_criterion_sweep(problem, (20,), cfg, utopia))
     ra, mrr = problem.objectives
     # maximise MRR with Ra held at 0.7107: the bound is active at the optimum
     held = problem.constrained_by([ra.function(bound=0.7107, name="Ra<= 0.7107")])
@@ -527,12 +528,12 @@ def test_batched_starts_equal_single_start_solves(problem, utopia, monkeypatch, 
     batched = minimize_starts(fn, constraints, starts, cfg)
     assert len(batched) == len(starts)
     for start, outcome in zip(starts, batched):
-        single = minimize(fn, constraints, start, cfg)
+        single = minimize_starts(fn, constraints, [start], cfg)[0]
         assert (outcome.x, outcome.objective, outcome.converged, outcome.kkt_residual,
                 outcome.constraint_violation, outcome.counters) == (
             single.x, single.objective, single.converged, single.kkt_residual,
             single.constraint_violation, single.counters)
-    best = multistart_minimize(fn, constraints, cfg)
+    best = grouped_multistart(fn, constraints, 1, cfg)[0]
     assert best.counters.function_evals == sum(o.counters.function_evals for o in batched)
     if case == "epsilon":
         assert best.constraint_violation <= cfg.feas_tol

@@ -45,8 +45,36 @@ def test_svg_has_marker_per_point_and_legend():
 
 
 def test_svg_axis_labels():
-    svg = front_svg(make_front(), x_label="Ra (um)", y_label="MRR (mm^3/min)")
+    svg = front_svg(make_front())
     assert "Ra (um)" in svg and "MRR (mm^3/min)" in svg
+
+
+def tick_labels(svg):
+    """The x and the y tick labels of ``svg``; legend entries carry no text-anchor."""
+    found = re.findall(r'text-anchor="(middle|end)" font-family="sans-serif" '
+                       r'font-size="12">([^<]*)<', svg)
+    return ([t for anchor, t in found if anchor == "middle"],
+            [t for anchor, t in found if anchor == "end"])
+
+
+def test_tick_labels_keep_six_significant_digits():
+    x, y = tick_labels(front_svg(make_front()))
+    assert x and y
+    assert all(f"{float(t):g}" == t for t in x + y)
+
+
+@pytest.mark.parametrize("ra, want", [
+    # ticks past the sixth digit: 6 digits would print 1e+06 four times
+    ((1000000.1, 1000000.2, 1000000.3, 1000000.4),
+     ["1000000.1", "1000000.2", "1000000.3", "1000000.4"]),
+    # the bare-range axis of two floats one unit in the last place apart
+    ((1e20, 100000000000000016384.0), ["1e+20", "1.0000000000000002e+20"]),
+])
+def test_tick_labels_tell_close_ticks_apart(ra, want):
+    points = tuple(ParetoPoint((314.0, 0.1, 0.4), (r, 1000.0 * (i + 1)), "m", str(i))
+                   for i, r in enumerate(ra))
+    x, _ = tick_labels(front_svg(Front(points, MIN_MAX)))
+    assert x == want
 
 
 def test_svg_empty_front():
@@ -148,3 +176,5 @@ def test_front_svg_of_finite_floats_is_plottable(ra, mrr):
     with within_5_s():
         svg = front_svg(Front(points, MIN_MAX))
     assert_plottable(svg)
+    for labels in tick_labels(svg):
+        assert len(set(labels)) == len(labels), labels
