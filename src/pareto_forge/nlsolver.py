@@ -339,7 +339,8 @@ class _ScaledProblem:
 
 def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
             max_outer: int, config: SolverConfig):
-    """Multiplier loop of every row from ``s0``; a row leaves it when converged.
+    """Multiplier loop of every row from ``s0``; a row leaves it when converged, or
+    when stalled at a local minimum of its own infeasibility.
 
     Returns arrays over the rows: (s, f, converged, residual, violation).
     """
@@ -365,10 +366,12 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
         f_b, g_obj, _ = prob.evaluate(0, batch, s_b)
         con_vals = np.empty((live.size, n_con))
         grad_lagr = g_obj / prob.f_scale[batch][:, None]
+        grad_viol = np.zeros_like(s_b)
         for i in range(n_con):
             c, gc, _ = prob.evaluate(1 + i, batch, s_b)
             con_vals[:, i] = c
             grad_lagr = grad_lagr + np.maximum(0.0, lam_b[:, i] + rho_b * c)[:, None] * gc
+            grad_viol = grad_viol + np.maximum(0.0, c)[:, None] * gc
         viol_b = np.maximum(0.0, con_vals.max(axis=-1, initial=0.0))
         # shifted measure: feasibility plus complementarity, so an active
         # constraint approached from the feasible side still drives lambda home
@@ -382,12 +385,19 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
         grow = shifted > 0.25 * v_prev[live]
         rho[live] = np.where(grow, np.minimum(rho_b * _RHO_GROWTH, _RHO_MAX), rho_b)
         v_prev[live] = shifted
-        live = live[~done]
+        # an infeasible row that took no step where its violation is box-stationary
+        # sits at a local minimum of its own infeasibility: no multiplier or penalty
+        # moves it, so it leaves for restoration
+        stalled = ((steps == 0) & (viol_b > config.feas_tol)
+                   & (_projected_residual(s_b, grad_viol) == 0.0))
+        live = live[~(done | stalled)]
         if not live.size:
             break
     return s, f, converged, residual, violation
 
 
+# a model value that overflows is reported as a NonFiniteEvaluationError, not a warning
+@np.errstate(over="ignore")
 def minimize_starts(
     objective: SmoothFunction,
     constraints: ConstraintSet,

@@ -221,34 +221,44 @@ def relative_deviation_norm(values, utopia_values, p: int):
     return out if out.ndim else float(out)
 
 
+def _power(x: np.ndarray, e):
+    """x ** e with numpy's results for a scalar exponent also when ``e`` is one per
+    row: a scalar 2 squares and a scalar 1/2 takes the square root, where an array
+    exponent's pow can differ from both in the last bit."""
+    out = np.power(x, e)
+    if np.ndim(e):
+        np.multiply(x, x, out=out, where=e == 2)
+        np.sqrt(x, out=out, where=e == 0.5)
+    return out
+
+
 def _deviation(values: np.ndarray, stars: np.ndarray, p):
     """The deviation criterion F, dF/df and d2F/df2 (..., m, m), over the last axis
     of the objective values f; ``p`` is one exponent or an array of one per point.
 
     With u_i = d_i / F and a_i = dd_i/df_i, d2F/df2 = (p - 1) / F (diag(u^(p-2) a^2)
-    - (dF/df)(dF/df)^T); it is 0 at p = 1 and where F is 0. Each p's points go
-    with p a scalar: numpy's power squares for a scalar 2 (and 1/2), where an
-    array exponent's pow can differ in the last bit.
+    - (dF/df)(dF/df)^T); it is 0 at p = 1 and where F is 0. Every point goes in
+    one pass, whatever its p: :func:`_power` gives each the bits of a scalar p.
     """
-    if np.ndim(p):
-        m = values.shape[-1:]
-        return _split_by(p, ((), m, m + m), lambda q, on: _deviation(values[on], stars, q))
+    # each objective value's exponent: p, or each point's p over the last axis
+    q = p if not np.ndim(p) else np.asarray(p, dtype=float)[..., None]
     diff = values - stars
     d = np.abs(diff) / np.abs(stars)
     m = d.max(axis=-1, keepdims=True)
-    value = m[..., 0] * np.power(np.power(d / np.where(m > 0, m, 1.0), p).sum(axis=-1), 1.0 / p)
+    value = m[..., 0] * _power(_power(d / np.where(m > 0, m, 1.0), q).sum(axis=-1), 1.0 / p)
     # dF/dd_i = (d_i / F)^(p-1), with d_i <= F guaranteed for p >= 1; 0 where F is 0
     safe = np.where(value > 0, value, 1.0)[..., None]
     u = d / safe
     # feasible values satisfy f_i >= f_i*, so at the kink f_i = f_i* the one-sided
     # derivative (+1) applies; sign(0) = 0 would drop objective i's gradient there
     a = np.where(diff < 0, -1.0, 1.0) / np.abs(stars)
-    grad = np.power(u, p - 1) * a
+    grad = _power(u, q - 1) * a
     second = np.zeros(d.shape + d.shape[-1:])
-    if p > 1:
-        diag = np.eye(d.shape[-1]) * (np.power(u, p - 2) * a * a)[..., None, :]
-        second = (p - 1) / safe[..., None] * (diag - grad[..., :, None] * grad[..., None, :])
-        second = np.where((value > 0)[..., None, None], second, 0.0)
+    if np.any(p > 1):
+        # at p = 1 the exponent p - 2 would be -1, which divides by a zero u
+        diag = np.eye(d.shape[-1]) * (_power(u, np.where(q > 1, q - 2, 0)) * a * a)[..., None, :]
+        second = ((q - 1) / safe)[..., None] * (diag - grad[..., :, None] * grad[..., None, :])
+        second = np.where(((value > 0) & (p > 1))[..., None, None], second, 0.0)
     return value, grad, second
 
 

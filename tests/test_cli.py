@@ -280,6 +280,18 @@ def test_overflowing_coefficients_are_numeric_errors(tmp_path, capsys, command):
     assert err.startswith("numerical failure:") and "overflow" in err
 
 
+def test_overflowing_model_value_is_a_numeric_error_without_warning(tmp_path, capsys):
+    # the fit stays finite, but a model value overflows at the first solve's points
+    csv = tmp_path / "large_mrr.csv"
+    save_experiments(csv, [replace(r, mrr=r.mrr * 1.2e303) for r in builtin_case_study()])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["compare", "--starts", "2", "--data", str(csv),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert not caught
+    assert "non-finite evaluation in 'individual optima'" in capsys.readouterr().err
+
+
 def test_front_requires_inputs(capsys):
     assert main(["front"]) == 2
 

@@ -267,6 +267,40 @@ def test_box_only_solve_is_one_inner_solve(monkeypatch):
     assert out.counters.iterations == 1
 
 
+def test_row_at_a_locally_infeasible_vertex_leaves_for_restoration(monkeypatch):
+    # on the scaled (u, v) = (x0, x1): c = 0.1 + u + v - 3uv rises into the box from
+    # the vertex (0, 0), a local minimum of its violation at c = 0.1, and is negative
+    # towards (1, 1); u + v pulls the multiplier loop from (0.4, 0.4) onto that
+    # vertex, while the violation alone descends from there to the feasible side
+    def trap(rows, x):
+        u, v = (x[..., 0] - LB[0]) / SPAN[0], (x[..., 1] - LB[1]) / SPAN[1]
+        grad, hess = np.zeros(x.shape), np.zeros(x.shape + (3,))
+        grad[..., 0], grad[..., 1] = (1.0 - 3.0 * v) / SPAN[0], (1.0 - 3.0 * u) / SPAN[1]
+        hess[..., 0, 1] = hess[..., 1, 0] = -3.0 / (SPAN[0] * SPAN[1])
+        return 0.1 + u + v - 3.0 * u * v, grad, hess
+
+    def toward_vertex(rows, x):
+        s = (x - LB) / SPAN
+        return s[..., 0] + s[..., 1], np.array([1.0, 1.0, 0.0]) / SPAN, np.zeros((3, 3))
+
+    gtols, inner = [], nlsolver._inner_solve
+
+    def spy(fun, s0, gtol, maxiter):
+        gtols.append(gtol)
+        return inner(fun, s0, gtol, maxiter)
+
+    monkeypatch.setattr(nlsolver, "_inner_solve", spy)
+    constraints = ConstraintSet(CASE_STUDY_BOUNDS, (SmoothFunction(trap, name="trap"),))
+    start = LB + np.array([0.4, 0.4, 0.5]) * SPAN
+    out = one_start(SmoothFunction(toward_vertex, name="u + v"), constraints, start)
+    # restoration (gtol 1e-12) follows at most two outer iterations of the first loop
+    assert gtols.index(1e-12) <= 2
+    assert out.converged and out.constraint_violation <= 1e-6
+    # the constrained optimum: u = v on (3u - 1)^2 = 1.3
+    assert np.allclose((np.array(out.x) - LB)[:2] / SPAN[:2], (1.0 + 1.3 ** 0.5) / 3.0,
+                       atol=1e-5)
+
+
 def test_returned_point_respects_bounds_exactly():
     out = one_multistart(quadratic_objective([1000.0, 1.0, 1.0]), BOX, SolverConfig(seed=4))
     assert out.x == (314.0, 0.16, 0.6)

@@ -2,9 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
+    DEFAULT_P_VALUES,
     ConstraintSet,
     InfeasibleEpsilonError,
     MooProblem,
@@ -30,7 +33,7 @@ from pareto_forge import (
     weighted_sum,
     weighted_sum_sweep,
 )
-from pareto_forge import scalarize
+from pareto_forge import nlsolver, scalarize
 from pareto_forge.evolve import GaConfig
 
 FAST = SolverConfig(n_starts=4, seed=0)
@@ -244,6 +247,37 @@ def test_first_epsilon_point_is_converged(problem, utopia, seed):
     assert np.allclose(first.x, [314.0, 0.04, 0.2])
 
 
+def test_stalled_epsilon_rows_leave_the_multiplier_loop(problem, utopia, monkeypatch):
+    # eps = Ra* holds the first point's rows at a corner where no multiplier moves
+    # them; they leave the first loop for restoration instead of running it out
+    calls, inner = [], nlsolver._inner_solve
+
+    def spy(fun, s0, gtol, maxiter):
+        s, steps = inner(fun, s0, gtol, maxiter)
+        calls.append(steps)
+        return s, steps
+
+    loops, auglag = [], nlsolver._auglag
+
+    def spy_loop(*args):
+        out = auglag(*args)
+        loops.append(out[2].copy())  # a better restart overwrites a row in place
+        return out
+
+    monkeypatch.setattr(nlsolver, "_inner_solve", spy)
+    monkeypatch.setattr(nlsolver, "_auglag", spy_loop)
+    sweep = epsilon_sweep(problem, "mrr", 11, SolverConfig(seed=0), utopia)
+    assert len(calls) <= 12  # 53 when the stuck rows ran all 50 outer iterations
+    assert sweep.results[0].outcome.converged
+    # at outer iteration 1 the first two points' 16 rows take no step while their
+    # violation can still fall inside the box: none of them is cut there, and
+    # every row but the first point's converges in the first loop
+    assert len(calls[1]) == len(calls[2]) == 16 and not calls[1].any()
+    first_loop = loops[0]
+    n = SolverConfig().n_starts
+    assert not first_loop[:n].any() and first_loop[n:].all()
+
+
 def test_epsilon_sweep_validation(problem, utopia):
     with pytest.raises(ValueError, match="at least 2"):
         epsilon_sweep(problem, "mrr", 1, FAST, utopia)
@@ -381,17 +415,59 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
         assert run().function_evals == made["n"] > 0
 
 
-def test_deviation_of_mixed_p_equals_one_call_per_p(problem, utopia):
-    # each p's points computed with p a scalar: an array of exponents would give
-    # numpy's pow, not its square for 2, and differ in the last bit
-    values = value_jacobian_hessian(problem.stack, _interior_points(300, 5))[0]
-    p = np.random.default_rng(6).choice([1, 2, 3, 20], size=len(values))
-    batch = scalarize._deviation(values, utopia.ideal, p)
-    for q in (1, 2, 3, 20):
+def _deviation_at_one_p(values, stars, p):
+    """The deviation criterion at one scalar p with np.power throughout: the
+    reference for the one-pass form, which must give every p these bits."""
+    diff = values - stars
+    d = np.abs(diff) / np.abs(stars)
+    m = d.max(axis=-1, keepdims=True)
+    value = m[..., 0] * np.power(np.power(d / np.where(m > 0, m, 1.0), p).sum(axis=-1), 1.0 / p)
+    safe = np.where(value > 0, value, 1.0)[..., None]
+    u = d / safe
+    a = np.where(diff < 0, -1.0, 1.0) / np.abs(stars)
+    grad = np.power(u, p - 1) * a
+    second = np.zeros(d.shape + d.shape[-1:])
+    if p > 1:
+        diag = np.eye(d.shape[-1]) * (np.power(u, p - 2) * a * a)[..., None, :]
+        second = (p - 1) / safe[..., None] * (diag - grad[..., :, None] * grad[..., None, :])
+        second = np.where((value > 0)[..., None, None], second, 0.0)
+    return value, grad, second
+
+
+# p = 3 raises u to p - 1 = 2 and p = 4 to p - 2 = 2, where numpy squares
+DEVIATION_P = sorted(set(DEFAULT_P_VALUES) | {3})
+# an objective's relative offset from its optimum: exactly at it (the kink, and
+# the utopia when both are), or above or below it
+_OFFSETS = st.one_of(st.just(0.0), st.floats(-1.0, 10.0, allow_subnormal=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(DEVIATION_P), _OFFSETS, _OFFSETS),
+                min_size=1, max_size=40))
+def test_deviation_of_mixed_p_equals_one_call_per_p(utopia, rows):
+    stars = utopia.ideal
+    p = np.array([row[0] for row in rows], dtype=float)
+    values = stars + np.array([row[1:] for row in rows]) * np.abs(stars)
+    batch = scalarize._deviation(values, stars, p)
+    for q in set(p.tolist()):
         on = p == q
-        assert on.any()
-        for got, want in zip(batch, scalarize._deviation(values[on], utopia.ideal, q)):
-            assert got[on].tobytes() == want.tobytes()
+        want = _deviation_at_one_p(values[on], stars, int(q))
+        for got, scalar, ref in zip(batch, scalarize._deviation(values[on], stars, int(q)), want):
+            assert got[on].tobytes() == ref.tobytes()
+            assert scalar.tobytes() == ref.tobytes()
+
+
+def test_power_has_numpys_scalar_exponent_results():
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.concatenate([[0.0, 1.0, tiny, 1e150], np.random.default_rng(2).random(500) * 3])
+    exponents = (0, 0.5, 1, 2, 3, 1 / 3, 0.05, 19, 20)
+    per_element = np.random.default_rng(3).choice(exponents, size=len(x))
+    with np.errstate(over="ignore"):
+        mixed = scalarize._power(x, per_element)
+        for e in exponents:
+            want = np.power(x, e)
+            assert scalarize._power(x, np.full(len(x), e)).tobytes() == want.tobytes()
+            assert mixed[per_element == e].tobytes() == want[per_element == e].tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20, 44))

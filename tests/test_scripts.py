@@ -30,3 +30,18 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["J"].shape == (2, 3) and namespace["H"].shape == (2, 3, 3)
     assert "w=0" in capsys.readouterr().out
+
+
+def test_same_outputs_finds_a_tree_equal_to_itself(tmp_path, capsys):
+    same_outputs = _load("same_outputs")
+    for tree, text in (("a", "1"), ("b", "2")):
+        (tmp_path / tree / "sub").mkdir(parents=True)
+        (tmp_path / tree / "same.txt").write_text("x")
+        (tmp_path / tree / "sub" / "f.txt").write_text(text)
+        (tmp_path / tree / f"only_{tree}.txt").write_text("x")
+    assert same_outputs.differing(tmp_path / "a", tmp_path / "b") == [
+        "only_a.txt", "only_b.txt", "sub/f.txt"]
+    src = str(ROOT / "src")
+    subset = [c for c in same_outputs.COMMANDS if c[0] in ("fit", "validate")]
+    assert same_outputs.main(src, src, subset) == 0
+    assert "identical over 2 commands" in capsys.readouterr().out
