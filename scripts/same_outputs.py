@@ -30,7 +30,10 @@ _SYNTHETIC = ("import pathlib, sys\n"
 
 #: (name, command-line arguments of ``pareto_forge.cli``), run in order in the
 #: tree's directory; "synthetic" writes the dataset the eps and lex commands
-#: read, and ga.json sets the population of 120 that the benchmark's GA runs use
+#: read, ga.json sets the population of 120 that the benchmark's GA runs use, and
+#: ga_copies.json turns crossover and mutation off, so every child is a copy of
+#: its parent and the population fills with duplicate rows, whose ties the
+#: ranking, crowding and selection must break the same way
 COMMANDS = (
     ("fit", ["fit", "--out", "fit"]),
     ("validate", ["validate"]),
@@ -48,7 +51,15 @@ COMMANDS = (
     ("ga_1", ["optimize", "--method", "ga", "--config", "ga.json", "--seed", "1",
               "--out", "ga_1"]),
     ("merge", ["front", "ga_0/front_ga.csv", "ga_1/front_ga.csv", "--out", "merge"]),
+    ("ga_copies", ["optimize", "--method", "ga", "--config", "ga_copies.json", "--seed", "2",
+                   "--out", "ga_copies"]),
 )
+
+#: configuration files written into each tree's directory before the commands run
+CONFIGS = {
+    "ga.json": '{"ga": {"pop": 120}}\n',
+    "ga_copies.json": '{"ga": {"pop": 16, "gens": 40, "pc": 0, "pm": 0}}\n',
+}
 
 
 def run_tree(src: Path, out: Path, commands) -> list[str]:
@@ -56,7 +67,8 @@ def run_tree(src: Path, out: Path, commands) -> list[str]:
     the names of those that exited non-zero."""
     failed = []
     out.mkdir(parents=True)
-    (out / "ga.json").write_text('{"ga": {"pop": 120}}\n', encoding="utf-8")
+    for name, text in CONFIGS.items():
+        (out / name).write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     for name, argv in commands:
         if argv is None:

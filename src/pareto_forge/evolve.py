@@ -4,8 +4,12 @@ Non-dominated sorting with crowding-distance selection, binary tournament on
 (rank, crowding), simulated-binary crossover and polynomial mutation on
 box-scaled variables. A generation is a fixed sequence of array operations:
 its uniforms are drawn as whole arrays, a fixed number in a fixed order, and
-for two objectives its ranks come from one sort. The survivors are the best n
-of parents and children, and keep the ranks they had among both. Fronts are
+for two objectives its ranks come from one sort. Both children of every pair
+come from one expression, and the crowding of every rank from one sort per
+objective; each element still takes the floating-point operations of the
+textbook form, one gene or one front at a time, in the same order, so the bytes
+are that form's. The survivors are the best n of parents and children, and
+keep the ranks they had among both. Fronts are
 bitwise reproducible for a fixed seed on one host; the generator is numpy's
 documented PCG64. numpy's array power may round the last bit differently on
 CPUs with other SIMD support, so bytes can differ between hosts.
@@ -85,48 +89,74 @@ def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
 def _crowding_by_rank(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Crowding distance of each rank's points, all ranks at once: infinite at
     each objective's boundary points of the rank, the normalized cuboid side-sum
-    for its interior points.
+    for its interior points. An objective whose span over a rank is zero or not
+    finite adds nothing to the rank's interior points.
 
     Per objective, one sort by (rank, value, index) lays each rank out as the
     run its own stable sort would give, so every sum is taken in the same order.
+    The runs sit at the same positions in every objective's sort, so their ends
+    are found once; each objective then divides every interior gap by its run's
+    span in one masked pass and adds the quotients, and +inf at the ends, to the
+    distances. Adding 0.0 to the others leaves their bits as they were.
     """
-    dist = np.zeros(len(values))
-    for j in range(values.shape[1]):
-        order = np.lexsort((values[:, j], ranks))
-        r, v = ranks[order], values[order, j]
-        first = np.concatenate(([True], r[1:] != r[:-1]))
-        last = np.concatenate((r[1:] != r[:-1], [True]))
-        run = np.cumsum(first) - 1
-        lo, hi = v[first][run], v[last][run]
-        inner = np.flatnonzero(~(first | last) & (hi != lo))
-        dist[order[inner]] += (v[inner + 1] - v[inner - 1]) / (hi[inner] - lo[inner])
-        dist[order[first | last]] = np.inf
+    n = len(values)
+    counts = np.bincount(ranks)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    last = first + np.repeat(counts - 1, counts)
+    pos = np.arange(n)
+    interior = (pos != first) & (pos != last)
+    at_ends = np.where(interior, 0.0, np.inf)
+    gap = np.zeros(n)
+    dist = np.zeros(n)
+    # inf - inf, and a difference past the float range, are masked out below
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(values.shape[1]):
+            order = np.lexsort((values[:, j], ranks))
+            v = values[order, j]
+            span = v[last] - v[first]
+            np.subtract(v[2:], v[:-2], out=gap[1:-1])
+            part = at_ends.copy()
+            np.divide(gap, span, out=part, where=interior & (span > 0) & (span < np.inf))
+            dist[order] += part
     return dist
 
 
 def _selection_order(ranks: np.ndarray, crowd: np.ndarray) -> np.ndarray:
-    """Indices sorted best-first by (rank asc, crowding desc, index asc)."""
-    return np.lexsort((np.arange(len(ranks)), -crowd, ranks))
+    """Indices sorted best-first by (rank asc, crowding desc, index asc); lexsort
+    is stable, so equal keys keep index order."""
+    return np.lexsort((-crowd, ranks))
 
 
-def _sbx(p1, p2, coin, swap, u, prob: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover (Deb & Agrawal 1995) of the parent rows ``p1`` and
-    ``p2``: a pair crosses where its ``coin`` < ``prob``, and then each gene where
-    its ``swap`` < 0.5, with the spread factor drawn from ``u``. Draws are in
-    [0, 1), so ``prob`` 0 never crosses."""
+def _sbx(parents, coin, swap, u, prob: float, eta: float) -> np.ndarray:
+    """Simulated binary crossover (Deb & Agrawal 1995): rows 2k and 2k + 1 of
+    ``parents`` are pair k, and rows 2k and 2k + 1 of the result its children. A
+    pair crosses where its ``coin`` < ``prob``, and then each gene where its
+    ``swap`` < 0.5, with the spread factor drawn from ``u``. Draws are in [0, 1),
+    so ``prob`` 0 never crosses.
+
+    Both children come from one expression over the pair and its mirror: the
+    second child's 0.5 ((1 + beta) p2 + (1 - beta) p1) is the textbook
+    0.5 ((1 - beta) p1 + (1 + beta) p2) bit for bit, since addition commutes.
+    Each gene raises only the base of its own branch to the power.
+    """
     e = 1.0 / (eta + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** e, (1.0 / (2.0 * (1.0 - u))) ** e)
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** e
     cross = (coin[:, None] < prob) & (swap < 0.5)
-    c1 = np.where(cross, 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2), p1)
-    c2 = np.where(cross, 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2), p2)
-    return c1, c2
+    beta, cross = beta[:, None], cross[:, None]
+    pairs = parents.reshape(len(coin), 2, -1)
+    mirror = pairs[:, ::-1]
+    children = np.where(cross, 0.5 * ((1.0 + beta) * pairs + (1.0 - beta) * mirror), pairs)
+    return children.reshape(parents.shape)
 
 
 def _mutate(children, coin, u, prob: float, eta: float) -> np.ndarray:
     """Polynomial mutation (Deb & Goyal 1996) of each gene whose ``coin`` < ``prob``,
-    with the perturbation drawn from ``u``."""
+    with the perturbation drawn from ``u``; each gene raises only the base of its
+    own branch to the power."""
     e = 1.0 / (eta + 1.0)
-    delta = np.where(u < 0.5, (2.0 * u) ** e - 1.0, 1.0 - (2.0 * (1.0 - u)) ** e)
+    low = u < 0.5
+    r = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** e
+    delta = np.where(low, r - 1.0, 1.0 - r)
     return np.where(coin < prob, children + delta, children)
 
 
@@ -169,10 +199,9 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
         cross_coin = rng.random(half)
         swap, u_sbx = rng.random((half, 3)), rng.random((half, 3))
         mut_coin, u_mut = rng.random((n, 3)), rng.random((n, 3))
-        c1, c2 = _sbx(pop[parents[0::2]], pop[parents[1::2]], cross_coin, swap, u_sbx,
-                      config.crossover_prob, config.crossover_eta)
-        # pair k's children are rows 2k and 2k + 1
-        children = np.stack([c1, c2], axis=1).reshape(n, 3)
+        # pair k's parents, and then its children, are rows 2k and 2k + 1
+        children = _sbx(pop[parents], cross_coin, swap, u_sbx,
+                        config.crossover_prob, config.crossover_eta)
         children = _mutate(children, mut_coin, u_mut, config.mutation_prob, config.mutation_eta)
         np.clip(children, 0.0, 1.0, out=children)
         child_resp = evaluate_pop(children)

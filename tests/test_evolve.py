@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
@@ -235,6 +238,16 @@ def _uniforms(rng, shape):
     return u
 
 
+def interleave(p1, p2):
+    """Pair k's rows of ``p1`` and ``p2`` as rows 2k and 2k + 1, the layout of
+    ``_sbx``'s parents and children."""
+    return np.stack([p1, p2], axis=1).reshape(-1, p1.shape[1])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_array_sbx_and_mutation_match_per_gene_reference():
     rng = np.random.default_rng(11)
     half = 40
@@ -242,16 +255,15 @@ def test_array_sbx_and_mutation_match_per_gene_reference():
     coin, swap, u = rng.random(half), _uniforms(rng, (half, 3)), _uniforms(rng, (half, 3))
     coin[:2] = (0.9, np.nextafter(0.9, 1.0))
     swap.flat[3] = 0.5
-    c1, c2 = _sbx(p1, p2, coin, swap, u, 0.9, 15.0)
+    children = _sbx(interleave(p1, p2), coin, swap, u, 0.9, 15.0)
     r1, r2 = reference_sbx(p1, p2, coin, swap, u, 0.9, 15.0)
-    assert np.array_equal(c1, r1) and np.array_equal(c2, r2)
-    assert not np.array_equal(c1, p1)
+    assert same_bits(children[0::2], r1) and same_bits(children[1::2], r2)
+    assert not np.array_equal(children[0::2], p1)
 
-    children = np.vstack([c1, c2])
     m_coin, m_u = _uniforms(rng, children.shape), _uniforms(rng, children.shape)
     m_coin.flat[3] = 1.0 / 3.0
     got = _mutate(children, m_coin, m_u, 1.0 / 3.0, 20.0)
-    assert np.array_equal(got, reference_mutate(children, m_coin, m_u, 1.0 / 3.0, 20.0))
+    assert same_bits(got, reference_mutate(children, m_coin, m_u, 1.0 / 3.0, 20.0))
     assert not np.array_equal(got, children)
 
 
@@ -259,23 +271,28 @@ def test_sbx_preserves_each_gene_pair_sum():
     rng = np.random.default_rng(5)
     p1, p2 = rng.random((60, 3)), rng.random((60, 3))
     coin, swap, u = rng.random(60), rng.random((60, 3)), _uniforms(rng, (60, 3))
-    c1, c2 = _sbx(p1, p2, coin, swap, u, 1.0, 15.0)
-    c1, c2 = _mutate(c1, u, u, 0.0, 20.0), _mutate(c2, u, u, 0.0, 20.0)
+    children = _sbx(interleave(p1, p2), coin, swap, u, 1.0, 15.0)
+    children = _mutate(children, np.repeat(u, 2, axis=0), np.repeat(u, 2, axis=0), 0.0, 20.0)
+    c1, c2 = children[0::2], children[1::2]
     assert not np.array_equal(c1, p1)
     np.testing.assert_allclose(c1 + c2, p1 + p2, rtol=0, atol=1e-14)
 
 
 def test_no_crossover_and_no_mutation_copies_the_parents():
     rng = np.random.default_rng(6)
-    p1, p2 = rng.random((60, 3)), rng.random((60, 3))
+    parents = interleave(rng.random((60, 3)), rng.random((60, 3)))
     coin, swap, u = _uniforms(rng, 60), _uniforms(rng, (60, 3)), _uniforms(rng, (60, 3))
-    c1, c2 = _sbx(p1, p2, coin, swap, u, 0.0, 15.0)
-    c1, c2 = _mutate(c1, swap, u, 0.0, 20.0), _mutate(c2, swap, u, 0.0, 20.0)
-    assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
+    children = _sbx(parents, coin, swap, u, 0.0, 15.0)
+    children = _mutate(children, np.repeat(swap, 2, axis=0), np.repeat(u, 2, axis=0), 0.0, 20.0)
+    assert same_bits(children, parents)
 
 
-# the crowding of rows at +-inf is NaN (inf - inf); the ranks do not depend on it
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_selection_order_breaks_ties_by_index():
+    ranks = np.array([1, 0, 0, 1, 0, 0])
+    crowd = np.array([2.0, np.inf, 1.0, 2.0, np.inf, 1.0])
+    assert _selection_order(ranks, crowd).tolist() == [1, 4, 2, 5, 0, 3]
+
+
 @pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX, MIN_MAX_MIN])
 def test_survivors_keep_their_ranks(senses):
     # the best half in (rank, crowding) order holds every row that dominates one of
@@ -303,6 +320,24 @@ def reference_crowding(values):
     return dist
 
 
+def previous_crowding_by_rank(values, ranks):
+    """The all-ranks crowding as it stood before its runs were laid out once per
+    call: per objective, the run ends found from the sorted ranks, and each
+    interior quotient added at its own index."""
+    dist = np.zeros(len(values))
+    for j in range(values.shape[1]):
+        order = np.lexsort((values[:, j], ranks))
+        r, v = ranks[order], values[order, j]
+        first = np.concatenate(([True], r[1:] != r[:-1]))
+        last = np.concatenate((r[1:] != r[:-1], [True]))
+        run = np.cumsum(first) - 1
+        lo, hi = v[first][run], v[last][run]
+        inner = np.flatnonzero(~(first | last) & (hi != lo))
+        dist[order[inner]] += (v[inner + 1] - v[inner - 1]) / (hi[inner] - lo[inner])
+        dist[order[first | last]] = np.inf
+    return dist
+
+
 def test_crowding_by_rank_matches_per_rank_crowding_bitwise():
     rng = np.random.default_rng(29)
     values = np.vstack([rng.integers(0, 6, size=(60, 2)).astype(float), rng.random((60, 2)),
@@ -311,8 +346,54 @@ def test_crowding_by_rank_matches_per_rank_crowding_bitwise():
     crowd = _crowding_by_rank(values, ranks)
     for r in np.unique(ranks):
         mask = ranks == r
-        assert np.array_equal(crowd[mask], one_front_crowding(values[mask]))
-        assert np.array_equal(crowd[mask], reference_crowding(values[mask]))
+        assert same_bits(crowd[mask], one_front_crowding(values[mask]))
+        assert same_bits(crowd[mask], reference_crowding(values[mask]))
+
+
+@st.composite
+def ranked_rows(draw):
+    """Rows of 2 or 3 objectives and their rank labels: integer ties or floats,
+    duplicate rows, perhaps a constant column, ranks of one row or more, labels
+    with gaps (only 0 and 3), all in a drawn row order."""
+    m = draw(st.integers(2, 3))
+    element = draw(st.sampled_from([st.integers(0, 3).map(float),
+                                    st.floats(-1e3, 1e3, allow_nan=False)]))
+    rows, ranks = [], []
+    for label in draw(st.sampled_from([(0,), (0, 1), (0, 3), (2, 0, 1)])):
+        for _ in range(draw(st.integers(1, 9))):
+            duplicate = rows and draw(st.booleans())
+            rows.append(draw(st.sampled_from(rows)) if duplicate
+                        else draw(st.tuples(*[element] * m)))
+            ranks.append(label)
+    values = np.array(rows, dtype=float)
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, m - 1))] = draw(element)
+    perm = np.array(draw(st.permutations(range(len(rows)))))
+    return values[perm], np.array(ranks)[perm]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_rows())
+def test_crowding_by_rank_equals_per_rank_and_previous_crowding(drawn):
+    values, ranks = drawn
+    crowd = _crowding_by_rank(values, ranks)
+    assert same_bits(crowd, previous_crowding_by_rank(values, ranks))
+    for r in np.unique(ranks):
+        assert same_bits(crowd[ranks == r], reference_crowding(values[ranks == r]))
+
+
+def test_crowding_of_an_infinite_span_adds_nothing_and_does_not_warn():
+    # objective 2 spans [0, inf]: it adds nothing to the middle row, as a zero span
+    # would; objective 1 gives it (2 - 0) / 2
+    values = np.array([(0.0, np.inf), (1.0, 5.0), (2.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _crowding_by_rank(values, _ranks(values, MIN_MIN)).tolist() == [np.inf, 1.0, np.inf]
+        # inf - inf inside rank 0, and across the boundary from rank 0 to rank 1
+        values = np.array([(0.0, -np.inf), (1.0, np.inf), (2.0, np.inf), (3.0, np.inf),
+                           (0.0, 1.0), (1.0, np.inf), (2.0, np.inf)])
+        crowd = _crowding_by_rank(values, np.array([0, 0, 0, 0, 1, 1, 1]))
+    assert crowd.tolist() == [np.inf, 2 / 3, 2 / 3, np.inf, np.inf, 1.0, np.inf]
 
 
 def test_ga_is_deterministic(problem):

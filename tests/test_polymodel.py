@@ -184,11 +184,30 @@ def test_exponent_table_closed_under_differentiation(basis):
                 assert tuple(ev - (w == v) for w, ev in enumerate(e)) in table, (e, v)
 
 
+def _repeated_power(x: float, k: int) -> float:
+    out = 1.0
+    for _ in range(k):
+        out *= x
+    return out
+
+
 @pytest.mark.parametrize("basis", list(PolyBasis))
 def test_basis_eval_matches_exponent_table(basis):
     x = np.array([3.0, 5.0, 7.0])
     expected = [np.prod(x ** np.array(e)) for e in basis.exponents]
     assert basis_eval(basis, x).tolist() == expected
+    # float points, where the products round: each monomial is (vc^a fz^b) t^c,
+    # every power a repeated product, bit for bit
+    rng = np.random.default_rng(43)
+    for shape in [(3,), (17, 3), (4, 5, 3)]:
+        pts = rng.uniform([-10, -1, -1], [400, 1, 1], size=shape)
+        got = basis_eval(basis, pts)
+        assert got.shape == shape[:-1] + (basis.n_terms,)
+        for lead in np.ndindex(shape[:-1]):
+            vc, fz, t = pts[lead].tolist()
+            want = [(_repeated_power(vc, a) * _repeated_power(fz, b)) * _repeated_power(t, c)
+                    for a, b, c in basis.exponents]
+            assert got[lead].tobytes() == np.array(want).tobytes()
 
 
 def _stack_pairs(refit_models):
