@@ -33,7 +33,8 @@ _SYNTHETIC = ("import pathlib, sys\n"
 #: read, ga.json sets the population of 120 that the benchmark's GA runs use, and
 #: ga_copies.json turns crossover and mutation off, so every child is a copy of
 #: its parent and the population fills with duplicate rows, whose ties the
-#: ranking, crowding and selection must break the same way
+#: ranking, crowding and selection must break the same way; merge_band merges two
+#: fronts whose points differ inside the merge band
 COMMANDS = (
     ("fit", ["fit", "--out", "fit"]),
     ("validate", ["validate"]),
@@ -53,12 +54,22 @@ COMMANDS = (
     ("merge", ["front", "ga_0/front_ga.csv", "ga_1/front_ga.csv", "--out", "merge"]),
     ("ga_copies", ["optimize", "--method", "ga", "--config", "ga_copies.json", "--seed", "2",
                    "--out", "ga_copies"]),
+    ("merge_band", ["front", "band_a.csv", "band_b.csv", "--out", "merge_band"]),
 )
 
-#: configuration files written into each tree's directory before the commands run
+_FRONT_HEADER = "method,param,vc,fz,t,ra,mrr\n"
+
+#: configuration and input files written into each tree's directory before the
+#: commands run. The merge band is 1e-9 of each response's largest magnitude, here
+#: 8e-10 in ra and 3e-5 in mrr: b,2 and b,3 lie inside it of a,2 and a,1, which
+#: dominate them exactly, so only the band keeps them; b,1 is dominated beyond it
 CONFIGS = {
     "ga.json": '{"ga": {"pop": 120}}\n',
     "ga_copies.json": '{"ga": {"pop": 16, "gens": 40, "pc": 0, "pm": 0}}\n',
+    "band_a.csv": _FRONT_HEADER + "a,1,100,0.1,0.3,0.5,10000\na,2,200,0.1,0.3,0.8,30000\n",
+    "band_b.csv": _FRONT_HEADER + ("b,1,150,0.1,0.3,0.6,9000\n"
+                                   "b,2,210,0.1,0.3,0.8000000001,30000\n"
+                                   "b,3,110,0.1,0.3,0.5,9999.999999\n"),
 }
 
 

@@ -75,7 +75,6 @@ from .scalarize import (
     global_criterion_sweep,
     individual_optima,
     lexicographic,
-    relative_deviation_norm,
     weighted_sum,
     weighted_sum_sweep,
 )

@@ -4,7 +4,7 @@ Non-dominated sorting with crowding-distance selection, binary tournament on
 (rank, crowding), simulated-binary crossover and polynomial mutation on
 box-scaled variables. A generation is a fixed sequence of array operations:
 its uniforms are drawn as whole arrays, a fixed number in a fixed order, and
-for two objectives its ranks come from one sort. Both children of every pair
+its ranks over the two objectives come from one sort. Both children of every pair
 come from one expression, and the crowding of every rank from one sort per
 objective; each element still takes the floating-point operations of the
 textbook form, one gene or one front at a time, in the same order, so the bytes
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .nlsolver import RunCounters, reject_nonfinite
-from .pareto import Front, ParetoPoint, Sense, _min_form_columns, dominated_mask, filter_nondominated
+from .pareto import Front, ParetoPoint, Sense, _min_form_columns, filter_nondominated
 from .scalarize import MooProblem, RoutineResult
 
 
@@ -53,22 +53,14 @@ class GaConfig:
 
 
 def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
-    """Rank per row: 0 for rows that no row dominates, k for rows that no row
-    dominates once the rows of ranks < k are removed; a row with a NaN, which
-    dominates none and none dominates, has rank 0. Two objectives take one sort
-    (Jensen, IEEE TEC 7:503, 2003): in (f1, f2) order of the minimization forms no
-    row is dominated by a later one, and each row joins the first front whose last
-    row does not dominate it; those last rows, keyed (f2, f1), stay sorted (an
-    equal key is an equal point, which does not dominate). More objectives peel
-    with :func:`dominated_mask`."""
-    if len(senses) != 2:
-        ranks = np.zeros(len(values), dtype=int)
-        rows = np.arange(len(values))
-        while rows.size:
-            dominated = dominated_mask(values[rows], senses)
-            ranks[rows] += dominated
-            rows = rows[dominated]
-        return ranks
+    """Rank per row of the two objectives: 0 for rows that no row dominates, k for
+    rows that no row dominates once the rows of ranks < k are removed; a row with
+    a NaN, which dominates none and none dominates, has rank 0. The ranks come
+    from one sort (Jensen, IEEE TEC 7:503, 2003): in (f1, f2) order of the
+    minimization forms no row is dominated by a later one, and each row joins the
+    first front whose last row does not dominate it; those last rows, keyed
+    (f2, f1), stay sorted (an equal key is an equal point, which does not
+    dominate)."""
     f1, f2 = _min_form_columns(values, senses)
     ranks = np.zeros(len(f1), dtype=int)
     rows = np.flatnonzero(~(np.isnan(f1) | np.isnan(f2)))

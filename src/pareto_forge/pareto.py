@@ -14,10 +14,6 @@ import numpy as np
 
 FRONT_CSV_HEADER = ("method", "param", "vc", "fz", "t", "ra", "mrr")
 
-#: Candidate rows compared against all rows at once by :func:`dominated_mask`;
-#: bounds its temporaries to DOMINANCE_BLOCK * n * n_objectives booleans.
-DOMINANCE_BLOCK = 256
-
 
 class Sense(Enum):
     MINIMIZE = "min"
@@ -73,8 +69,9 @@ def _eps_array(eps, n: int) -> np.ndarray:
         arr = np.full(n, float(arr))
     if arr.shape != (n,):
         raise ValueError(f"eps must be a scalar or length-{n} sequence")
-    if np.any(arr < 0):
-        raise ValueError("eps must be non-negative")
+    # written so that a NaN, which fails every comparison, is rejected too
+    if not np.all((arr >= 0) & (arr < np.inf)):
+        raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     return arr
 
 
@@ -92,29 +89,37 @@ def dominates(a: Sequence[float], b: Sequence[float], senses: Sequence[Sense], e
 
 
 def _min_form_columns(values, senses: Sequence[Sense]) -> np.ndarray:
-    """The minimization forms of the rows of ``values`` (n, n_objectives), as the
-    columns of a contiguous (n_objectives, n) array."""
+    """The minimization forms of the rows of ``values`` (n, 2), as the columns
+    of a contiguous (2, n) array. Dominance is two-objective: any other number
+    of senses is rejected here."""
+    if len(senses) != 2:
+        raise ValueError(f"dominance is defined for exactly two objectives, got {len(senses)}")
     v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[1] != len(senses):
-        raise ValueError(f"values must have shape (n, {len(senses)}), got {v.shape}")
+    if v.ndim != 2 or v.shape[1] != 2:
+        raise ValueError(f"values must have shape (n, 2), got {v.shape}")
     return np.ascontiguousarray(_min_form(v, senses).T)
 
 
 def dominated_mask(values, senses: Sequence[Sense], eps=0.0) -> np.ndarray:
-    """Per row of ``values`` (n, n_objectives): whether some row dominates it, by
-    the test of :func:`dominates`. Candidates are tested in blocks of
-    DOMINANCE_BLOCK rows, so memory stays O(DOMINANCE_BLOCK * n).
+    """Per row of ``values`` (n, 2): whether some row dominates it, by the test of
+    :func:`dominates`, in O(n log n) (Kung, Luccio & Preparata, JACM 22:469, 1975).
+
+    In minimization form, row i is dominated iff a row with f1 < f1_i - e1 has
+    f2 <= f2_i + e2, or a row with f1 <= f1_i + e1 has f2 < f2_i - e2. With the
+    rows sorted by f1 once, each set is a prefix, found by binary search, and
+    the least f2 of every prefix is a running minimum.
     """
-    v, e = _min_form_columns(values, senses), _eps_array(eps, len(senses))
-    n = v.shape[1]
-    out = np.empty(n, dtype=bool)
-    for start in range(0, n, DOMINANCE_BLOCK):
-        # [i, j]: column j is no worse than candidate start + i everywhere, better somewhere
-        cand = v[:, start:start + DOMINANCE_BLOCK, None]
-        no_worse = np.logical_and.reduce(v[:, None, :] <= cand + e[:, None, None])
-        better = np.logical_or.reduce(v[:, None, :] < cand - e[:, None, None])
-        out[start:start + DOMINANCE_BLOCK] = (no_worse & better).any(axis=1)
-    return out
+    f1, f2 = _min_form_columns(values, senses)
+    e1, e2 = _eps_array(eps, 2)
+    order = np.argsort(f1)
+    f1s = f1[order]
+    # best[k]: least f2 of the first k rows in f1 order, skipping NaN; the empty
+    # prefix is NaN, which compares false (+inf would let (-inf, +inf) dominate itself)
+    best = np.concatenate(([np.nan], np.fmin.accumulate(f2[order])))
+    dominated = best[np.searchsorted(f1s, f1 - e1, "left")] <= f2 + e2
+    dominated |= best[np.searchsorted(f1s, f1 + e1, "right")] < f2 - e2
+    # a NaN f1 sorts last, so its searches would count every other row
+    return dominated & ~np.isnan(f1)
 
 
 def _responses(points: Sequence[ParetoPoint], n_obj: int) -> np.ndarray:

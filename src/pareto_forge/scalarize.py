@@ -104,8 +104,8 @@ class MooProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objectives", tuple(self.objectives))
-        if len(self.objectives) < 2:
-            raise ValueError("a multi-objective problem needs at least two objectives")
+        if len(self.objectives) != 2:
+            raise ValueError(f"a problem has exactly two objectives, got {len(self.objectives)}")
         stack = ModelStack([o.model for o in self.objectives], [o.sign for o in self.objectives])
         object.__setattr__(self, "stack", stack)
 
@@ -203,22 +203,6 @@ def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -
         nadir_x=np.array([o.x for o in worst]),
         counters=counters,
     )
-
-
-def relative_deviation_norm(values, utopia_values, p: int):
-    """The scalarized deviation criterion: the p-norm of |f_i - f_i*| / |f_i*|.
-
-    ``values`` holds minimization-form objective values in its last axis;
-    broadcasting over leading axes allows grid evaluation. A single objective at
-    its own optimum yields 0.
-    """
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    stars = np.asarray(utopia_values, dtype=float)
-    if np.any(stars == 0.0):
-        raise ValueError("deviation criterion undefined: an individual optimum is zero")
-    out, _, _ = _deviation(np.asarray(values, dtype=float), stars, p)
-    return out if out.ndim else float(out)
 
 
 def _power(x: np.ndarray, e):
@@ -433,37 +417,32 @@ def weighted_sum_sweep(
     """Sweep the first objective's weight over {0, 1/(steps-1), ..., 1}."""
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    if len(problem.objectives) != 2:
-        raise ValueError("the weight sweep supports exactly two objectives")
     weights = [k / (steps - 1) for k in range(steps)]
     return _weighted_sums(problem, [(w, 1.0 - w) for w in weights], config, utopia)
 
 
 def _epsilon_points(problem: MooProblem, primary_idx: int, points: Sequence[Sequence[float]],
                     config: SolverConfig) -> list[EpsilonResult]:
-    """One epsilon-constraint point per tuple of bounds (one per non-primary
-    objective, in order) in ``points``, in one batch."""
-    objectives = problem.objectives
-    others = [i for i in range(len(objectives)) if i != primary_idx]
+    """One epsilon-constraint point per one-tuple in ``points``, the bound on the
+    non-primary objective, in one batch."""
+    other = 1 - primary_idx
+    bounded = problem.objectives[other]
     for epsilons in points:
-        if len(epsilons) != len(others):
-            raise ValueError(f"{len(epsilons)} bounds for {len(others)} non-primary objectives")
-    bounds = np.repeat(np.array(points, dtype=float).reshape(len(points), len(others)),
-                       config.n_starts, axis=0)
-    extra = [objectives[i].function(bound=bounds[:, k], scale=np.maximum(1.0, np.abs(bounds[:, k])),
-                                    name=f"{objectives[i].name}<= eps")
-             for k, i in enumerate(others)]
-    outcomes = grouped_multistart(objectives[primary_idx].function(),
-                                  problem.constrained_by(extra), len(points), config)
+        if len(epsilons) != 1:
+            raise ValueError(f"{len(epsilons)} bounds for 1 non-primary objective")
+    bounds = np.repeat(np.array(points, dtype=float).reshape(len(points)), config.n_starts)
+    extra = bounded.function(bound=bounds, scale=np.maximum(1.0, np.abs(bounds)),
+                             name=f"{bounded.name}<= eps")
+    outcomes = grouped_multistart(problem.objectives[primary_idx].function(),
+                                  problem.constrained_by([extra]), len(points), config)
     results = []
-    for epsilons, outcome in zip(points, outcomes):
+    for (eps,), outcome in zip(points, outcomes):
         responses = problem.responses_at(outcome.x)
-        active = tuple((objectives[i].sign * responses[i] - eps) / max(1.0, abs(eps))
-                       >= -ACTIVE_TOL for i, eps in zip(others, epsilons))
+        active = (bounded.sign * responses[other] - eps) / max(1.0, abs(eps)) >= -ACTIVE_TOL
         results.append(EpsilonResult(
-            tag=f"eps={epsilons[0]:.6g}", x=outcome.x, responses=responses, outcome=outcome,
+            tag=f"eps={eps:.6g}", x=outcome.x, responses=responses, outcome=outcome,
             feasible=outcome.constraint_violation <= config.feas_tol,
-            epsilons=tuple(float(e) for e in epsilons), active=active))
+            epsilons=(float(eps),), active=(active,)))
     return results
 
 
@@ -473,12 +452,12 @@ def epsilon_constraint(
     epsilons: Sequence[float],
     config: SolverConfig | None = None,
 ) -> EpsilonResult:
-    """Optimize the primary objective with the others bounded above.
+    """Optimize the primary objective with the other one bounded above.
 
-    Bounds apply to the minimization form of each non-primary objective (for a
-    minimized objective that is simply its natural upper bound). Raises
-    InfeasibleEpsilonError when the bounds admit no feasible point. This is the
-    one-point case of :func:`epsilon_sweep`.
+    ``epsilons`` holds the one bound, on the minimization form of the
+    non-primary objective (for a minimized objective that is simply its natural
+    upper bound). Raises InfeasibleEpsilonError when the bound admits no
+    feasible point. This is the one-point case of :func:`epsilon_sweep`.
     """
     config = config or SolverConfig()
     result = _epsilon_points(problem, problem.index_of(primary), [tuple(epsilons)], config)[0]
@@ -504,8 +483,6 @@ def epsilon_sweep(
     """
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if len(problem.objectives) != 2:
-        raise ValueError("the epsilon sweep supports exactly two objectives")
     config = config or SolverConfig()
     utopia = utopia or individual_optima(problem, config)
     primary_idx = problem.index_of(primary)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pareto_forge import (
@@ -14,7 +16,6 @@ from pareto_forge import (
     merge_fronts,
     read_front_csv,
 )
-from pareto_forge import pareto
 from pareto_forge.pareto import front_to_csv_text
 
 MIN_MAX = (Sense.MINIMIZE, Sense.MAXIMIZE)
@@ -60,6 +61,17 @@ def test_epsilon_band_suppresses_noise_domination():
     a, b = (0.79623000001, 35240.5349), (0.79622999999, 35240.5350)
     assert dominates(b, a, MIN_MAX)
     assert not dominates(b, a, MIN_MAX, eps=(1e-6, 1e-2))
+
+
+@pytest.mark.parametrize("eps", [math.nan, (0.0, math.nan), -1.0, math.inf])
+def test_eps_must_be_finite_and_non_negative(eps):
+    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+        dominates((0.5, 1.0), (0.6, 0.5), MIN_MAX, eps=eps)
+    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+        dominated_mask(np.array([(0.5, 1.0), (0.6, 0.5)]), MIN_MAX, eps)
+    front = Front((pt((0.5, 1.0)), pt((0.6, 0.5))), MIN_MAX)
+    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+        merge_fronts([front], eps=eps)
 
 
 def test_filter_empty():
@@ -219,13 +231,25 @@ def _reference_filter(points, senses, eps):
     return survivors
 
 
+@st.composite
+def response_rows(draw):
+    """Up to 40 rows of two objectives from the integers 0-4, rich in ties and
+    exact duplicates, and in half the draws +-inf and NaN as well."""
+    specials = draw(st.sampled_from([(), (math.inf, -math.inf, math.nan)]))
+    value = st.sampled_from((0.0, 1.0, 2.0, 3.0, 4.0) + specials)
+    return draw(st.lists(st.tuples(value, value), max_size=40))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    resps=st.lists(st.tuples(st.integers(0, 4).map(float), st.integers(0, 4).map(float)),
-                   min_size=0, max_size=14),
+    resps=response_rows(),
     eps=st.sampled_from([0.0, 0.5, 1.0, (0.0, 1.5), (2.0, 0.0)]),
     senses=st.sampled_from([MIN_MAX, MIN_MIN]),
 )
+# (-inf, +inf) in min form: no row is better in f1, so it must not dominate
+# itself; a NaN row is not dominated, though it sorts after every other row
+@example(resps=[(-math.inf, -math.inf)], eps=0.5, senses=MIN_MAX)
+@example(resps=[(-math.inf, math.inf), (0.0, 0.0), (math.nan, 1.0)], eps=0.0, senses=MIN_MIN)
 def test_dominance_kernel_matches_pairwise_reference(resps, eps, senses):
     points = [pt(r, tag=str(i)) for i, r in enumerate(resps)]
     values = np.array(resps, dtype=float).reshape(len(resps), 2)
@@ -240,17 +264,20 @@ def test_dominance_kernel_matches_pairwise_reference(resps, eps, senses):
             == [p.tag for p in _reference_filter(points, senses, eps)])
 
 
-def test_dominance_kernel_blocks_agree(monkeypatch):
+def test_dominance_kernel_blocks_agree():
     rng = np.random.default_rng(3)
     values = rng.integers(0, 20, size=(300, 2)).astype(float)
     whole = dominated_mask(values, MIN_MAX)
     v = values * [1.0, -1.0]  # [i, j]: row j dominates row i, as one matrix
     matrix = (v[None] <= v[:, None]).all(axis=2) & (v[None] < v[:, None]).any(axis=2)
     assert np.array_equal(matrix.any(axis=1), whole)
-    monkeypatch.setattr(pareto, "DOMINANCE_BLOCK", 7)
-    assert np.array_equal(dominated_mask(values, MIN_MAX), whole)
 
 
 def test_dominance_kernel_shape_checked():
     with pytest.raises(ValueError, match="shape"):
         dominated_mask(np.zeros((3, 3)), MIN_MAX)
+
+
+def test_dominance_kernel_needs_two_objectives():
+    with pytest.raises(ValueError, match="exactly two objectives, got 3"):
+        dominated_mask(np.zeros((3, 3)), MIN_MAX + (Sense.MINIMIZE,))

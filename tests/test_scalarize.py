@@ -26,7 +26,6 @@ from pareto_forge import (
     individual_optima,
     lexicographic,
     minimize_starts,
-    relative_deviation_norm,
     run_ga,
     stratified_starts,
     value_jacobian_hessian,
@@ -54,25 +53,34 @@ def neg_problem(refit_models):
     )
 
 
+def deviation(values, stars, p):
+    """The deviation criterion's value alone."""
+    return scalarize._deviation(np.asarray(values, dtype=float), np.asarray(stars, dtype=float),
+                                p)[0]
+
+
 def test_deviation_norm_single_objective_at_optimum():
-    assert relative_deviation_norm([0.5055], [0.5055], p=4) == 0.0
+    assert deviation([0.5055], [0.5055], 4) == 0.0
+    # both objectives at their optima: the ideal point itself
+    assert deviation([0.5055, -35241.0], [0.5055, -35241.0], 4) == 0.0
 
 
 def test_deviation_norm_p1_is_sum():
-    val = relative_deviation_norm([1.5, -2.0], [1.0, -4.0], p=1)
+    val = deviation([1.5, -2.0], [1.0, -4.0], 1)
     assert val == pytest.approx(0.5 + 0.5)
 
 
 def test_deviation_norm_broadcasts():
     vals = np.array([[1.0, -4.0], [1.5, -2.0]])
-    out = relative_deviation_norm(vals, [1.0, -4.0], p=2)
+    out = deviation(vals, [1.0, -4.0], 2)
     assert out.shape == (2,)
     assert out[0] == 0.0
 
 
-def test_deviation_norm_rejects_zero_utopia():
-    with pytest.raises(ValueError, match="zero"):
-        relative_deviation_norm([1.0, 1.0], [0.0, 1.0], p=2)
+def test_deviation_norm_rejects_zero_utopia(problem, utopia):
+    zero = replace(utopia, ideal=np.array([0.0, utopia.ideal[1]]))
+    with pytest.raises(ValueError, match="optimum of 'Ra' is zero"):
+        global_criterion_sweep(problem, (2,), FAST, zero)
 
 
 def test_root_does_not_change_ordering():
@@ -83,7 +91,7 @@ def test_root_does_not_change_ordering():
         cands = np.column_stack(
             [rng.uniform(0.5, 2.6, 50), rng.uniform(-35240.0, -485.0, 50)]
         )
-        rooted = relative_deviation_norm(cands, stars, p)
+        rooted = deviation(cands, stars, p)
         d = np.abs(cands - stars) / np.abs(stars)
         unrooted = (d ** p).sum(axis=1)
         assert np.array_equal(np.argsort(rooted, kind="stable"),
@@ -91,9 +99,11 @@ def test_root_does_not_change_ordering():
 
 
 def test_problem_needs_two_objectives(refit_models):
-    ra, _ = refit_models
-    with pytest.raises(ValueError, match="at least two"):
-        MooProblem((Objective(ra, Sense.MINIMIZE),), ConstraintSet(CASE_STUDY_BOUNDS))
+    ra, mrr = refit_models
+    for models in ((ra,), (ra, mrr, ra)):
+        objectives = tuple(Objective(m, Sense.MINIMIZE) for m in models)
+        with pytest.raises(ValueError, match=f"exactly two objectives, got {len(models)}"):
+            MooProblem(objectives, ConstraintSet(CASE_STUDY_BOUNDS))
 
 
 def test_index_of(problem):
@@ -227,6 +237,8 @@ def test_epsilon_constraint_active_bound(problem):
 def test_epsilon_constraint_infeasible(problem):
     with pytest.raises(InfeasibleEpsilonError, match="unattainable"):
         epsilon_constraint(problem, "mrr", (0.1,), FAST)
+    with pytest.raises(ValueError, match="2 bounds for 1 non-primary objective"):
+        epsilon_constraint(problem, "mrr", (0.9, 0.9), FAST)
 
 
 def test_epsilon_sweep_monotone(problem, utopia):
