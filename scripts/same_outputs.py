@@ -7,6 +7,8 @@ command's exit code, stdout and stderr are written beside its files, so they
 are compared too. Prints every file whose bytes differ or that only one tree
 wrote, and every command that exited non-zero, and exits 1 if there is any;
 the two directories are then kept for inspection, otherwise they are removed.
+The GA commands include a short run at population 120, every ranking of which
+needs the fronts past front 0, so a fault there shows in its final front.
 
 Usage: python scripts/same_outputs.py A_SRC B_SRC
 """
@@ -34,7 +36,9 @@ _SYNTHETIC = ("import pathlib, sys\n"
 #: ga_copies.json turns crossover and mutation off, so every child is a copy of
 #: its parent and the population fills with duplicate rows, whose ties the
 #: ranking, crowding and selection must break the same way; merge_band merges two
-#: fronts whose points differ inside the merge band
+#: fronts whose points differ inside the merge band; ga_early stops a population
+#: of 120 after 3 generations, while front 0 cannot yet fill the next population,
+#: so every ranking it makes is exact past front 0 and decides its final front
 COMMANDS = (
     ("fit", ["fit", "--out", "fit"]),
     ("validate", ["validate"]),
@@ -55,6 +59,8 @@ COMMANDS = (
     ("ga_copies", ["optimize", "--method", "ga", "--config", "ga_copies.json", "--seed", "2",
                    "--out", "ga_copies"]),
     ("merge_band", ["front", "band_a.csv", "band_b.csv", "--out", "merge_band"]),
+    ("ga_early", ["optimize", "--method", "ga", "--config", "ga_early.json", "--seed", "0",
+                  "--out", "ga_early"]),
 )
 
 _FRONT_HEADER = "method,param,vc,fz,t,ra,mrr\n"
@@ -66,6 +72,7 @@ _FRONT_HEADER = "method,param,vc,fz,t,ra,mrr\n"
 CONFIGS = {
     "ga.json": '{"ga": {"pop": 120}}\n',
     "ga_copies.json": '{"ga": {"pop": 16, "gens": 40, "pc": 0, "pm": 0}}\n',
+    "ga_early.json": '{"ga": {"pop": 120, "gens": 3}}\n',
     "band_a.csv": _FRONT_HEADER + "a,1,100,0.1,0.3,0.5,10000\na,2,200,0.1,0.3,0.8,30000\n",
     "band_b.csv": _FRONT_HEADER + ("b,1,150,0.1,0.3,0.6,9000\n"
                                    "b,2,210,0.1,0.3,0.8000000001,30000\n"

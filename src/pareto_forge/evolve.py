@@ -9,7 +9,13 @@ come from one expression, and the crowding of every rank from one sort per
 objective; each element still takes the floating-point operations of the
 textbook form, one gene or one front at a time, in the same order, so the bytes
 are that form's. The survivors are the best n of parents and children, and
-keep the ranks they had among both. Fronts are
+keep the ranks they had among both. Only the fronts that can survive are
+ranked: NSGA-II drops every front that does not fit the next population
+unread (Deb, Pratap, Agarwal & Meyarivan, IEEE TEC 6:182, 2002), so when front 0
+of the 2n parents and children holds n rows or more, the rest share rank 1
+unranked. Front 0 and its crowding are the same either way, and every
+unranked row sorts after it, so the survivors, their ranks and the bytes are
+those of the full ranking. Fronts are
 bitwise reproducible for a fixed seed on one host; the generator is numpy's
 documented PCG64. numpy's array power may round the last bit differently on
 CPUs with other SIMD support, so bytes can differ between hosts.
@@ -52,29 +58,49 @@ class GaConfig:
             raise ValueError("distribution indices must be positive")
 
 
-def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
+def _ranks(values: np.ndarray, senses: Sequence[Sense], keep: int | None = None) -> np.ndarray:
     """Rank per row of the two objectives: 0 for rows that no row dominates, k for
     rows that no row dominates once the rows of ranks < k are removed; a row with
-    a NaN, which dominates none and none dominates, has rank 0. The ranks come
-    from one sort (Jensen, IEEE TEC 7:503, 2003): in (f1, f2) order of the
-    minimization forms no row is dominated by a later one, and each row joins the
-    first front whose last row does not dominate it; those last rows, keyed
-    (f2, f1), stay sorted (an equal key is an equal point, which does not
-    dominate)."""
+    a NaN, which dominates none and none dominates, has rank 0.
+
+    The caller keeps ``keep`` rows (all by default) and drops the rest unread,
+    as NSGA-II drops every front that does not fit the next population (Deb,
+    Pratap, Agarwal & Meyarivan, IEEE TEC 6:182, 2002). When front 0 holds at
+    least ``keep`` rows, every other row gets rank 1 unranked; otherwise every
+    rank is exact. In (f1, f2) order of the minimization forms no row is
+    dominated by a later one, so front 0 is the rows whose f2 is strictly below
+    every f2 before their first exact copy, a running minimum (its empty prefix
+    is NaN, which compares false: +inf would drop a (-inf, +inf) first row).
+    The other rows are ranked by one sweep (Jensen, IEEE TEC 7:503, 2003): each
+    row joins the first front whose last row does not dominate it; those last
+    rows, keyed (f2, f1), stay sorted (an equal key is an equal point, which
+    does not dominate)."""
     f1, f2 = _min_form_columns(values, senses)
-    ranks = np.zeros(len(f1), dtype=int)
+    n = len(f1)
+    ranks = np.zeros(n, dtype=int)
     rows = np.flatnonzero(~(np.isnan(f1) | np.isnan(f2)))
     rows = rows[np.lexsort((f2[rows], f1[rows]))]
+    a, b = f1[rows], f2[rows]
+    # first[k]: the position of row k's first exact copy; best[k]: the least f2
+    # of the first k rows, so front 0 is every row not at or above best[first]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    first = np.maximum.accumulate(np.where(new, np.arange(len(rows)), 0))
+    best = np.concatenate(([np.nan], np.fmin.accumulate(b)))
+    rest = rows[b >= best[first]]
+    if n - len(rest) >= (n if keep is None else keep):
+        ranks[rest] = 1
+        return ranks
     last: list[tuple[float, float]] = []
     fronts = []
-    for key in zip(f2[rows].tolist(), f1[rows].tolist()):
+    for key in zip(f2[rest].tolist(), f1[rest].tolist()):
         k = bisect_left(last, key)
         if k < len(last):
             last[k] = key
         else:
             last.append(key)
         fronts.append(k)
-    ranks[rows] = fronts
+    ranks[rest] = np.array(fronts, dtype=int) + 1
     return ranks
 
 
@@ -200,7 +226,7 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
 
         combined = np.vstack([pop, children])
         combined_resp = np.vstack([resp, child_resp])
-        comb_ranks = _ranks(combined_resp, senses)
+        comb_ranks = _ranks(combined_resp, senses, n)
         comb_crowd = _crowding_by_rank(combined_resp, comb_ranks)
         # every row that dominates a survivor survives, so a survivor's rank is kept
         chosen = _selection_order(comb_ranks, comb_crowd)[:n]

@@ -439,7 +439,9 @@ def minimize_starts(
     # feasible restoration restarts the loop there.
     stuck = every[viol > config.feas_tol]
     if stuck.size:
-        s_r, steps = _inner_solve(prob.squared_violation, s[stuck], 1e-12, config.max_inner)
+        # the functions index the batch's rows, not positions among the stuck ones
+        s_r, steps = _inner_solve(lambda k, sv: prob.squared_violation(stuck[k], sv), s[stuck],
+                                  1e-12, config.max_inner)
         prob.iterations[stuck] += steps
         v_r = np.zeros(stuck.size)
         for i in range(n_con):

@@ -136,6 +136,43 @@ def test_swapping_the_objectives_leaves_ranks_unchanged(senses):
         assert np.array_equal(_ranks(values[:, ::-1], senses[::-1]), _ranks(values, senses))
 
 
+SENSE_PAIRS = [(a, b) for a in Sense for b in Sense]
+
+
+@st.composite
+def rows_and_keep(draw):
+    """Rows rich in ties and exact copies, with +-inf and NaN elements, one of the
+    four sense pairs and a keep count from 0 to the number of rows."""
+    element = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])
+    rows = []
+    for _ in range(draw(st.integers(0, 24))):
+        copy = rows and draw(st.booleans())
+        rows.append(draw(st.sampled_from(rows)) if copy else draw(st.tuples(element, element)))
+    values = np.array(rows, dtype=float).reshape(-1, 2)
+    return values, draw(st.sampled_from(SENSE_PAIRS)), draw(st.integers(0, len(values)))
+
+
+def assert_exact_below_the_cut(ranks, full, keep):
+    """``ranks`` equal the full ranks ``full`` below a cut that at least ``keep``
+    rows lie below, and the rows past it share one rank above every kept rank."""
+    if np.array_equal(ranks, full):
+        return
+    cut = ranks.max()
+    past = ranks == cut
+    assert np.array_equal(ranks[~past], full[~past])
+    assert np.count_nonzero(~past) >= keep
+    assert np.all(full[past] >= cut) and np.all(ranks[~past] < cut)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows_and_keep())
+def test_ranks_are_exact_below_the_cut(drawn):
+    values, senses, keep = drawn
+    full = np.array(brute_force_ranks(values.tolist(), senses), dtype=int)
+    assert np.array_equal(_ranks(values, senses), full)
+    assert_exact_below_the_cut(_ranks(values, senses, keep), full, keep)
+
+
 def one_front_crowding(front):
     """Crowding distance over one front: every row at rank 0."""
     values = np.asarray(front, dtype=float)
@@ -415,34 +452,62 @@ def test_ga_zero_generations_returns_initial_nondominated(problem):
     assert {p.responses for p in res.front.points} == expected
 
 
-def mask_peel(values, senses):
-    """Ranks by peeling: the rows that some unranked row dominates go up a rank."""
+def mask_peel(values, senses, keep=None):
+    """Ranks by peeling, with ``_ranks``' cut: the rows that some unranked row
+    dominates go up a rank, and once front 0 holds ``keep`` rows, every other
+    row stops at rank 1."""
     ranks = np.zeros(len(values), dtype=int)
     rows = np.arange(len(values))
     while rows.size:
         dominated = dominated_mask(values[rows], senses)
         ranks[rows] += dominated
         rows = rows[dominated]
+        if keep is not None and len(values) - len(rows) >= keep:
+            break
     return ranks
 
 
 @pytest.mark.parametrize("pop_size", [60, 120])
 def test_ga_equals_the_dominance_matrix_path(problem, pop_size, monkeypatch):
     configs = [GaConfig(pop_size=pop_size, seed=seed) for seed in range(6)]
-    by_sort = [run_ga(problem, cfg) for cfg in configs]
     crowding = evolve._crowding_by_rank
 
     def crowding_of_peeled_ranks(values, ranks):
-        # every ranking run_ga uses passes here, the survivors' kept ranks included
-        assert np.array_equal(ranks, mask_peel(values, problem.senses))
+        # every ranking run_ga uses passes here, the survivors' kept ranks included;
+        # pop_size rows are kept of the combined population, and all of the population
+        assert_exact_below_the_cut(ranks, mask_peel(values, problem.senses), pop_size)
         return crowding(values, ranks)
 
-    monkeypatch.setattr(evolve, "_ranks", mask_peel)
     monkeypatch.setattr(evolve, "_crowding_by_rank", crowding_of_peeled_ranks)
+    by_sort = [run_ga(problem, cfg) for cfg in configs]
+    monkeypatch.setattr(evolve, "_ranks", mask_peel)
     by_matrix = [run_ga(problem, cfg) for cfg in configs]
     for a, b in zip(by_sort, by_matrix):
         assert a.front == b.front
         assert a.counters == b.counters
+
+
+@pytest.mark.parametrize("pop_size", [60, 120])
+def test_front_zero_fills_most_generations(problem, pop_size, monkeypatch):
+    # the sweep past front 0 runs only when front 0 cannot fill the next population
+    sweeps = []
+    bisect, ranks = evolve.bisect_left, evolve._ranks
+
+    def counting_bisect(*args):
+        sweeps[-1] = True
+        return bisect(*args)
+
+    def spy(*args):
+        sweeps.append(False)
+        return ranks(*args)
+
+    monkeypatch.setattr(evolve, "bisect_left", counting_bisect)
+    monkeypatch.setattr(evolve, "_ranks", spy)
+    for seed in range(6):
+        sweeps.clear()
+        run_ga(problem, GaConfig(pop_size=pop_size, seed=seed))
+        assert len(sweeps) == 101
+        assert sum(sweeps) <= 10
 
 
 def test_ga_front_within_bounds(problem):

@@ -267,22 +267,31 @@ def test_box_only_solve_is_one_inner_solve(monkeypatch):
     assert out.counters.iterations == 1
 
 
-def test_row_at_a_locally_infeasible_vertex_leaves_for_restoration(monkeypatch):
-    # on the scaled (u, v) = (x0, x1): c = 0.1 + u + v - 3uv rises into the box from
-    # the vertex (0, 0), a local minimum of its violation at c = 0.1, and is negative
-    # towards (1, 1); u + v pulls the multiplier loop from (0.4, 0.4) onto that
-    # vertex, while the violation alone descends from there to the feasible side
+# On the scaled (u, v) = (x0, x1): c = offset + u + v - 3uv rises into the box from
+# the vertex (0, 0), a local minimum of its violation at c = offset, and is negative
+# towards (1, 1); u + v pulls the multiplier loop from inside onto that vertex,
+# while the violation alone descends from there to the feasible side.
+def trap_constraint(offsets):
+    """The trap as a constraint set, with the offset of row r at ``offsets[r]``."""
     def trap(rows, x):
         u, v = (x[..., 0] - LB[0]) / SPAN[0], (x[..., 1] - LB[1]) / SPAN[1]
         grad, hess = np.zeros(x.shape), np.zeros(x.shape + (3,))
         grad[..., 0], grad[..., 1] = (1.0 - 3.0 * v) / SPAN[0], (1.0 - 3.0 * u) / SPAN[1]
         hess[..., 0, 1] = hess[..., 1, 0] = -3.0 / (SPAN[0] * SPAN[1])
-        return 0.1 + u + v - 3.0 * u * v, grad, hess
+        return offsets[rows] + u + v - 3.0 * u * v, grad, hess
 
-    def toward_vertex(rows, x):
+    return ConstraintSet(CASE_STUDY_BOUNDS, (SmoothFunction(trap, name="trap"),))
+
+
+def toward_vertex():
+    def vg(rows, x):
         s = (x - LB) / SPAN
         return s[..., 0] + s[..., 1], np.array([1.0, 1.0, 0.0]) / SPAN, np.zeros((3, 3))
 
+    return SmoothFunction(vg, name="u + v")
+
+
+def test_row_at_a_locally_infeasible_vertex_leaves_for_restoration(monkeypatch):
     gtols, inner = [], nlsolver._inner_solve
 
     def spy(fun, s0, gtol, maxiter):
@@ -290,15 +299,28 @@ def test_row_at_a_locally_infeasible_vertex_leaves_for_restoration(monkeypatch):
         return inner(fun, s0, gtol, maxiter)
 
     monkeypatch.setattr(nlsolver, "_inner_solve", spy)
-    constraints = ConstraintSet(CASE_STUDY_BOUNDS, (SmoothFunction(trap, name="trap"),))
     start = LB + np.array([0.4, 0.4, 0.5]) * SPAN
-    out = one_start(SmoothFunction(toward_vertex, name="u + v"), constraints, start)
+    out = one_start(toward_vertex(), trap_constraint(np.array([0.1])), start)
     # restoration (gtol 1e-12) follows at most two outer iterations of the first loop
     assert gtols.index(1e-12) <= 2
     assert out.converged and out.constraint_violation <= 1e-6
     # the constrained optimum: u = v on (3u - 1)^2 = 1.3
     assert np.allclose((np.array(out.x) - LB)[:2] / SPAN[:2], (1.0 + 1.3 ** 0.5) / 3.0,
                        atol=1e-5)
+
+
+def test_restoration_evaluates_its_own_rows():
+    # group 0's bound holds on the whole box, so only group 1's rows, not the
+    # batch's first, go to restoration: each group must solve as it does alone
+    cfg = SolverConfig()
+    offsets = (-10.0, 0.1)
+    both = grouped_multistart(toward_vertex(), trap_constraint(np.repeat(offsets, cfg.n_starts)),
+                              2, cfg)
+    for offset, outcome in zip(offsets, both):
+        alone = one_multistart(toward_vertex(), trap_constraint(np.full(cfg.n_starts, offset)),
+                               cfg)
+        assert outcome == alone
+    assert both[1].converged and both[1].constraint_violation <= cfg.feas_tol
 
 
 def test_returned_point_respects_bounds_exactly():

@@ -45,3 +45,10 @@ def test_same_outputs_finds_a_tree_equal_to_itself(tmp_path, capsys):
     subset = [c for c in same_outputs.COMMANDS if c[0] in ("fit", "validate")]
     assert same_outputs.main(src, src, subset) == 0
     assert "identical over 2 commands" in capsys.readouterr().out
+
+
+def test_ab_time_runs_a_tree_against_itself(capsys):
+    src = str(ROOT / "src")
+    assert _load("ab_time").main([src, src, "--reps", "2", "--workloads", "ga_seed_merge"]) == 0
+    assert re.fullmatch(r"ga_seed_merge: B/A median \d+\.\d{3}, B faster in [0-2] of 2 pairs; "
+                        r"median A \d+\.\d{4} s, B \d+\.\d{4} s\n", capsys.readouterr().out)
