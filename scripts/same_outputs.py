@@ -38,7 +38,9 @@ _SYNTHETIC = ("import pathlib, sys\n"
 #: ranking, crowding and selection must break the same way; merge_band merges two
 #: fronts whose points differ inside the merge band; ga_early stops a population
 #: of 120 after 3 generations, while front 0 cannot yet fill the next population,
-#: so every ranking it makes is exact past front 0 and decides its final front
+#: so every ranking it makes is exact past front 0 and decides its final front;
+#: ga_small runs a population of 4, fewer rows than the unit cube's 8 corners
+#: that seed the initial population
 COMMANDS = (
     ("fit", ["fit", "--out", "fit"]),
     ("validate", ["validate"]),
@@ -61,6 +63,8 @@ COMMANDS = (
     ("merge_band", ["front", "band_a.csv", "band_b.csv", "--out", "merge_band"]),
     ("ga_early", ["optimize", "--method", "ga", "--config", "ga_early.json", "--seed", "0",
                   "--out", "ga_early"]),
+    ("ga_small", ["optimize", "--method", "ga", "--config", "ga_small.json", "--seed", "5",
+                  "--out", "ga_small"]),
 )
 
 _FRONT_HEADER = "method,param,vc,fz,t,ra,mrr\n"
@@ -73,6 +77,7 @@ CONFIGS = {
     "ga.json": '{"ga": {"pop": 120}}\n',
     "ga_copies.json": '{"ga": {"pop": 16, "gens": 40, "pc": 0, "pm": 0}}\n',
     "ga_early.json": '{"ga": {"pop": 120, "gens": 3}}\n',
+    "ga_small.json": '{"ga": {"pop": 4, "gens": 5}}\n',
     "band_a.csv": _FRONT_HEADER + "a,1,100,0.1,0.3,0.5,10000\na,2,200,0.1,0.3,0.8,30000\n",
     "band_b.csv": _FRONT_HEADER + ("b,1,150,0.1,0.3,0.6,9000\n"
                                    "b,2,210,0.1,0.3,0.8000000001,30000\n"

@@ -1,22 +1,30 @@
-"""Seeded elitist genetic algorithm producing a Pareto set directly.
+"""Seeded elitist genetic algorithm producing a Pareto set directly: NSGA-II
+(Deb, Pratap, Agarwal & Meyarivan, IEEE TEC 6:182, 2002).
 
-Non-dominated sorting with crowding-distance selection, binary tournament on
-(rank, crowding), simulated-binary crossover and polynomial mutation on
-box-scaled variables. A generation is a fixed sequence of array operations:
-its uniforms are drawn as whole arrays, a fixed number in a fixed order, and
-its ranks over the two objectives come from one sort. Both children of every pair
-come from one expression, and the crowding of every rank from one sort per
-objective; each element still takes the floating-point operations of the
-textbook form, one gene or one front at a time, in the same order, so the bytes
-are that form's. The survivors are the best n of parents and children, and
-keep the ranks they had among both. Only the fronts that can survive are
-ranked: NSGA-II drops every front that does not fit the next population
-unread (Deb, Pratap, Agarwal & Meyarivan, IEEE TEC 6:182, 2002), so when front 0
-of the 2n parents and children holds n rows or more, the rest share rank 1
-unranked. Front 0 and its crowding are the same either way, and every
-unranked row sorts after it, so the survivors, their ranks and the bytes are
-those of the full ranking. Fronts are
-bitwise reproducible for a fixed seed on one host; the generator is numpy's
+The initial population is the 2^3 corners of the box, then uniform draws
+(Friedrich & Wagner, "Seeding the initial population of multi-objective
+evolutionary algorithms", Applied Soft Computing 33:223, 2015): the corners
+overwrite the first min(n, 8) rows of the draw, so the random stream and the
+evaluation count stay those of an all-uniform start. A generation draws its
+uniforms as whole arrays, a fixed number in a fixed order, then a binary
+tournament, simulated-binary crossover and polynomial mutation on
+box-scaled variables. The n parents and n children are ranked over the two
+objectives by one sort and crowded once, and the best n in (rank, crowding,
+index) order survive in that order, keeping the ranks and crowding they had
+among both: NSGA-II assigns them while forming the next population (§III-C).
+So the population is always stored best-first, and the tournament's
+crowded comparison of two rows is a comparison of their positions. Only the
+fronts that can survive are ranked: NSGA-II drops every front that does not
+fit the next population unread, so when front 0 of the 2n rows holds n rows
+or more, the rest share rank 1 unranked. Front 0 and its crowding are the
+same either way, and every unranked row sorts after it, so the survivors and
+the bytes are those of the full ranking.
+
+Both children of every pair come from one expression, and the crowding of
+every rank from one sort per objective; each element still takes the
+floating-point operations of the textbook form, one gene or one front at a
+time, in the same order, so the bytes are that form's. Fronts are bitwise
+reproducible for a fixed seed on one host; the generator is numpy's
 documented PCG64. numpy's array power may round the last bit differently on
 CPUs with other SIMD support, so bytes can differ between hosts.
 """
@@ -202,16 +210,16 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
         return responses
 
     pop = rng.random((n, 3))
+    pop[:8] = list(np.ndindex(2, 2, 2))[:n]  # the unit cube's corners, then uniform rows
     resp = evaluate_pop(pop)
     ranks = _ranks(resp, senses)
-    crowd = _crowding_by_rank(resp, ranks)
+    best_first = _selection_order(ranks, _crowding_by_rank(resp, ranks))
+    pop, resp, ranks = pop[best_first], resp[best_first], ranks[best_first]
 
     for _ in range(config.generations):
         idx_a, idx_b = rng.permutation(n), rng.permutation(n)
-        key = _selection_order(ranks, crowd)
-        position = np.empty(n, dtype=int)
-        position[key] = np.arange(n)
-        parents = np.where(position[idx_a] <= position[idx_b], idx_a, idx_b)
+        # the population is best-first, so the better of two rows is the earlier
+        parents = np.minimum(idx_a, idx_b)
         # one generation's draws, a fixed number in a fixed order
         half = n // 2
         cross_coin = rng.random(half)
@@ -227,11 +235,10 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
         combined = np.vstack([pop, children])
         combined_resp = np.vstack([resp, child_resp])
         comb_ranks = _ranks(combined_resp, senses, n)
-        comb_crowd = _crowding_by_rank(combined_resp, comb_ranks)
-        # every row that dominates a survivor survives, so a survivor's rank is kept
-        chosen = _selection_order(comb_ranks, comb_crowd)[:n]
+        # every row that dominates a survivor survives, so a survivor's rank is
+        # kept; the survivors stay in this order, best-first
+        chosen = _selection_order(comb_ranks, _crowding_by_rank(combined_resp, comb_ranks))[:n]
         pop, resp, ranks = combined[chosen], combined_resp[chosen], comb_ranks[chosen]
-        crowd = _crowding_by_rank(resp, ranks)
         counters.iterations += 1
 
     tag = f"seed={config.seed}"

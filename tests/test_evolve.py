@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
     ConstraintSet,
+    Front,
     GaConfig,
     MooProblem,
     Objective,
+    ParetoPoint,
     Sense,
     SmoothFunction,
     dominated_mask,
     evaluate,
+    filter_nondominated,
     run_ga,
 )
 from pareto_forge import evolve
@@ -444,7 +448,9 @@ def test_ga_zero_generations_returns_initial_nondominated(problem):
 
     lb = np.array(CASE_STUDY_BOUNDS.lower)
     span = np.array(CASE_STUDY_BOUNDS.span)
-    unit = np.random.default_rng(9).random((4, 3))
+    # the unit cube's corners overwrite the first rows of the uniform draw, so a
+    # population of 4 is the corners (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)
+    unit = np.array(list(itertools.product((0.0, 1.0), repeat=3))[:4])
     x = lb + unit * span
     resp = np.column_stack([evaluate(o.model, x) for o in problem.objectives])
     ranks = brute_force_ranks([tuple(r) for r in resp], MIN_MAX)
@@ -473,8 +479,9 @@ def test_ga_equals_the_dominance_matrix_path(problem, pop_size, monkeypatch):
     crowding = evolve._crowding_by_rank
 
     def crowding_of_peeled_ranks(values, ranks):
-        # every ranking run_ga uses passes here, the survivors' kept ranks included;
-        # pop_size rows are kept of the combined population, and all of the population
+        # every ranking run_ga makes passes here: the initial population's, all of
+        # its rows kept, and each generation's parents and children, pop_size of
+        # them kept; the survivors keep their ranks and crowding unrecomputed
         assert_exact_below_the_cut(ranks, mask_peel(values, problem.senses), pop_size)
         return crowding(values, ranks)
 
@@ -485,6 +492,104 @@ def test_ga_equals_the_dominance_matrix_path(problem, pop_size, monkeypatch):
     for a, b in zip(by_sort, by_matrix):
         assert a.front == b.front
         assert a.counters == b.counters
+
+
+def textbook_nsga2(problem, config):
+    """One NSGA-II run as published (Deb, Pratap, Agarwal & Meyarivan, IEEE TEC
+    6:182, 2002), the reference for ``run_ga``: each pair of the binary tournament
+    is decided by the crowded-comparison operator, read as positions in
+    ``_selection_order`` of the population's ranks and crowding, and P_{t+1}
+    keeps the ranks and crowding its rows were given among the parents and
+    children. Every front is ranked. P_0 is stored in crowded-comparison order,
+    as every P_{t+1} is formed. Initial rows are the unit cube's corners, then
+    uniform draws."""
+    lb, span = np.asarray(CASE_STUDY_BOUNDS.lower), np.asarray(CASE_STUDY_BOUNDS.span)
+    n, senses = config.pop_size, problem.senses
+    rng = np.random.default_rng(config.seed)
+    evals = 0
+
+    def evaluate_rows(unit):
+        nonlocal evals
+        evals += unit.shape[0] * 2
+        return problem.natural_values(lb + unit * span)
+
+    pop = rng.random((n, 3))
+    for i, corner in enumerate(itertools.product((0.0, 1.0), repeat=3)):
+        if i < n:
+            pop[i] = corner
+    resp = evaluate_rows(pop)
+    ranks = _ranks(resp, senses)
+    crowd = _crowding_by_rank(resp, ranks)
+    order = _selection_order(ranks, crowd)
+    pop, resp, ranks, crowd = pop[order], resp[order], ranks[order], crowd[order]
+    for _ in range(config.generations):
+        idx_a, idx_b = rng.permutation(n), rng.permutation(n)
+        position = np.empty(n, dtype=int)
+        position[_selection_order(ranks, crowd)] = np.arange(n)
+        parents = [a if position[a] <= position[b] else b for a, b in zip(idx_a, idx_b)]
+        half = n // 2
+        cross_coin = rng.random(half)
+        swap, u_sbx = rng.random((half, 3)), rng.random((half, 3))
+        mut_coin, u_mut = rng.random((n, 3)), rng.random((n, 3))
+        children = _sbx(pop[parents], cross_coin, swap, u_sbx,
+                        config.crossover_prob, config.crossover_eta)
+        children = _mutate(children, mut_coin, u_mut, config.mutation_prob, config.mutation_eta)
+        children = np.clip(children, 0.0, 1.0)
+        combined = np.vstack([pop, children])
+        combined_resp = np.vstack([resp, evaluate_rows(children)])
+        comb_ranks = _ranks(combined_resp, senses)
+        comb_crowd = _crowding_by_rank(combined_resp, comb_ranks)
+        chosen = _selection_order(comb_ranks, comb_crowd)[:n]
+        pop, resp = combined[chosen], combined_resp[chosen]
+        ranks, crowd = comb_ranks[chosen], comb_crowd[chosen]
+    points = [ParetoPoint(tuple(lb + pop[i] * span), tuple(resp[i]), "genetic_algorithm",
+                          f"seed={config.seed}")
+              for i in np.flatnonzero(ranks == 0)]
+    return Front(tuple(filter_nondominated(points, senses)), senses), evals
+
+
+@pytest.mark.parametrize("pop_size", [4, 16, 60, 120])
+def test_ga_equals_textbook_nsga2(problem, pop_size):
+    configs = [GaConfig(pop_size=pop_size, seed=seed) for seed in range(6)]
+    configs.append(GaConfig(pop_size=pop_size, crossover_prob=0.0, mutation_prob=0.0, seed=2))
+    for cfg in configs:
+        res = run_ga(problem, cfg)
+        front, evals = textbook_nsga2(problem, cfg)
+        assert res.front == front
+        assert res.counters.iterations == cfg.generations
+        assert res.counters.function_evals == evals == pop_size * (cfg.generations + 1) * 2
+
+
+@pytest.mark.parametrize("pop_size", [4, 60])
+def test_each_population_is_best_first_and_crowded_once(problem, pop_size, monkeypatch):
+    # one ranking, one crowding and one selection sort per population formed, and
+    # the rows of each ranking's population are the rows of the ranking before,
+    # in its crowded-comparison order
+    seen, calls = [], {"_ranks": 0, "_selection_order": 0}
+    crowding = evolve._crowding_by_rank
+
+    def crowding_spy(values, ranks):
+        crowd = crowding(values, ranks)
+        seen.append((values, _selection_order(ranks, crowd)[:pop_size]))
+        return crowd
+
+    def counted(name):
+        fn = getattr(evolve, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(evolve, name, counted(name))
+    monkeypatch.setattr(evolve, "_crowding_by_rank", crowding_spy)
+    res = run_ga(problem, GaConfig(pop_size=pop_size, seed=4))
+    assert len(seen) == calls["_ranks"] == calls["_selection_order"] == 101
+    for (values, best), (later, _) in zip(seen, seen[1:]):
+        assert same_bits(later[:pop_size], values[best])
+    values, best = seen[-1]
+    assert {p.responses for p in res.front.points} <= {tuple(values[i]) for i in best}
 
 
 @pytest.mark.parametrize("pop_size", [60, 120])
@@ -556,3 +661,11 @@ def test_ga_seed_tag(problem):
     res = run_ga(problem, GaConfig(pop_size=4, generations=1, seed=42))
     assert all(p.tag == "seed=42" for p in res.front.points)
     assert all(p.method == "genetic_algorithm" for p in res.front.points)
+
+
+def test_ga_reaches_the_ra_optimum(problem, utopia):
+    # the box corners seeded into the initial population include the Ra optimum's
+    ra_star = utopia.ideal[0]
+    for seed in range(10):
+        front = run_ga(problem, GaConfig(seed=seed)).front
+        assert min(p.responses[0] for p in front.points) == pytest.approx(ra_star, abs=1e-6)
