@@ -10,7 +10,7 @@ right after the other, so host drift that moves separate processes by tens of
 percent mostly cancels in each pair's ratio. Prints, per workload, the median of
 the per-pair time ratios B/A and the number of pairs in which B was faster.
 
-Usage: python scripts/ab_time.py A_SRC B_SRC [--reps N] [--workloads NAME,...]
+Usage: python scripts/ab_time.py A_SRC B_SRC [--reps N] [--seed N] [--workloads NAME,...]
 """
 
 from __future__ import annotations
@@ -60,14 +60,14 @@ def run_once(cli, argvs) -> float:
     return elapsed
 
 
-def compare(clis, workload, reps: int, work: Path) -> list[tuple[float, float]]:
+def compare(clis, workload, reps: int, work: Path, seed: int = 0) -> list[tuple[float, float]]:
     """(A seconds, B seconds) of ``reps`` pairs of one workload's iterations at
-    workload seed 0, after one untimed iteration per tree; pair i runs A first
-    when i is even."""
+    workload seed ``seed``, after one untimed iteration per tree; pair i runs A
+    first when i is even."""
     inputs = workload.prepare(work / "inputs")
     pairs = []
     for i in range(-1, reps):
-        _, argvs = workload.commands(0, max(i, 0), inputs, work / "out")
+        _, argvs = workload.commands(seed, max(i, 0), inputs, work / "out")
         times = {}
         for tree in ((0, 1) if i % 2 == 0 else (1, 0)):
             times[tree] = run_once(clis[tree], argvs)
@@ -82,10 +82,14 @@ def main(argv=None) -> int:
     parser.add_argument("a_src")
     parser.add_argument("b_src")
     parser.add_argument("--reps", type=int, default=12, help="timed pairs per workload")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="workload seed, which picks each iteration's command seeds")
     parser.add_argument("--workloads", help="comma-separated names (default: all)")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     path = sys.path[:]
     # the workloads' set-up imports pareto_forge from tree A to write the inputs
     sys.path[:0] = [str(Path(args.a_src).resolve()), str(PERFBENCH)]
@@ -99,12 +103,13 @@ def main(argv=None) -> int:
             parser.error(f"unknown workload(s) {unknown}; choose from {list(WORKLOADS)}")
         clis = (load_cli("ab_tree_a", args.a_src), load_cli("ab_tree_b", args.b_src))
         for name in names:
-            pairs = compare(clis, WORKLOADS[name], args.reps, work / name)
+            pairs = compare(clis, WORKLOADS[name], args.reps, work / name, args.seed)
             ratios = [b / a for a, b in pairs]
             wins = sum(b < a for a, b in pairs)
             a_s, b_s = statistics.median(a for a, _ in pairs), statistics.median(b for _, b in pairs)
-            print(f"{name}: B/A median {statistics.median(ratios):.3f}, B faster in {wins} of "
-                  f"{len(pairs)} pairs; median A {a_s:.4f} s, B {b_s:.4f} s")
+            print(f"{name} (seed {args.seed}): B/A median {statistics.median(ratios):.3f}, "
+                  f"B faster in {wins} of {len(pairs)} pairs; "
+                  f"median A {a_s:.4f} s, B {b_s:.4f} s")
     finally:
         sys.path[:] = path
         shutil.rmtree(work, ignore_errors=True)

@@ -14,7 +14,7 @@ call (:func:`grouped_multistart`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +39,8 @@ _MAX_BACKTRACKS = 30
 #: step is taken if it does not raise the value beyond that and lowers the
 #: projected residual.
 _ROUNDING = 100.0 * np.finfo(float).eps
+#: every variable is coupled to itself in the Newton system
+_EYE3 = np.eye(3, dtype=bool)
 
 
 class NonFiniteEvaluationError(RuntimeError):
@@ -159,12 +161,15 @@ def stratified_starts(bounds: Bounds, n_starts: int, seed: int) -> np.ndarray:
     return points
 
 
-def _quality(objective: float, violation: float, converged: bool, feas_tol: float) -> tuple:
-    """Candidate order key, best first: feasible candidates by objective, then
-    infeasible ones by violation and objective; a converged candidate wins a tie."""
-    if violation <= feas_tol:
-        return (0, objective, not converged)
-    return (1, violation, objective, not converged)
+def _best_rows(f: np.ndarray, conv: np.ndarray, viol: np.ndarray, n: int,
+               feas_tol: float) -> np.ndarray:
+    """Index of the best row of each run of ``n`` rows: feasible rows by objective,
+    then infeasible ones by violation and objective; a converged row wins a tie,
+    then the first row (lexsort is stable)."""
+    infeasible = viol > feas_tol
+    # the sort keys, the last one first
+    return np.lexsort((np.where(infeasible, ~conv, False), np.where(infeasible, f, ~conv),
+                       np.where(infeasible, viol, f), infeasible, np.arange(len(f)) // n))[::n]
 
 
 def _unit(s: np.ndarray) -> np.ndarray:
@@ -174,7 +179,7 @@ def _unit(s: np.ndarray) -> np.ndarray:
 
 def _projected_residual(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Largest projected-gradient component of each row."""
-    return np.max(np.abs(s - _unit(s - grad)), axis=-1)
+    return np.abs(s - _unit(s - grad)).max(axis=-1)
 
 
 def _newton_direction(s: np.ndarray, grad: np.ndarray, hess: np.ndarray,
@@ -190,17 +195,17 @@ def _newton_direction(s: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     eps = np.minimum(_ACTIVE_EPS, residual)[:, None]
     active = ((s <= eps) & (grad > 0)) | ((s >= 1.0 - eps) & (grad < 0))
     free = ~active
-    coupled = (free[:, :, None] & free[:, None, :]) | np.eye(3, dtype=bool)
+    coupled = (free[:, :, None] & free[:, None, :]) | _EYE3
     lam, vec = np.linalg.eigh(np.where(coupled, hess, 0.0))
     mag = np.abs(lam)
     floor = _CURVATURE_FLOOR * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
     # V |L|^-1 V^T g as explicit products and sums, not BLAS: a row's result does
     # not depend on how many rows are computed with it
-    coef = np.sum(vec * grad[:, :, None], axis=1) / np.maximum(mag, floor)
-    d = -np.sum(vec * coef[:, None, :], axis=-1)
+    coef = (vec * grad[:, :, None]).sum(axis=1) / np.maximum(mag, floor)
+    d = -(vec * coef[:, None, :]).sum(axis=-1)
     # the free block keeps its direction; an active variable is clipped on its own
     longest = np.where(free, np.abs(d), 0.0).max(axis=-1, keepdims=True)
-    return np.where(free, d / np.maximum(1.0, longest), np.clip(d, -1.0, 1.0))
+    return np.where(free, d / np.maximum(1.0, longest), d.clip(-1.0, 1.0))
 
 
 def _inner_solve(fun, s0: np.ndarray, gtol: float, maxiter: int):
@@ -219,41 +224,53 @@ def _inner_solve(fun, s0: np.ndarray, gtol: float, maxiter: int):
     steps = np.zeros(n, dtype=int)
     live = np.arange(n)
     while True:
-        residual = _projected_residual(s[live], g[live])
+        base, g0 = s[live], g[live]
+        residual = _projected_residual(base, g0)
         keep = (residual > gtol) & (steps[live] < maxiter)
-        live, residual = live[keep], residual[keep]
+        if not keep.all():
+            live, residual, base, g0 = live[keep], residual[keep], base[keep], g0[keep]
         if not live.size:
             return s, steps
-        d = _newton_direction(s[live], g[live], h[live], residual)
-        base, f0, g0 = s[live], f[live], g[live]
+        d = _newton_direction(base, g0, h[live], residual)
+        f0 = f[live]
         noise = _ROUNDING * np.maximum(1.0, np.abs(f0))
         alpha = 1.0
         search = np.arange(live.size)
         moved = np.zeros(live.size, dtype=bool)
         for _ in range(_MAX_BACKTRACKS):
-            trial = _unit(base[search] + alpha * d[search])
+            b = base[search]
+            trial = _unit(b + alpha * d[search])
             # a row whose step no longer moves the point has stalled
-            moving = np.any(trial != base[search], axis=-1)
-            search, trial = search[moving], trial[moving]
-            slope = np.sum(g0[search] * (trial - base[search]), axis=-1)
+            moving = (trial != b).any(axis=-1)
+            if not moving.all():
+                search, trial, b = search[moving], trial[moving], b[moving]
+                if not search.size:
+                    break
+            slope = (g0[search] * (trial - b)).sum(axis=-1)
             # a clipped step can point uphill: only a descending one is evaluated
             down = slope < 0
-            accepted = np.zeros(search.size, dtype=bool)
-            if down.any():
-                k, t, sl = search[down], trial[down], slope[down]
+            k, t, sl = (search, trial, slope) if down.all() else (
+                search[down], trial[down], slope[down])
+            if k.size:
                 ft, gt, ht = fun(live[k], t)
                 rise = ft - f0[k]
-                good = (rise <= _ARMIJO * sl) | (
-                    (-sl <= noise[k]) & (rise <= noise[k])
-                    & (_projected_residual(t, gt) < residual[k]))
-                done = live[k[good]]
-                s[done], f[done], g[done], h[done] = t[good], ft[good], gt[good], ht[good]
+                good = rise <= _ARMIJO * sl
+                # a step that misses Armijo within rounding noise is taken when
+                # it lowers the projected residual
+                tie = ~good & (-sl <= noise[k]) & (rise <= noise[k])
+                if tie.any():
+                    good[tie] = _projected_residual(t[tie], gt[tie]) < residual[k[tie]]
+                if not good.all():
+                    k, t, ft, gt, ht = k[good], t[good], ft[good], gt[good], ht[good]
+                done = live[k]
+                s[done], f[done], g[done], h[done] = t, ft, gt, ht
                 steps[done] += 1
-                moved[k[good]] = True
+                moved[k] = True
+                if k.size == search.size:
+                    break
+                accepted = np.zeros(search.size, dtype=bool)
                 accepted[down] = good
-            search = search[~accepted]
-            if not search.size:
-                break
+                search = search[~accepted]
             alpha *= 0.5
         live = live[moved]
 
@@ -262,9 +279,10 @@ class _ScaledProblem:
     """Unit-cube view of the raw problem for a batch of rows.
 
     Function 0 is the objective and function i > 0 is inequality i - 1. Each
-    function keeps its last point and results per row, so evaluating a row at
-    the same point again costs nothing (an inner solve starts where the last one
-    ended). Every model evaluation adds its cost to the counters of its row.
+    function caches, per row, its last point and scaled results there; a row is
+    evaluated again only at a different point, so the same point again costs
+    nothing and is not counted (an inner solve starts where the last one ended).
+    Every model evaluation adds its cost to the counters of its row.
     """
 
     def __init__(self, objective: SmoothFunction, constraints: ConstraintSet, n_rows: int):
@@ -273,6 +291,7 @@ class _ScaledProblem:
         self.lb = np.asarray(constraints.bounds.lower)
         self.ub = np.asarray(constraints.bounds.upper)
         self.span = self.ub - self.lb
+        self.span2 = self.span[:, None] * self.span
         self.f_scale = np.ones(n_rows)
         self.scales = [np.broadcast_to(np.asarray(fn.scale, dtype=float), (n_rows,))
                        for fn in self.functions]
@@ -291,22 +310,29 @@ class _ScaledProblem:
         return np.clip((np.asarray(x, dtype=float) - self.lb) / self.span, 0.0, 1.0)
 
     def evaluate(self, i: int, rows: np.ndarray, s: np.ndarray):
-        """Value, unit-cube gradient and Hessian of function ``i`` at the rows'
-        points, each divided by the function's scale."""
-        fresh = np.any(self._points[i, rows] != s, axis=-1)
-        if fresh.any():
-            fn, at, x = self.functions[i], rows[fresh], self.to_raw(s[fresh])
-            v, g, h = fn.value_and_grad(at, x)
-            self.function_evals[at] += fn.model_cost
+        """Value (r,), unit-cube gradient (r, 3) and Hessian (r, 3, 3) of function
+        ``i`` at the rows' points, each divided by the function's scale. Only rows
+        whose point differs from the cache reach the callback. The whole-array
+        shortcuts (no row fresh, every row fresh, one finiteness test per result
+        before the per-row one that names the bad point) keep rows independent."""
+        fresh = (self._points[i, rows] != s).any(axis=-1)
+        if not fresh.any():
+            return self._values[i, rows], self._grads[i, rows], self._hessians[i, rows]
+        every = fresh.all()
+        at, s_at = (rows, s) if every else (rows[fresh], s[fresh])
+        fn, x = self.functions[i], self.to_raw(s_at)
+        v, g, h = fn.value_and_grad(at, x)
+        self.function_evals[at] += fn.model_cost
+        if not (np.isfinite(v).all() and np.isfinite(g).all() and np.isfinite(h).all()):
             finite = (np.isfinite(v) & np.isfinite(g).all(axis=-1)
                       & np.isfinite(h).all(axis=(-2, -1)))
-            if not np.all(finite):
-                raise NonFiniteEvaluationError(x[np.argmin(finite)], fn.name)
-            span, scale = self.span, self.scales[i][at]
-            self._points[i, at] = s[fresh]
-            self._values[i, at] = v / scale
-            self._grads[i, at] = g * span / scale[:, None]
-            self._hessians[i, at] = h * (span[:, None] * span) / scale[:, None, None]
+            raise NonFiniteEvaluationError(x[np.argmin(finite)], fn.name)
+        scale = self.scales[i][at]
+        v, g, h = v / scale, g * self.span / scale[:, None], h * self.span2 / scale[:, None, None]
+        self._points[i, at], self._values[i, at] = s_at, v
+        self._grads[i, at], self._hessians[i, at] = g, h
+        if every:
+            return v, g, h
         return self._values[i, rows], self._grads[i, rows], self._hessians[i, rows]
 
     def lagrangian(self, rows: np.ndarray, s: np.ndarray, lam: np.ndarray, rho: np.ndarray):
@@ -398,23 +424,10 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
 
 # a model value that overflows is reported as a NonFiniteEvaluationError, not a warning
 @np.errstate(over="ignore")
-def minimize_starts(
-    objective: SmoothFunction,
-    constraints: ConstraintSet,
-    starts: Sequence[Sequence[float]] | np.ndarray,
-    config: SolverConfig | None = None,
-) -> list[SolveOutcome]:
-    """Minimize from every start point at once; one outcome per start, in order.
-    See the module docstring for the algorithm.
-
-    Each returned point satisfies the box exactly. With ``converged`` True, the
-    projected-gradient residual of the Lagrangian is at most ``kkt_tol`` and the
-    scaled inequality violation at most ``feas_tol``. Each start is one row of the
-    same arrays, so outcome k, counters included, does not depend on the other
-    starts. The functions' ``rows`` index ``starts``, and so does a per-row
-    ``scale``.
-    """
-    config = config or SolverConfig()
+def _solve_rows(objective: SmoothFunction, constraints: ConstraintSet, starts,
+                config: SolverConfig):
+    """The solve of :func:`minimize_starts` as arrays over the starts: (x, objective,
+    converged, residual, violation, iterations, function evaluations)."""
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
     # the test of Bounds.contains(start, tol=1e-9), over every start at once
     lo, hi = np.asarray(constraints.bounds.lower), np.asarray(constraints.bounds.upper)
@@ -452,20 +465,37 @@ def minimize_starts(
             again = _auglag(prob, rows, s_r[restored], _RHO_RESTORED, config.max_outer, config)
             # a restart exists only when the first loop ended infeasible: it takes
             # the row's place when better, as a feasible restart always is
-            for j, k in enumerate(rows):
-                if (_quality(again[1][j], again[4][j], again[2][j], config.feas_tol)
-                        < _quality(f_f[k], viol[k], conv[k], config.feas_tol)):
-                    for final, restart in zip(first, again):
-                        final[k] = restart[j]
-    x = prob.to_raw(s_f)
-    return [SolveOutcome(
-        x=tuple(x[k]),
-        objective=float(f_f[k]),
-        converged=bool(conv[k]),
-        kkt_residual=float(res[k]),
-        constraint_violation=float(viol[k]),
-        counters=RunCounters(int(prob.iterations[k]), int(prob.function_evals[k])),
-    ) for k in every]
+            pairs = [np.stack((first[i][rows], again[i]), axis=1).ravel() for i in (1, 2, 4)]
+            better = _best_rows(*pairs, 2, config.feas_tol) % 2 == 1
+            for final, restart in zip(first, again):
+                final[rows[better]] = restart[better]
+    return prob.to_raw(s_f), f_f, conv, res, viol, prob.iterations, prob.function_evals
+
+
+def minimize_starts(
+    objective: SmoothFunction,
+    constraints: ConstraintSet,
+    starts: Sequence[Sequence[float]] | np.ndarray,
+    config: SolverConfig | None = None,
+) -> list[SolveOutcome]:
+    """Minimize from every start point at once; one outcome per start, in order.
+    See the module docstring for the algorithm.
+
+    Each returned point satisfies the box exactly. With ``converged`` True, the
+    projected-gradient residual of the Lagrangian is at most ``kkt_tol`` and the
+    scaled inequality violation at most ``feas_tol``. Each start is one row of the
+    same arrays, so outcome k, counters included, does not depend on the other
+    starts. The functions' ``rows`` index ``starts``, and so does a per-row
+    ``scale``.
+    """
+    return _outcomes(*_solve_rows(objective, constraints, starts, config or SolverConfig()))
+
+
+def _outcomes(x, f, conv, res, viol, iterations, evals) -> list[SolveOutcome]:
+    """One outcome per row of the solver's arrays."""
+    return [SolveOutcome(tuple(xk), float(fk), bool(ck), float(rk), float(vk),
+                         RunCounters(int(ik), int(ek)))
+            for xk, fk, ck, rk, vk, ik, ek in zip(x, f, conv, res, viol, iterations, evals)]
 
 
 def grouped_multistart(
@@ -483,16 +513,9 @@ def grouped_multistart(
     config = config or SolverConfig()
     n = config.n_starts
     starts = np.tile(stratified_starts(constraints.bounds, n, config.seed), (n_groups, 1))
-    outcomes = minimize_starts(objective, constraints, starts, config)
-    best = []
-    for g in range(n_groups):
-        group = outcomes[g * n:(g + 1) * n]
-        total = RunCounters()
-        for outcome in group:
-            total.add(outcome.counters)
-        # min keeps the first of equal keys: the lowest start index
-        top = min(group, key=lambda o: _quality(o.objective, o.constraint_violation,
-                                                o.converged, config.feas_tol))
-        feasible = top.constraint_violation <= config.feas_tol
-        best.append(replace(top, counters=total, converged=top.converged and feasible))
-    return best
+    x, f, conv, res, viol, iterations, evals = _solve_rows(objective, constraints, starts,
+                                                           config)
+    best = _best_rows(f, conv, viol, n, config.feas_tol)
+    return _outcomes(x[best], f[best], conv[best] & (viol[best] <= config.feas_tol), res[best],
+                     viol[best], iterations.reshape(-1, n).sum(axis=1),
+                     evals.reshape(-1, n).sum(axis=1))

@@ -12,6 +12,7 @@ uses the value row of the same matrix for one model, with the same arithmetic.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -160,6 +161,12 @@ class ModelStack:
         k = len(exponents)
         self.matrix = np.vstack([rows[:, 0], rows[:, 1:4].reshape(-1, k),
                                  rows[:, 4:].reshape(-1, k)])
+
+    def negated(self) -> "ModelStack":
+        """The same models times -1: each row's terms, and so its sum, change sign exactly."""
+        out = copy.copy(self)
+        out.matrix = -self.matrix
+        return out
 
 
 def _product(stack: ModelStack, x, rows: slice = slice(None)) -> np.ndarray:

@@ -83,13 +83,13 @@ class Objective:
         One model evaluation a point. With ``bound`` and ``scale`` (each one value
         or one per row) it is the inequality constraint ``f - bound <= 0``.
         """
-        sign = -self.sign if negate else self.sign
-        stack = self.model.stack
+        # the sign is folded into the stack's coefficients, so the callback multiplies none
+        stack = self.model.stack if (self.sign > 0) != negate else self.model.stack.negated()
 
         def vg(rows, x):
             f, jac, hess = value_jacobian_hessian(stack, x)
             at = bound[rows] if np.ndim(bound) else bound
-            return sign * f[..., 0] - at, sign * jac[..., 0, :], sign * hess[..., 0, :, :]
+            return f[..., 0] - at, jac[..., 0, :], hess[..., 0, :, :]
 
         label = name or (f"-{self.name}" if negate else self.name)
         return SmoothFunction(vg, model_cost=1, scale=scale, name=label)

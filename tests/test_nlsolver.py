@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pareto_forge import nlsolver
 from pareto_forge import (
@@ -141,6 +145,71 @@ def test_nonfinite_objective_reports_point():
     with pytest.raises(NonFiniteEvaluationError, match="broken") as err:
         one_start(bad, BOX, CASE_STUDY_BOUNDS.center)
     assert np.allclose(err.value.point, CASE_STUDY_BOUNDS.center)
+    # the objective is checked before the constraints
+    also_bad = ConstraintSet(CASE_STUDY_BOUNDS, (replace(bad, name="also broken"),))
+    with pytest.raises(NonFiniteEvaluationError, match="'broken'"):
+        one_start(bad, also_bad, CASE_STUDY_BOUNDS.center)
+
+
+@pytest.mark.parametrize("where", ["value", "hessian"])
+def test_nonfinite_constraint_at_a_trial_point_names_its_row(where):
+    # finite at every start; NaN in the value, or inf in the Hessian alone, at the
+    # second row's first point after its start, while the other rows are finite
+    points = {}
+
+    def vg(rows, x):
+        value, hess = 150.0 - x[..., 0], np.zeros(x.shape + (3,))
+        for j in np.flatnonzero(rows == 1):
+            start = points.setdefault("start", x[j].copy())
+            if "bad" not in points and np.any(x[j] != start):
+                points["bad"] = x[j].copy()
+                if where == "value":
+                    value[j] = np.nan
+                else:
+                    hess[j, 1, 2] = np.inf
+        return value, np.array([-1.0, 0.0, 0.0]), hess
+
+    wall = SmoothFunction(vg, scale=150.0, name="vc >= 150")
+    starts = stratified_starts(CASE_STUDY_BOUNDS, 3, 2)
+    with pytest.raises(NonFiniteEvaluationError, match="'vc >= 150'") as err:
+        minimize_starts(quadratic_objective(LB), ConstraintSet(CASE_STUDY_BOUNDS, (wall,)), starts)
+    assert np.array_equal(err.value.point, points["bad"])
+
+
+def _quality(objective, violation, converged, feas_tol):
+    """The reference order of a group's starts, best first, for ``min``."""
+    if violation <= feas_tol:
+        return (0, objective, not converged)
+    return (1, violation, objective, not converged)
+
+
+_TOL = 1e-6
+_OBJECTIVES = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.5]),
+                        st.floats(-10.0, 10.0, allow_nan=False))
+_VIOLATIONS = st.one_of(st.sampled_from([0.0, _TOL, float(np.nextafter(_TOL, 1.0)), 3e-3]),
+                        st.floats(0.0, 1.0))
+
+
+@st.composite
+def _groups(draw):
+    """(n, objectives, violations, converged flags) of 1-4 groups of n starts."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 4)) * n
+    return (n, draw(st.lists(_OBJECTIVES, min_size=rows, max_size=rows)),
+            draw(st.lists(_VIOLATIONS, min_size=rows, max_size=rows)),
+            draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+
+
+# equal objectives, one of them -0.0, a violation at feas_tol, feasible and
+# infeasible starts and both flags in one group: row 0 wins
+@given(_groups())
+@example((4, [0.0, -0.0, 0.0, 1.0], [_TOL, 0.0, 0.0, 2.0], [True, False, True, True]))
+def test_best_rows_is_min_by_quality(groups):
+    n, f, viol, conv = groups
+    expected = [min(range(g, g + n), key=lambda k: _quality(f[k], viol[k], conv[k], _TOL))
+                for g in range(0, len(f), n)]
+    best = nlsolver._best_rows(np.array(f), np.array(conv), np.array(viol), n, _TOL)
+    assert best.tolist() == expected
 
 
 def test_start_outside_bounds_rejected():

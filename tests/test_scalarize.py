@@ -608,6 +608,34 @@ def _batched_cases(problem, utopia, monkeypatch, cfg):
             "epsilon": (mrr.function(), held)}
 
 
+@pytest.mark.parametrize("where", [0.0, 0.1, 0.5])
+def test_epsilon_starts_solve_as_they_do_alone(problem, utopia, monkeypatch, where):
+    # MRR primary, Ra held at Ra* (a one-point feasible set that sends rows to
+    # restoration), a tenth of the way to the anti-optimum (where some rows end an
+    # inner solve off their cached point) or at mid-range. The solver's
+    # whole-array shortcuts act only while a batch's rows move in lock step, so
+    # one that dropped or mixed rows would change some start's outcome, or the
+    # outcomes of the reversed batch.
+    gtols, inner = [], nlsolver._inner_solve
+
+    def spy(fun, s0, gtol, maxiter):
+        gtols.append(gtol)
+        return inner(fun, s0, gtol, maxiter)
+
+    monkeypatch.setattr(nlsolver, "_inner_solve", spy)
+    ra, mrr = problem.objectives
+    eps = utopia.ideal[0] + where * (utopia.nadir[0] - utopia.ideal[0])
+    held = problem.constrained_by([ra.function(bound=eps, scale=max(1.0, abs(eps)),
+                                               name="Ra<= eps")])
+    cfg = SolverConfig(n_starts=6, seed=3)
+    starts = stratified_starts(CASE_STUDY_BOUNDS, cfg.n_starts, cfg.seed)
+    batched = minimize_starts(mrr.function(), held, starts, cfg)
+    assert (1e-12 in gtols) == (where == 0.0)
+    assert batched == [minimize_starts(mrr.function(), held, [start], cfg)[0]
+                       for start in starts]
+    assert minimize_starts(mrr.function(), held, starts[::-1], cfg) == batched[::-1]
+
+
 @pytest.mark.parametrize("case", ["weighted sum", "p=20", "epsilon"])
 def test_batched_starts_equal_single_start_solves(problem, utopia, monkeypatch, case):
     cfg = SolverConfig(seed=5)

@@ -2,6 +2,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -50,5 +52,30 @@ def test_same_outputs_finds_a_tree_equal_to_itself(tmp_path, capsys):
 def test_ab_time_runs_a_tree_against_itself(capsys):
     src = str(ROOT / "src")
     assert _load("ab_time").main([src, src, "--reps", "2", "--workloads", "ga_seed_merge"]) == 0
-    assert re.fullmatch(r"ga_seed_merge: B/A median \d+\.\d{3}, B faster in [0-2] of 2 pairs; "
-                        r"median A \d+\.\d{4} s, B \d+\.\d{4} s\n", capsys.readouterr().out)
+    assert re.fullmatch(r"ga_seed_merge \(seed 0\): B/A median \d+\.\d{3}, B faster in [0-2] of "
+                        r"2 pairs; median A \d+\.\d{4} s, B \d+\.\d{4} s\n",
+                        capsys.readouterr().out)
+
+
+def test_ab_time_seed_picks_the_commands(tmp_path, capsys):
+    ab_time = _load("ab_time")
+    seeds = []
+
+    class Workload:
+        def prepare(self, input_dir):
+            return None
+
+        def commands(self, seed, slot, inputs, out):
+            seeds.append((seed, slot))
+            return seed, [["validate"]]
+
+    class Cli:
+        @staticmethod
+        def main(argv):
+            return 0
+
+    pairs = ab_time.compare((Cli, Cli), Workload(), 2, tmp_path, seed=7)
+    assert len(pairs) == 2 and seeds == [(7, 0), (7, 0), (7, 1)]
+    with pytest.raises(SystemExit):
+        ab_time.main([str(ROOT / "src")] * 2 + ["--seed", "-1"])
+    assert "--seed must be non-negative" in capsys.readouterr().err
