@@ -32,12 +32,14 @@ _SYNTHETIC = ("import pathlib, sys\n"
 
 #: (name, command-line arguments of ``pareto_forge.cli``), run in order in the
 #: tree's directory; "synthetic" writes the dataset the eps and lex commands
-#: read, ga.json sets the population of 120 that the benchmark's GA runs use, and
-#: ga_copies.json turns crossover and mutation off, so every child is a copy of
-#: its parent and the population fills with duplicate rows, whose ties the
-#: ranking, crowding and selection must break the same way; merge_band merges two
-#: fronts whose points differ inside the merge band; ga_early stops a population
-#: of 120 after 3 generations, while front 0 cannot yet fill the next population,
+#: read; lex_ra_mrr and lex_single run the case study's lexicographic sequence in
+#: reverse order and with one objective alone; ga.json sets the population of 120
+#: that the benchmark's GA runs use, and ga_copies.json turns crossover and
+#: mutation off, so every child is a copy of its parent and the population fills
+#: with duplicate rows, whose ties the ranking, crowding and selection must break
+#: the same way; merge_band merges two fronts whose points differ inside the
+#: merge band; ga_early stops a population of 120 after 3 generations, while
+#: front 0 cannot yet fill the next population,
 #: so every ranking it makes is exact past front 0 and decides its final front;
 #: ga_small runs a population of 4, fewer rows than the unit cube's 8 corners
 #: that seed the initial population
@@ -53,6 +55,10 @@ COMMANDS = (
                 "--data", "synthetic.csv", "--seed", "3", "--out", "eps_41"]),
     ("lex", ["optimize", "--method", "lexicographic", "--data", "synthetic.csv", "--seed", "3",
              "--out", "lex"]),
+    ("lex_ra_mrr", ["optimize", "--method", "lexicographic", "--order", "ra,mrr", "--seed", "3",
+                    "--out", "lex_ra_mrr"]),
+    ("lex_single", ["optimize", "--method", "lexicographic", "--order", "mrr", "--seed", "3",
+                    "--out", "lex_single"]),
     ("ga_0", ["optimize", "--method", "ga", "--config", "ga.json", "--seed", "0",
               "--out", "ga_0"]),
     ("ga_1", ["optimize", "--method", "ga", "--config", "ga.json", "--seed", "1",

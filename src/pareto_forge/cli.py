@@ -59,8 +59,6 @@ ALL_METHODS = SCALARIZATION_METHODS + ("ga",)
 OBJECTIVES = ("ra", "mrr")
 #: where the response models come from: a fit to the data or a published pair
 MODEL_SOURCES = ("refit", "eq23", "eq21")
-#: routines that start from the individual optima, which one run computes once
-UTOPIA_METHODS = ("global_criterion", "weighted_sum", "epsilon_constraint")
 
 _NUMERIC_ERRORS = (
     RegressionError,
@@ -363,7 +361,7 @@ def _run_method(method: str, cfg: RunConfig, problem: MooProblem, utopia):
                                         utopia),
                 {"epsilon_points": mc.epsilon_points, "primary": mc.epsilon_primary})
     if method == "lexicographic":
-        result = scalarize.lexicographic(problem, mc.order, solver)
+        result = scalarize.lexicographic(problem, mc.order, solver, utopia)
         return result, {"order": list(result.order)}
     # "ga", the one name left that MethodConfig admits
     return run_ga(problem, cfg.ga), {k: getattr(cfg.ga, f) for k, f in CONFIG_KEYS["ga"].items()}
@@ -385,7 +383,7 @@ def _point_dict(result: MethodResult) -> dict:
 def _routine_payload(method: str, result: RoutineResult, parameters: dict, optima) -> dict:
     payload = {"method": method, "counters": dataclasses.asdict(result.counters),
                "parameters": parameters}
-    if method in UTOPIA_METHODS:
+    if method in SCALARIZATION_METHODS:
         payload["individual_optima"] = optima
     if method == "lexicographic":
         payload["terminated_early"] = result.terminated_early
@@ -405,7 +403,7 @@ def _run_methods(cfg: RunConfig, methods) -> tuple:
     problem = _build_problem(cfg, _select_models(cfg, records))
     _make_out_dir(cfg)
     utopia = (scalarize.individual_optima(problem, cfg.solver)
-              if any(m in UTOPIA_METHODS for m in methods) else None)
+              if any(m in SCALARIZATION_METHODS for m in methods) else None)
     optima = None if utopia is None else _utopia_dict(problem, utopia)
     results = {}
     for method in methods:

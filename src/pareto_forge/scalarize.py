@@ -4,11 +4,11 @@ Four scalarizations are provided: the relative-deviation criterion (a p-norm of
 deviations from the ideal point), the lexicographic sequence, the weighted sum
 of objectives normalized by the ideal/nadir pair, and the epsilon-constraint
 method swept from the ideal to the nadir. ``individual_optima`` computes that
-pair once (the optimum and anti-optimum of each objective) for the three
+pair once (the optimum and anti-optimum of each objective) for the four
 routines that read it. Each routine returns a RoutineResult: its front, its
 solved points (MethodResult) and its counters. Each sweep, and each one-point
 routine as its one-point case, is one batched solve of points x starts rows;
-only the lexicographic stages, each bound by the one before, go one by one.
+the lexicographic sequence is an individual optimum and one epsilon point.
 
 Maximized objectives are converted to minimization by negation internally, and
 the ideal/nadir pair is held in that form; every reported response is in
@@ -37,11 +37,12 @@ from .polymodel import ModelStack, PolynomialModel, stack_values, value_jacobian
 #: p grid used by the deviation-criterion sweep in the case study.
 DEFAULT_P_VALUES = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
 
-#: Relative slack applied to a stage optimum when it becomes a constraint bound.
+#: Relative slack on the first lexicographic stage's optimum, the second's bound.
 LEX_SLACK_REL = 1e-6
 
-#: Lexicographic stages stop early when two in a row return the same point
-#: within this distance on box-scaled variables.
+#: ``terminated_early``: the second lexicographic stage returned the first one's
+#: point within this distance on box-scaled variables. No stage is ever skipped;
+#: the flag stays because the benchmark's correctness check reads it.
 LEX_EQUALITY_TOL = 1e-4
 
 #: Scaled constraint values above -ACTIVE_TOL count as active.
@@ -55,7 +56,7 @@ class InfeasibleEpsilonError(RuntimeError):
 
 
 class StageInfeasibleError(RuntimeError):
-    """A lexicographic stage is infeasible under the previously fixed objectives."""
+    """The second lexicographic stage is infeasible with the first objective held."""
 
 
 class UtopiaSolveError(RuntimeError):
@@ -150,7 +151,8 @@ class UtopiaRecord:
     ``ideal_x[i]`` a point attaining it. ``nadir[i]`` is the anti-optimum, the
     worst feasible value, attained at ``nadir_x[i]``. The true nadir is the worst
     value over the Pareto set alone; the anti-optimum bounds it and stands in for
-    it. The natural-unit value of objective i is ``objective.sign * ideal[i]``.
+    it. The natural-unit value of objective i is ``objective.sign * ideal[i]``,
+    and ``outcomes[2i]`` and ``outcomes[2i + 1]`` are its two solves.
     """
 
     ideal: np.ndarray
@@ -158,6 +160,7 @@ class UtopiaRecord:
     ideal_x: np.ndarray
     nadir_x: np.ndarray
     counters: RunCounters
+    outcomes: tuple[SolveOutcome, ...]
 
 
 def _split_by(keys: np.ndarray, shapes, compute) -> tuple[np.ndarray, ...]:
@@ -202,6 +205,7 @@ def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -
         ideal_x=np.array([o.x for o in best]),
         nadir_x=np.array([o.x for o in worst]),
         counters=counters,
+        outcomes=tuple(outcomes),
     )
 
 
@@ -496,50 +500,46 @@ def lexicographic(
     problem: MooProblem,
     order: Sequence[int | str],
     config: SolverConfig | None = None,
+    utopia: UtopiaRecord | None = None,
 ) -> LexicographicResult:
-    """Optimize objectives in preference order, pinning each stage's optimum.
+    """Optimize the objectives in preference order: the first one's individual optimum,
+    read from ``utopia``, then the epsilon-constraint point of the second with the
+    first bounded by its optimum plus ``LEX_SLACK_REL`` of its magnitude.
 
-    Stage i minimizes its objective subject to every earlier objective staying
-    within a relative slack of its stage optimum. The sequence stops early when
-    two consecutive stages return the same point (``LEX_EQUALITY_TOL``).
+    The counters, and so ``efficiency.csv``'s lexicographic row, count stage 1 although
+    the individual optima solved it. ``terminated_early``: see ``LEX_EQUALITY_TOL``.
     """
-    config = config or SolverConfig()
     indices = [problem.index_of(o) for o in order]
     if not indices:
         raise ValueError("order must name at least one objective")
     if len(set(indices)) != len(indices):
         raise ValueError(f"order contains duplicate objectives: {list(order)}")
-    lb = np.asarray(problem.constraints.bounds.lower)
-    span = np.asarray(problem.constraints.bounds.span)
-    stages: list[LexStage] = []
-    extra: list[SmoothFunction] = []
-    counters = RunCounters()
-    prev_scaled = None
-    terminated = False
-    for idx in indices:
-        obj = problem.objectives[idx]
-        outcome = grouped_multistart(obj.function(), problem.constrained_by(extra), 1, config)[0]
-        counters.add(outcome.counters)
-        if outcome.constraint_violation > config.feas_tol:
-            blockers = [c.name for c in extra]
+    config = config or SolverConfig()
+    utopia = utopia or individual_optima(problem, config)
+    outcomes = [utopia.outcomes[2 * indices[0]]]
+    if len(indices) == 2:
+        f_star = outcomes[0].objective
+        held = _epsilon_points(problem, indices[1], [(f_star + LEX_SLACK_REL * abs(f_star),)],
+                               config)[0]
+        if not held.feasible:
             raise StageInfeasibleError(
-                f"stage optimizing {obj.name!r} infeasible under prior constraints {blockers} "
-                f"(violation {outcome.constraint_violation:.3g} scaled)"
+                f"stage optimizing {problem.names[indices[1]]!r} infeasible with "
+                f"{problem.names[indices[0]]!r} held at its optimum "
+                f"(violation {held.outcome.constraint_violation:.3g} scaled)"
             )
+        outcomes.append(held.outcome)
+    stages = []
+    counters = RunCounters()
+    for idx, outcome in zip(indices, outcomes):
+        obj = problem.objectives[idx]
+        counters.add(outcome.counters)
         stages.append(LexStage(tag=obj.name, x=outcome.x, responses=problem.responses_at(outcome.x),
                                outcome=outcome, objective=obj.name,
                                optimum=obj.sign * outcome.objective))
-        scaled = (np.asarray(outcome.x) - lb) / span
-        if (prev_scaled is not None
-                and float(np.max(np.abs(scaled - prev_scaled))) <= LEX_EQUALITY_TOL):
-            terminated = True
-            break
-        prev_scaled = scaled
-        f_star = outcome.objective
-        extra.append(obj.function(bound=f_star + LEX_SLACK_REL * abs(f_star),
-                                  scale=max(1.0, abs(f_star)), name=f"hold {obj.name}"))
+    step = np.subtract(outcomes[-1].x, outcomes[0].x) / problem.constraints.bounds.span
+    terminated = len(outcomes) == 2 and float(np.max(np.abs(step))) <= LEX_EQUALITY_TOL
     final = stages[-1]
-    order = tuple(problem.objectives[i].name for i in indices)
+    order = tuple(problem.names[i] for i in indices)
     point = ParetoPoint(final.x, final.responses, "lexicographic", "order=" + ">".join(order))
     return LexicographicResult(Front((point,), problem.senses), tuple(stages), counters,
                                order=order, terminated_early=terminated)

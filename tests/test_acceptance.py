@@ -75,8 +75,8 @@ def eps_sweep_result(problem, solver_config, utopia):
 
 
 @pytest.fixture(scope="module")
-def lex_result(problem, solver_config):
-    return lexicographic(problem, ("mrr", "ra"), solver_config)
+def lex_result(problem, solver_config, utopia):
+    return lexicographic(problem, ("mrr", "ra"), solver_config, utopia)
 
 
 @pytest.fixture(scope="module")

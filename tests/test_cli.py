@@ -40,10 +40,12 @@ from pareto_forge.cli import (
     ConfigError,
     MethodConfig,
     RunConfig,
+    _merge_feasible,
     build_parser,
     load_config,
     main,
 )
+from pareto_forge.pareto import Front, ParetoPoint
 from pareto_forge.polymodel import model_to_dict
 
 SMALL_CONFIG = {
@@ -135,12 +137,16 @@ def test_optimize_lexicographic_trace(tmp_path):
     stages = payload["stages"]
     assert len(stages) == 2
     assert stages[0]["objective"] == "MRR" and stages[1]["objective"] == "Ra"
+    # stage 1 is the individual optimum of MRR that the payload records
+    mrr = payload["individual_optima"]["objectives"]["MRR"]
+    assert stages[0]["outcome"]["x"] == mrr["best_x"]
     x1, x2 = stages[0]["outcome"]["x"], stages[1]["outcome"]["x"]
     assert all(abs(a - b) <= 1e-3 for a, b in zip(x1, x2))
 
 
 @pytest.mark.parametrize("method, max_inner, rows", [
-    ("lexicographic", 1, "stages"),
+    # at 2 inner steps the individual optima converge and the second stage does not
+    ("lexicographic", 2, "stages"),
     ("global_criterion", 3, "points"),
 ])
 def test_unconverged_points_printed_after_summary(tmp_path, capsys, method, max_inner, rows):
@@ -154,6 +160,17 @@ def test_unconverged_points_printed_after_summary(tmp_path, capsys, method, max_
     assert tags
     summary = next(i for i, line in enumerate(lines) if line.startswith(f"{method}:"))
     assert lines[summary + 1] == "  unconverged: " + ", ".join(tags)
+
+
+@pytest.mark.parametrize("method", ["lexicographic", "global_criterion"])
+def test_unconverged_individual_optimum_exits_3_naming_it(tmp_path, capsys, method):
+    # at 1 inner step no individual-optimum group converges; Ra's optimum is the first
+    cfg = write_config(tmp_path, solver={"starts": 2, "seed": 3, "max_inner": 1})
+    out = tmp_path / "run"
+    assert main(["optimize", "--method", method, "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: solver failed on the optimum of objective 'Ra'")
+    assert not (out / f"outcome_{method}.json").exists()
 
 
 def test_converged_run_prints_no_unconverged_line(tmp_path, capsys):
@@ -230,6 +247,15 @@ def test_front_merges_csvs(tmp_path):
     assert merged[0] == "method,param,vc,fz,t,ra,mrr"
     assert len(merged) > 1
     assert (out / "front_all.svg").exists()
+
+
+def test_merge_drops_an_infeasible_point_that_dominates_a_feasible_one():
+    senses = (Sense.MINIMIZE, Sense.MAXIMIZE)
+    kept = ParetoPoint((200.0, 0.1, 0.4), (0.8, 20000.0), "epsilon_constraint", "eps=0.8")
+    infeasible = ParetoPoint((300.0, 0.1, 0.4), (0.6, 30000.0), "epsilon_constraint",
+                             "eps=0.6", feasible=False)
+    merged = _merge_feasible([Front((kept, infeasible), senses)])
+    assert merged.points == (kept,)
 
 
 def test_missing_data_file_is_config_error(tmp_path, capsys):

@@ -18,6 +18,7 @@ from pareto_forge import (
     MooProblem,
     Objective,
     PolyBasis,
+    RunCounters,
     Sense,
     SmoothFunction,
     SolverConfig,
@@ -37,6 +38,7 @@ from pareto_forge import (
 from pareto_forge import scalarize
 from pareto_forge.scalarize import (
     ACTIVE_TOL,
+    LEX_SLACK_REL,
     EpsilonResult,
     GlobalCriterionResult,
     WeightedSumResult,
@@ -155,6 +157,28 @@ def test_individual_optima_equal_one_multistart_each(problem, seed):
     assert utopia.counters.iterations == sum(o.counters.iterations for o in best + worst)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("order", [("mrr", "ra"), ("ra", "mrr")])
+def test_lexicographic_is_an_individual_optimum_then_an_epsilon_point(problem, seed, order):
+    # stage 1 is the first objective's one-group multistart; stage 2 optimizes the
+    # second objective with the first bounded by its optimum plus the slack
+    config = SolverConfig(seed=seed)
+    first, second = (problem.index_of(o) for o in order)
+    optimum = _multistart(problem.objectives[first].function(), problem.constraints, config)
+    bound = optimum.objective + LEX_SLACK_REL * abs(optimum.objective)
+    (held,) = scalarize._epsilon_points(problem, second, [(bound,)], config)
+    lex = lexicographic(problem, order, config)
+    assert [s.outcome for s in lex.results] == [optimum, held.outcome]
+    assert (lex.results[1].x, lex.results[1].responses) == (held.x, held.responses)
+    assert lex.counters == RunCounters(
+        optimum.counters.iterations + held.outcome.counters.iterations,
+        optimum.counters.function_evals + held.outcome.counters.function_evals)
+    utopia = individual_optima(problem, config)
+    single = lexicographic(problem, order[:1], config, utopia)
+    assert [s.outcome for s in single.results] == [optimum] == [utopia.outcomes[2 * first]]
+    assert single.counters == optimum.counters and not single.terminated_early
+
+
 def _one_point_criterion(problem, utopia, p):
     """The deviation criterion's callback for one p alone, as a per-point solve had it."""
 
@@ -261,8 +285,8 @@ def test_swapping_the_objectives_reverses_the_utopia(utopias):
     lambda problem, config, utopia: epsilon_sweep(problem, "ra", 11, config, utopia),
     lambda problem, config, utopia: global_criterion_sweep(problem, DEFAULT_P_VALUES, config,
                                                            utopia),
-    lambda problem, config, utopia: lexicographic(problem, ["mrr", "ra"], config),
-    lambda problem, config, utopia: lexicographic(problem, ["ra", "mrr"], config),
+    lambda problem, config, utopia: lexicographic(problem, ["mrr", "ra"], config, utopia),
+    lambda problem, config, utopia: lexicographic(problem, ["ra", "mrr"], config, utopia),
 ], ids=["epsilon_mrr_primary", "epsilon_ra_primary", "global_criterion", "lexicographic_mrr_ra",
         "lexicographic_ra_mrr"])
 def test_swapping_the_objectives_mirrors_the_routine(problem, swapped, utopias, routine):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
     DEFAULT_P_VALUES,
+    Bounds,
     ConstraintSet,
     InfeasibleEpsilonError,
     MooProblem,
@@ -34,6 +35,7 @@ from pareto_forge import (
 )
 from pareto_forge import nlsolver, scalarize
 from pareto_forge.evolve import GaConfig
+from pareto_forge.scalarize import UtopiaSolveError
 
 FAST = SolverConfig(n_starts=4, seed=0)
 
@@ -222,9 +224,12 @@ def test_weighted_sum_sweep_validation(problem, utopia):
 
 
 def test_epsilon_constraint_inactive_bound(problem):
-    res = epsilon_constraint(problem, "mrr", (0.9159,), FAST)
-    assert abs(res.responses[1] - 35241.0) <= 352.41
-    assert res.active == (False,)
+    # at 0.80 the MRR optimum's Ra, 0.79623, lies 0.0047 below the bound, scaled:
+    # inside 1e-2 of it but beyond ACTIVE_TOL, so the bound reads inactive
+    for eps in (0.9159, 0.80):
+        res = epsilon_constraint(problem, "mrr", (eps,), FAST)
+        assert abs(res.responses[1] - 35241.0) <= 352.41
+        assert res.active == (False,)
 
 
 def test_epsilon_constraint_active_bound(problem):
@@ -327,16 +332,23 @@ def test_lexicographic_order_validation(problem):
         lexicographic(problem, (), FAST)
 
 
-def test_lexicographic_stage_infeasible(refit_models):
+def test_lexicographic_stage_infeasible(refit_models, problem):
     ra, mrr = refit_models
     impossible = SmoothFunction(lambda rows, x: (1.0, np.zeros(3), np.zeros((3, 3))),
                                 name="always violated")
-    problem = MooProblem(
+    blocked = MooProblem(
         (Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
         ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(impossible,)),
     )
-    with pytest.raises(StageInfeasibleError, match="MRR"):
-        lexicographic(problem, ("mrr", "ra"), FAST)
+    # stage 1 is an individual optimum: the always-violated constraint fails there
+    # first, on Ra's optimum, the first group solved
+    with pytest.raises(UtopiaSolveError, match="'Ra'"):
+        lexicographic(blocked, ("mrr", "ra"), FAST)
+    # an Ra optimum held from a wider box lies below every Ra of this box
+    wide = MooProblem(problem.objectives,
+                      ConstraintSet(Bounds((60, 0.03, 0.15), (340, 0.18, 0.7))))
+    with pytest.raises(StageInfeasibleError, match="'MRR' infeasible with 'Ra' held"):
+        lexicographic(problem, ("ra", "mrr"), FAST, individual_optima(wide, FAST))
 
 
 def test_anti_optima_match_grid_extremes(utopia, grid):
@@ -416,7 +428,8 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
         lambda: global_criterion_sweep(problem, (4,), cfg, utopia).results[0].outcome.counters,
         lambda: weighted_sum(problem, (0.4, 0.6), cfg, utopia).outcome.counters,
         lambda: epsilon_constraint(problem, "mrr", (0.7107,), cfg).outcome.counters,
-        lambda: lexicographic(problem, ("ra", "mrr"), cfg).counters,
+        # stage 1 is the utopia's own solve, counted above: stage 2 evaluates anew
+        lambda: lexicographic(problem, ("ra", "mrr"), cfg, utopia).results[1].outcome.counters,
         # a sweep is one batched solve: its rows count as the points' own solves did
         lambda: global_criterion_sweep(problem, (1, 2, 20), cfg, utopia).counters,
         lambda: weighted_sum_sweep(problem, 3, cfg, utopia).counters,
