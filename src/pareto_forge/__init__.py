@@ -57,6 +57,7 @@ from .regression import (
     RegressionError,
     apd,
     compare_models,
+    fit_model,
     fit_ols,
     mapd,
 )

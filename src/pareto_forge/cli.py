@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -28,14 +29,20 @@ from .dataset import (
     validate_records,
 )
 from .evolve import GaConfig, run_ga
-from .nlsolver import ConstraintSet, NonFiniteEvaluationError, SolverConfig
+from .nlsolver import (
+    ConstraintSet,
+    NonFiniteEvaluationError,
+    RunCounters,
+    SolveOutcome,
+    SolverConfig,
+)
 from .pareto import Front, Sense, front_to_csv_text, merge_fronts, read_front_csv
 from .polymodel import PolyBasis, PolynomialModel, model_to_dict, published_pair
 from .regression import (
     RegressionError,
     comparison_csv_text,
     compare_models,
-    fit_ols,
+    fit_model,
 )
 from .scalarize import (
     DEFAULT_P_VALUES,
@@ -190,6 +197,10 @@ def _from_json(value, hint, label: str):
     return Path(value) if hint is Path else value
 
 
+#: each config class's field annotations, evaluated once: the classes are fixed
+_hints = functools.cache(typing.get_type_hints)
+
+
 def _build(cls, raw, block: str):
     """The dataclass ``cls`` from the JSON object ``raw`` of config block ``block``;
     keys it omits keep their defaults, and ``cls`` checks the values' ranges."""
@@ -199,7 +210,7 @@ def _build(cls, raw, block: str):
     unknown = set(raw) - set(keys)
     if unknown:
         raise ConfigError(f"unknown {block or 'config'} keys: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     return cls(**{keys[k]: _from_json(v, hints[keys[k]], f"{block}.{k}" if block else k)
                   for k, v in raw.items()})
 
@@ -243,7 +254,7 @@ def _load_records(cfg: RunConfig):
 
 def _select_models(cfg: RunConfig, records) -> tuple[PolynomialModel, PolynomialModel]:
     if cfg.models == "refit":
-        return tuple(fit_ols(records, PolyBasis.FULL_QUADRATIC_TRIPLE, name).model
+        return tuple(fit_model(records, PolyBasis.FULL_QUADRATIC_TRIPLE, name)
                      for name in OBJECTIVES)
     return published_pair(cfg.models)
 
@@ -256,10 +267,14 @@ def _build_problem(cfg: RunConfig, models) -> MooProblem:
     )
 
 
+def _counters_dict(counters: RunCounters) -> dict:
+    return {"iterations": counters.iterations, "function_evals": counters.function_evals}
+
+
 def _utopia_dict(problem: MooProblem, utopia) -> dict:
     """The ideal/nadir pair per objective, in natural units."""
     return {
-        "counters": dataclasses.asdict(utopia.counters),
+        "counters": _counters_dict(utopia.counters),
         "objectives": {
             o.name: {
                 "sense": o.sense.value,
@@ -367,21 +382,29 @@ def _run_method(method: str, cfg: RunConfig, problem: MooProblem, utopia):
     return run_ga(problem, cfg.ga), {k: getattr(cfg.ga, f) for k, f in CONFIG_KEYS["ga"].items()}
 
 
+def _outcome_dict(outcome: SolveOutcome) -> dict:
+    return {"x": outcome.x, "objective": outcome.objective, "converged": outcome.converged,
+            "kkt_residual": outcome.kkt_residual,
+            "constraint_violation": outcome.constraint_violation,
+            "counters": _counters_dict(outcome.counters)}
+
+
 def _point_dict(result: MethodResult) -> dict:
     """A solved point's JSON: its result's fields plus its solver outcome, flattened.
 
     A lexicographic stage's ``objective`` names the objective it optimized, so
-    its outcome (whose ``objective`` is the optimum) is nested instead.
+    its outcome (whose ``objective`` is the optimum) is nested instead. The
+    values are the result's own: ``json`` writes their tuples as lists.
     """
-    fields = dataclasses.asdict(result)
-    outcome = fields.pop("outcome")
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    outcome = _outcome_dict(fields.pop("outcome"))
     if isinstance(result, LexStage):
         return {**fields, "outcome": outcome}
     return {**fields, **outcome}
 
 
 def _routine_payload(method: str, result: RoutineResult, parameters: dict, optima) -> dict:
-    payload = {"method": method, "counters": dataclasses.asdict(result.counters),
+    payload = {"method": method, "counters": _counters_dict(result.counters),
                "parameters": parameters}
     if method in SCALARIZATION_METHODS:
         payload["individual_optima"] = optima
@@ -501,8 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of every ``main`` call, built on the first: it keeps no state between
+#: parses, and building it at import would slow every start-up
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     run, _, names = COMMANDS[args.command]
     try:
         cfg = load_config(getattr(args, "config", None), args)

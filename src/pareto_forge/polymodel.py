@@ -13,6 +13,7 @@ uses the value row of the same matrix for one model, with the same arithmetic.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -128,6 +129,36 @@ def _lower(e: tuple[int, ...], v: int) -> tuple[float, tuple[int, ...]]:
     return e[v], tuple(ev - (w == v) for w, ev in enumerate(e))
 
 
+@functools.cache
+def _placement(exponents: tuple[tuple[int, int, int], ...],
+               union: tuple[tuple[int, int, int], ...]) -> tuple[np.ndarray, ...]:
+    """Where the coefficients of a model over ``exponents`` go in its (10, len(union))
+    block of rows: (row, term, union slot, factor a, factor b) per nonzero entry.
+
+    Row 0 takes c, row 1 + v the d/dv coefficient c a, and row 4 + r the second
+    partial's c a b for the pair ``_PAIRS[r]``; unused factors are 1. Each (row,
+    slot) appears at most once, since lowering an exponent is one to one.
+    """
+    entries = []
+    for j, e in enumerate(exponents):
+        entries.append((0, j, union.index(e), 1, 1))
+        for v in range(3):
+            a, lowered = _lower(e, v)
+            if a:  # d/dv of c x^e is (c e_v) x^(e - unit v), a term of the table
+                entries.append((1 + v, j, union.index(lowered), a, 1))
+        for r, (v, w) in enumerate(_PAIRS):
+            a, lowered = _lower(e, v)
+            b, twice = _lower(lowered, w)
+            if a * b:
+                entries.append((4 + r, j, union.index(twice), a, b))
+    row, term, slot, a, b = zip(*entries)
+    arrays = (np.array(row), np.array(term), np.array(slot), np.array(a, dtype=float),
+              np.array(b, dtype=float))
+    for array in arrays:  # every stack over these tables shares them
+        array.setflags(write=False)
+    return arrays
+
+
 class ModelStack:
     """m models over the union of their bases, evaluated together with exact
     Jacobians and Hessians.
@@ -145,20 +176,13 @@ class ModelStack:
         exponents = tuple(dict.fromkeys(e for m in models for e in m.basis.exponents))
         self.table = _Table(exponents)
         self.size = len(models)
-        rows = np.zeros((len(models), 10, len(exponents)))
-        for i, (model, sign) in enumerate(zip(models, signs)):
-            for c, e in zip(model.coefficients, model.basis.exponents):
-                rows[i, 0, exponents.index(e)] = sign * c
-                for v in range(3):
-                    a, lowered = _lower(e, v)
-                    if a:  # d/dv of c x^e is (c e_v) x^(e - unit v), a term of the table
-                        rows[i, 1 + v, exponents.index(lowered)] = sign * c * a
-                for r, (v, w) in enumerate(_PAIRS):
-                    a, lowered = _lower(e, v)
-                    b, twice = _lower(lowered, w)
-                    if a * b:
-                        rows[i, 4 + r, exponents.index(twice)] = sign * c * a * b
         k = len(exponents)
+        rows = np.zeros((len(models), 10, k))
+        for i, (model, sign) in enumerate(zip(models, signs)):
+            row, term, slot, a, b = _placement(model.basis.exponents, exponents)
+            # sign * c * a * b left to right, as the written-out products: multiplying
+            # by a factor of 1 is exact, so each entry has the bits of its own product
+            rows[i, row, slot] = sign * np.array(model.coefficients)[term] * a * b
         self.matrix = np.vstack([rows[:, 0], rows[:, 1:4].reshape(-1, k),
                                  rows[:, 4:].reshape(-1, k)])
 

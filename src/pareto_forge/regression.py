@@ -70,8 +70,9 @@ def _diagnose(model: PolynomialModel, records, response: str) -> FitDiagnostics:
     )
 
 
-def fit_ols(records: Sequence[ExperimentRecord], basis: PolyBasis, response: str) -> FitDiagnostics:
-    """Least-squares fit of ``response`` over ``basis`` with full diagnostics.
+def fit_model(records: Sequence[ExperimentRecord], basis: PolyBasis,
+              response: str) -> PolynomialModel:
+    """Least-squares fit of ``response`` over ``basis``.
 
     Coefficients minimize the sum of squared residuals; exposed coefficients are
     in raw units (the column scaling is undone after the solve).
@@ -95,8 +96,12 @@ def fit_ols(records: Sequence[ExperimentRecord], basis: PolyBasis, response: str
     if not np.all(np.isfinite(coeffs)):
         raise RegressionError(f"{response} coefficients overflow the float range")
     name, units = _RESPONSE_META[response]
-    model = PolynomialModel(basis, tuple(coeffs), name, units)
-    return _diagnose(model, records, response)
+    return PolynomialModel(basis, tuple(coeffs), name, units)
+
+
+def fit_ols(records: Sequence[ExperimentRecord], basis: PolyBasis, response: str) -> FitDiagnostics:
+    """:func:`fit_model` with full diagnostics over the fitted records."""
+    return _diagnose(fit_model(records, basis, response), records, response)
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,8 @@ class UtopiaRecord:
     worst feasible value, attained at ``nadir_x[i]``. The true nadir is the worst
     value over the Pareto set alone; the anti-optimum bounds it and stands in for
     it. The natural-unit value of objective i is ``objective.sign * ideal[i]``,
-    and ``outcomes[2i]`` and ``outcomes[2i + 1]`` are its two solves.
+    and ``outcomes[2i]`` and ``outcomes[2i + 1]`` are its two solves. ``problem``
+    is the problem they were solved for; the routines reject a record of another.
     """
 
     ideal: np.ndarray
@@ -161,6 +162,7 @@ class UtopiaRecord:
     nadir_x: np.ndarray
     counters: RunCounters
     outcomes: tuple[SolveOutcome, ...]
+    problem: MooProblem
 
 
 def _split_by(keys: np.ndarray, shapes, compute) -> tuple[np.ndarray, ...]:
@@ -206,7 +208,19 @@ def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -
         nadir_x=np.array([o.x for o in worst]),
         counters=counters,
         outcomes=tuple(outcomes),
+        problem=problem,
     )
+
+
+def _utopia_for(problem: MooProblem, config: SolverConfig,
+                utopia: UtopiaRecord | None) -> UtopiaRecord:
+    """``utopia`` if it was solved for ``problem``, the individual optima of ``problem``
+    if it is None; a record of another problem (another box, say) is a ValueError."""
+    if utopia is None:
+        return individual_optima(problem, config)
+    if utopia.problem != problem:
+        raise ValueError("utopia was solved for another problem")
+    return utopia
 
 
 def _power(x: np.ndarray, e):
@@ -352,7 +366,7 @@ def global_criterion_sweep(
         if not isinstance(p, int) or p < 1:
             raise ValueError(f"p must be a positive integer, got {p!r}")
     config = config or SolverConfig()
-    utopia = utopia or individual_optima(problem, config)
+    utopia = _utopia_for(problem, config, utopia)
     fn = _criterion_fn(problem, utopia, np.repeat(p_values, config.n_starts))
     outcomes = grouped_multistart(fn, problem.constraints, len(p_values), config)
     results = [GlobalCriterionResult(tag=f"p={p}", x=o.x, responses=problem.responses_at(o.x),
@@ -365,7 +379,7 @@ def _weighted_sums(problem: MooProblem, points: list[tuple[float, ...]],
                    config: SolverConfig | None, utopia: UtopiaRecord | None) -> RoutineResult:
     """One weighted-sum point per weight tuple of ``points``, in one batch."""
     config = config or SolverConfig()
-    utopia = utopia or individual_optima(problem, config)
+    utopia = _utopia_for(problem, config, utopia)
     ideal, width = utopia.ideal, utopia.nadir - utopia.ideal
     if not np.all(width > 0):
         flat = problem.objectives[int(np.argmin(width))].name
@@ -488,7 +502,7 @@ def epsilon_sweep(
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     config = config or SolverConfig()
-    utopia = utopia or individual_optima(problem, config)
+    utopia = _utopia_for(problem, config, utopia)
     primary_idx = problem.index_of(primary)
     j = 1 - primary_idx
     grid = np.linspace(utopia.ideal[j], utopia.nadir[j], n_points)
@@ -515,7 +529,7 @@ def lexicographic(
     if len(set(indices)) != len(indices):
         raise ValueError(f"order contains duplicate objectives: {list(order)}")
     config = config or SolverConfig()
-    utopia = utopia or individual_optima(problem, config)
+    utopia = _utopia_for(problem, config, utopia)
     outcomes = [utopia.outcomes[2 * indices[0]]]
     if len(indices) == 2:
         f_star = outcomes[0].objective

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -30,6 +31,7 @@ from pareto_forge import (
     read_front_csv,
     save_experiments,
 )
+from pareto_forge import cli, scalarize
 from pareto_forge.cli import (
     ALL_METHODS,
     COMMANDS,
@@ -47,6 +49,7 @@ from pareto_forge.cli import (
 )
 from pareto_forge.pareto import Front, ParetoPoint
 from pareto_forge.polymodel import model_to_dict
+from pareto_forge.scalarize import LexStage
 
 SMALL_CONFIG = {
     "solver": {"starts": 2, "seed": 3},
@@ -749,3 +752,79 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# -- payloads and process reuse -------------------------------------------------
+
+
+def _asdict_point(result):
+    """A solved point's JSON as ``dataclasses.asdict`` builds it: the oracle of the
+    shallow ``_point_dict``."""
+    fields = dataclasses.asdict(result)
+    outcome = fields.pop("outcome")
+    if isinstance(result, LexStage):
+        return {**fields, "outcome": outcome}
+    return {**fields, **outcome}
+
+
+def _asdict_payload(method, result, parameters, optima):
+    payload = {"method": method, "counters": dataclasses.asdict(result.counters),
+               "parameters": parameters}
+    if method != "ga":
+        payload["individual_optima"] = optima
+    if method == "lexicographic":
+        payload["terminated_early"] = result.terminated_early
+        payload["stages"] = [_asdict_point(r) for r in result.results]
+    elif method == "ga":
+        payload["points"] = [{"tag": p.tag, "x": p.x, "responses": p.responses}
+                             for p in result.front.points]
+    else:
+        payload["points"] = [_asdict_point(r) for r in result.results]
+    return payload
+
+
+def test_routine_payloads_equal_their_asdict_oracle(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    problem = cli._build_problem(cfg, cli._select_models(cfg, cli._load_records(cfg)))
+    utopia = scalarize.individual_optima(problem, cfg.solver)
+    optima = cli._utopia_dict(problem, utopia)
+    assert optima["counters"] == dataclasses.asdict(utopia.counters)
+    for method in ALL_METHODS:
+        result, parameters = cli._run_method(method, cfg, problem, utopia)
+        got = cli._routine_payload(method, result, parameters, optima)
+        want = _asdict_payload(method, result, parameters, optima)
+        assert got == want, method
+        # the same JSON text, so the same types too (tuples are written as lists)
+        assert (json.dumps(got, indent=2, sort_keys=True)
+                == json.dumps(want, indent=2, sort_keys=True)), method
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_main_calls_in_one_process_equal_fresh_interpreters(tmp_path):
+    # the parser and the config annotations are built once per process: a call must
+    # write what it writes alone, after a run with a flag and after a bad config
+    (tmp_path / "bad.json").write_text('{"solver": {"starts": "two"}}')
+    common = ["--method", "lexicographic", "--seed", "3", "--starts", "2"]
+    calls = [("ra_mrr", ["optimize", *common, "--order", "ra,mrr"]),
+             ("bad", ["optimize", *common, "--config", str(tmp_path / "bad.json")]),
+             ("default", ["optimize", *common])]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    sink = io.StringIO()
+    for name, argv in calls:
+        in_process, alone = tmp_path / "in_process" / name, tmp_path / "alone" / name
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main([*argv, "--out", str(in_process)])
+        proc = subprocess.run([sys.executable, "-m", "pareto_forge.cli", *argv,
+                               "--out", str(alone)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert code == proc.returncode == (2 if name == "bad" else 0), (name, proc.stderr)
+        assert in_process.exists() == alone.exists() == (name != "bad")
+        if name != "bad":
+            assert _tree_bytes(in_process) == _tree_bytes(alone), name
+    lex = [json.loads((tmp_path / "in_process" / n / "outcome_lexicographic.json").read_text())
+           for n in ("ra_mrr", "default")]
+    assert [p["parameters"]["order"] for p in lex] == [["Ra", "MRR"], ["MRR", "Ra"]]

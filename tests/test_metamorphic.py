@@ -25,6 +25,7 @@ from pareto_forge import (
     builtin_case_study,
     epsilon_sweep,
     evaluate,
+    fit_model,
     fit_ols,
     global_criterion_sweep,
     grouped_multistart,
@@ -315,3 +316,12 @@ def test_swapping_the_objectives_reverses_the_weighted_sum_front(problem, swappe
 def test_swapping_the_objectives_mirrors_the_ga(problem, swapped, seed):
     config = GaConfig(seed=seed)
     assert run_ga(swapped, config) == _mirrored(run_ga(problem, config))
+
+
+def test_fit_model_is_fit_ols_without_diagnostics(dataset):
+    for response in ("ra", "mrr"):
+        fitted = fit_model(dataset, QUAD, response)
+        diagnosed = fit_ols(dataset, QUAD, response).model
+        assert fitted == diagnosed
+        assert (np.array(fitted.coefficients).tobytes()
+                == np.array(diagnosed.coefficients).tobytes())

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,3 +288,76 @@ def test_stack_rows_equal_single_model_arithmetic(refit_models):
 def test_stack_needs_one_sign_per_model(refit_models):
     with pytest.raises(ValueError, match="one sign per model"):
         ModelStack(refit_models, (1.0,))
+
+
+def _loop_matrix(models, signs):
+    """The stack matrix placed one coefficient at a time, the oracle of the cached
+    placement table: c, c a and c a b written out per term, derivative and pair."""
+    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+    def lower(e, v):
+        return e[v], tuple(ev - (w == v) for w, ev in enumerate(e))
+
+    exponents = tuple(dict.fromkeys(e for m in models for e in m.basis.exponents))
+    rows = np.zeros((len(models), 10, len(exponents)))
+    for i, (model, sign) in enumerate(zip(models, signs)):
+        for c, e in zip(model.coefficients, model.basis.exponents):
+            rows[i, 0, exponents.index(e)] = sign * c
+            for v in range(3):
+                a, lowered = lower(e, v)
+                if a:
+                    rows[i, 1 + v, exponents.index(lowered)] = sign * c * a
+            for r, (v, w) in enumerate(pairs):
+                a, lowered = lower(e, v)
+                b, twice = lower(lowered, w)
+                if a * b:
+                    rows[i, 4 + r, exponents.index(twice)] = sign * c * a * b
+    k = len(exponents)
+    return np.vstack([rows[:, 0], rows[:, 1:4].reshape(-1, k), rows[:, 4:].reshape(-1, k)])
+
+
+#: coefficients that make every written product differ in its last bits, and a -0.0
+_ODD_QUAD = (1.0 / 3, -0.0, 2.0 / 7, -1e-300, 5e307, -3.1, 0.1, -0.7, 1e-5, 13.0, -2.0 / 9)
+_ODD_LIN = (-0.0, 1.0 / 3, -2.0 / 7, 0.3, -1e307, 7.0 / 11, -0.0)
+
+
+@pytest.mark.parametrize("models, signs", [
+    ([PolynomialModel(LIN, _ODD_LIN, "Ra")], [1.0]),
+    ([PolynomialModel(LIN, _ODD_LIN, "Ra")], [-1.0]),
+    ([PolynomialModel(QUAD, _ODD_QUAD, "Ra")], [1.0]),
+    ([PolynomialModel(QUAD, _ODD_QUAD, "Ra")], [-1.0]),
+    ([PolynomialModel(LIN, _ODD_LIN, "Ra"), PolynomialModel(QUAD, _ODD_QUAD, "MRR")],
+     [1.0, -1.0]),
+    ([PolynomialModel(QUAD, _ODD_QUAD, "Ra"), PolynomialModel(LIN, _ODD_LIN, "MRR"),
+      PolynomialModel(QUAD, tuple(-c for c in _ODD_QUAD), "Ra")], [-1.0, 1.0, -1.0]),
+    (list(published_pair("eq23")), [1.0, -1.0]),
+    (list(published_pair("eq21")), [-1.0, 1.0]),
+], ids=["lin+", "lin-", "quad+", "quad-", "mixed", "mixed3", "eq23", "eq21"])
+def test_stack_layout_equals_the_written_out_placement(models, signs):
+    stack = ModelStack(models, signs)
+    want = _loop_matrix(models, signs)
+    assert stack.matrix.tobytes() == want.tobytes()
+    assert stack.negated().matrix.tobytes() == (-want).tobytes()
+    # the signs of zeros are bits too: a -0.0 coefficient times +1 stays -0.0
+    assert np.array_equal(np.signbit(stack.matrix), np.signbit(want))
+
+
+def test_stack_layout_of_the_refit_pair(refit_models):
+    signs = [1.0, -1.0]
+    stack = ModelStack(refit_models, signs)
+    assert stack.matrix.tobytes() == _loop_matrix(refit_models, signs).tobytes()
+    for model in refit_models:
+        assert model.stack.matrix.tobytes() == _loop_matrix([model], [1.0]).tobytes()
+
+
+def test_stack_layout_of_a_cubic_table():
+    # the shipped bases have at most squares, so every second factor b is 1 there;
+    # vc^3 (a = 3, b = 2) and vc^2 fz (a = 2, b = 1) exercise both factors
+    exponents = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (3, 0, 0), (2, 1, 0))
+    cubic = SimpleNamespace(basis=SimpleNamespace(exponents=exponents),
+                            coefficients=(0.5, -0.0, 1.0 / 3, -2.0 / 7, 0.1, 5.0 / 9, -1.0 / 11))
+    stack = ModelStack([cubic], [-1.0])
+    want = _loop_matrix([cubic], [-1.0])
+    assert stack.matrix.tobytes() == want.tobytes()
+    # d2/dvc2 of c vc^3 is 6 c vc: the vc slot of the first second-partial row
+    assert stack.matrix[4, 1] == -6 * (5.0 / 9)

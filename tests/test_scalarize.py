@@ -344,11 +344,43 @@ def test_lexicographic_stage_infeasible(refit_models, problem):
     # first, on Ra's optimum, the first group solved
     with pytest.raises(UtopiaSolveError, match="'Ra'"):
         lexicographic(blocked, ("mrr", "ra"), FAST)
-    # an Ra optimum held from a wider box lies below every Ra of this box
-    wide = MooProblem(problem.objectives,
-                      ConstraintSet(Bounds((60, 0.03, 0.15), (340, 0.18, 0.7))))
+    # an Ra optimum held from a wider box lies below every Ra of this box; a record
+    # of the wider box is rejected whole, so the optimum is put in one of this box
+    wide = individual_optima(MooProblem(problem.objectives, ConstraintSet(WIDE_BOX)), FAST)
+    own = individual_optima(problem, FAST)
+    held = replace(own, outcomes=(wide.outcomes[0],) + own.outcomes[1:])
     with pytest.raises(StageInfeasibleError, match="'MRR' infeasible with 'Ra' held"):
-        lexicographic(problem, ("ra", "mrr"), FAST, individual_optima(wide, FAST))
+        lexicographic(problem, ("ra", "mrr"), FAST, held)
+
+
+#: the case-study box widened on every side
+WIDE_BOX = Bounds((60, 0.03, 0.15), (340, 0.18, 0.7))
+
+
+@pytest.fixture(scope="module")
+def foreign_utopias(problem):
+    """The individual optima of the problem over a wider box, and with its objectives
+    swapped."""
+    return [individual_optima(other, FAST) for other in (
+        MooProblem(problem.objectives, ConstraintSet(WIDE_BOX)),
+        MooProblem(problem.objectives[::-1], problem.constraints))]
+
+
+@pytest.mark.parametrize("routine", [
+    lambda problem, utopia: global_criterion_sweep(problem, (2,), FAST, utopia),
+    lambda problem, utopia: weighted_sum_sweep(problem, 3, FAST, utopia),
+    lambda problem, utopia: weighted_sum(problem, (0.5, 0.5), FAST, utopia),
+    lambda problem, utopia: epsilon_sweep(problem, "mrr", 3, FAST, utopia),
+    lambda problem, utopia: lexicographic(problem, ("ra",), FAST, utopia),
+    lambda problem, utopia: lexicographic(problem, ("mrr", "ra"), FAST, utopia),
+], ids=["global_criterion", "weighted_sum_sweep", "weighted_sum", "epsilon", "lex_single",
+        "lex_two_stages"])
+def test_utopia_of_another_problem_is_rejected(problem, foreign_utopias, routine):
+    # the wider box's optima lie outside this one: lexicographic would return its
+    # corner as its one stage, and the sweeps would normalise by the wrong pair
+    for utopia in foreign_utopias:
+        with pytest.raises(ValueError, match="utopia was solved for another problem"):
+            routine(problem, utopia)
 
 
 def test_anti_optima_match_grid_extremes(utopia, grid):
