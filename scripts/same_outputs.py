@@ -31,9 +31,11 @@ _SYNTHETIC = ("import pathlib, sys\n"
               "pathlib.Path('synthetic.csv').write_text(synthetic_csv_text())\n")
 
 #: (name, command-line arguments of ``pareto_forge.cli``), run in order in the
-#: tree's directory; "synthetic" writes the dataset the eps and lex commands
-#: read; lex_ra_mrr and lex_single run the case study's lexicographic sequence in
-#: reverse order and with one objective alone; ga.json sets the population of 120
+#: tree's directory; compare_eps41 runs every routine with a 41-point epsilon
+#: sweep (one batched solve of its points x starts); "synthetic" writes the
+#: dataset the eps and lex commands read; lex_ra_mrr and lex_single run the case
+#: study's lexicographic sequence in reverse order and with one objective alone;
+#: ga.json sets the population of 120
 #: that the benchmark's GA runs use, and ga_copies.json turns crossover and
 #: mutation off, so every child is a copy of its parent and the population fills
 #: with duplicate rows, whose ties the ranking, crowding and selection must break
@@ -50,6 +52,8 @@ COMMANDS = (
     ("compare_20", ["compare", "--seed", "20", "--out", "compare_20"]),
     ("compare_eq23", ["compare", "--models", "eq23", "--seed", "3", "--out", "compare_eq23"]),
     ("compare_eq21", ["compare", "--models", "eq21", "--seed", "3", "--out", "compare_eq21"]),
+    ("compare_eps41", ["compare", "--config", "eps41.json", "--seed", "3",
+                       "--out", "compare_eps41"]),
     ("synthetic", None),
     ("eps_41", ["optimize", "--method", "epsilon_constraint", "--epsilon-points", "41",
                 "--data", "synthetic.csv", "--seed", "3", "--out", "eps_41"]),
@@ -80,6 +84,7 @@ _FRONT_HEADER = "method,param,vc,fz,t,ra,mrr\n"
 #: 8e-10 in ra and 3e-5 in mrr: b,2 and b,3 lie inside it of a,2 and a,1, which
 #: dominate them exactly, so only the band keeps them; b,1 is dominated beyond it
 CONFIGS = {
+    "eps41.json": '{"method": {"epsilon_points": 41}}\n',
     "ga.json": '{"ga": {"pop": 120}}\n',
     "ga_copies.json": '{"ga": {"pop": 16, "gens": 40, "pc": 0, "pm": 0}}\n',
     "ga_early.json": '{"ga": {"pop": 120, "gens": 3}}\n',

@@ -12,7 +12,6 @@ from .dataset import (
     Bounds,
     DatasetError,
     ExperimentRecord,
-    ValidationReport,
     builtin_case_study,
     load_experiments,
     save_experiments,
@@ -34,7 +33,6 @@ from .pareto import (
     Front,
     ParetoPoint,
     Sense,
-    annotate_dominance,
     dominated_mask,
     dominates,
     filter_nondominated,

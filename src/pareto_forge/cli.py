@@ -351,13 +351,13 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     records = _load_records(cfg)
-    report = validate_records(records, cfg.bounds)
-    if report.ok:
+    violations = validate_records(records, cfg.bounds)
+    if not violations:
         print(f"validate: {len(records)} records, all within bounds "
               f"{cfg.bounds.lower} .. {cfg.bounds.upper}")
     else:
-        print(f"validate: {len(report.violations)} violation(s) in {len(records)} records")
-        for v in report.violations:
+        print(f"validate: {len(violations)} violation(s) in {len(records)} records")
+        for v in violations:
             print(f"  record {v.index + 1}: {v.message}")
     return EXIT_OK
 
@@ -435,8 +435,7 @@ def _run_methods(cfg: RunConfig, methods) -> tuple:
         _write_json(cfg.out / f"outcome_{method}.json",
                     _routine_payload(method, result, parameters, optima))
         _write_front(cfg.out, f"front_{method}", result.front, method.replace("_", " "))
-        n_feasible = sum(p.feasible for p in result.front.points)
-        print(f"{method}: {n_feasible} point(s), "
+        print(f"{method}: {len(result.front.points)} point(s), "
               f"{result.counters.iterations} iterations, "
               f"{result.counters.function_evals} function evals")
         unconverged = [r.tag for r in result.results if not r.outcome.converged]
@@ -463,9 +462,8 @@ def _merge_tolerance(fronts) -> np.ndarray:
     return 1e-9 * np.abs(values.reshape(-1, len(fronts[0].senses))).max(axis=0, initial=1.0)
 
 
-def _merge_feasible(fronts):
-    feasible = [Front(tuple(p for p in f.points if p.feasible), f.senses) for f in fronts]
-    return merge_fronts(feasible, eps=_merge_tolerance(feasible))
+def _merge(fronts):
+    return merge_fronts(fronts, eps=_merge_tolerance(fronts))
 
 
 def cmd_compare(cfg: RunConfig) -> int:
@@ -475,7 +473,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     lines = ["routine,total_iterations,total_function_evals"]
     lines += [f"{name},{c.iterations},{c.function_evals}" for name, c in rows]
     _write(cfg.out / "efficiency.csv", "\n".join(lines) + "\n")
-    merged = _merge_feasible([r.front for r in results.values()])
+    merged = _merge([r.front for r in results.values()])
     _write_front(cfg.out, "front_all", merged, "all methods")
     print(f"efficiency report and merged front ({len(merged.points)} points) in {cfg.out}/")
     return EXIT_OK
@@ -489,7 +487,7 @@ def cmd_front(cfg: RunConfig, csv_paths) -> int:
         fronts = [read_front_csv(p, senses) for p in csv_paths]
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    merged = _merge_feasible(fronts)
+    merged = _merge(fronts)
     _make_out_dir(cfg)
     _write_front(cfg.out, "front_all", merged, "merged front")
     print(f"merged {len(fronts)} front(s) into {len(merged.points)} points in {cfg.out}/")

@@ -190,30 +190,22 @@ def save_experiments(path: str | Path, records: Iterable[ExperimentRecord]) -> N
 
 @dataclass(frozen=True)
 class BoundsViolation:
-    """One out-of-bounds or invalid field of one record."""
+    """One out-of-bounds field of one record."""
 
     index: int
-    field: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[BoundsViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_records(records: Sequence[ExperimentRecord], bounds: Bounds) -> ValidationReport:
-    """Check every record against the variable box; violations are report content, not errors."""
+def validate_records(records: Sequence[ExperimentRecord],
+                     bounds: Bounds) -> tuple[BoundsViolation, ...]:
+    """Every field of ``records`` outside the variable box, in record order; an empty
+    tuple when all are within. Violations are report content, not errors."""
     violations: list[BoundsViolation] = []
     for i, rec in enumerate(records):
         for name, lo, hi in zip(_VARIABLE_FIELDS, bounds.lower, bounds.upper):
             value = getattr(rec, name)
             if value < lo:
-                violations.append(BoundsViolation(i, name, f"{name} below lower bound ({value} < {lo})"))
+                violations.append(BoundsViolation(i, f"{name} below lower bound ({value} < {lo})"))
             elif value > hi:
-                violations.append(BoundsViolation(i, name, f"{name} above upper bound ({value} > {hi})"))
-    return ValidationReport(tuple(violations))
+                violations.append(BoundsViolation(i, f"{name} above upper bound ({value} > {hi})"))
+    return tuple(violations)

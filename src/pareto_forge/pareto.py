@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -34,8 +34,6 @@ class ParetoPoint:
     responses: tuple[float, ...]
     method: str
     tag: str
-    feasible: bool = True
-    dominated: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
@@ -139,16 +137,8 @@ def filter_nondominated(
     for p, dom in zip(points, dominated):
         if not dom and p.responses not in seen:
             seen.add(p.responses)
-            survivors.append(replace(p, dominated=False))
+            survivors.append(p)
     return survivors
-
-
-def annotate_dominance(front: Front) -> Front:
-    """Return the same front with each point's ``dominated`` flag set, by the exact
-    test; nothing is removed."""
-    dominated = dominated_mask(_responses(front.points, len(front.senses)), front.senses)
-    flagged = [replace(p, dominated=bool(dom)) for p, dom in zip(front.points, dominated)]
-    return Front(tuple(flagged), front.senses)
 
 
 def merge_fronts(fronts: Sequence[Front], eps=0.0) -> Front:
@@ -166,9 +156,10 @@ def merge_fronts(fronts: Sequence[Front], eps=0.0) -> Front:
 def front_to_csv_text(front: Front) -> str:
     """CSV rendering with the fixed ``method,param,vc,fz,t,ra,mrr`` schema.
 
-    Infeasible points are left out. Requires three design variables and two
-    responses (the case-study layout). A label that holds a comma, a quote or a
-    line break is quoted, so :func:`read_front_csv` reads it back unchanged.
+    Every point is written: a routine's front holds its feasible points only.
+    Requires three design variables and two responses (the case-study layout).
+    A label that holds a comma, a quote or a line break is quoted, so
+    :func:`read_front_csv` reads it back unchanged.
     """
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
@@ -176,8 +167,6 @@ def front_to_csv_text(front: Front) -> str:
     quoted = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(FRONT_CSV_HEADER)
     for p in front.points:
-        if not p.feasible:
-            continue
         if len(p.x) != 3 or len(p.responses) != 2:
             raise ValueError("front CSV needs 3 design variables and 2 responses per point")
         row = [p.method, p.tag] + [f"{v:.10g}" for v in (*p.x, *p.responses)]

@@ -31,7 +31,7 @@ from .nlsolver import (
     SolverConfig,
     grouped_multistart,
 )
-from .pareto import Front, ParetoPoint, Sense, annotate_dominance
+from .pareto import Front, ParetoPoint, Sense
 from .polymodel import ModelStack, PolynomialModel, stack_values, value_jacobian_hessian
 
 #: p grid used by the deviation-criterion sweep in the case study.
@@ -78,11 +78,11 @@ class Objective:
         return self.sense.sign
 
     def function(self, negate: bool = False, bound: float | np.ndarray = 0.0,
-                 scale: float | np.ndarray = 1.0, name: str = "") -> SmoothFunction:
+                 name: str = "") -> SmoothFunction:
         """Solver callback for the minimization form minus ``bound``, or its negation.
 
-        One model evaluation a point. With ``bound`` and ``scale`` (each one value
-        or one per row) it is the inequality constraint ``f - bound <= 0``.
+        One model evaluation a point. With ``bound`` (one value or one per row) it
+        is the inequality constraint ``f - bound <= 0``, scaled by max(1, |bound|).
         """
         # the sign is folded into the stack's coefficients, so the callback multiplies none
         stack = self.model.stack if (self.sign > 0) != negate else self.model.stack.negated()
@@ -93,7 +93,7 @@ class Objective:
             return f[..., 0] - at, jac[..., 0, :], hess[..., 0, :, :]
 
         label = name or (f"-{self.name}" if negate else self.name)
-        return SmoothFunction(vg, model_cost=1, scale=scale, name=label)
+        return SmoothFunction(vg, model_cost=1, scale=np.maximum(1.0, np.abs(bound)), name=label)
 
 
 @dataclass(frozen=True)
@@ -319,13 +319,16 @@ class LexicographicResult(RoutineResult):
 
 
 def _sweep(problem: MooProblem, results: list[MethodResult], method: str) -> RoutineResult:
-    """Front of the per-point results under their own tags, dominated points flagged."""
+    """Every per-point result, and the front of the feasible ones under their own tags.
+
+    An infeasible point (an epsilon bound that no point meets) is no Pareto
+    point: it stays in the results only. Dominated points are kept.
+    """
     counters = RunCounters()
     for r in results:
         counters.add(r.outcome.counters)
-    points = [ParetoPoint(r.x, r.responses, method, r.tag, feasible=r.feasible) for r in results]
-    return RoutineResult(annotate_dominance(Front(tuple(points), problem.senses)), tuple(results),
-                         counters)
+    points = [ParetoPoint(r.x, r.responses, method, r.tag) for r in results if r.feasible]
+    return RoutineResult(Front(tuple(points), problem.senses), tuple(results), counters)
 
 
 def _weighted(weights: np.ndarray, arrays: np.ndarray) -> np.ndarray:
@@ -361,7 +364,7 @@ def global_criterion_sweep(
     config: SolverConfig | None = None,
     utopia: UtopiaRecord | None = None,
 ) -> RoutineResult:
-    """One criterion point per p, in one batch; dominated points are kept but flagged."""
+    """One criterion point per p, in one batch; dominated points stay on the front."""
     for p in p_values:
         if not isinstance(p, int) or p < 1:
             raise ValueError(f"p must be a positive integer, got {p!r}")
@@ -449,8 +452,7 @@ def _epsilon_points(problem: MooProblem, primary_idx: int, points: Sequence[Sequ
         if len(epsilons) != 1:
             raise ValueError(f"{len(epsilons)} bounds for 1 non-primary objective")
     bounds = np.repeat(np.array(points, dtype=float).reshape(len(points)), config.n_starts)
-    extra = bounded.function(bound=bounds, scale=np.maximum(1.0, np.abs(bounds)),
-                             name=f"{bounded.name}<= eps")
+    extra = bounded.function(bound=bounds, name=f"{bounded.name}<= eps")
     outcomes = grouped_multistart(problem.objectives[primary_idx].function(),
                                   problem.constrained_by([extra]), len(points), config)
     results = []
@@ -497,7 +499,8 @@ def epsilon_sweep(
     """Uniform epsilon grid between the bounded objective's optimum and anti-optimum,
     in one batch.
 
-    Infeasible grid points are recorded as such, not fatal.
+    Infeasible grid points are not fatal: they stay in the results, marked
+    infeasible, and are left off the front.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")

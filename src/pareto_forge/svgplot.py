@@ -95,8 +95,8 @@ def _marker(shape: str, cx: float, cy: float, color: str) -> str:
 
 
 def front_svg(front: Front, title: str = "") -> str:
-    """Render the feasible points of ``front`` as an SVG scatter, grouped by method."""
-    points = [p for p in front.points if p.feasible]
+    """Render every point of ``front`` as an SVG scatter, grouped by method."""
+    points = front.points
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',

@@ -42,12 +42,10 @@ from pareto_forge.cli import (
     ConfigError,
     MethodConfig,
     RunConfig,
-    _merge_feasible,
     build_parser,
     load_config,
     main,
 )
-from pareto_forge.pareto import Front, ParetoPoint
 from pareto_forge.polymodel import model_to_dict
 from pareto_forge.scalarize import LexStage
 
@@ -250,15 +248,6 @@ def test_front_merges_csvs(tmp_path):
     assert merged[0] == "method,param,vc,fz,t,ra,mrr"
     assert len(merged) > 1
     assert (out / "front_all.svg").exists()
-
-
-def test_merge_drops_an_infeasible_point_that_dominates_a_feasible_one():
-    senses = (Sense.MINIMIZE, Sense.MAXIMIZE)
-    kept = ParetoPoint((200.0, 0.1, 0.4), (0.8, 20000.0), "epsilon_constraint", "eps=0.8")
-    infeasible = ParetoPoint((300.0, 0.1, 0.4), (0.6, 30000.0), "epsilon_constraint",
-                             "eps=0.6", feasible=False)
-    merged = _merge_feasible([Front((kept, infeasible), senses)])
-    assert merged.points == (kept,)
 
 
 def test_missing_data_file_is_config_error(tmp_path, capsys):

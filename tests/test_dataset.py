@@ -27,7 +27,7 @@ def test_builtin_known_rows(records):
 
 
 def test_builtin_passes_validation(records):
-    assert validate_records(records, CASE_STUDY_BOUNDS).ok
+    assert validate_records(records, CASE_STUDY_BOUNDS) == ()
 
 
 def test_csv_roundtrip(tmp_path, records):
@@ -132,15 +132,14 @@ def test_bounds_helpers():
 
 
 def test_validate_flags_out_of_bounds():
-    report = validate_records([ExperimentRecord(400, 0.04, 0.2, 1, 1000)], CASE_STUDY_BOUNDS)
-    assert not report.ok
-    assert any("vc above upper bound" in v.message for v in report.violations)
+    violations = validate_records([ExperimentRecord(400, 0.04, 0.2, 1, 1000)], CASE_STUDY_BOUNDS)
+    assert any("vc above upper bound" in v.message for v in violations)
 
 
 def test_validate_flags_below_bounds():
-    report = validate_records([ExperimentRecord(100, 0.01, 0.2, 1, 1000)], CASE_STUDY_BOUNDS)
-    assert any("fz below lower bound" in v.message for v in report.violations)
+    violations = validate_records([ExperimentRecord(100, 0.01, 0.2, 1, 1000)], CASE_STUDY_BOUNDS)
+    assert any("fz below lower bound" in v.message for v in violations)
 
 
 def test_validate_empty_list():
-    assert validate_records([], CASE_STUDY_BOUNDS).ok
+    assert validate_records([], CASE_STUDY_BOUNDS) == ()

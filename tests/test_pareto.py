@@ -9,7 +9,6 @@ from pareto_forge import (
     Front,
     ParetoPoint,
     Sense,
-    annotate_dominance,
     dominated_mask,
     dominates,
     filter_nondominated,
@@ -134,13 +133,6 @@ def test_filter_survivors_mutually_nondominated():
                 assert not dominates(p.responses, q.responses, MIN_MAX)
 
 
-def test_annotate_keeps_everything():
-    front = Front((pt((1, 5), tag="good"), pt((2, 4), tag="bad"), pt((0.5, 6), tag="best")), MIN_MAX)
-    flagged = annotate_dominance(front)
-    assert len(flagged.points) == 3
-    assert [p.dominated for p in flagged.points] == [True, True, False]
-
-
 def test_merge_single_front_filters():
     front = Front((pt((2, 2)), pt((1, 1))), MIN_MIN)
     merged = merge_fronts([front])
@@ -185,19 +177,6 @@ def test_front_csv_roundtrip(tmp_path):
         assert back.method == orig.method and back.tag == orig.tag
         assert np.allclose(back.x, orig.x, rtol=1e-9)
         assert np.allclose(back.responses, orig.responses, rtol=1e-9)
-
-
-def test_front_csv_skips_infeasible(tmp_path):
-    front = Front(
-        (
-            ParetoPoint((314.0, 0.04, 0.2), (0.5, 2781.0), "eps", "eps=0.4", feasible=False),
-            ParetoPoint((314.0, 0.16, 0.6), (0.8, 35240.0), "eps", "eps=0.9"),
-        ),
-        MIN_MAX,
-    )
-    path = tmp_path / "front.csv"
-    path.write_text(front_to_csv_text(front), encoding="utf-8")
-    assert len(path.read_text().strip().splitlines()) == 2
 
 
 @pytest.mark.parametrize("row,message", [
@@ -258,8 +237,7 @@ def test_dominance_kernel_matches_pairwise_reference(resps, eps, senses):
     assert dominated_mask(values, senses, eps).tolist() == expected
     exact = [any(dominates(b, a, senses) for j, b in enumerate(resps) if j != i)
              for i, a in enumerate(resps)]
-    flagged = annotate_dominance(Front(tuple(points), senses))
-    assert [p.dominated for p in flagged.points] == exact
+    assert dominated_mask(values, senses).tolist() == exact
     assert ([p.tag for p in filter_nondominated(points, senses, eps)]
             == [p.tag for p in _reference_filter(points, senses, eps)])
 

@@ -22,6 +22,7 @@ from pareto_forge import (
     epsilon_constraint,
     epsilon_sweep,
     evaluate,
+    front_svg,
     global_criterion_sweep,
     grouped_multistart,
     individual_optima,
@@ -33,8 +34,9 @@ from pareto_forge import (
     weighted_sum,
     weighted_sum_sweep,
 )
-from pareto_forge import nlsolver, scalarize
+from pareto_forge import cli, nlsolver, scalarize
 from pareto_forge.evolve import GaConfig
+from pareto_forge.pareto import front_to_csv_text
 from pareto_forge.scalarize import UtopiaSolveError
 
 FAST = SolverConfig(n_starts=4, seed=0)
@@ -252,6 +254,25 @@ def test_epsilon_sweep_monotone(problem, utopia):
     mrr_vals = [r.responses[1] for r in feasible]
     assert all(b >= a - 1e-9 for a, b in zip(mrr_vals, mrr_vals[1:]))
     assert len(sweep.front.points) == 5
+
+
+def test_an_infeasible_epsilon_point_is_a_result_and_not_a_front_point(problem):
+    # an Ra ideal 0.2 below the true one puts the first bound where no point of the
+    # box is: no Pareto point, so it stays in the results (and outcome_*.json) only,
+    # and the front, its CSV, its SVG and the merge hold the five feasible points
+    own = individual_optima(problem, FAST)
+    low = replace(own, ideal=own.ideal - np.array([0.2, 0.0]))
+    sweep = epsilon_sweep(problem, "mrr", 6, FAST, low)
+    assert [(r.tag, r.feasible) for r in sweep.results[:2]] == [
+        ("eps=0.305473", False), ("eps=0.755863", True)]
+    feasible = [r.tag for r in sweep.results[1:] if r.feasible]
+    assert len(feasible) == 5
+    assert [p.tag for p in sweep.front.points] == feasible
+    rows = front_to_csv_text(sweep.front).splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == feasible
+    assert front_svg(sweep.front).count("<circle") == 5 + 1  # and one legend swatch
+    # the last four are one response vector, the MRR optimum, which the merge keeps once
+    assert [p.tag for p in cli._merge([sweep.front]).points] == feasible[:2]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -544,9 +565,8 @@ def test_every_routine_returns_a_routine_result(problem, utopia):
     }
     for method, res in sweeps.items():
         assert isinstance(res, RoutineResult)
-        assert [p.method for p in res.front.points] == [method] * len(res.results)
-        assert [(p.tag, p.x, p.feasible) for p in res.front.points] == [
-            (r.tag, r.x, r.feasible) for r in res.results]
+        assert [(p.method, p.tag, p.x, p.responses) for p in res.front.points] == [
+            (method, r.tag, r.x, r.responses) for r in res.results if r.feasible]
         assert res.counters.function_evals == sum(
             r.outcome.counters.function_evals for r in res.results)
     assert [r.tag for r in sweeps["global_criterion"].results] == ["p=2", "p=4"]
@@ -638,7 +658,7 @@ def test_weighted_sum_hessian_matches_gradient_differences(problem, utopia, monk
 def test_objective_and_bound_hessians_match_gradient_differences(problem):
     mrr = problem.objectives[1]
     for fn in (mrr.function(), mrr.function(negate=True),
-               mrr.function(bound=-20000.0, scale=20000.0)):
+               mrr.function(bound=-20000.0)):
         _assert_hessian_matches_gradient_differences(fn)
 
 
@@ -670,8 +690,7 @@ def test_epsilon_starts_solve_as_they_do_alone(problem, utopia, monkeypatch, whe
     monkeypatch.setattr(nlsolver, "_inner_solve", spy)
     ra, mrr = problem.objectives
     eps = utopia.ideal[0] + where * (utopia.nadir[0] - utopia.ideal[0])
-    held = problem.constrained_by([ra.function(bound=eps, scale=max(1.0, abs(eps)),
-                                               name="Ra<= eps")])
+    held = problem.constrained_by([ra.function(bound=eps, name="Ra<= eps")])
     cfg = SolverConfig(n_starts=6, seed=3)
     starts = stratified_starts(CASE_STUDY_BOUNDS, cfg.n_starts, cfg.seed)
     batched = minimize_starts(mrr.function(), held, starts, cfg)

@@ -87,16 +87,16 @@ def test_svg_single_point_front():
     ET.fromstring(front_svg(front))
 
 
-def test_svg_skips_infeasible_points():
+def test_svg_draws_every_point():
     front = Front(
         (
             ParetoPoint((314.0, 0.16, 0.6), (0.7962, 35241.0), "eps", "a"),
-            ParetoPoint((314.0, 0.04, 0.2), (0.4, 1000.0), "eps", "b", feasible=False),
+            ParetoPoint((314.0, 0.04, 0.2), (0.4, 1000.0), "eps", "b"),
         ),
         MIN_MAX,
     )
     svg = front_svg(front)
-    assert svg.count("<circle") == 2  # one data point + one legend swatch
+    assert svg.count("<circle") == 3  # two data points + one legend swatch
 
 
 def test_svg_escapes_labels_and_title():
