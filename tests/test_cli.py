@@ -46,6 +46,7 @@ from pareto_forge.cli import (
     load_config,
     main,
 )
+from pareto_forge.nlsolver import RunCounters, SolveOutcome
 from pareto_forge.polymodel import model_to_dict
 from pareto_forge.scalarize import LexStage
 
@@ -248,6 +249,22 @@ def test_front_merges_csvs(tmp_path):
     assert merged[0] == "method,param,vc,fz,t,ra,mrr"
     assert len(merged) > 1
     assert (out / "front_all.svg").exists()
+
+
+def test_merge_drops_an_infeasible_point_that_dominates_a_feasible_one(problem):
+    # the infeasible result has the lower Ra and the higher MRR; it stays in the
+    # results, but neither the routine's front nor the merge of it holds it
+    def result(x, responses, tag, feasible):
+        outcome = SolveOutcome(x, 0.0, True, 0.0, 0.0, RunCounters())
+        return scalarize.MethodResult(tag, x, responses, outcome, feasible)
+
+    kept = result((200.0, 0.1, 0.4), (0.8, 20000.0), "eps=0.8", True)
+    infeasible = result((300.0, 0.1, 0.4), (0.6, 30000.0), "eps=0.6", False)
+    sweep = scalarize._sweep(problem, [kept, infeasible], "epsilon_constraint")
+    assert sweep.results == (kept, infeasible)
+    merged = cli._merge([sweep.front])
+    assert [(p.tag, p.x, p.responses) for p in merged.points] == [
+        ("eps=0.8", kept.x, kept.responses)]
 
 
 def test_missing_data_file_is_config_error(tmp_path, capsys):

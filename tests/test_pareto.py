@@ -15,6 +15,8 @@ from pareto_forge import (
     merge_fronts,
     read_front_csv,
 )
+from pareto_forge import scalarize
+from pareto_forge.nlsolver import RunCounters, SolveOutcome
 from pareto_forge.pareto import front_to_csv_text
 
 MIN_MAX = (Sense.MINIMIZE, Sense.MAXIMIZE)
@@ -177,6 +179,25 @@ def test_front_csv_roundtrip(tmp_path):
         assert back.method == orig.method and back.tag == orig.tag
         assert np.allclose(back.x, orig.x, rtol=1e-9)
         assert np.allclose(back.responses, orig.responses, rtol=1e-9)
+
+
+def test_front_csv_skips_infeasible(tmp_path, problem):
+    # the routine's front holds its feasible results only, so the CSV written from it
+    # has no row for the infeasible one
+    def result(x, responses, tag, feasible):
+        outcome = SolveOutcome(x, 0.0, True, 0.0, 0.0, RunCounters())
+        return scalarize.MethodResult(tag, x, responses, outcome, feasible)
+
+    sweep = scalarize._sweep(problem, [
+        result((314.0, 0.04, 0.2), (0.5, 2781.0), "eps=0.4", False),
+        result((314.0, 0.16, 0.6), (0.8, 35240.0), "eps=0.9", True),
+    ], "eps")
+    assert len(sweep.results) == 2
+    path = tmp_path / "front.csv"
+    path.write_text(front_to_csv_text(sweep.front), encoding="utf-8")
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",")[:2] == ["eps", "eps=0.9"]
 
 
 @pytest.mark.parametrize("row,message", [
