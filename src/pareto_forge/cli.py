@@ -536,9 +536,9 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, DatasetError, ValueError, MemoryError) as exc:
+    except (ConfigError, DatasetError, ValueError, MemoryError, OverflowError) as exc:
         # remaining ValueErrors are bad parameter values (step counts, seeds, ...);
-        # a MemoryError is a size too large to allocate
+        # a MemoryError or an OverflowError is a size too large to allocate or index
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

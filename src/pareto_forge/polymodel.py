@@ -6,16 +6,16 @@ printed in the source study are shipped as fixtures. Each table is closed under
 differentiation, so every partial derivative of a model is a model over the same
 table, and a model's Jacobian is a fixed linear map of the basis vector. The
 values, exact gradients and exact Hessians of m models therefore come from one
-basis vector and one (10m, k) matrix (:class:`ModelStack`). :func:`evaluate`
-uses the value row of the same matrix for one model, with the same arithmetic.
+basis vector and one (10m, k) matrix (:class:`ModelStack`), ten rows a model, and
+a point can read one model's rows alone. :func:`evaluate` stacks its one model
+and reads the value row, with the same arithmetic.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -97,8 +97,6 @@ class PolynomialModel:
     coefficients: tuple[float, ...]
     response: str
     units: str = ""
-    #: the model alone, which :func:`evaluate` reads
-    stack: ModelStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
@@ -109,7 +107,6 @@ class PolynomialModel:
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must all be finite")
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "stack", ModelStack((self,)))
 
 
 def evaluate(model: PolynomialModel, x):
@@ -117,7 +114,7 @@ def evaluate(model: PolynomialModel, x):
 
     Broadcasts like :func:`basis_eval`; a single 3-vector yields a scalar.
     """
-    return np.take(_product(model.stack, x, slice(0, 1)), 0, axis=-1)
+    return np.take(_product(ModelStack((model,)), x, slice(0, 1)), 0, axis=-1)
 
 
 #: (v, w) variable pairs of the six distinct second partials, in row order
@@ -164,9 +161,9 @@ class ModelStack:
     Jacobians and Hessians.
 
     Each model is multiplied by its sign, exactly; -1 puts a maximized response in
-    minimization form. ``matrix`` holds the m value rows, then the d/dvc, d/dfz
-    and d/dt rows of each model in turn, then the six second-partial rows of each
-    model in ``_PAIRS`` order.
+    minimization form. ``matrix`` holds ten rows a model, model by model: its value
+    row, its d/dvc, d/dfz and d/dt rows, then its six second-partial rows in
+    ``_PAIRS`` order.
     """
 
     def __init__(self, models: Sequence[PolynomialModel], signs: Sequence[float] | None = None):
@@ -183,18 +180,12 @@ class ModelStack:
             # sign * c * a * b left to right, as the written-out products: multiplying
             # by a factor of 1 is exact, so each entry has the bits of its own product
             rows[i, row, slot] = sign * np.array(model.coefficients)[term] * a * b
-        self.matrix = np.vstack([rows[:, 0], rows[:, 1:4].reshape(-1, k),
-                                 rows[:, 4:].reshape(-1, k)])
-
-    def negated(self) -> "ModelStack":
-        """The same models times -1: each row's terms, and so its sum, change sign exactly."""
-        out = copy.copy(self)
-        out.matrix = -self.matrix
-        return out
+        self.matrix = rows.reshape(-1, k)
 
 
-def _product(stack: ModelStack, x, rows: slice = slice(None)) -> np.ndarray:
-    """``stack.matrix[rows]`` times the basis vector at ``x``, shape (..., n_rows).
+def _product(stack: ModelStack, x, rows=slice(None)) -> np.ndarray:
+    """``stack.matrix[rows]`` times the basis vector at ``x``, shape (..., n_rows);
+    an index array of shape (..., n_rows) picks each point's own rows.
 
     An explicit multiply and row sum rather than BLAS: a row's sum then depends
     neither on the other rows nor on the number of points, so a value stacked over
@@ -211,19 +202,28 @@ _HESSIAN_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 def stack_values(stack: ModelStack, x) -> np.ndarray:
     """Values f (..., m) of the models of ``stack`` at ``x``, without derivatives:
     the value rows of :func:`value_jacobian_hessian`, bit for bit."""
-    return _product(stack, x, slice(0, stack.size))
+    return _product(stack, x, slice(0, None, 10))
 
 
-def value_jacobian_hessian(stack: ModelStack, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def value_jacobian_hessian(stack: ModelStack, x, model=None
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values f (..., m), Jacobian J (..., m, 3) and Hessians H (..., m, 3, 3) of the
     models of ``stack`` at ``x``: one basis evaluation and one matrix product per
-    point serve all m models."""
-    m = stack.size
-    out = _product(stack, x)
-    lead = out.shape[:-1]
-    second = out[..., 4 * m:].reshape(lead + (m, 6))
-    return (out[..., :m], out[..., m:4 * m].reshape(lead + (m, 3)),
-            second[..., _HESSIAN_INDEX])
+    point serve all m models.
+
+    With ``model``, one index for every point or one per point, each point
+    evaluates that model's ten rows alone and m is 1; its results equal that
+    model's column of the whole stack's, bit for bit.
+    """
+    if model is None:
+        rows = slice(None)
+    elif np.ndim(model):
+        rows = 10 * np.asarray(model)[..., None] + np.arange(10)
+    else:
+        rows = slice(10 * model, 10 * model + 10)
+    out = _product(stack, x, rows)
+    out = out.reshape(out.shape[:-1] + (-1, 10))
+    return out[..., 0], out[..., 1:4], out[..., 4:][..., _HESSIAN_INDEX]
 
 
 # Fixed-coefficient models exactly as printed in the source study. The 7-term pair

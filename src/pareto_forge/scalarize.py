@@ -77,24 +77,6 @@ class Objective:
         """+1 for minimized objectives, -1 for maximized ones."""
         return self.sense.sign
 
-    def function(self, negate: bool = False, bound: float | np.ndarray = 0.0,
-                 name: str = "") -> SmoothFunction:
-        """Solver callback for the minimization form minus ``bound``, or its negation.
-
-        One model evaluation a point. With ``bound`` (one value or one per row) it
-        is the inequality constraint ``f - bound <= 0``, scaled by max(1, |bound|).
-        """
-        # the sign is folded into the stack's coefficients, so the callback multiplies none
-        stack = self.model.stack if (self.sign > 0) != negate else self.model.stack.negated()
-
-        def vg(rows, x):
-            f, jac, hess = value_jacobian_hessian(stack, x)
-            at = bound[rows] if np.ndim(bound) else bound
-            return f[..., 0] - at, jac[..., 0, :], hess[..., 0, :, :]
-
-        label = name or (f"-{self.name}" if negate else self.name)
-        return SmoothFunction(vg, model_cost=1, scale=np.maximum(1.0, np.abs(bound)), name=label)
-
 
 @dataclass(frozen=True)
 class MooProblem:
@@ -117,6 +99,24 @@ class MooProblem:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(o.name for o in self.objectives)
+
+    def function(self, index: int, bound: float | np.ndarray = 0.0,
+                 name: str = "") -> SmoothFunction:
+        """Solver callback for objective ``index``'s minimization form minus ``bound``.
+
+        One model evaluation a point: its rows of ``stack`` alone. With ``bound``
+        (one value or one per row) it is the inequality constraint ``f - bound <= 0``,
+        scaled by max(1, |bound|).
+        """
+        stack = self.stack
+
+        def vg(rows, x):
+            f, jac, hess = value_jacobian_hessian(stack, x, index)
+            at = bound[rows] if np.ndim(bound) else bound
+            return f[..., 0] - at, jac[..., 0, :], hess[..., 0, :, :]
+
+        return SmoothFunction(vg, model_cost=1, scale=np.maximum(1.0, np.abs(bound)),
+                              name=name or self.names[index])
 
     def constrained_by(self, extra: Sequence[SmoothFunction]) -> ConstraintSet:
         """The problem's constraints plus the inequalities ``extra``."""
@@ -165,31 +165,24 @@ class UtopiaRecord:
     problem: MooProblem
 
 
-def _split_by(keys: np.ndarray, shapes, compute) -> tuple[np.ndarray, ...]:
-    """Arrays of the shapes ``keys.shape + shape`` filled, for each distinct key k,
-    at the points ``on`` holding k with the results of ``compute(k, on)``."""
-    out = tuple(np.empty(keys.shape + shape) for shape in shapes)
-    for key in np.unique(keys):
-        on = keys == key
-        for whole, part in zip(out, compute(key.item(), on)):
-            whole[on] = part
-    return out
-
-
 def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -> UtopiaRecord:
     """Multistart optimum and anti-optimum of every objective: the ideal/nadir pair,
     one batch in which each row evaluates only its own objective's model."""
     config = config or SolverConfig()
-    # group 2i is objective i's optimum, group 2i + 1 its anti-optimum
-    functions = [obj.function(negate) for obj in problem.objectives for negate in (False, True)]
-    which = np.repeat(np.arange(len(functions)), config.n_starts)
+    # group 2i is objective i's optimum, group 2i + 1 its anti-optimum: the
+    # minimization form times -1, an exact negation of each value and derivative
+    groups = np.repeat(np.arange(2 * len(problem.objectives)), config.n_starts)
+    model, sign = groups // 2, np.where(groups % 2, -1.0, 1.0)
+    stack = problem.stack
 
     def vg(rows, x):
-        return _split_by(which[rows], ((), (3,), (3, 3)),
-                         lambda k, on: functions[k].value_and_grad(rows[on], x[on]))
+        f, jac, hess = value_jacobian_hessian(stack, x, model[rows])
+        s = sign[rows]
+        return (s * f[..., 0], s[..., None] * jac[..., 0, :],
+                s[..., None, None] * hess[..., 0, :, :])
 
     outcomes = grouped_multistart(SmoothFunction(vg, model_cost=1, name="individual optima"),
-                                  problem.constraints, len(functions), config)
+                                  problem.constraints, 2 * len(problem.objectives), config)
     counters = RunCounters()
     for g, outcome in enumerate(outcomes):
         counters.add(outcome.counters)
@@ -370,7 +363,9 @@ def global_criterion_sweep(
             raise ValueError(f"p must be a positive integer, got {p!r}")
     config = config or SolverConfig()
     utopia = _utopia_for(problem, config, utopia)
-    fn = _criterion_fn(problem, utopia, np.repeat(p_values, config.n_starts))
+    # floats: an integer p past int64 would make an object array
+    fn = _criterion_fn(problem, utopia, np.repeat(np.asarray(p_values, dtype=float),
+                                                  config.n_starts))
     outcomes = grouped_multistart(fn, problem.constraints, len(p_values), config)
     results = [GlobalCriterionResult(tag=f"p={p}", x=o.x, responses=problem.responses_at(o.x),
                                      outcome=o, p=p, criterion=o.objective)
@@ -422,9 +417,10 @@ def weighted_sum(
     weights = tuple(float(w) for w in weights)
     if len(weights) != len(problem.objectives):
         raise ValueError(f"{len(weights)} weights for {len(problem.objectives)} objectives")
-    if any(w < 0 for w in weights):
-        raise ValueError(f"negative weight in {weights}")
-    if abs(math.fsum(weights) - 1.0) > _WEIGHT_SUM_TOL:
+    # both written so that a NaN, which fails every comparison, is rejected too
+    if not all(w >= 0 for w in weights):
+        raise ValueError(f"negative weight or NaN in {weights}")
+    if not abs(math.fsum(weights) - 1.0) <= _WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1, got {math.fsum(weights)!r}")
     return _weighted_sums(problem, [weights], config, utopia).results[0]
 
@@ -438,7 +434,8 @@ def weighted_sum_sweep(
     """Sweep the first objective's weight over {0, 1/(steps-1), ..., 1}."""
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    weights = [k / (steps - 1) for k in range(steps)]
+    # k / (steps - 1) bit for bit, and a size error at once for a steps past memory
+    weights = (np.arange(steps) / (steps - 1)).tolist()
     return _weighted_sums(problem, [(w, 1.0 - w) for w in weights], config, utopia)
 
 
@@ -451,9 +448,11 @@ def _epsilon_points(problem: MooProblem, primary_idx: int, points: Sequence[Sequ
     for epsilons in points:
         if len(epsilons) != 1:
             raise ValueError(f"{len(epsilons)} bounds for 1 non-primary objective")
+        if not math.isfinite(float(epsilons[0])):
+            raise ValueError(f"epsilon bound must be finite, got {epsilons[0]!r}")
     bounds = np.repeat(np.array(points, dtype=float).reshape(len(points)), config.n_starts)
-    extra = bounded.function(bound=bounds, name=f"{bounded.name}<= eps")
-    outcomes = grouped_multistart(problem.objectives[primary_idx].function(),
+    extra = problem.function(other, bound=bounds, name=f"{bounded.name}<= eps")
+    outcomes = grouped_multistart(problem.function(primary_idx),
                                   problem.constrained_by([extra]), len(points), config)
     results = []
     for (eps,), outcome in zip(points, outcomes):

@@ -21,7 +21,7 @@ from pareto_forge import (
     run_ga,
 )
 from pareto_forge.pareto import ParetoPoint
-from pareto_forge.polymodel import basis_eval, evaluate, value_jacobian_hessian
+from pareto_forge.polymodel import ModelStack, basis_eval, evaluate, value_jacobian_hessian
 from pareto_forge.scalarize import (
     DEFAULT_P_VALUES,
     epsilon_sweep,
@@ -300,7 +300,7 @@ def test_criterion_9_property_suites(records, refit_models, problem, utopia):
     points = lb + rng.random((100, 3)) * span
     for model in refit_models:
         for x in points:
-            an = value_jacobian_hessian(model.stack, x)[1][0]
+            an = value_jacobian_hessian(ModelStack((model,)), x)[1][0]
             fd = np.empty(3)
             for i in range(3):
                 e = np.zeros(3)

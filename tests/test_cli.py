@@ -337,6 +337,22 @@ def test_bad_parameter_values_are_config_errors(tmp_path, capsys):
     assert main(["optimize", "--method", "weighted_sum", "--steps", "1", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("args, code", [
+    # a p past int64 is solved as a float: its point ends unconverged, and is reported
+    (["--method", "global_criterion", "--p", str(10**21)], 0),
+    (["--method", "global_criterion", "--starts", str(10**20)], 2),
+    (["--method", "weighted_sum", "--steps", str(10**20)], 2),
+])
+def test_oversized_sizes_exit_without_a_traceback(tmp_path, capsys, args, code):
+    assert main(["optimize", *args, "--out", str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code:
+        assert captured.err.startswith("error:")
+    else:
+        assert f"unconverged: p={10**21}" in captured.out
+
+
 @pytest.mark.parametrize("config", [
     {"method": {"weight_steps": "11"}},
     {"solver": {"starts": True}},

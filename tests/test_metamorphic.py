@@ -15,6 +15,7 @@ from pareto_forge import (
     ExperimentRecord,
     Front,
     GaConfig,
+    ModelStack,
     MooProblem,
     Objective,
     PolyBasis,
@@ -52,6 +53,20 @@ MRR_SCALE = 7.0
 def _multistart(objective, constraints, config):
     """One seeded multistart alone: the one-group case of the batched solve."""
     return grouped_multistart(objective, constraints, 1, config)[0]
+
+
+def _own_model(objective, sign=1.0, bound=0.0):
+    """The objective's minimization form times ``sign``, minus ``bound``, evaluated
+    from a stack of its model alone; with a bound it is the constraint f <= bound
+    in the routines' scale. The oracle of the routines' callbacks, which read the
+    problem's shared stack."""
+    stack = ModelStack((objective.model,), (sign * objective.sign,))
+
+    def vg(rows, x):
+        f, jac, hess = value_jacobian_hessian(stack, x)
+        return f[..., 0] - bound, jac[..., 0, :], hess[..., 0, :, :]
+
+    return SmoothFunction(vg, scale=max(1.0, abs(bound)))
 
 
 def _fit_pair(records):
@@ -148,8 +163,8 @@ def problem(dataset):
 def test_individual_optima_equal_one_multistart_each(problem, seed):
     config = SolverConfig(seed=seed)
     utopia = individual_optima(problem, config)
-    best, worst = ([_multistart(o.function(negate), problem.constraints, config)
-                    for o in problem.objectives] for negate in (False, True))
+    best, worst = ([_multistart(_own_model(o, sign), problem.constraints, config)
+                    for o in problem.objectives] for sign in (1.0, -1.0))
     assert utopia.ideal.tolist() == [o.objective for o in best]
     assert utopia.nadir.tolist() == [-o.objective for o in worst]
     assert utopia.ideal_x.tolist() == [list(o.x) for o in best]
@@ -165,7 +180,7 @@ def test_lexicographic_is_an_individual_optimum_then_an_epsilon_point(problem, s
     # second objective with the first bounded by its optimum plus the slack
     config = SolverConfig(seed=seed)
     first, second = (problem.index_of(o) for o in order)
-    optimum = _multistart(problem.objectives[first].function(), problem.constraints, config)
+    optimum = _multistart(_own_model(problem.objectives[first]), problem.constraints, config)
     bound = optimum.objective + LEX_SLACK_REL * abs(optimum.objective)
     (held,) = scalarize._epsilon_points(problem, second, [(bound,)], config)
     lex = lexicographic(problem, order, config)
@@ -227,8 +242,8 @@ def _weighted_sum_points(problem, utopia, config):
 def _epsilon_points(problem, utopia, config):
     ra, mrr = problem.objectives
     for eps in np.linspace(utopia.ideal[0], utopia.nadir[0], 11).tolist():
-        held = problem.constrained_by([ra.function(bound=eps)])
-        o = _multistart(mrr.function(), held, config)
+        held = problem.constrained_by([_own_model(ra, bound=eps)])
+        o = _multistart(_own_model(mrr), held, config)
         responses = problem.responses_at(o.x)
         active = ((responses[0] - eps) / max(1.0, abs(eps)) >= -ACTIVE_TOL,)
         yield EpsilonResult(tag=f"eps={eps:.6g}", x=o.x, responses=responses, outcome=o,

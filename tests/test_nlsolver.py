@@ -9,6 +9,7 @@ from pareto_forge import nlsolver
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
     ConstraintSet,
+    ModelStack,
     NonFiniteEvaluationError,
     SmoothFunction,
     SolverConfig,
@@ -98,9 +99,10 @@ def test_multistart_beats_single_start_for_every_seed():
 
 def test_refit_roughness_minimized_from_interior_start(refit_models):
     ra_model, _ = refit_models
+    stack = ModelStack((ra_model,))
 
     def vg(rows, x):
-        f, jac, hess = value_jacobian_hessian(ra_model.stack, x)
+        f, jac, hess = value_jacobian_hessian(stack, x)
         return f[..., 0], jac[..., 0, :], hess[..., 0, :, :]
 
     out = one_start(SmoothFunction(vg, name="Ra"), BOX, [200.0, 0.1, 0.4])

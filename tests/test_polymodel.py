@@ -16,6 +16,7 @@ from pareto_forge import (
     published_pair,
     value_jacobian_hessian,
 )
+from pareto_forge.polymodel import stack_values
 
 QUAD = PolyBasis.FULL_QUADRATIC_TRIPLE
 LIN = PolyBasis.LINEAR_INTERACTION
@@ -23,7 +24,7 @@ LIN = PolyBasis.LINEAR_INTERACTION
 
 def _jacobian_row(model, x):
     """The model's partial derivatives (..., 3), as the solver reads them."""
-    return value_jacobian_hessian(model.stack, x)[1][..., 0, :]
+    return value_jacobian_hessian(ModelStack((model,)), x)[1][..., 0, :]
 
 
 def test_basis_term_counts():
@@ -254,6 +255,26 @@ def test_value_and_jacobian_batch_equals_per_point(refit_models):
             assert np.array_equal(hess[i], hi)
 
 
+def test_one_model_rows_equal_their_column_of_the_stack(refit_models):
+    # the value rows alone, one model for every point, or each point's own model:
+    # the rows each point reads are the whole stack's, so the bits are its column's
+    pts = _box_points(25, 8)
+    at = np.arange(len(pts))
+    for stack in _stack_pairs(refit_models):
+        whole = value_jacobian_hessian(stack, pts)
+        assert stack_values(stack, pts).tobytes() == whole[0].tobytes()
+        assert stack_values(stack, pts[2]).tobytes() == whole[0][2].tobytes()
+        pick = np.random.default_rng(2).integers(0, stack.size, len(pts))
+        for model, rows in [(k, np.full(len(pts), k)) for k in range(stack.size)] + [(pick, pick)]:
+            for got, want in zip(value_jacobian_hessian(stack, pts, model), whole):
+                assert got.shape == want.shape[:1] + (1,) + want.shape[2:]
+                assert got[:, 0].tobytes() == want[at, rows].tobytes()
+        for k in range(stack.size):
+            for got, want in zip(value_jacobian_hessian(stack, pts[4], k), whole):
+                assert got.shape == (1,) + want.shape[2:]
+                assert got[0].tobytes() == want[4, k].tobytes()
+
+
 def test_hessian_rows_match_central_differences_of_the_jacobian(refit_models):
     step = 1e-5 * np.array(CASE_STUDY_BOUNDS.span)
     pts = _box_points(30, 11)
@@ -292,7 +313,8 @@ def test_stack_needs_one_sign_per_model(refit_models):
 
 def _loop_matrix(models, signs):
     """The stack matrix placed one coefficient at a time, the oracle of the cached
-    placement table: c, c a and c a b written out per term, derivative and pair."""
+    placement table: c, c a and c a b written out per term, derivative and pair,
+    ten rows a model."""
     pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
     def lower(e, v):
@@ -312,8 +334,7 @@ def _loop_matrix(models, signs):
                 b, twice = lower(lowered, w)
                 if a * b:
                     rows[i, 4 + r, exponents.index(twice)] = sign * c * a * b
-    k = len(exponents)
-    return np.vstack([rows[:, 0], rows[:, 1:4].reshape(-1, k), rows[:, 4:].reshape(-1, k)])
+    return rows.reshape(-1, len(exponents))
 
 
 #: coefficients that make every written product differ in its last bits, and a -0.0
@@ -337,7 +358,6 @@ def test_stack_layout_equals_the_written_out_placement(models, signs):
     stack = ModelStack(models, signs)
     want = _loop_matrix(models, signs)
     assert stack.matrix.tobytes() == want.tobytes()
-    assert stack.negated().matrix.tobytes() == (-want).tobytes()
     # the signs of zeros are bits too: a -0.0 coefficient times +1 stays -0.0
     assert np.array_equal(np.signbit(stack.matrix), np.signbit(want))
 
@@ -347,7 +367,7 @@ def test_stack_layout_of_the_refit_pair(refit_models):
     stack = ModelStack(refit_models, signs)
     assert stack.matrix.tobytes() == _loop_matrix(refit_models, signs).tobytes()
     for model in refit_models:
-        assert model.stack.matrix.tobytes() == _loop_matrix([model], [1.0]).tobytes()
+        assert ModelStack([model]).matrix.tobytes() == _loop_matrix([model], [1.0]).tobytes()
 
 
 def test_stack_layout_of_a_cubic_table():

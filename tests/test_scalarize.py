@@ -28,6 +28,7 @@ from pareto_forge import (
     individual_optima,
     lexicographic,
     minimize_starts,
+    published_model,
     run_ga,
     stratified_starts,
     value_jacobian_hessian,
@@ -126,10 +127,34 @@ def test_minimized_sign(problem):
     f, _, _ = value_jacobian_hessian(problem.stack, x)
     assert f[1] == -float(evaluate(mrr_obj.model, x))
     assert f[0] == float(evaluate(ra_obj.model, x))
-    f, _, _ = mrr_obj.function().value_and_grad(0, x)
+    f, _, _ = problem.function(1).value_and_grad(0, x)
     assert f == -float(evaluate(mrr_obj.model, x))
-    f, _, _ = ra_obj.function().value_and_grad(0, x)
+    f, _, _ = problem.function(0).value_and_grad(0, x)
     assert f == float(evaluate(ra_obj.model, x))
+
+
+def test_every_callback_reads_its_column_of_a_mixed_basis_stack(monkeypatch):
+    # eq21's Ra has the 7-term basis and eq23's MRR the 11-term one: the problem's
+    # stack sums both over the union of the two, and every callback reads its rows
+    problem = MooProblem((Objective(published_model("ra_eq21"), Sense.MINIMIZE),
+                          Objective(published_model("mrr_eq24"), Sense.MAXIMIZE)),
+                         ConstraintSet(CASE_STUDY_BOUNDS))
+    x = _interior_points(30, 5)
+    whole = value_jacobian_hessian(problem.stack, x)
+    rows = np.arange(len(x))
+    for k in range(2):
+        for got, want in zip(problem.function(k).value_and_grad(rows, x), whole):
+            assert got.tobytes() == want[:, k].tobytes()
+    pick = np.random.default_rng(1).integers(0, 2, len(x))
+    for got, want in zip(value_jacobian_hessian(problem.stack, x, pick), whole):
+        assert got[:, 0].tobytes() == want[rows, pick].tobytes()
+    # the individual optima: group g reads objective g // 2, negated for odd g
+    optima = _solver_objective(monkeypatch, lambda: individual_optima(problem, FAST))
+    groups = np.random.default_rng(2).integers(0, 4, len(x))
+    sign = np.where(groups % 2, -1.0, 1.0)
+    for got, want in zip(optima.value_and_grad(groups * FAST.n_starts, x), whole):
+        col = want[rows, groups // 2]
+        assert got.tobytes() == (sign.reshape((-1,) + (1,) * (col.ndim - 1)) * col).tobytes()
 
 
 def test_individual_optima_match_case_study(utopia):
@@ -202,6 +227,10 @@ def test_weighted_sum_validation(problem, utopia):
         weighted_sum(problem, (0.5, 0.4), FAST, utopia)
     with pytest.raises(ValueError, match="weights for"):
         weighted_sum(problem, (1.0,), FAST, utopia)
+    # a NaN fails no "< 0" test and makes a "> tol" test false: it must not reach the solver
+    for weights in ((np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            weighted_sum(problem, weights, FAST, utopia)
 
 
 def test_weighted_sum_zero_weight_flagged(problem, utopia):
@@ -246,6 +275,9 @@ def test_epsilon_constraint_infeasible(problem):
         epsilon_constraint(problem, "mrr", (0.1,), FAST)
     with pytest.raises(ValueError, match="2 bounds for 1 non-primary objective"):
         epsilon_constraint(problem, "mrr", (0.9, 0.9), FAST)
+    for bound in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="epsilon bound must be finite"):
+            epsilon_constraint(problem, "mrr", (bound,), FAST)
 
 
 def test_epsilon_sweep_monotone(problem, utopia):
@@ -342,7 +374,7 @@ def test_lexicographic_reverse_order_stage_monotonicity(problem):
 def test_lexicographic_single_objective_equals_plain_minimize(problem):
     res = lexicographic(problem, ("ra",), FAST)
     assert len(res.results) == 1
-    direct = grouped_multistart(problem.objectives[0].function(), problem.constraints, 1, FAST)[0]
+    direct = grouped_multistart(problem.function(0), problem.constraints, 1, FAST)[0]
     assert res.results[-1].x == direct.x
 
 
@@ -469,9 +501,10 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
     made = {"n": 0}
     evaluate_models = polymodel.value_jacobian_hessian
 
-    def counting(stack, x):
-        made["n"] += stack.size * (np.size(x) // 3)
-        return evaluate_models(stack, x)
+    def counting(stack, x, model=None):
+        # every model of the stack at each point, or the one each point reads
+        made["n"] += (stack.size if model is None else 1) * (np.size(x) // 3)
+        return evaluate_models(stack, x, model)
 
     monkeypatch.setattr(scalarize, "value_jacobian_hessian", counting)
     cfg = SolverConfig(n_starts=2, seed=1)
@@ -655,10 +688,11 @@ def test_weighted_sum_hessian_matches_gradient_differences(problem, utopia, monk
     _assert_hessian_matches_gradient_differences(fn)
 
 
-def test_objective_and_bound_hessians_match_gradient_differences(problem):
-    mrr = problem.objectives[1]
-    for fn in (mrr.function(), mrr.function(negate=True),
-               mrr.function(bound=-20000.0)):
+def test_objective_and_bound_hessians_match_gradient_differences(problem, monkeypatch):
+    optima = _solver_objective(monkeypatch, lambda: individual_optima(problem, FAST))
+    # group 3 is MRR's anti-optimum: its rows start at 3 * n_starts
+    anti = SmoothFunction(lambda rows, x: optima.value_and_grad(rows + 3 * FAST.n_starts, x))
+    for fn in (problem.function(1), anti, problem.function(1, bound=-20000.0)):
         _assert_hessian_matches_gradient_differences(fn)
 
 
@@ -666,11 +700,10 @@ def _batched_cases(problem, utopia, monkeypatch, cfg):
     ws = _solver_objective(monkeypatch, lambda: weighted_sum(problem, (0.3, 0.7), cfg, utopia))
     p20 = _solver_objective(monkeypatch,
                             lambda: global_criterion_sweep(problem, (20,), cfg, utopia))
-    ra, mrr = problem.objectives
     # maximise MRR with Ra held at 0.7107: the bound is active at the optimum
-    held = problem.constrained_by([ra.function(bound=0.7107, name="Ra<= 0.7107")])
+    held = problem.constrained_by([problem.function(0, bound=0.7107, name="Ra<= 0.7107")])
     return {"weighted sum": (ws, problem.constraints), "p=20": (p20, problem.constraints),
-            "epsilon": (mrr.function(), held)}
+            "epsilon": (problem.function(1), held)}
 
 
 @pytest.mark.parametrize("where", [0.0, 0.1, 0.5])
@@ -688,16 +721,15 @@ def test_epsilon_starts_solve_as_they_do_alone(problem, utopia, monkeypatch, whe
         return inner(fun, s0, gtol, maxiter)
 
     monkeypatch.setattr(nlsolver, "_inner_solve", spy)
-    ra, mrr = problem.objectives
     eps = utopia.ideal[0] + where * (utopia.nadir[0] - utopia.ideal[0])
-    held = problem.constrained_by([ra.function(bound=eps, name="Ra<= eps")])
+    held = problem.constrained_by([problem.function(0, bound=eps, name="Ra<= eps")])
     cfg = SolverConfig(n_starts=6, seed=3)
     starts = stratified_starts(CASE_STUDY_BOUNDS, cfg.n_starts, cfg.seed)
-    batched = minimize_starts(mrr.function(), held, starts, cfg)
+    mrr = problem.function(1)
+    batched = minimize_starts(mrr, held, starts, cfg)
     assert (1e-12 in gtols) == (where == 0.0)
-    assert batched == [minimize_starts(mrr.function(), held, [start], cfg)[0]
-                       for start in starts]
-    assert minimize_starts(mrr.function(), held, starts[::-1], cfg) == batched[::-1]
+    assert batched == [minimize_starts(mrr, held, [start], cfg)[0] for start in starts]
+    assert minimize_starts(mrr, held, starts[::-1], cfg) == batched[::-1]
 
 
 @pytest.mark.parametrize("case", ["weighted sum", "p=20", "epsilon"])

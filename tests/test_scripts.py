@@ -49,6 +49,14 @@ def test_same_outputs_finds_a_tree_equal_to_itself(tmp_path, capsys):
     assert "identical over 2 commands" in capsys.readouterr().out
 
 
+def test_every_mutant_edits_one_place():
+    # the gate itself runs in CI; here only its table is checked against the tree
+    for mutant in _load("mutants").MUTANTS:
+        text = (ROOT / mutant.file).read_text(encoding="utf-8")
+        assert text.count(mutant.old) == 1, mutant.name
+        assert mutant.new != mutant.old and mutant.tests and mutant.reason, mutant.name
+
+
 def test_ab_time_runs_a_tree_against_itself(capsys):
     src = str(ROOT / "src")
     assert _load("ab_time").main([src, src, "--reps", "2", "--workloads", "ga_seed_merge"]) == 0
