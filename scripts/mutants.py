@@ -27,6 +27,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SCALARIZE = "src/pareto_forge/scalarize.py"
 POLYMODEL = "src/pareto_forge/polymodel.py"
 CLI = "src/pareto_forge/cli.py"
+EVOLVE = "src/pareto_forge/evolve.py"
+RANKS_TEST = "tests/test_evolve.py::test_ranks_equal_matrix_peel_and_brute_force"
+SURVIVORS_TEST = "tests/test_evolve.py::test_survivors_equal_the_full_ranking_crowding_and_sort"
 
 
 class Mutant(NamedTuple):
@@ -138,6 +141,47 @@ MUTANTS = (
            ("tests/test_svgplot.py::"
             "test_front_of_extreme_finite_values_exits_0_with_a_plottable_svg",),
            "the merge keeps points that differ only by solver noise"),
+    Mutant("front_zero_strict_below_best", EVOLVE,
+           "~(b >= best[first])", "b < best[first]",
+           (RANKS_TEST, SURVIVORS_TEST),
+           "the first sorted row and its copies, under the NaN head, leave front 0"),
+    Mutant("survivors_shortcut_any_senses", EVOLVE,
+           "tuple(senses) != (Sense.MINIMIZE, Sense.MAXIMIZE) or ", "",
+           (SURVIVORS_TEST, "tests/test_evolve.py::test_ga_equals_textbook_nsga2"),
+           "front 0 in f1 order is taken as the crowding order of a minimized second "
+           "or a maximized first objective"),
+    Mutant("survivors_tie_by_front_position", EVOLVE,
+           "np.lexsort((at, -dist))", 'np.argsort(-dist, kind="stable")',
+           (SURVIVORS_TEST,),
+           "survivors of equal crowding are taken in f1 order, not index order"),
+    Mutant("sweep_bisect_right", EVOLVE,
+           "from bisect import bisect_left", "from bisect import bisect_right as bisect_left",
+           (RANKS_TEST,),
+           "an exact copy of a front's last row joins the next front"),
+    Mutant("nan_rows_in_the_sweep", EVOLVE,
+           "    if nan.any():\n", "    if False:\n",
+           (RANKS_TEST,),
+           "a row with a NaN is ranked past front 0"),
+    Mutant("sweep_key_f2_only", EVOLVE,
+           "zip(f2[rest].tolist(), f1[rest].tolist())", "zip(f2[rest].tolist())",
+           (RANKS_TEST,),
+           "a row with an equal f2 and a larger f1 joins the front that dominates it"),
+    Mutant("front_sort_by_f1_alone", EVOLVE,
+           "rows = np.lexsort((f2, f1))", 'rows = np.argsort(f1, kind="stable")',
+           (RANKS_TEST,),
+           "rows of equal f1 are taken in index order, so a dominated one can enter front 0"),
+    Mutant("bad_start_named_last", "src/pareto_forge/nlsolver.py",
+           "starts[np.argmax(outside)]", "starts[len(outside) - 1 - np.argmax(outside[::-1])]",
+           ("tests/test_nlsolver.py::test_first_bad_start_among_many_is_named",),
+           "the error names the last start outside the box, not the first"),
+    Mutant("start_lower_edge_strict", "src/pareto_forge/nlsolver.py",
+           "(lo - tol <= starts)", "(lo - tol < starts)",
+           ("tests/test_nlsolver.py::test_start_at_the_tolerance_edge_is_accepted",),
+           "a start on the lower tolerance edge, which Bounds.contains accepts, is rejected"),
+    Mutant("start_check_without_tolerance", "src/pareto_forge/nlsolver.py",
+           "tol = 1e-9 * (hi - lo)", "tol = 0.0 * (hi - lo)",
+           ("tests/test_nlsolver.py::test_start_at_the_tolerance_edge_is_accepted",),
+           "a start within 1e-9 of the box span outside it is rejected"),
     Mutant("stalled_rows_kept_in_search", "src/pareto_forge/nlsolver.py",
            "            if not moving.all():\n                search,",
            "            if False:\n                search,",

@@ -9,19 +9,23 @@ evaluation count stay those of an all-uniform start. A generation draws its
 uniforms as whole arrays, a fixed number in a fixed order, then a binary
 tournament, simulated-binary crossover and polynomial mutation on
 box-scaled variables. The n parents and n children are ranked over the two
-objectives by one sort and crowded once, and the best n in (rank, crowding,
-index) order survive in that order, keeping the ranks and crowding they had
-among both: NSGA-II assigns them while forming the next population (§III-C).
-So the population is always stored best-first, and the tournament's
-crowded comparison of two rows is a comparison of their positions. Only the
-fronts that can survive are ranked: NSGA-II drops every front that does not
-fit the next population unread, so when front 0 of the 2n rows holds n rows
-or more, the rest share rank 1 unranked. Front 0 and its crowding are the
-same either way, and every unranked row sorts after it, so the survivors and
-the bytes are those of the full ranking.
+objectives and crowded once, and the best n in (rank, crowding, index)
+order survive in that order, keeping the ranks and crowding they had among
+both: NSGA-II assigns them while forming the next population (§III-C). So
+the population is always stored best-first, and the tournament's crowded
+comparison of two rows is a comparison of their positions.
+
+Only the fronts that can survive are read. One sort of the 2n rows finds
+front 0, and when front 0 holds n rows or more, as it does in most
+generations, NSGA-II drops every other front unread: the survivors come
+straight from that sort. For a minimized first and a maximized second
+objective, front 0 in (f1, index) order is both objectives' crowding order,
+so both are crowded in one pass over it without a sort of their own, and one
+sort by (crowding, index) picks the survivors. Otherwise every front is
+ranked by one sweep, crowded by one sort per objective and sorted.
 
 Both children of every pair come from one expression, and the crowding of
-every rank from one sort per objective; each element still takes the
+every front from one pass per objective; each element still takes the
 floating-point operations of the textbook form, one gene or one front at a
 time, in the same order, so the bytes are that form's. Fronts are bitwise
 reproducible for a fixed seed on one host; the generator is numpy's
@@ -66,28 +70,21 @@ class GaConfig:
             raise ValueError("distribution indices must be positive")
 
 
-def _ranks(values: np.ndarray, senses: Sequence[Sense], keep: int | None = None) -> np.ndarray:
-    """Rank per row of the two objectives: 0 for rows that no row dominates, k for
-    rows that no row dominates once the rows of ranks < k are removed; a row with
-    a NaN, which dominates none and none dominates, has rank 0.
+def _sorted_front_zero(f1: np.ndarray, f2: np.ndarray):
+    """The rows without a NaN in (f1, f2, index) order of the minimization forms
+    ``f1``, ``f2``, and whether each lies in front 0, the rows that no row
+    dominates.
 
-    The caller keeps ``keep`` rows (all by default) and drops the rest unread,
-    as NSGA-II drops every front that does not fit the next population (Deb,
-    Pratap, Agarwal & Meyarivan, IEEE TEC 6:182, 2002). When front 0 holds at
-    least ``keep`` rows, every other row gets rank 1 unranked; otherwise every
-    rank is exact. In (f1, f2) order of the minimization forms no row is
-    dominated by a later one, so front 0 is the rows whose f2 is strictly below
-    every f2 before their first exact copy, a running minimum (its empty prefix
-    is NaN, which compares false: +inf would drop a (-inf, +inf) first row).
-    The other rows are ranked by one sweep (Jensen, IEEE TEC 7:503, 2003): each
-    row joins the first front whose last row does not dominate it; those last
-    rows, keyed (f2, f1), stay sorted (an equal key is an equal point, which
-    does not dominate)."""
-    f1, f2 = _min_form_columns(values, senses)
-    n = len(f1)
-    ranks = np.zeros(n, dtype=int)
-    rows = np.flatnonzero(~(np.isnan(f1) | np.isnan(f2)))
-    rows = rows[np.lexsort((f2[rows], f1[rows]))]
+    In this order no row is dominated by a later one, so front 0 is the rows
+    whose f2 is strictly below every f2 before their first exact copy, a running
+    minimum (its empty prefix is NaN, which compares false: +inf would drop a
+    (-inf, +inf) first row, and a strict test against the minimum would drop the
+    copies of the first row)."""
+    # lexsort is stable, so dropping the NaN rows after it keeps this order
+    rows = np.lexsort((f2, f1))
+    nan = np.isnan(f1) | np.isnan(f2)
+    if nan.any():
+        rows = rows[~nan[rows]]
     a, b = f1[rows], f2[rows]
     # first[k]: the position of row k's first exact copy; best[k]: the least f2
     # of the first k rows, so front 0 is every row not at or above best[first]
@@ -95,10 +92,17 @@ def _ranks(values: np.ndarray, senses: Sequence[Sense], keep: int | None = None)
     new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     first = np.maximum.accumulate(np.where(new, np.arange(len(rows)), 0))
     best = np.concatenate(([np.nan], np.fmin.accumulate(b)))
-    rest = rows[b >= best[first]]
-    if n - len(rest) >= (n if keep is None else keep):
-        ranks[rest] = 1
-        return ranks
+    return rows, ~(b >= best[first])
+
+
+def _ranks_past_front_zero(f1, f2, rows, front) -> np.ndarray:
+    """Rank per row, given ``_sorted_front_zero``'s ``rows`` and ``front``: 0 in
+    front 0 and for the rows with a NaN, and the other rows ranked by one sweep
+    (Jensen, IEEE TEC 7:503, 2003): each row joins the first front whose last
+    row does not dominate it; those last rows, keyed (f2, f1), stay sorted (an
+    equal key is an equal point, which does not dominate)."""
+    ranks = np.zeros(len(f1), dtype=int)
+    rest = rows[~front]
     last: list[tuple[float, float]] = []
     fronts = []
     for key in zip(f2[rest].tolist(), f1[rest].tolist()):
@@ -110,6 +114,15 @@ def _ranks(values: np.ndarray, senses: Sequence[Sense], keep: int | None = None)
         fronts.append(k)
     ranks[rest] = np.array(fronts, dtype=int) + 1
     return ranks
+
+
+def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
+    """Rank per row of the two objectives: 0 for rows that no row dominates, k for
+    rows that no row dominates once the rows of ranks < k are removed; a row with
+    a NaN, which dominates none and none dominates, has rank 0."""
+    f1, f2 = _min_form_columns(values, senses)
+    rows, front = _sorted_front_zero(f1, f2)
+    return _ranks_past_front_zero(f1, f2, rows, front)
 
 
 def _crowding_by_rank(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -151,6 +164,45 @@ def _selection_order(ranks: np.ndarray, crowd: np.ndarray) -> np.ndarray:
     """Indices sorted best-first by (rank asc, crowding desc, index asc); lexsort
     is stable, so equal keys keep index order."""
     return np.lexsort((-crowd, ranks))
+
+
+def _survivors(values: np.ndarray, senses: Sequence[Sense], keep: int):
+    """The first ``keep`` rows of ``_selection_order`` over the ranks and crowding
+    of every row of ``values``, best-first, and their ranks.
+
+    NSGA-II drops every front that does not fit the next population unread
+    (Deb, Pratap, Agarwal & Meyarivan, IEEE TEC 6:182, 2002), so when front 0
+    holds at least ``keep`` rows and every value is finite, the survivors are
+    read from the sort that finds front 0. Within front 0 f2 falls as f1 rises
+    and only exact copies tie, so for a minimized first and a maximized second
+    objective, the command line's pair, both natural values rise along its rows
+    in (f1, index) order: that order is each objective's crowding order, copies
+    in index order. Both objectives are crowded in one pass with the arithmetic
+    of ``_crowding_by_rank``, in the same order, so the distances keep their
+    bits, and one sort by (crowding desc, index asc) picks the survivors. Any
+    other input, or pair of senses, is ranked in full, crowded and sorted.
+    """
+    f1, f2 = _min_form_columns(values, senses)
+    rows, front = _sorted_front_zero(f1, f2)
+    at = rows[front]
+    if (tuple(senses) != (Sense.MINIMIZE, Sense.MAXIMIZE) or not 0 < keep <= len(at)
+            or not np.isfinite(values).all()):
+        ranks = _ranks_past_front_zero(f1, f2, rows, front)
+        chosen = _selection_order(ranks, _crowding_by_rank(values, ranks))[:keep]
+        return chosen, ranks[chosen]
+    vf = values[at]
+    dist = np.zeros(len(at))
+    part = np.full(len(at), np.inf)
+    for j in range(2):
+        v = vf[:, j]
+        span = float(v[-1]) - float(v[0])
+        if 0.0 < span < np.inf:
+            np.divide(v[2:] - v[:-2], span, out=part[1:-1])
+        else:
+            part[1:-1] = 0.0
+        dist += part
+    chosen = at[np.lexsort((at, -dist))[:keep]]
+    return chosen, np.zeros(keep, dtype=int)
 
 
 def _sbx(parents, coin, swap, u, prob: float, eta: float) -> np.ndarray:
@@ -209,12 +261,14 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
         counters.function_evals += responses.size
         return responses
 
-    pop = rng.random((n, 3))
+    # the parents are rows :n and the children rows n: of one buffer
+    combined, combined_resp = np.empty((2 * n, 3)), np.empty((2 * n, len(senses)))
+    pop, resp = combined[:n], combined_resp[:n]
+    pop[:] = rng.random((n, 3))
     pop[:8] = list(np.ndindex(2, 2, 2))[:n]  # the unit cube's corners, then uniform rows
-    resp = evaluate_pop(pop)
-    ranks = _ranks(resp, senses)
-    best_first = _selection_order(ranks, _crowding_by_rank(resp, ranks))
-    pop, resp, ranks = pop[best_first], resp[best_first], ranks[best_first]
+    resp[:] = evaluate_pop(pop)
+    best_first, ranks = _survivors(resp, senses, n)
+    pop[:], resp[:] = pop[best_first], resp[best_first]
 
     for _ in range(config.generations):
         idx_a, idx_b = rng.permutation(n), rng.permutation(n)
@@ -229,16 +283,12 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
         children = _sbx(pop[parents], cross_coin, swap, u_sbx,
                         config.crossover_prob, config.crossover_eta)
         children = _mutate(children, mut_coin, u_mut, config.mutation_prob, config.mutation_eta)
-        np.clip(children, 0.0, 1.0, out=children)
-        child_resp = evaluate_pop(children)
-
-        combined = np.vstack([pop, children])
-        combined_resp = np.vstack([resp, child_resp])
-        comb_ranks = _ranks(combined_resp, senses, n)
+        np.clip(children, 0.0, 1.0, out=combined[n:])
+        combined_resp[n:] = evaluate_pop(combined[n:])
         # every row that dominates a survivor survives, so a survivor's rank is
         # kept; the survivors stay in this order, best-first
-        chosen = _selection_order(comb_ranks, _crowding_by_rank(combined_resp, comb_ranks))[:n]
-        pop, resp, ranks = combined[chosen], combined_resp[chosen], comb_ranks[chosen]
+        chosen, ranks = _survivors(combined_resp, senses, n)
+        pop[:], resp[:] = combined[chosen], combined_resp[chosen]
         counters.iterations += 1
 
     tag = f"seed={config.seed}"

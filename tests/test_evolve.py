@@ -23,10 +23,18 @@ from pareto_forge import (
     run_ga,
 )
 from pareto_forge import evolve
-from pareto_forge.evolve import _crowding_by_rank, _mutate, _ranks, _sbx, _selection_order
+from pareto_forge.evolve import (
+    _crowding_by_rank,
+    _mutate,
+    _ranks,
+    _sbx,
+    _selection_order,
+    _survivors,
+)
 
 MIN_MIN = (Sense.MINIMIZE, Sense.MINIMIZE)
 MIN_MAX = (Sense.MINIMIZE, Sense.MAXIMIZE)
+MAX_MAX = (Sense.MAXIMIZE, Sense.MAXIMIZE)
 
 # Final population reported by the source study's GA run (Ra, MRR pairs).
 STUDY_GA_FRONT = [
@@ -156,25 +164,78 @@ def rows_and_keep(draw):
     return values, draw(st.sampled_from(SENSE_PAIRS)), draw(st.integers(0, len(values)))
 
 
-def assert_exact_below_the_cut(ranks, full, keep):
-    """``ranks`` equal the full ranks ``full`` below a cut that at least ``keep``
-    rows lie below, and the rows past it share one rank above every kept rank."""
-    if np.array_equal(ranks, full):
-        return
-    cut = ranks.max()
-    past = ranks == cut
-    assert np.array_equal(ranks[~past], full[~past])
-    assert np.count_nonzero(~past) >= keep
-    assert np.all(full[past] >= cut) and np.all(ranks[~past] < cut)
-
-
 @settings(max_examples=400, deadline=None)
 @given(rows_and_keep())
 def test_ranks_are_exact_below_the_cut(drawn):
+    # the ranks are exact, and the survivors hold every row ranked below the
+    # worst rank among them, each with its exact rank
     values, senses, keep = drawn
     full = np.array(brute_force_ranks(values.tolist(), senses), dtype=int)
     assert np.array_equal(_ranks(values, senses), full)
-    assert_exact_below_the_cut(_ranks(values, senses, keep), full, keep)
+    chosen, ranks = _survivors(values, senses, keep)
+    assert len(chosen) == len(set(chosen.tolist())) == keep
+    assert np.array_equal(ranks, full[chosen])
+    if keep:
+        assert set(np.flatnonzero(full < ranks.max()).tolist()) <= set(chosen.tolist())
+
+
+def survivors_by_full_ranking(values, senses, keep):
+    """``_survivors`` as every row ranked, crowded and sorted."""
+    ranks = _ranks(values, senses)
+    chosen = _selection_order(ranks, _crowding_by_rank(values, ranks))[:keep]
+    return chosen, ranks[chosen]
+
+
+@st.composite
+def fronts_with_copies(draw):
+    """Rows that are mostly one front, in the natural units of one of the four
+    sense pairs: minimization forms on an integer anti-diagonal, some raised off
+    it, exact copies, zeros of either sign (which compare equal), and perhaps
+    one element made +-inf or NaN."""
+    senses = draw(st.sampled_from(SENSE_PAIRS))
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            x = draw(st.integers(0, 6))
+            rows.append((float(x), float(6 - x + draw(st.sampled_from([0, 0, 0, 1, 2])))))
+    values = np.array(rows) * [s.sign for s in senses]
+    flip_zero = draw(st.lists(st.booleans(), min_size=values.size, max_size=values.size))
+    values = np.where((values == 0) & np.reshape(flip_zero, values.shape), -values, values)
+    if draw(st.integers(0, 4)) == 0:
+        values[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan]))
+    return values, senses
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(fronts_with_copies(), rows_and_keep().map(lambda drawn: drawn[:2])))
+def test_survivors_equal_the_full_ranking_crowding_and_sort(drawn):
+    values, senses = drawn
+    for keep in range(1, len(values) + 1):
+        chosen, ranks = _survivors(values, senses, keep)
+        want, want_ranks = survivors_by_full_ranking(values, senses, keep)
+        assert same_bits(chosen, want) and same_bits(ranks, want_ranks), keep
+
+
+def test_survivors_of_a_filling_front_zero_skip_the_full_ranking(monkeypatch):
+    # one front with copies of its end rows and of an interior row, in a row order
+    # that is not its f1 order, and rows past it: front 0 fills every keep
+    front = [(3.0, 3.0), (0.0, 6.0), (5.0, 1.0), (3.0, 3.0), (6.0, 0.0), (0.0, 6.0),
+             (1.0, 4.0), (6.0, 0.0), (2.0, 3.5), (4.0, 2.0)]
+    senses = MIN_MAX
+    values = np.array(front + [(4.0, 4.0), (6.0, 6.0)]) * [s.sign for s in senses]
+    wants = [survivors_by_full_ranking(values, senses, keep) for keep in range(1, 11)]
+
+    def unread(*args):
+        raise AssertionError("front 0 fills the survivors; no other rank is read")
+
+    monkeypatch.setattr(evolve, "_ranks_past_front_zero", unread)
+    monkeypatch.setattr(evolve, "_crowding_by_rank", unread)
+    for keep, (want, want_ranks) in zip(range(1, 11), wants):
+        chosen, ranks = _survivors(values, senses, keep)
+        assert same_bits(chosen, want) and same_bits(ranks, want_ranks)
 
 
 def one_front_crowding(front):
@@ -458,18 +519,14 @@ def test_ga_zero_generations_returns_initial_nondominated(problem):
     assert {p.responses for p in res.front.points} == expected
 
 
-def mask_peel(values, senses, keep=None):
-    """Ranks by peeling, with ``_ranks``' cut: the rows that some unranked row
-    dominates go up a rank, and once front 0 holds ``keep`` rows, every other
-    row stops at rank 1."""
+def mask_peel(values, senses):
+    """Ranks by peeling: the rows that some unranked row dominates go up a rank."""
     ranks = np.zeros(len(values), dtype=int)
     rows = np.arange(len(values))
     while rows.size:
         dominated = dominated_mask(values[rows], senses)
         ranks[rows] += dominated
         rows = rows[dominated]
-        if keep is not None and len(values) - len(rows) >= keep:
-            break
     return ranks
 
 
@@ -479,15 +536,19 @@ def test_ga_equals_the_dominance_matrix_path(problem, pop_size, monkeypatch):
     crowding = evolve._crowding_by_rank
 
     def crowding_of_peeled_ranks(values, ranks):
-        # every ranking run_ga makes passes here: the initial population's, all of
-        # its rows kept, and each generation's parents and children, pop_size of
-        # them kept; the survivors keep their ranks and crowding unrecomputed
-        assert_exact_below_the_cut(ranks, mask_peel(values, problem.senses), pop_size)
+        # the generations whose front 0 cannot fill the next population rank
+        # every row, and the initial population's ranking keeps all of its rows
+        assert np.array_equal(ranks, mask_peel(values, problem.senses))
         return crowding(values, ranks)
+
+    def survivors_by_peeling(values, senses, keep):
+        ranks = mask_peel(values, senses)
+        chosen = _selection_order(ranks, crowding(values, ranks))[:keep]
+        return chosen, ranks[chosen]
 
     monkeypatch.setattr(evolve, "_crowding_by_rank", crowding_of_peeled_ranks)
     by_sort = [run_ga(problem, cfg) for cfg in configs]
-    monkeypatch.setattr(evolve, "_ranks", mask_peel)
+    monkeypatch.setattr(evolve, "_survivors", survivors_by_peeling)
     by_matrix = [run_ga(problem, cfg) for cfg in configs]
     for a, b in zip(by_sort, by_matrix):
         assert a.front == b.front
@@ -548,8 +609,21 @@ def textbook_nsga2(problem, config):
     return Front(tuple(filter_nondominated(points, senses)), senses), evals
 
 
-@pytest.mark.parametrize("pop_size", [4, 16, 60, 120])
-def test_ga_equals_textbook_nsga2(problem, pop_size):
+def problem_with(refit_models, senses):
+    """The case study's Ra and MRR models under ``senses``."""
+    objectives = (Objective(m, s) for m, s in zip(refit_models, senses))
+    return MooProblem(tuple(objectives), ConstraintSet(CASE_STUDY_BOUNDS))
+
+
+# the command line minimizes Ra and maximizes MRR; minimizing both, or maximizing
+# both, ranks, crowds and sorts in full in every generation
+@pytest.mark.parametrize("pop_size, senses", [
+    *(pytest.param(pop_size, MIN_MAX, id=str(pop_size)) for pop_size in (4, 16, 60, 120)),
+    *(pytest.param(pop_size, senses, id=f"{pop_size}-{name}")
+      for pop_size in (16, 60) for name, senses in (("min-min", MIN_MIN), ("max-max", MAX_MAX))),
+])
+def test_ga_equals_textbook_nsga2(refit_models, pop_size, senses):
+    problem = problem_with(refit_models, senses)
     configs = [GaConfig(pop_size=pop_size, seed=seed) for seed in range(6)]
     configs.append(GaConfig(pop_size=pop_size, crossover_prob=0.0, mutation_prob=0.0, seed=2))
     for cfg in configs:
@@ -560,59 +634,55 @@ def test_ga_equals_textbook_nsga2(problem, pop_size):
         assert res.counters.function_evals == evals == pop_size * (cfg.generations + 1) * 2
 
 
-@pytest.mark.parametrize("pop_size", [4, 60])
-def test_each_population_is_best_first_and_crowded_once(problem, pop_size, monkeypatch):
-    # one ranking, one crowding and one selection sort per population formed, and
-    # the rows of each ranking's population are the rows of the ranking before,
-    # in its crowded-comparison order
-    seen, calls = [], {"_ranks": 0, "_selection_order": 0}
-    crowding = evolve._crowding_by_rank
+def spy_on_survivors(monkeypatch):
+    """Record each ``_survivors`` call's rows, keep count and survivors, and how
+    many crowdings it computed, from here on."""
+    calls = []
+    survivors, crowding = evolve._survivors, evolve._crowding_by_rank
 
     def crowding_spy(values, ranks):
-        crowd = crowding(values, ranks)
-        seen.append((values, _selection_order(ranks, crowd)[:pop_size]))
-        return crowd
+        calls[-1]["crowdings"] += 1
+        return crowding(values, ranks)
 
-    def counted(name):
-        fn = getattr(evolve, name)
+    def survivors_spy(values, senses, keep):
+        calls.append({"values": values.copy(), "keep": keep, "crowdings": 0})
+        calls[-1]["chosen"], calls[-1]["ranks"] = survivors(values, senses, keep)
+        return calls[-1]["chosen"], calls[-1]["ranks"]
 
-        def spy(*args):
-            calls[name] += 1
-            return fn(*args)
-        return spy
-
-    for name in calls:
-        monkeypatch.setattr(evolve, name, counted(name))
     monkeypatch.setattr(evolve, "_crowding_by_rank", crowding_spy)
+    monkeypatch.setattr(evolve, "_survivors", survivors_spy)
+    return calls
+
+
+@pytest.mark.parametrize("pop_size", [4, 60])
+def test_each_population_is_best_first_and_crowded_once(problem, pop_size, monkeypatch):
+    # one ranking per population formed, crowded at most once, whose survivors are
+    # the best pop_size rows in crowded-comparison order; the rows of each
+    # ranking's population are the survivors of the ranking before, in that order
+    calls = spy_on_survivors(monkeypatch)
     res = run_ga(problem, GaConfig(pop_size=pop_size, seed=4))
-    assert len(seen) == calls["_ranks"] == calls["_selection_order"] == 101
-    for (values, best), (later, _) in zip(seen, seen[1:]):
-        assert same_bits(later[:pop_size], values[best])
-    values, best = seen[-1]
-    assert {p.responses for p in res.front.points} <= {tuple(values[i]) for i in best}
+    assert len(calls) == 101
+    for call in calls:
+        want, want_ranks = survivors_by_full_ranking(call["values"], problem.senses, pop_size)
+        assert call["keep"] == pop_size and call["crowdings"] <= 1
+        assert same_bits(call["chosen"], want) and same_bits(call["ranks"], want_ranks)
+    for call, later in zip(calls, calls[1:]):
+        assert same_bits(later["values"][:pop_size], call["values"][call["chosen"]])
+    last = calls[-1]
+    assert {p.responses for p in res.front.points} <= {tuple(last["values"][i])
+                                                       for i in last["chosen"]}
 
 
 @pytest.mark.parametrize("pop_size", [60, 120])
 def test_front_zero_fills_most_generations(problem, pop_size, monkeypatch):
-    # the sweep past front 0 runs only when front 0 cannot fill the next population
-    sweeps = []
-    bisect, ranks = evolve.bisect_left, evolve._ranks
-
-    def counting_bisect(*args):
-        sweeps[-1] = True
-        return bisect(*args)
-
-    def spy(*args):
-        sweeps.append(False)
-        return ranks(*args)
-
-    monkeypatch.setattr(evolve, "bisect_left", counting_bisect)
-    monkeypatch.setattr(evolve, "_ranks", spy)
+    # the full ranking and crowding run only when front 0 cannot fill the next
+    # population
+    calls = spy_on_survivors(monkeypatch)
     for seed in range(6):
-        sweeps.clear()
+        calls.clear()
         run_ga(problem, GaConfig(pop_size=pop_size, seed=seed))
-        assert len(sweeps) == 101
-        assert sum(sweeps) <= 10
+        assert len(calls) == 101
+        assert sum(call["crowdings"] for call in calls) <= 10
 
 
 def test_ga_front_within_bounds(problem):
