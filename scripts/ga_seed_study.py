@@ -13,7 +13,6 @@ import sys
 
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
-    ConstraintSet,
     GaConfig,
     MooProblem,
     Objective,
@@ -32,7 +31,7 @@ def main(n_seeds: int = 10) -> int:
     mrr = fit_ols(records, PolyBasis.FULL_QUADRATIC_TRIPLE, "mrr").model
     problem = MooProblem(
         (Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
-        ConstraintSet(CASE_STUDY_BOUNDS),
+        CASE_STUDY_BOUNDS,
     )
     ideal = individual_optima(problem).ideal  # minimization form: MRR's entry is -MRR*
     ra_star, mrr_star = ideal[0], -ideal[1]

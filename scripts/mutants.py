@@ -28,6 +28,7 @@ SCALARIZE = "src/pareto_forge/scalarize.py"
 POLYMODEL = "src/pareto_forge/polymodel.py"
 CLI = "src/pareto_forge/cli.py"
 EVOLVE = "src/pareto_forge/evolve.py"
+NLSOLVER = "src/pareto_forge/nlsolver.py"
 RANKS_TEST = "tests/test_evolve.py::test_ranks_equal_matrix_peel_and_brute_force"
 SURVIVORS_TEST = "tests/test_evolve.py::test_survivors_equal_the_full_ranking_crowding_and_sort"
 
@@ -133,7 +134,7 @@ MUTANTS = (
            "weak_pareto_only=all(w == 0.0 for w in weights)",
            ("tests/test_scalarize.py::test_weighted_sum_zero_weight_flagged",),
            "a sweep endpoint with one zero weight is not flagged weakly Pareto optimal"),
-    Mutant("rho_grows_on_0.9", "src/pareto_forge/nlsolver.py",
+    Mutant("rho_grows_on_0.9", NLSOLVER,
            "grow = shifted > 0.25 * v_prev[live]", "grow = shifted > 0.9 * v_prev[live]",
            ("tests/test_scalarize.py::test_stalled_epsilon_rows_leave_the_multiplier_loop",),
            "the penalty grows only when the violation barely falls"),
@@ -170,19 +171,42 @@ MUTANTS = (
            "rows = np.lexsort((f2, f1))", 'rows = np.argsort(f1, kind="stable")',
            (RANKS_TEST,),
            "rows of equal f1 are taken in index order, so a dominated one can enter front 0"),
-    Mutant("bad_start_named_last", "src/pareto_forge/nlsolver.py",
+    Mutant("bad_start_named_last", NLSOLVER,
            "starts[np.argmax(outside)]", "starts[len(outside) - 1 - np.argmax(outside[::-1])]",
            ("tests/test_nlsolver.py::test_first_bad_start_among_many_is_named",),
            "the error names the last start outside the box, not the first"),
-    Mutant("start_lower_edge_strict", "src/pareto_forge/nlsolver.py",
+    Mutant("start_lower_edge_strict", NLSOLVER,
            "(lo - tol <= starts)", "(lo - tol < starts)",
            ("tests/test_nlsolver.py::test_start_at_the_tolerance_edge_is_accepted",),
            "a start on the lower tolerance edge, which Bounds.contains accepts, is rejected"),
-    Mutant("start_check_without_tolerance", "src/pareto_forge/nlsolver.py",
+    Mutant("start_check_without_tolerance", NLSOLVER,
            "tol = 1e-9 * (hi - lo)", "tol = 0.0 * (hi - lo)",
            ("tests/test_nlsolver.py::test_start_at_the_tolerance_edge_is_accepted",),
            "a start within 1e-9 of the box span outside it is rejected"),
-    Mutant("stalled_rows_kept_in_search", "src/pareto_forge/nlsolver.py",
+    Mutant("box_only_every_outer_iteration", NLSOLVER,
+           "config.max_outer if prob.constrained else 1", "config.max_outer",
+           ("tests/test_nlsolver.py::test_box_only_solve_is_one_inner_solve",),
+           "an unconverged box-only row repeats its inner solve up to max_outer times"),
+    Mutant("restoration_restarts_infeasible", NLSOLVER,
+           "restored = prob.evaluate(1, stuck, s_r)[0] <= config.feas_tol",
+           "restored = prob.evaluate(1, stuck, s_r)[0] > config.feas_tol",
+           ("tests/test_nlsolver.py::"
+            "test_row_at_a_locally_infeasible_vertex_leaves_for_restoration",),
+           "a row that restoration made feasible is not restarted, one it left infeasible is"),
+    Mutant("lagrangian_without_lam_squared", NLSOLVER,
+           "f = f + (mult * mult - lam * lam) / (2.0 * rho)",
+           "f = f + mult * mult / (2.0 * rho)",
+           ("tests/test_nlsolver.py::test_lagrangian_value_is_the_piecewise_penalty",),
+           "the Lagrangian's value is off by lam^2 / (2 rho), and by that jump where the "
+           "constraint leaves the penalty"),
+    Mutant("svg_axis_without_ulp_test", "src/pareto_forge/svgplot.py",
+           "math.isfinite(b - a) and b - a > 2.0 ** 20 * math.ulp(max(abs(a), abs(b)))",
+           "math.isfinite(b - a)",
+           ("tests/test_svgplot.py::"
+            "test_front_of_extreme_finite_values_exits_0_with_a_plottable_svg",),
+           "an axis a few units in the last place wide is ticked at a step that does not "
+           "move the tick, and the tick loop never ends"),
+    Mutant("stalled_rows_kept_in_search", NLSOLVER,
            "            if not moving.all():\n                search,",
            "            if False:\n                search,",
            ("tests/test_nlsolver.py", "tests/test_metamorphic.py::"

@@ -19,7 +19,6 @@ from .dataset import (
 )
 from .evolve import GaConfig, run_ga
 from .nlsolver import (
-    ConstraintSet,
     NonFiniteEvaluationError,
     RunCounters,
     SmoothFunction,

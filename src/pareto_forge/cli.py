@@ -30,7 +30,6 @@ from .dataset import (
 )
 from .evolve import GaConfig, run_ga
 from .nlsolver import (
-    ConstraintSet,
     NonFiniteEvaluationError,
     RunCounters,
     SolveOutcome,
@@ -263,7 +262,7 @@ def _build_problem(cfg: RunConfig, models) -> MooProblem:
     ra_model, mrr_model = models
     return MooProblem(
         objectives=(Objective(ra_model, Sense.MINIMIZE), Objective(mrr_model, Sense.MAXIMIZE)),
-        constraints=ConstraintSet(cfg.bounds),
+        bounds=cfg.bounds,
     )
 
 

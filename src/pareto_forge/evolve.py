@@ -242,14 +242,12 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
     """Evolve a population within the box and return the final rank-0 set; no point
     is a separate solve, so ``results`` is empty.
 
-    Only box constraints are supported on this path. Counters report
-    generations as iterations and model evaluations as function counts, so the
-    evaluation total is exactly pop_size * (generations + 1) * n_objectives.
+    Counters report generations as iterations and model evaluations as function
+    counts, so the evaluation total is exactly pop_size * (generations + 1) *
+    n_objectives.
     """
     config = config or GaConfig()
-    if problem.constraints.inequalities:
-        raise ValueError("the evolutionary path supports box constraints only")
-    bounds = problem.constraints.bounds
+    bounds = problem.bounds
     lb, span = np.asarray(bounds.lower), np.asarray(bounds.span)
     senses = problem.senses
     n = config.pop_size

@@ -1,11 +1,13 @@
-"""Local minimization under box bounds and smooth inequality constraints.
+"""Local minimization on a box, under at most one smooth inequality constraint.
 
-The engine beneath every scalarization routine: an augmented-Lagrangian outer
-loop (Conn, Gould & Toint, SIAM J. Numer. Anal. 28:545, 1991) handles nonlinear
-inequalities, with a projected Newton inner solve on the box (Bertsekas, SIAM J.
-Control Optim. 20:221, 1982) that uses exact Hessians. Variables are rescaled to
-the unit cube internally, so all tolerances below are quoted on the scaled
-problem. Deterministic seeded multistart mitigates local optima of nonconvex
+The engine beneath every scalarization routine. The problem is the box; the one
+inequality, when there is one, is the epsilon bound of the epsilon-constraint
+method. An augmented-Lagrangian outer loop (Conn, Gould & Toint, SIAM J. Numer.
+Anal. 28:545, 1991) handles it, with a projected Newton inner solve on the box
+(Bertsekas, SIAM J. Control Optim. 20:221, 1982) that uses exact Hessians; a
+box-only solve is one inner solve. Variables are rescaled to the unit cube
+internally, so all tolerances below are quoted on the scaled problem.
+Deterministic seeded multistart mitigates local optima of nonconvex
 scalarizations. Every start is one row of the same arrays, and a row's arithmetic
 never depends on the other rows, so a sweep solves all its points' starts in one
 call (:func:`grouped_multistart`).
@@ -62,26 +64,16 @@ class SmoothFunction:
     per row, such as a sweep point's bound, is read as ``param[rows]``.
     ``model_cost`` is how many response-model evaluations one point represents;
     it drives the run counters. The solver divides the value and its derivatives
-    by ``scale`` (one value, or one per row), the unit of a constraint's
-    feasibility (violation = positive part / scale); objectives keep the default
-    1, so their values are reported unscaled.
+    by ``scale`` (one value, or one per row): for the constraint, the unit of its
+    feasibility (violation = positive part / scale), such as max(1, |bound|) for
+    an epsilon bound; an objective keeps the default 1, so its values are
+    reported unscaled.
     """
 
     value_and_grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     model_cost: int = 1
     scale: float | np.ndarray = 1.0
     name: str = ""
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Box bounds plus smooth inequalities (satisfied when <= 0)."""
-
-    bounds: Bounds
-    inequalities: tuple[SmoothFunction, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inequalities", tuple(self.inequalities))
 
 
 @dataclass
@@ -278,18 +270,19 @@ def _inner_solve(fun, s0: np.ndarray, gtol: float, maxiter: int):
 class _ScaledProblem:
     """Unit-cube view of the raw problem for a batch of rows.
 
-    Function 0 is the objective and function i > 0 is inequality i - 1. Each
-    function caches, per row, its last point and scaled results there; a row is
-    evaluated again only at a different point, so the same point again costs
+    Function 0 is the objective and function 1, if there is one, the constraint.
+    Each function caches, per row, its last point and scaled results there; a row
+    is evaluated again only at a different point, so the same point again costs
     nothing and is not counted (an inner solve starts where the last one ended).
     Every model evaluation adds its cost to the counters of its row.
     """
 
-    def __init__(self, objective: SmoothFunction, constraints: ConstraintSet, n_rows: int):
-        self.functions = (objective,) + constraints.inequalities
-        self.n_con = len(constraints.inequalities)
-        self.lb = np.asarray(constraints.bounds.lower)
-        self.ub = np.asarray(constraints.bounds.upper)
+    def __init__(self, objective: SmoothFunction, bounds: Bounds,
+                 constraint: SmoothFunction | None, n_rows: int):
+        self.functions = (objective,) if constraint is None else (objective, constraint)
+        self.constrained = constraint is not None
+        self.lb = np.asarray(bounds.lower)
+        self.ub = np.asarray(bounds.upper)
         self.span = self.ub - self.lb
         self.span2 = self.span[:, None] * self.span
         self.f_scale = np.ones(n_rows)
@@ -337,30 +330,25 @@ class _ScaledProblem:
 
     def lagrangian(self, rows: np.ndarray, s: np.ndarray, lam: np.ndarray, rho: np.ndarray):
         """Augmented Lagrangian of the rows: the objective over its row's scale plus
-        sum_i (mult_i^2 - lam_i^2) / (2 rho), mult_i = max(0, lam_i + rho c_i)."""
+        (mult^2 - lam^2) / (2 rho), mult = max(0, lam + rho c)."""
         f, g, h = self.evaluate(0, rows, s)
         scale = self.f_scale[rows]
         f, g, h = f / scale, g / scale[:, None], h / scale[:, None, None]
-        for i in range(self.n_con):
-            c, gc, hc = self.evaluate(1 + i, rows, s)
-            mult = np.maximum(0.0, lam[:, i] + rho * c)
-            f = f + (mult * mult - lam[:, i] * lam[:, i]) / (2.0 * rho)
-            g = g + mult[:, None] * gc
-            penalty = np.where(mult > 0, rho, 0.0)[:, None, None] * gc[:, :, None] * gc[:, None, :]
-            h = h + mult[:, None, None] * hc + penalty
-        return f, g, h
+        if not self.constrained:
+            return f, g, h
+        c, gc, hc = self.evaluate(1, rows, s)
+        mult = np.maximum(0.0, lam + rho * c)
+        f = f + (mult * mult - lam * lam) / (2.0 * rho)
+        g = g + mult[:, None] * gc
+        penalty = np.where(mult > 0, rho, 0.0)[:, None, None] * gc[:, :, None] * gc[:, None, :]
+        return f, g, h + mult[:, None, None] * hc + penalty
 
     def squared_violation(self, rows: np.ndarray, s: np.ndarray):
-        """Sum of the squared positive parts of the constraints, for restoration."""
-        total, g, h = np.zeros(len(s)), np.zeros((len(s), 3)), np.zeros((len(s), 3, 3))
-        for i in range(self.n_con):
-            c, gc, hc = self.evaluate(1 + i, rows, s)
-            pos = np.maximum(0.0, c)
-            total = total + pos * pos
-            g = g + 2.0 * pos[:, None] * gc
-            outer = np.where(c > 0, 2.0, 0.0)[:, None, None] * gc[:, :, None] * gc[:, None, :]
-            h = h + outer + 2.0 * pos[:, None, None] * hc
-        return total, g, h
+        """The squared positive part of the constraint, for restoration."""
+        c, gc, hc = self.evaluate(1, rows, s)
+        pos = np.maximum(0.0, c)
+        outer = np.where(c > 0, 2.0, 0.0)[:, None, None] * gc[:, :, None] * gc[:, None, :]
+        return pos * pos, 2.0 * pos[:, None] * gc, outer + 2.0 * pos[:, None, None] * hc
 
 
 def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
@@ -368,12 +356,12 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
     """Multiplier loop of every row from ``s0``; a row leaves it when converged, or
     when stalled at a local minimum of its own infeasibility.
 
-    Returns arrays over the rows: (s, f, converged, residual, violation).
+    Returns arrays over the rows: (s, f, converged, residual, violation). A row
+    of a box-only problem is one with a constraint of 0 everywhere.
     """
-    n_con = prob.n_con
     n = len(rows)
     s = s0.copy()
-    lam = np.zeros((n, n_con))
+    lam = np.zeros(n)
     rho = np.full(n, rho0)
     v_prev = np.full(n, np.inf)
     f = np.full(n, np.nan)
@@ -382,7 +370,7 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
     converged = np.zeros(n, dtype=bool)
     live = np.arange(n)
     for outer in range(max_outer):
-        gtol = max(0.1 * config.kkt_tol, 1e-4 * 0.1 ** outer if n_con else 0.0)
+        gtol = max(0.1 * config.kkt_tol, 1e-4 * 0.1 ** outer if prob.constrained else 0.0)
         batch, lam_b, rho_b = rows[live], lam[live], rho[live]
         s_b, steps = _inner_solve(
             lambda k, sv: prob.lagrangian(batch[k], sv, lam_b[k], rho_b[k]),
@@ -390,20 +378,18 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
         prob.iterations[batch] += steps
 
         f_b, g_obj, _ = prob.evaluate(0, batch, s_b)
-        con_vals = np.empty((live.size, n_con))
         grad_lagr = g_obj / prob.f_scale[batch][:, None]
-        grad_viol = np.zeros_like(s_b)
-        for i in range(n_con):
-            c, gc, _ = prob.evaluate(1 + i, batch, s_b)
-            con_vals[:, i] = c
-            grad_lagr = grad_lagr + np.maximum(0.0, lam_b[:, i] + rho_b * c)[:, None] * gc
-            grad_viol = grad_viol + np.maximum(0.0, c)[:, None] * gc
-        viol_b = np.maximum(0.0, con_vals.max(axis=-1, initial=0.0))
+        if prob.constrained:
+            c, gc, _ = prob.evaluate(1, batch, s_b)
+            grad_lagr = grad_lagr + np.maximum(0.0, lam_b + rho_b * c)[:, None] * gc
+        else:
+            c, gc = np.zeros_like(f_b), np.zeros_like(s_b)
+        viol_b = np.maximum(0.0, c)
+        grad_viol = viol_b[:, None] * gc
         # shifted measure: feasibility plus complementarity, so an active
         # constraint approached from the feasible side still drives lambda home
-        shifted = np.max(np.abs(np.maximum(con_vals, -lam_b / rho_b[:, None])), axis=-1,
-                         initial=0.0)
-        lam[live] = np.maximum(0.0, lam_b + rho_b[:, None] * con_vals)
+        shifted = np.abs(np.maximum(c, -lam_b / rho_b))
+        lam[live] = np.maximum(0.0, lam_b + rho_b * c)
         res_b = _projected_residual(s_b, grad_lagr)
         s[live], f[live], residual[live], violation[live] = s_b, f_b, res_b, viol_b
         done = (shifted <= config.feas_tol) & (res_b <= config.kkt_tol)
@@ -424,27 +410,27 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
 
 # a model value that overflows is reported as a NonFiniteEvaluationError, not a warning
 @np.errstate(over="ignore")
-def _solve_rows(objective: SmoothFunction, constraints: ConstraintSet, starts,
-                config: SolverConfig):
+def _solve_rows(objective: SmoothFunction, bounds: Bounds, starts, config: SolverConfig,
+                constraint: SmoothFunction | None):
     """The solve of :func:`minimize_starts` as arrays over the starts: (x, objective,
     converged, residual, violation, iterations, function evaluations)."""
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
     # the test of Bounds.contains(start, tol=1e-9), over every start at once
-    lo, hi = np.asarray(constraints.bounds.lower), np.asarray(constraints.bounds.upper)
+    lo, hi = np.asarray(bounds.lower), np.asarray(bounds.upper)
     tol = 1e-9 * (hi - lo)
     outside = ~np.all((lo - tol <= starts) & (starts <= hi + tol), axis=1)
     if outside.any():
         raise ValueError(f"start {starts[np.argmax(outside)].tolist()} outside bounds")
     n = len(starts)
     every = np.arange(n)
-    prob = _ScaledProblem(objective, constraints, n)
+    prob = _ScaledProblem(objective, bounds, constraint, n)
     s = prob.to_unit(starts)
     f_start, _, _ = prob.evaluate(0, every, s)
     prob.f_scale = np.maximum(1.0, np.abs(f_start))
-    n_con = prob.n_con
 
-    # with no inequalities there is no multiplier to update: one inner solve
-    first = _auglag(prob, every, s, _RHO_INIT, config.max_outer if n_con else 1, config)
+    # without the constraint there is no multiplier to update: one inner solve
+    first = _auglag(prob, every, s, _RHO_INIT, config.max_outer if prob.constrained else 1,
+                   config)
     s_f, f_f, conv, res, viol = first
     # The multiplier loop can stall in a locally-infeasible basin when the
     # feasible set is tiny (an epsilon bound at the exact optimum, say): such rows
@@ -456,10 +442,7 @@ def _solve_rows(objective: SmoothFunction, constraints: ConstraintSet, starts,
         s_r, steps = _inner_solve(lambda k, sv: prob.squared_violation(stuck[k], sv), s[stuck],
                                   1e-12, config.max_inner)
         prob.iterations[stuck] += steps
-        v_r = np.zeros(stuck.size)
-        for i in range(n_con):
-            v_r = np.maximum(v_r, prob.evaluate(1 + i, stuck, s_r)[0])
-        restored = v_r <= config.feas_tol
+        restored = prob.evaluate(1, stuck, s_r)[0] <= config.feas_tol
         if restored.any():
             rows = stuck[restored]
             again = _auglag(prob, rows, s_r[restored], _RHO_RESTORED, config.max_outer, config)
@@ -474,21 +457,24 @@ def _solve_rows(objective: SmoothFunction, constraints: ConstraintSet, starts,
 
 def minimize_starts(
     objective: SmoothFunction,
-    constraints: ConstraintSet,
+    bounds: Bounds,
     starts: Sequence[Sequence[float]] | np.ndarray,
     config: SolverConfig | None = None,
+    constraint: SmoothFunction | None = None,
 ) -> list[SolveOutcome]:
-    """Minimize from every start point at once; one outcome per start, in order.
-    See the module docstring for the algorithm.
+    """Minimize from every start point at once, on ``bounds`` and, if given, under
+    ``constraint`` <= 0; one outcome per start, in order. See the module
+    docstring for the algorithm.
 
     Each returned point satisfies the box exactly. With ``converged`` True, the
     projected-gradient residual of the Lagrangian is at most ``kkt_tol`` and the
-    scaled inequality violation at most ``feas_tol``. Each start is one row of the
+    scaled constraint violation at most ``feas_tol``. Each start is one row of the
     same arrays, so outcome k, counters included, does not depend on the other
     starts. The functions' ``rows`` index ``starts``, and so does a per-row
     ``scale``.
     """
-    return _outcomes(*_solve_rows(objective, constraints, starts, config or SolverConfig()))
+    return _outcomes(*_solve_rows(objective, bounds, starts, config or SolverConfig(),
+                                  constraint))
 
 
 def _outcomes(x, f, conv, res, viol, iterations, evals) -> list[SolveOutcome]:
@@ -500,9 +486,10 @@ def _outcomes(x, f, conv, res, viol, iterations, evals) -> list[SolveOutcome]:
 
 def grouped_multistart(
     objective: SmoothFunction,
-    constraints: ConstraintSet,
+    bounds: Bounds,
     n_groups: int,
     config: SolverConfig | None = None,
+    constraint: SmoothFunction | None = None,
 ) -> list[SolveOutcome]:
     """Best feasible outcome of each of ``n_groups`` seeded multistarts, one batch.
 
@@ -512,9 +499,9 @@ def grouped_multistart(
     """
     config = config or SolverConfig()
     n = config.n_starts
-    starts = np.tile(stratified_starts(constraints.bounds, n, config.seed), (n_groups, 1))
-    x, f, conv, res, viol, iterations, evals = _solve_rows(objective, constraints, starts,
-                                                           config)
+    starts = np.tile(stratified_starts(bounds, n, config.seed), (n_groups, 1))
+    x, f, conv, res, viol, iterations, evals = _solve_rows(objective, bounds, starts, config,
+                                                           constraint)
     best = _best_rows(f, conv, viol, n, config.feas_tol)
     return _outcomes(x[best], f[best], conv[best] & (viol[best] <= config.feas_tol), res[best],
                      viol[best], iterations.reshape(-1, n).sum(axis=1),

@@ -1,4 +1,4 @@
-"""Classical multi-objective routines over the constrained response models.
+"""Classical multi-objective routines over the response models on a box.
 
 Four scalarizations are provided: the relative-deviation criterion (a p-norm of
 deviations from the ideal point), the lexicographic sequence, the weighted sum
@@ -18,13 +18,13 @@ natural, un-negated units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .dataset import Bounds
 from .nlsolver import (
-    ConstraintSet,
     RunCounters,
     SmoothFunction,
     SolveOutcome,
@@ -81,7 +81,7 @@ class Objective:
 @dataclass(frozen=True)
 class MooProblem:
     objectives: tuple[Objective, ...]
-    constraints: ConstraintSet
+    bounds: Bounds
     #: every objective's model in minimization form, evaluated together
     stack: ModelStack = field(init=False, repr=False, compare=False)
 
@@ -117,10 +117,6 @@ class MooProblem:
 
         return SmoothFunction(vg, model_cost=1, scale=np.maximum(1.0, np.abs(bound)),
                               name=name or self.names[index])
-
-    def constrained_by(self, extra: Sequence[SmoothFunction]) -> ConstraintSet:
-        """The problem's constraints plus the inequalities ``extra``."""
-        return replace(self.constraints, inequalities=self.constraints.inequalities + tuple(extra))
 
     def natural_values(self, x) -> np.ndarray:
         """Every objective's value (..., m) at ``x``, a point or a batch, in natural
@@ -182,7 +178,7 @@ def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -
                 s[..., None, None] * hess[..., 0, :, :])
 
     outcomes = grouped_multistart(SmoothFunction(vg, model_cost=1, name="individual optima"),
-                                  problem.constraints, 2 * len(problem.objectives), config)
+                                  problem.bounds, 2 * len(problem.objectives), config)
     counters = RunCounters()
     for g, outcome in enumerate(outcomes):
         counters.add(outcome.counters)
@@ -366,7 +362,7 @@ def global_criterion_sweep(
     # floats: an integer p past int64 would make an object array
     fn = _criterion_fn(problem, utopia, np.repeat(np.asarray(p_values, dtype=float),
                                                   config.n_starts))
-    outcomes = grouped_multistart(fn, problem.constraints, len(p_values), config)
+    outcomes = grouped_multistart(fn, problem.bounds, len(p_values), config)
     results = [GlobalCriterionResult(tag=f"p={p}", x=o.x, responses=problem.responses_at(o.x),
                                      outcome=o, p=p, criterion=o.objective)
                for p, o in zip(p_values, outcomes)]
@@ -393,7 +389,7 @@ def _weighted_sums(problem: MooProblem, points: list[tuple[float, ...]],
             _weighted(scaled, hess)
 
     fn = SmoothFunction(vg, model_cost=stack.size, name="weighted sum")
-    outcomes = grouped_multistart(fn, problem.constraints, len(points), config)
+    outcomes = grouped_multistart(fn, problem.bounds, len(points), config)
     results = [WeightedSumResult(tag=f"w={weights[0]:g}", x=o.x,
                                  responses=problem.responses_at(o.x), outcome=o, weights=weights,
                                  weak_pareto_only=any(w == 0.0 for w in weights))
@@ -450,10 +446,10 @@ def _epsilon_points(problem: MooProblem, primary_idx: int, points: Sequence[Sequ
             raise ValueError(f"{len(epsilons)} bounds for 1 non-primary objective")
         if not math.isfinite(float(epsilons[0])):
             raise ValueError(f"epsilon bound must be finite, got {epsilons[0]!r}")
-    bounds = np.repeat(np.array(points, dtype=float).reshape(len(points)), config.n_starts)
-    extra = problem.function(other, bound=bounds, name=f"{bounded.name}<= eps")
-    outcomes = grouped_multistart(problem.function(primary_idx),
-                                  problem.constrained_by([extra]), len(points), config)
+    eps_rows = np.repeat(np.array(points, dtype=float).reshape(len(points)), config.n_starts)
+    held = problem.function(other, bound=eps_rows, name=f"{bounded.name}<= eps")
+    outcomes = grouped_multistart(problem.function(primary_idx), problem.bounds, len(points),
+                                  config, constraint=held)
     results = []
     for (eps,), outcome in zip(points, outcomes):
         responses = problem.responses_at(outcome.x)
@@ -552,7 +548,7 @@ def lexicographic(
         stages.append(LexStage(tag=obj.name, x=outcome.x, responses=problem.responses_at(outcome.x),
                                outcome=outcome, objective=obj.name,
                                optimum=obj.sign * outcome.objective))
-    step = np.subtract(outcomes[-1].x, outcomes[0].x) / problem.constraints.bounds.span
+    step = np.subtract(outcomes[-1].x, outcomes[0].x) / problem.bounds.span
     terminated = len(outcomes) == 2 and float(np.max(np.abs(step))) <= LEX_EQUALITY_TOL
     final = stages[-1]
     order = tuple(problem.names[i] for i in indices)

@@ -3,7 +3,6 @@ import pytest
 
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
-    ConstraintSet,
     MooProblem,
     Objective,
     PolyBasis,
@@ -32,7 +31,7 @@ def problem(refit_models):
     ra, mrr = refit_models
     return MooProblem(
         (Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
-        ConstraintSet(CASE_STUDY_BOUNDS),
+        CASE_STUDY_BOUNDS,
     )
 
 

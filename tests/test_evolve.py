@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
-    ConstraintSet,
     Front,
     GaConfig,
     MooProblem,
     Objective,
     ParetoPoint,
     Sense,
-    SmoothFunction,
     dominated_mask,
     evaluate,
     filter_nondominated,
@@ -612,7 +610,7 @@ def textbook_nsga2(problem, config):
 def problem_with(refit_models, senses):
     """The case study's Ra and MRR models under ``senses``."""
     objectives = (Objective(m, s) for m, s in zip(refit_models, senses))
-    return MooProblem(tuple(objectives), ConstraintSet(CASE_STUDY_BOUNDS))
+    return MooProblem(tuple(objectives), CASE_STUDY_BOUNDS)
 
 
 # the command line minimizes Ra and maximizes MRR; minimizing both, or maximizing
@@ -714,17 +712,6 @@ def test_ga_front_mutually_nondominated(problem):
     res = run_ga(problem, GaConfig(pop_size=20, generations=20, seed=4))
     resp = [p.responses for p in res.front.points]
     assert all(r == 0 for r in brute_force_ranks(resp, MIN_MAX))
-
-
-def test_ga_rejects_nonbox_constraints(refit_models):
-    ra, mrr = refit_models
-    wall = SmoothFunction(lambda rows, x: (x[0] - 200.0, np.array([1.0, 0.0, 0.0])))
-    problem = MooProblem(
-        (Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
-        ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,)),
-    )
-    with pytest.raises(ValueError, match="box constraints only"):
-        run_ga(problem, GaConfig(pop_size=4, generations=1))
 
 
 def test_ga_seed_tag(problem):

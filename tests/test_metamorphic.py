@@ -11,7 +11,6 @@ import pytest
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
     DEFAULT_P_VALUES,
-    ConstraintSet,
     ExperimentRecord,
     Front,
     GaConfig,
@@ -50,9 +49,9 @@ QUAD = PolyBasis.FULL_QUADRATIC_TRIPLE
 MRR_SCALE = 7.0
 
 
-def _multistart(objective, constraints, config):
+def _multistart(objective, bounds, config, constraint=None):
     """One seeded multistart alone: the one-group case of the batched solve."""
-    return grouped_multistart(objective, constraints, 1, config)[0]
+    return grouped_multistart(objective, bounds, 1, config, constraint)[0]
 
 
 def _own_model(objective, sign=1.0, bound=0.0):
@@ -98,7 +97,7 @@ def dataset(request):
 def _problem(models):
     ra, mrr = models
     return MooProblem((Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
-                      ConstraintSet(CASE_STUDY_BOUNDS))
+                      CASE_STUDY_BOUNDS)
 
 
 def test_permuting_records_leaves_the_fit_unchanged(dataset):
@@ -163,7 +162,7 @@ def problem(dataset):
 def test_individual_optima_equal_one_multistart_each(problem, seed):
     config = SolverConfig(seed=seed)
     utopia = individual_optima(problem, config)
-    best, worst = ([_multistart(_own_model(o, sign), problem.constraints, config)
+    best, worst = ([_multistart(_own_model(o, sign), problem.bounds, config)
                     for o in problem.objectives] for sign in (1.0, -1.0))
     assert utopia.ideal.tolist() == [o.objective for o in best]
     assert utopia.nadir.tolist() == [-o.objective for o in worst]
@@ -180,7 +179,7 @@ def test_lexicographic_is_an_individual_optimum_then_an_epsilon_point(problem, s
     # second objective with the first bounded by its optimum plus the slack
     config = SolverConfig(seed=seed)
     first, second = (problem.index_of(o) for o in order)
-    optimum = _multistart(_own_model(problem.objectives[first]), problem.constraints, config)
+    optimum = _multistart(_own_model(problem.objectives[first]), problem.bounds, config)
     bound = optimum.objective + LEX_SLACK_REL * abs(optimum.objective)
     (held,) = scalarize._epsilon_points(problem, second, [(bound,)], config)
     lex = lexicographic(problem, order, config)
@@ -224,7 +223,7 @@ def _one_point_weighted_sum(problem, utopia, weights):
 
 def _criterion_points(problem, utopia, config):
     for p in DEFAULT_P_VALUES:
-        o = _multistart(_one_point_criterion(problem, utopia, p), problem.constraints, config)
+        o = _multistart(_one_point_criterion(problem, utopia, p), problem.bounds, config)
         yield GlobalCriterionResult(tag=f"p={p}", x=o.x, responses=problem.responses_at(o.x),
                                     outcome=o, p=p, criterion=o.objective)
 
@@ -232,7 +231,7 @@ def _criterion_points(problem, utopia, config):
 def _weighted_sum_points(problem, utopia, config):
     for k in range(11):
         weights = (k / 10, 1.0 - k / 10)
-        o = _multistart(_one_point_weighted_sum(problem, utopia, weights), problem.constraints,
+        o = _multistart(_one_point_weighted_sum(problem, utopia, weights), problem.bounds,
                         config)
         yield WeightedSumResult(tag=f"w={weights[0]:g}", x=o.x,
                                 responses=problem.responses_at(o.x), outcome=o, weights=weights,
@@ -242,8 +241,7 @@ def _weighted_sum_points(problem, utopia, config):
 def _epsilon_points(problem, utopia, config):
     ra, mrr = problem.objectives
     for eps in np.linspace(utopia.ideal[0], utopia.nadir[0], 11).tolist():
-        held = problem.constrained_by([_own_model(ra, bound=eps)])
-        o = _multistart(_own_model(mrr), held, config)
+        o = _multistart(_own_model(mrr), problem.bounds, config, _own_model(ra, bound=eps))
         responses = problem.responses_at(o.x)
         active = ((responses[0] - eps) / max(1.0, abs(eps)) >= -ACTIVE_TOL,)
         yield EpsilonResult(tag=f"eps={eps:.6g}", x=o.x, responses=responses, outcome=o,
@@ -279,7 +277,7 @@ def _mirrored(result):
 
 @pytest.fixture(scope="module")
 def swapped(problem):
-    return MooProblem(problem.objectives[::-1], problem.constraints)
+    return MooProblem(problem.objectives[::-1], problem.bounds)
 
 
 @pytest.fixture(scope="module", params=[0, 3])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pareto_forge import nlsolver
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
-    ConstraintSet,
     ModelStack,
     NonFiniteEvaluationError,
     SmoothFunction,
@@ -19,17 +18,17 @@ from pareto_forge import (
     value_jacobian_hessian,
 )
 
-BOX = ConstraintSet(CASE_STUDY_BOUNDS)
+BOX = CASE_STUDY_BOUNDS
 LB = np.array(CASE_STUDY_BOUNDS.lower)
 SPAN = np.array(CASE_STUDY_BOUNDS.span)
 
 
-def one_start(objective, constraints, start, config=None):
-    return minimize_starts(objective, constraints, [start], config)[0]
+def one_start(objective, bounds, start, config=None, constraint=None):
+    return minimize_starts(objective, bounds, [start], config, constraint)[0]
 
 
-def one_multistart(objective, constraints, config=None):
-    return grouped_multistart(objective, constraints, 1, config)[0]
+def one_multistart(objective, bounds, config=None, constraint=None):
+    return grouped_multistart(objective, bounds, 1, config, constraint)[0]
 
 
 def quadratic_objective(center):
@@ -147,10 +146,9 @@ def test_nonfinite_objective_reports_point():
     with pytest.raises(NonFiniteEvaluationError, match="broken") as err:
         one_start(bad, BOX, CASE_STUDY_BOUNDS.center)
     assert np.allclose(err.value.point, CASE_STUDY_BOUNDS.center)
-    # the objective is checked before the constraints
-    also_bad = ConstraintSet(CASE_STUDY_BOUNDS, (replace(bad, name="also broken"),))
+    # the objective is checked before the constraint
     with pytest.raises(NonFiniteEvaluationError, match="'broken'"):
-        one_start(bad, also_bad, CASE_STUDY_BOUNDS.center)
+        one_start(bad, BOX, CASE_STUDY_BOUNDS.center, constraint=replace(bad, name="also broken"))
 
 
 @pytest.mark.parametrize("where", ["value", "hessian"])
@@ -174,7 +172,7 @@ def test_nonfinite_constraint_at_a_trial_point_names_its_row(where):
     wall = SmoothFunction(vg, scale=150.0, name="vc >= 150")
     starts = stratified_starts(CASE_STUDY_BOUNDS, 3, 2)
     with pytest.raises(NonFiniteEvaluationError, match="'vc >= 150'") as err:
-        minimize_starts(quadratic_objective(LB), ConstraintSet(CASE_STUDY_BOUNDS, (wall,)), starts)
+        minimize_starts(quadratic_objective(LB), BOX, starts, constraint=wall)
     assert np.array_equal(err.value.point, points["bad"])
 
 
@@ -259,10 +257,9 @@ def test_multistart_ties_go_to_the_lowest_start_index(violation):
     # and, here, the same violation: the first start (the box center) must win
     flat = SmoothFunction(lambda rows, x: (1.0, np.zeros(3), np.zeros((3, 3))), name="flat")
     wall = SmoothFunction(lambda rows, x: (violation, np.zeros(3), np.zeros((3, 3))), name="constant")
-    constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,))
     cfg = SolverConfig(n_starts=5, seed=4)
-    best = one_multistart(flat, constraints, cfg)
-    assert best.x == one_start(flat, constraints, CASE_STUDY_BOUNDS.center, cfg).x
+    best = one_multistart(flat, BOX, cfg, wall)
+    assert best.x == one_start(flat, BOX, CASE_STUDY_BOUNDS.center, cfg, wall).x
 
 
 def test_multistart_tie_goes_to_a_converged_start():
@@ -297,8 +294,7 @@ def test_inequality_constrained_solve_is_feasible_and_active():
         lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))), scale=150.0,
         name="vc >= 150"
     )
-    constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(wall,))
-    out = one_multistart(objective, constraints, SolverConfig(seed=2))
+    out = one_multistart(objective, BOX, SolverConfig(seed=2), wall)
     assert out.converged
     assert out.constraint_violation <= 1e-6
     assert out.kkt_residual <= 1e-8
@@ -306,19 +302,27 @@ def test_inequality_constrained_solve_is_feasible_and_active():
     assert out.x[1] == pytest.approx(LB[1]) and out.x[2] == pytest.approx(LB[2])
 
 
-def test_two_inequalities_both_active():
-    # pulled to the lower corner, held at vc >= 150 and t >= 0.4
-    walls = (
-        SmoothFunction(lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))),
-                       scale=150.0, name="vc >= 150"),
-        SmoothFunction(lambda rows, x: (0.4 - x[..., 2], np.array([0.0, 0.0, -1.0]), np.zeros((3, 3))),
-                       name="t >= 0.4"),
-    )
-    constraints = ConstraintSet(CASE_STUDY_BOUNDS, inequalities=walls)
-    out = one_multistart(quadratic_objective(LB), constraints, SolverConfig(seed=5))
-    assert out.converged
-    assert out.constraint_violation <= 1e-6
-    assert np.allclose(out.x, [150.0, LB[1], 0.4], atol=1e-6)
+def test_lagrangian_value_is_the_piecewise_penalty():
+    # the augmented Lagrangian of f subject to c <= 0 is f + psi(c), where psi is
+    # lam c + rho c^2 / 2 while lam + rho c >= 0 and -lam^2 / (2 rho) beyond it
+    # (Rockafellar's form): continuous where the constraint leaves the penalty
+    wall = SmoothFunction(
+        lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))),
+        scale=150.0, name="vc >= 150")
+    prob = nlsolver._ScaledProblem(quadratic_objective(LB), BOX, wall, 4)
+    rows = np.arange(4)
+    # vc at 101.6, 148.8, 196 and 290.4: two rows in the penalty and two beyond it
+    s = np.array([[0.1, 0.5, 0.5], [0.3, 0.2, 0.7], [0.5, 0.5, 0.5], [0.9, 0.1, 0.4]])
+    lam, rho = np.array([2.0, 0.5, 3.0, 1.0]), np.array([10.0, 100.0, 10.0, 1000.0])
+    value, grad, _ = prob.lagrangian(rows, s, lam, rho)
+    f, g, _ = prob.evaluate(0, rows, s)
+    c, gc, _ = prob.evaluate(1, rows, s)
+    inside = lam + rho * c >= 0
+    assert inside.tolist() == [True, True, False, False]
+    psi = np.where(inside, lam * c + rho * c * c / 2.0, -lam * lam / (2.0 * rho))
+    assert np.allclose(value, f + psi, rtol=1e-12, atol=0.0)
+    assert np.allclose(grad, g + np.where(inside, lam + rho * c, 0.0)[:, None] * gc,
+                       rtol=1e-12, atol=0.0)
 
 
 def test_box_only_solve_is_one_inner_solve(monkeypatch):
@@ -343,7 +347,7 @@ def test_box_only_solve_is_one_inner_solve(monkeypatch):
 # towards (1, 1); u + v pulls the multiplier loop from inside onto that vertex,
 # while the violation alone descends from there to the feasible side.
 def trap_constraint(offsets):
-    """The trap as a constraint set, with the offset of row r at ``offsets[r]``."""
+    """The trap as a constraint, with the offset of row r at ``offsets[r]``."""
     def trap(rows, x):
         u, v = (x[..., 0] - LB[0]) / SPAN[0], (x[..., 1] - LB[1]) / SPAN[1]
         grad, hess = np.zeros(x.shape), np.zeros(x.shape + (3,))
@@ -351,7 +355,7 @@ def trap_constraint(offsets):
         hess[..., 0, 1] = hess[..., 1, 0] = -3.0 / (SPAN[0] * SPAN[1])
         return offsets[rows] + u + v - 3.0 * u * v, grad, hess
 
-    return ConstraintSet(CASE_STUDY_BOUNDS, (SmoothFunction(trap, name="trap"),))
+    return SmoothFunction(trap, name="trap")
 
 
 def toward_vertex():
@@ -371,7 +375,7 @@ def test_row_at_a_locally_infeasible_vertex_leaves_for_restoration(monkeypatch):
 
     monkeypatch.setattr(nlsolver, "_inner_solve", spy)
     start = LB + np.array([0.4, 0.4, 0.5]) * SPAN
-    out = one_start(toward_vertex(), trap_constraint(np.array([0.1])), start)
+    out = one_start(toward_vertex(), BOX, start, constraint=trap_constraint(np.array([0.1])))
     # restoration (gtol 1e-12) follows at most two outer iterations of the first loop
     assert gtols.index(1e-12) <= 2
     assert out.converged and out.constraint_violation <= 1e-6
@@ -385,11 +389,11 @@ def test_restoration_evaluates_its_own_rows():
     # batch's first, go to restoration: each group must solve as it does alone
     cfg = SolverConfig()
     offsets = (-10.0, 0.1)
-    both = grouped_multistart(toward_vertex(), trap_constraint(np.repeat(offsets, cfg.n_starts)),
-                              2, cfg)
+    both = grouped_multistart(toward_vertex(), BOX, 2, cfg,
+                              trap_constraint(np.repeat(offsets, cfg.n_starts)))
     for offset, outcome in zip(offsets, both):
-        alone = one_multistart(toward_vertex(), trap_constraint(np.full(cfg.n_starts, offset)),
-                               cfg)
+        alone = one_multistart(toward_vertex(), BOX, cfg,
+                               trap_constraint(np.full(cfg.n_starts, offset)))
         assert outcome == alone
     assert both[1].converged and both[1].constraint_violation <= cfg.feas_tol
 

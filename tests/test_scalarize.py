@@ -9,7 +9,6 @@ from pareto_forge import (
     CASE_STUDY_BOUNDS,
     DEFAULT_P_VALUES,
     Bounds,
-    ConstraintSet,
     InfeasibleEpsilonError,
     MooProblem,
     Objective,
@@ -54,7 +53,7 @@ def neg_problem(refit_models):
     ra, mrr = refit_models
     return MooProblem(
         (Objective(ra, Sense.MINIMIZE), Objective(negated(mrr), Sense.MINIMIZE)),
-        ConstraintSet(CASE_STUDY_BOUNDS),
+        CASE_STUDY_BOUNDS,
     )
 
 
@@ -108,7 +107,7 @@ def test_problem_needs_two_objectives(refit_models):
     for models in ((ra,), (ra, mrr, ra)):
         objectives = tuple(Objective(m, Sense.MINIMIZE) for m in models)
         with pytest.raises(ValueError, match=f"exactly two objectives, got {len(models)}"):
-            MooProblem(objectives, ConstraintSet(CASE_STUDY_BOUNDS))
+            MooProblem(objectives, CASE_STUDY_BOUNDS)
 
 
 def test_index_of(problem):
@@ -138,7 +137,7 @@ def test_every_callback_reads_its_column_of_a_mixed_basis_stack(monkeypatch):
     # stack sums both over the union of the two, and every callback reads its rows
     problem = MooProblem((Objective(published_model("ra_eq21"), Sense.MINIMIZE),
                           Objective(published_model("mrr_eq24"), Sense.MAXIMIZE)),
-                         ConstraintSet(CASE_STUDY_BOUNDS))
+                         CASE_STUDY_BOUNDS)
     x = _interior_points(30, 5)
     whole = value_jacobian_hessian(problem.stack, x)
     rows = np.arange(len(x))
@@ -170,7 +169,7 @@ def test_individual_optima_match_case_study(utopia):
 def test_swapped_objectives_reverse_the_pair(refit_models, utopia, solver_config):
     ra, mrr = refit_models
     swapped = MooProblem((Objective(mrr, Sense.MAXIMIZE), Objective(ra, Sense.MINIMIZE)),
-                         ConstraintSet(CASE_STUDY_BOUNDS))
+                         CASE_STUDY_BOUNDS)
     rev = individual_optima(swapped, solver_config)
     assert np.array_equal(rev.ideal, utopia.ideal[::-1])
     assert np.array_equal(rev.nadir, utopia.nadir[::-1])
@@ -374,7 +373,7 @@ def test_lexicographic_reverse_order_stage_monotonicity(problem):
 def test_lexicographic_single_objective_equals_plain_minimize(problem):
     res = lexicographic(problem, ("ra",), FAST)
     assert len(res.results) == 1
-    direct = grouped_multistart(problem.function(0), problem.constraints, 1, FAST)[0]
+    direct = grouped_multistart(problem.function(0), problem.bounds, 1, FAST)[0]
     assert res.results[-1].x == direct.x
 
 
@@ -385,21 +384,14 @@ def test_lexicographic_order_validation(problem):
         lexicographic(problem, (), FAST)
 
 
-def test_lexicographic_stage_infeasible(refit_models, problem):
-    ra, mrr = refit_models
-    impossible = SmoothFunction(lambda rows, x: (1.0, np.zeros(3), np.zeros((3, 3))),
-                                name="always violated")
-    blocked = MooProblem(
-        (Objective(ra, Sense.MINIMIZE), Objective(mrr, Sense.MAXIMIZE)),
-        ConstraintSet(CASE_STUDY_BOUNDS, inequalities=(impossible,)),
-    )
-    # stage 1 is an individual optimum: the always-violated constraint fails there
-    # first, on Ra's optimum, the first group solved
+def test_lexicographic_stage_infeasible(problem):
+    # stage 1 is an individual optimum: one Newton step leaves it unconverged, and
+    # it fails first on Ra's optimum, the first group solved
     with pytest.raises(UtopiaSolveError, match="'Ra'"):
-        lexicographic(blocked, ("mrr", "ra"), FAST)
+        lexicographic(problem, ("mrr", "ra"), SolverConfig(max_inner=1))
     # an Ra optimum held from a wider box lies below every Ra of this box; a record
     # of the wider box is rejected whole, so the optimum is put in one of this box
-    wide = individual_optima(MooProblem(problem.objectives, ConstraintSet(WIDE_BOX)), FAST)
+    wide = individual_optima(MooProblem(problem.objectives, WIDE_BOX), FAST)
     own = individual_optima(problem, FAST)
     held = replace(own, outcomes=(wide.outcomes[0],) + own.outcomes[1:])
     with pytest.raises(StageInfeasibleError, match="'MRR' infeasible with 'Ra' held"):
@@ -415,8 +407,8 @@ def foreign_utopias(problem):
     """The individual optima of the problem over a wider box, and with its objectives
     swapped."""
     return [individual_optima(other, FAST) for other in (
-        MooProblem(problem.objectives, ConstraintSet(WIDE_BOX)),
-        MooProblem(problem.objectives[::-1], problem.constraints))]
+        MooProblem(problem.objectives, WIDE_BOX),
+        MooProblem(problem.objectives[::-1], problem.bounds))]
 
 
 @pytest.mark.parametrize("routine", [
@@ -639,7 +631,7 @@ def _solver_objective(monkeypatch, run):
     """The objective callback that ``run`` hands to the multistart solver."""
     seen = []
 
-    def capture(objective, constraints, n_groups, config=None):
+    def capture(objective, bounds, n_groups, config=None, constraint=None):
         seen.append(objective)
         raise _Captured
 
@@ -701,9 +693,8 @@ def _batched_cases(problem, utopia, monkeypatch, cfg):
     p20 = _solver_objective(monkeypatch,
                             lambda: global_criterion_sweep(problem, (20,), cfg, utopia))
     # maximise MRR with Ra held at 0.7107: the bound is active at the optimum
-    held = problem.constrained_by([problem.function(0, bound=0.7107, name="Ra<= 0.7107")])
-    return {"weighted sum": (ws, problem.constraints), "p=20": (p20, problem.constraints),
-            "epsilon": (problem.function(1), held)}
+    held = problem.function(0, bound=0.7107, name="Ra<= 0.7107")
+    return {"weighted sum": (ws, None), "p=20": (p20, None), "epsilon": (problem.function(1), held)}
 
 
 @pytest.mark.parametrize("where", [0.0, 0.1, 0.5])
@@ -722,30 +713,31 @@ def test_epsilon_starts_solve_as_they_do_alone(problem, utopia, monkeypatch, whe
 
     monkeypatch.setattr(nlsolver, "_inner_solve", spy)
     eps = utopia.ideal[0] + where * (utopia.nadir[0] - utopia.ideal[0])
-    held = problem.constrained_by([problem.function(0, bound=eps, name="Ra<= eps")])
+    held = problem.function(0, bound=eps, name="Ra<= eps")
     cfg = SolverConfig(n_starts=6, seed=3)
     starts = stratified_starts(CASE_STUDY_BOUNDS, cfg.n_starts, cfg.seed)
     mrr = problem.function(1)
-    batched = minimize_starts(mrr, held, starts, cfg)
+    batched = minimize_starts(mrr, problem.bounds, starts, cfg, held)
     assert (1e-12 in gtols) == (where == 0.0)
-    assert batched == [minimize_starts(mrr, held, [start], cfg)[0] for start in starts]
-    assert minimize_starts(mrr, held, starts[::-1], cfg) == batched[::-1]
+    assert batched == [minimize_starts(mrr, problem.bounds, [start], cfg, held)[0]
+                       for start in starts]
+    assert minimize_starts(mrr, problem.bounds, starts[::-1], cfg, held) == batched[::-1]
 
 
 @pytest.mark.parametrize("case", ["weighted sum", "p=20", "epsilon"])
 def test_batched_starts_equal_single_start_solves(problem, utopia, monkeypatch, case):
     cfg = SolverConfig(seed=5)
-    fn, constraints = _batched_cases(problem, utopia, monkeypatch, cfg)[case]
+    fn, constraint = _batched_cases(problem, utopia, monkeypatch, cfg)[case]
     starts = stratified_starts(CASE_STUDY_BOUNDS, cfg.n_starts, cfg.seed)
-    batched = minimize_starts(fn, constraints, starts, cfg)
+    batched = minimize_starts(fn, problem.bounds, starts, cfg, constraint)
     assert len(batched) == len(starts)
     for start, outcome in zip(starts, batched):
-        single = minimize_starts(fn, constraints, [start], cfg)[0]
+        single = minimize_starts(fn, problem.bounds, [start], cfg, constraint)[0]
         assert (outcome.x, outcome.objective, outcome.converged, outcome.kkt_residual,
                 outcome.constraint_violation, outcome.counters) == (
             single.x, single.objective, single.converged, single.kkt_residual,
             single.constraint_violation, single.counters)
-    best = grouped_multistart(fn, constraints, 1, cfg)[0]
+    best = grouped_multistart(fn, problem.bounds, 1, cfg, constraint)[0]
     assert best.counters.function_evals == sum(o.counters.function_evals for o in batched)
     if case == "epsilon":
         assert best.constraint_violation <= cfg.feas_tol
