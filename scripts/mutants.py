@@ -6,10 +6,11 @@ file, by another. For each mutant the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` into a temporary directory, applies the edit there, and runs
 only the mutant's named tests with pytest: a failing test kills it. A mutant
 marked equivalent changes no output, for the reason it gives, so it is expected
-to survive. Prints one line per mutant and exits 1 if a mutant not marked
-equivalent survives, or if a run cannot test its mutant (a named test is
-missing, say). The method is DeMillo, Lipton & Sayward, *IEEE Computer* 11(4):34,
-1978.
+to survive. A run whose tests take longer than ``TIMEOUT_S`` is stopped and
+reported as timed out, since a mutant can make a loop endless. Prints one line
+per mutant and exits 1 if a mutant not marked equivalent survives or times out,
+or if a run cannot test its mutant (a named test is missing, say). The method
+is DeMillo, Lipton & Sayward, *IEEE Computer* 11(4):34, 1978.
 
 Usage: python scripts/mutants.py
 """
@@ -31,6 +32,9 @@ EVOLVE = "src/pareto_forge/evolve.py"
 NLSOLVER = "src/pareto_forge/nlsolver.py"
 RANKS_TEST = "tests/test_evolve.py::test_ranks_equal_matrix_peel_and_brute_force"
 SURVIVORS_TEST = "tests/test_evolve.py::test_survivors_equal_the_full_ranking_crowding_and_sort"
+TEXTBOOK_TEST = "tests/test_evolve.py::test_ga_equals_textbook_nsga2"
+BLOCKS_TEST = "tests/test_evolve.py::test_ga_equals_textbook_nsga2_across_block_boundaries"
+PER_GENE_TEST = "tests/test_evolve.py::test_array_sbx_and_mutation_match_per_gene_reference"
 
 
 class Mutant(NamedTuple):
@@ -148,7 +152,7 @@ MUTANTS = (
            "the first sorted row and its copies, under the NaN head, leave front 0"),
     Mutant("survivors_shortcut_any_senses", EVOLVE,
            "tuple(senses) != (Sense.MINIMIZE, Sense.MAXIMIZE) or ", "",
-           (SURVIVORS_TEST, "tests/test_evolve.py::test_ga_equals_textbook_nsga2"),
+           (SURVIVORS_TEST, TEXTBOOK_TEST),
            "front 0 in f1 order is taken as the crowding order of a minimized second "
            "or a maximized first objective"),
     Mutant("survivors_tie_by_front_position", EVOLVE,
@@ -171,6 +175,25 @@ MUTANTS = (
            "rows = np.lexsort((f2, f1))", 'rows = np.argsort(f1, kind="stable")',
            (RANKS_TEST,),
            "rows of equal f1 are taken in index order, so a dominated one can enter front 0"),
+    Mutant("beta_not_neutral_off_crossing", EVOLVE,
+           "& (swap < 0.5), beta, 1.0)", "& (swap < 0.5), beta, beta)",
+           (PER_GENE_TEST, TEXTBOOK_TEST, BLOCKS_TEST),
+           "a gene that does not cross takes its pair's spread factor anyway"),
+    Mutant("step_not_zeroed_off_mutation", EVOLVE,
+           "step = np.where(gene_coin < config.mutation_prob, np.where(low, r - 1.0, 1.0 - r), 0.0)",
+           "step = np.where(low, r - 1.0, 1.0 - r)",
+           (PER_GENE_TEST, TEXTBOOK_TEST, BLOCKS_TEST),
+           "every gene mutates, whatever its coin"),
+    Mutant("block_always_full", EVOLVE,
+           "count = min(block, config.generations - done)", "count = block",
+           (BLOCKS_TEST, "tests/test_evolve.py::test_variation_is_drawn_a_bounded_block_at_a_time"),
+           "the last block runs past the configured generations"),
+    Mutant("draw_slices_swapped", EVOLVE,
+           "sbx, mutation = np.split(draws, [7 * half], axis=1)",
+           "mutation, sbx = np.split(draws, [12 * half], axis=1)",
+           (PER_GENE_TEST, TEXTBOOK_TEST),
+           "crossover reads the mutation draws of a generation's row and mutation the "
+           "crossover draws"),
     Mutant("bad_start_named_last", NLSOLVER,
            "starts[np.argmax(outside)]", "starts[len(outside) - 1 - np.argmax(outside[::-1])]",
            ("tests/test_nlsolver.py::test_first_bad_start_among_many_is_named",),
@@ -226,6 +249,9 @@ MUTANTS = (
 
 #: pytest's exit codes: 0 every test passed, 1 some test failed; others are errors
 _OUTCOMES = {0: "passed", 1: "failed"}
+#: seconds a run's tests may take: ten times the slowest run, of every named test
+#: on the unmutated tree (about 16 s on 2 shared cores)
+TIMEOUT_S = 160
 
 
 def _copy_tree(into: Path) -> None:
@@ -236,8 +262,9 @@ def _copy_tree(into: Path) -> None:
 
 
 def run(tests, mutant: Mutant | None = None) -> tuple[str, str]:
-    """("passed", "failed" or "error", pytest's output tail) of ``tests`` in a
-    temporary copy of the tree, with ``mutant`` applied if one is given."""
+    """("passed", "failed", "timed out" or "error", pytest's output tail) of
+    ``tests`` in a temporary copy of the tree, with ``mutant`` applied if one is
+    given."""
     with tempfile.TemporaryDirectory(prefix="mutant_") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
@@ -248,11 +275,19 @@ def run(tests, mutant: Mutant | None = None) -> tuple[str, str]:
                 return "error", f"old text occurs {text.count(mutant.old)} times in {mutant.file}"
             path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-            cwd=tree, env=env, capture_output=True, text=True)
-    tail = "\n".join((proc.stdout + proc.stderr).strip().splitlines()[-15:])
-    return _OUTCOMES.get(proc.returncode, "error"), tail
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired as stopped:
+            # the output read before the stop comes as bytes, even in text mode
+            output = (stopped.stdout or b"") + (stopped.stderr or b"")
+            return "timed out", _tail(output.decode(errors="replace"))
+    return _OUTCOMES.get(proc.returncode, "error"), _tail(proc.stdout + proc.stderr)
+
+
+def _tail(output: str) -> str:
+    return "\n".join(output.strip().splitlines()[-15:])
 
 
 def main() -> int:
@@ -266,10 +301,10 @@ def main() -> int:
     for mutant in MUTANTS:
         start = time.perf_counter()
         outcome, tail = run(mutant.tests, mutant)
-        verdict = {"passed": "survived", "failed": "killed"}.get(outcome, "error")
+        verdict = {"passed": "survived", "failed": "killed"}.get(outcome, outcome)
         label = verdict + (" (equivalent)" if mutant.equivalent else "")
         print(f"{label:<22} {mutant.name:<34} {time.perf_counter() - start:5.1f} s", flush=True)
-        if verdict == "error" or (verdict == "survived" and not mutant.equivalent):
+        if verdict in ("error", "timed out") or (verdict == "survived" and not mutant.equivalent):
             bad += 1
             print(f"  {mutant.reason}\n" + "\n".join("  | " + line for line in tail.splitlines()))
     print(f"{len(MUTANTS)} mutants, {bad} not killed that should be")

@@ -5,10 +5,16 @@ The initial population is the 2^3 corners of the box, then uniform draws
 (Friedrich & Wagner, "Seeding the initial population of multi-objective
 evolutionary algorithms", Applied Soft Computing 33:223, 2015): the corners
 overwrite the first min(n, 8) rows of the draw, so the random stream and the
-evaluation count stay those of an all-uniform start. A generation draws its
-uniforms as whole arrays, a fixed number in a fixed order, then a binary
-tournament, simulated-binary crossover and polynomial mutation on
-box-scaled variables. The n parents and n children are ranked over the two
+evaluation count stay those of an all-uniform start. A generation makes a
+binary tournament, simulated-binary crossover and polynomial mutation on
+box-scaled variables. Their draws, two permutations and one row of uniforms a
+generation, do not depend on the population, so they are drawn for a block of
+max(1, 1024 // n) generations at a time, in the stream's order, and turned
+into tournament winners, crossover factors 1 + beta and 1 - beta and mutation
+steps in one array pass over the block. A gene that does not cross has
+beta = 1 and one that does not mutate a step of 0, which leave its bits as
+they are; a generation then gathers its tournament winners and their mates,
+forms every child with one expression and clips. The n parents and n children are ranked over the two
 objectives and crowded once, and the best n in (rank, crowding, index)
 order survive in that order, keeping the ranks and crowding they had among
 both: NSGA-II assigns them while forming the next population (§III-C). So
@@ -24,8 +30,9 @@ so both are crowded in one pass over it without a sort of their own, and one
 sort by (crowding, index) picks the survivors. Otherwise every front is
 ranked by one sweep, crowded by one sort per objective and sorted.
 
-Both children of every pair come from one expression, and the crowding of
-every front from one pass per objective; each element still takes the
+Both children of every pair come from one expression, the factors of a
+block from one power per operator, and the crowding of every front from one
+pass per objective; each element still takes the
 floating-point operations of the textbook form, one gene or one front at a
 time, in the same order, so the bytes are that form's. Fronts are bitwise
 reproducible for a fixed seed on one host; the generator is numpy's
@@ -205,37 +212,72 @@ def _survivors(values: np.ndarray, senses: Sequence[Sense], keep: int):
     return chosen, np.zeros(keep, dtype=int)
 
 
-def _sbx(parents, coin, swap, u, prob: float, eta: float) -> np.ndarray:
-    """Simulated binary crossover (Deb & Agrawal 1995): rows 2k and 2k + 1 of
-    ``parents`` are pair k, and rows 2k and 2k + 1 of the result its children. A
-    pair crosses where its ``coin`` < ``prob``, and then each gene where its
-    ``swap`` < 0.5, with the spread factor drawn from ``u``. Draws are in [0, 1),
-    so ``prob`` 0 never crosses.
+#: a block holds the draws of max(1, _BLOCK_ROWS // pop_size) generations, so its
+#: operands stay at a few hundred kB however long the run
+_BLOCK_ROWS = 1024
 
-    Both children come from one expression over the pair and its mirror: the
-    second child's 0.5 ((1 + beta) p2 + (1 - beta) p1) is the textbook
-    0.5 ((1 - beta) p1 + (1 + beta) p2) bit for bit, since addition commutes.
-    Each gene raises only the base of its own branch to the power.
+
+def _variation(rng: np.random.Generator, config: GaConfig, count: int):
+    """The tournament winners, crossover factors and mutation steps of the next
+    ``count`` generations, each of whose draws is two ``rng.permutation`` calls
+    and one row of uniforms, in that order. The population does not change what
+    is drawn, so a block of generations is drawn first and transformed in one
+    array pass.
+
+    A row holds each pair's crossover coin, then its genes' swaps and spread
+    uniforms (simulated binary crossover, Deb & Agrawal 1995), then each child
+    gene's mutation coin and uniform (polynomial mutation, Deb & Goyal 1996).
+    A pair crosses where its coin < ``crossover_prob``, and then each gene where
+    its swap < 0.5; a gene mutates where its coin < ``mutation_prob``. Draws are
+    in [0, 1), so a probability of 0 never acts.
+
+    Returns ``winners`` and ``mates`` (count, n): the better of each
+    tournament's two rows, which in a best-first population is the earlier,
+    and the winner it is paired with; ``up`` and ``down`` (count, n, 3):
+    1 + beta and 1 - beta of each child's genes, with beta 1 on every gene that
+    does not cross; and ``step`` (count, n, 3): the mutation step, 0 on every
+    gene that does not mutate. Unit coordinates are in [0, 1] and never -0.0,
+    so 0.5 (2 p + 0 q) + 0 is p bit for bit: the neutral factors leave a gene
+    as the textbook's masked branches do, and every other gene takes their
+    operations in their order. Each gene raises only the base of its own branch
+    to the power.
     """
-    e = 1.0 / (eta + 1.0)
+    n = config.pop_size
+    half = n // 2
+    picks = np.empty((count, 2, n), dtype=np.intp)
+    draws = np.empty((count, 19 * half))  # 7 half for crossover, then 6 n for mutation
+    for g in range(count):
+        picks[g, 0], picks[g, 1] = rng.permutation(n), rng.permutation(n)
+        rng.random(out=draws[g])
+    winners = np.minimum(picks[:, 0], picks[:, 1])
+    # pair k is winners 2k and 2k + 1, each the other's mate
+    mates = winners.reshape(count, half, 2)[:, :, ::-1].reshape(count, n)
+    sbx, mutation = np.split(draws, [7 * half], axis=1)
+    pair_coin = sbx[:, :half, None]
+    swap = sbx[:, half:4 * half].reshape(count, half, 3)
+    u = sbx[:, 4 * half:].reshape(count, half, 3)
+    e = 1.0 / (config.crossover_eta + 1.0)
     beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** e
-    cross = (coin[:, None] < prob) & (swap < 0.5)
-    beta, cross = beta[:, None], cross[:, None]
-    pairs = parents.reshape(len(coin), 2, -1)
-    mirror = pairs[:, ::-1]
-    children = np.where(cross, 0.5 * ((1.0 + beta) * pairs + (1.0 - beta) * mirror), pairs)
-    return children.reshape(parents.shape)
+    beta = np.where((pair_coin < config.crossover_prob) & (swap < 0.5), beta, 1.0)
+    beta = beta.repeat(2, axis=1)  # both children of a pair take its factors
+    gene_coin, v = (part.reshape(count, n, 3) for part in np.split(mutation, 2, axis=1))
+    e = 1.0 / (config.mutation_eta + 1.0)
+    low = v < 0.5
+    r = np.where(low, 2.0 * v, 2.0 * (1.0 - v)) ** e
+    step = np.where(gene_coin < config.mutation_prob, np.where(low, r - 1.0, 1.0 - r), 0.0)
+    return winners, mates, 1.0 + beta, 1.0 - beta, step
 
 
-def _mutate(children, coin, u, prob: float, eta: float) -> np.ndarray:
-    """Polynomial mutation (Deb & Goyal 1996) of each gene whose ``coin`` < ``prob``,
-    with the perturbation drawn from ``u``; each gene raises only the base of its
-    own branch to the power."""
-    e = 1.0 / (eta + 1.0)
-    low = u < 0.5
-    r = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** e
-    delta = np.where(low, r - 1.0, 1.0 - r)
-    return np.where(coin < prob, children + delta, children)
+def _offspring(pop: np.ndarray, winners, mates, up, down, step) -> np.ndarray:
+    """One generation's children, before clipping: child i of winner i and its
+    mate. A child is 0.5 ((1 + beta) p + (1 - beta) q) of its winner p and mate
+    q; for the second child of a pair that is the textbook
+    0.5 ((1 - beta) p1 + (1 + beta) p2) bit for bit, since addition commutes."""
+    children = up * pop.take(winners, axis=0)
+    children += down * pop.take(mates, axis=0)
+    children *= 0.5
+    children += step
+    return children
 
 
 def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult:
@@ -268,26 +310,20 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
     best_first, ranks = _survivors(resp, senses, n)
     pop[:], resp[:] = pop[best_first], resp[best_first]
 
-    for _ in range(config.generations):
-        idx_a, idx_b = rng.permutation(n), rng.permutation(n)
-        # the population is best-first, so the better of two rows is the earlier
-        parents = np.minimum(idx_a, idx_b)
-        # one generation's draws, a fixed number in a fixed order
-        half = n // 2
-        cross_coin = rng.random(half)
-        swap, u_sbx = rng.random((half, 3)), rng.random((half, 3))
-        mut_coin, u_mut = rng.random((n, 3)), rng.random((n, 3))
-        # pair k's parents, and then its children, are rows 2k and 2k + 1
-        children = _sbx(pop[parents], cross_coin, swap, u_sbx,
-                        config.crossover_prob, config.crossover_eta)
-        children = _mutate(children, mut_coin, u_mut, config.mutation_prob, config.mutation_eta)
-        np.clip(children, 0.0, 1.0, out=combined[n:])
-        combined_resp[n:] = evaluate_pop(combined[n:])
-        # every row that dominates a survivor survives, so a survivor's rank is
-        # kept; the survivors stay in this order, best-first
-        chosen, ranks = _survivors(combined_resp, senses, n)
-        pop[:], resp[:] = combined[chosen], combined_resp[chosen]
-        counters.iterations += 1
+    block, done = max(1, _BLOCK_ROWS // n), 0
+    while done < config.generations:
+        count = min(block, config.generations - done)
+        for variation in zip(*_variation(rng, config, count)):
+            # the clip: np.clip's Python wrapper costs more than these two ufuncs
+            children = np.maximum(_offspring(pop, *variation), 0.0)
+            np.minimum(children, 1.0, out=combined[n:])
+            combined_resp[n:] = evaluate_pop(combined[n:])
+            # every row that dominates a survivor survives, so a survivor's rank
+            # is kept; the survivors stay in this order, best-first
+            chosen, ranks = _survivors(combined_resp, senses, n)
+            pop[:], resp[:] = combined.take(chosen, axis=0), combined_resp.take(chosen, axis=0)
+            counters.iterations += 1
+        done += count
 
     tag = f"seed={config.seed}"
     points = [

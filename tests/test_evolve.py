@@ -23,11 +23,11 @@ from pareto_forge import (
 from pareto_forge import evolve
 from pareto_forge.evolve import (
     _crowding_by_rank,
-    _mutate,
+    _offspring,
     _ranks,
-    _sbx,
     _selection_order,
     _survivors,
+    _variation,
 )
 
 MIN_MIN = (Sense.MINIMIZE, Sense.MINIMIZE)
@@ -326,6 +326,33 @@ def reference_mutate(children, coin, u, prob, eta):
     return out
 
 
+def _sbx(parents, coin, swap, u, prob, eta):
+    """Simulated binary crossover (Deb & Agrawal 1995) of one generation, with
+    masked branches: rows 2k and 2k + 1 of ``parents`` are pair k, and rows 2k
+    and 2k + 1 of the result its children. A pair crosses where its ``coin`` <
+    ``prob``, and then each gene where its ``swap`` < 0.5, with the spread factor
+    drawn from ``u``."""
+    e = 1.0 / (eta + 1.0)
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** e
+    cross = (coin[:, None] < prob) & (swap < 0.5)
+    beta, cross = beta[:, None], cross[:, None]
+    pairs = parents.reshape(len(coin), 2, -1)
+    mirror = pairs[:, ::-1]
+    children = np.where(cross, 0.5 * ((1.0 + beta) * pairs + (1.0 - beta) * mirror), pairs)
+    return children.reshape(parents.shape)
+
+
+def _mutate(children, coin, u, prob, eta):
+    """Polynomial mutation (Deb & Goyal 1996) of one generation, with masked
+    branches: each gene whose ``coin`` < ``prob`` moves by the perturbation
+    drawn from ``u``."""
+    e = 1.0 / (eta + 1.0)
+    low = u < 0.5
+    r = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** e
+    delta = np.where(low, r - 1.0, 1.0 - r)
+    return np.where(coin < prob, children + delta, children)
+
+
 def _uniforms(rng, shape):
     # random draws with the branch edges 0 and 0.5 and the largest draw below 1 mixed in
     u = rng.random(shape)
@@ -343,31 +370,78 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+class ScriptedDraws:
+    """Stands in for the generator that ``_variation`` draws from: hands out the
+    given permutations and rows of uniforms, in the order they are asked for."""
+
+    def __init__(self, permutations, rows):
+        self.permutations, self.rows = iter(permutations), iter(rows)
+
+    def permutation(self, n):
+        perm = next(self.permutations)
+        assert len(perm) == n
+        return perm
+
+    def random(self, *, out):
+        out[:] = next(self.rows)
+
+
+def draw_row(cross_coin, swap, u_sbx, mut_coin, u_mut):
+    """One generation's row of uniforms: the five per-generation draws of
+    ``textbook_nsga2``, in their order."""
+    return np.concatenate([a.ravel() for a in (cross_coin, swap, u_sbx, mut_coin, u_mut)])
+
+
+def children_of_the_block(pop, config, permutations, rows):
+    """Each generation's children of ``pop`` from ``_variation`` over the scripted
+    draws and ``_offspring``, before clipping."""
+    block = _variation(ScriptedDraws(permutations, rows), config, len(rows))
+    return [_offspring(pop, *generation) for generation in zip(*block)]
+
+
 def test_array_sbx_and_mutation_match_per_gene_reference():
+    # three generations of one block, and the per-generation operators that
+    # textbook_nsga2 takes as its oracle, gene by gene against plain Python
     rng = np.random.default_rng(11)
     half = 40
-    p1, p2 = rng.random((half, 3)), rng.random((half, 3))
-    coin, swap, u = rng.random(half), _uniforms(rng, (half, 3)), _uniforms(rng, (half, 3))
-    coin[:2] = (0.9, np.nextafter(0.9, 1.0))
-    swap.flat[3] = 0.5
-    children = _sbx(interleave(p1, p2), coin, swap, u, 0.9, 15.0)
-    r1, r2 = reference_sbx(p1, p2, coin, swap, u, 0.9, 15.0)
-    assert same_bits(children[0::2], r1) and same_bits(children[1::2], r2)
-    assert not np.array_equal(children[0::2], p1)
+    config = GaConfig(pop_size=2 * half)
+    pop = rng.random((2 * half, 3))
+    permutations, rows, wants = [], [], []
+    for _ in range(3):
+        idx_a, idx_b = rng.permutation(2 * half), rng.permutation(2 * half)
+        coin, swap, u = rng.random(half), _uniforms(rng, (half, 3)), _uniforms(rng, (half, 3))
+        coin[:2] = (0.9, np.nextafter(0.9, 1.0))
+        swap.flat[3] = 0.5
+        m_coin, m_u = _uniforms(rng, (2 * half, 3)), _uniforms(rng, (2 * half, 3))
+        m_coin.flat[3] = 1.0 / 3.0
+        parents = pop[np.minimum(idx_a, idx_b)]
+        p1, p2 = parents[0::2], parents[1::2]
 
-    m_coin, m_u = _uniforms(rng, children.shape), _uniforms(rng, children.shape)
-    m_coin.flat[3] = 1.0 / 3.0
-    got = _mutate(children, m_coin, m_u, 1.0 / 3.0, 20.0)
-    assert same_bits(got, reference_mutate(children, m_coin, m_u, 1.0 / 3.0, 20.0))
-    assert not np.array_equal(got, children)
+        children = _sbx(parents, coin, swap, u, 0.9, 15.0)
+        r1, r2 = reference_sbx(p1, p2, coin, swap, u, 0.9, 15.0)
+        assert same_bits(children[0::2], r1) and same_bits(children[1::2], r2)
+        assert not np.array_equal(children[0::2], p1)
+        mutated = _mutate(children, m_coin, m_u, 1.0 / 3.0, 20.0)
+        assert same_bits(mutated, reference_mutate(children, m_coin, m_u, 1.0 / 3.0, 20.0))
+        assert not np.array_equal(mutated, children)
+
+        permutations += [idx_a, idx_b]
+        rows.append(draw_row(coin, swap, u, m_coin, m_u))
+        wants.append(mutated)
+    for got, want in zip(children_of_the_block(pop, config, permutations, rows), wants):
+        assert same_bits(got, want)
 
 
 def test_sbx_preserves_each_gene_pair_sum():
     rng = np.random.default_rng(5)
     p1, p2 = rng.random((60, 3)), rng.random((60, 3))
     coin, swap, u = rng.random(60), rng.random((60, 3)), _uniforms(rng, (60, 3))
-    children = _sbx(interleave(p1, p2), coin, swap, u, 1.0, 15.0)
-    children = _mutate(children, np.repeat(u, 2, axis=0), np.repeat(u, 2, axis=0), 0.0, 20.0)
+    mutation = np.repeat(u, 2, axis=0)
+    config = GaConfig(pop_size=120, crossover_prob=1.0, mutation_prob=0.0)
+    # equal permutations make every parent its own tournament's winner
+    permutations = [np.arange(120)] * 2
+    rows = [draw_row(coin, swap, u, mutation, mutation)]
+    [children] = children_of_the_block(interleave(p1, p2), config, permutations, rows)
     c1, c2 = children[0::2], children[1::2]
     assert not np.array_equal(c1, p1)
     np.testing.assert_allclose(c1 + c2, p1 + p2, rtol=0, atol=1e-14)
@@ -375,11 +449,28 @@ def test_sbx_preserves_each_gene_pair_sum():
 
 def test_no_crossover_and_no_mutation_copies_the_parents():
     rng = np.random.default_rng(6)
-    parents = interleave(rng.random((60, 3)), rng.random((60, 3)))
+    pop = interleave(rng.random((60, 3)), rng.random((60, 3)))
     coin, swap, u = _uniforms(rng, 60), _uniforms(rng, (60, 3)), _uniforms(rng, (60, 3))
-    children = _sbx(parents, coin, swap, u, 0.0, 15.0)
-    children = _mutate(children, np.repeat(swap, 2, axis=0), np.repeat(u, 2, axis=0), 0.0, 20.0)
-    assert same_bits(children, parents)
+    config = GaConfig(pop_size=120, crossover_prob=0.0, mutation_prob=0.0)
+    permutations = [rng.permutation(120), rng.permutation(120)]
+    rows = [draw_row(coin, swap, u, np.repeat(swap, 2, axis=0), np.repeat(u, 2, axis=0))]
+    [children] = children_of_the_block(pop, config, permutations, rows)
+    assert same_bits(children, pop[np.minimum(*permutations)])
+
+
+@pytest.mark.parametrize("pop_size", [4, 6, 60, 120])
+def test_one_row_of_uniforms_is_the_five_draws_of_a_generation(pop_size):
+    # PCG64 makes one double of each 64-bit output, so one call for a
+    # generation's row reads the stream as its five draws do
+    n, half = pop_size, pop_size // 2
+    one, five = np.random.default_rng(pop_size), np.random.default_rng(pop_size)
+    for _ in range(3):
+        assert same_bits(one.permutation(n), five.permutation(n))
+        row = np.empty(19 * half)
+        one.random(out=row)
+        draws = (five.random(half), five.random((half, 3)), five.random((half, 3)),
+                 five.random((n, 3)), five.random((n, 3)))
+        assert same_bits(row, draw_row(*draws))
 
 
 def test_selection_order_breaks_ties_by_index():
@@ -630,6 +721,50 @@ def test_ga_equals_textbook_nsga2(refit_models, pop_size, senses):
         assert res.front == front
         assert res.counters.iterations == cfg.generations
         assert res.counters.function_evals == evals == pop_size * (cfg.generations + 1) * 2
+
+
+def block_of(pop_size):
+    """The generations that ``run_ga`` draws and transforms at a time."""
+    return max(1, 1024 // pop_size)
+
+
+# pop 6 has an odd number of pairs; each run length ends a block early, on its
+# last generation or just after it, or spans two blocks
+@pytest.mark.parametrize("pop_size", [4, 6, 60])
+@pytest.mark.parametrize("crossover_prob, mutation_prob", itertools.product(
+    (0.0, 1.0, GaConfig.crossover_prob), (0.0, 1.0, GaConfig.mutation_prob)))
+def test_ga_equals_textbook_nsga2_across_block_boundaries(
+        problem, pop_size, crossover_prob, mutation_prob):
+    block = block_of(pop_size)
+    for generations in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        cfg = GaConfig(pop_size=pop_size, generations=generations, seed=generations,
+                       crossover_prob=crossover_prob, mutation_prob=mutation_prob)
+        res = run_ga(problem, cfg)
+        front, evals = textbook_nsga2(problem, cfg)
+        assert res.front == front, generations
+        assert res.counters.iterations == generations
+        assert res.counters.function_evals == evals
+
+
+@pytest.mark.parametrize("pop_size, generations", [(4, 600), (60, 35), (120, 20), (1026, 3)])
+def test_variation_is_drawn_a_bounded_block_at_a_time(problem, pop_size, generations,
+                                                      monkeypatch):
+    # however long or wide the run, no block holds more than 1024 rows of
+    # draws, or one generation's when the population alone is wider
+    counts, variation = [], evolve._variation
+
+    def variation_spy(rng, config, count):
+        counts.append(count)
+        block = variation(rng, config, count)
+        assert all(len(part) == count for part in block)
+        return block
+
+    monkeypatch.setattr(evolve, "_variation", variation_spy)
+    run_ga(problem, GaConfig(pop_size=pop_size, generations=generations, seed=1))
+    block = block_of(pop_size)
+    assert len(counts) > 1 and sum(counts) == generations
+    assert counts[:-1] == [block] * (len(counts) - 1) and 0 < counts[-1] <= block
+    assert block * pop_size <= max(1024, pop_size)
 
 
 def spy_on_survivors(monkeypatch):

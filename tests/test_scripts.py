@@ -57,6 +57,22 @@ def test_every_mutant_edits_one_place():
         assert mutant.new != mutant.old and mutant.tests and mutant.reason, mutant.name
 
 
+def test_a_mutant_that_hangs_is_reported_as_timed_out(monkeypatch, capsys):
+    mutants = _load("mutants")
+    sleeper = mutants.Mutant(
+        "import_sleeps", mutants.EVOLVE, "from bisect import bisect_left\n",
+        "from bisect import bisect_left\nimport time\ntime.sleep(120)\n",
+        ("tests/test_evolve.py::test_sort_simple_chain",), "importing the package never ends")
+    monkeypatch.setattr(mutants, "MUTANTS", (sleeper,))
+    # the unmutated run of the named test takes about 2 s
+    monkeypatch.setattr(mutants, "TIMEOUT_S", 8)
+    assert mutants.main() == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^timed out +import_sleeps ", out, re.M), out
+    assert "  importing the package never ends\n" in out
+    assert out.endswith("1 mutants, 1 not killed that should be\n")
+
+
 def test_ab_time_runs_a_tree_against_itself(capsys):
     src = str(ROOT / "src")
     assert _load("ab_time").main([src, src, "--reps", "2", "--workloads", "ga_seed_merge"]) == 0
