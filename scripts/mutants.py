@@ -222,6 +222,20 @@ MUTANTS = (
            ("tests/test_nlsolver.py::test_lagrangian_value_is_the_piecewise_penalty",),
            "the Lagrangian's value is off by lam^2 / (2 rho), and by that jump where the "
            "constraint leaves the penalty"),
+    Mutant("restart_without_estimate", NLSOLVER,
+           ",\n                            _multiplier_estimate(prob, rows, s_r))", ")",
+           ("tests/test_scalarize.py::test_restored_rows_restart_stationary_at_the_ra_optimum",),
+           "a restored row restarts at lam = 0, and the objective pulls it back out of the "
+           "feasible set"),
+    Mutant("curvature_only_inside_penalty", NLSOLVER,
+           "np.where(shifted > -rho * _ACTIVE_EPS, rho, 0.0)", "np.where(mult > 0, rho, 0.0)",
+           ("tests/test_nlsolver.py::test_hessian_carries_the_bound_curvature_in_its_eps_band",),
+           "a feasible row within _ACTIVE_EPS of the bound has no curvature of it in its "
+           "Newton model"),
+    Mutant("estimate_allows_negative", NLSOLVER,
+           "cands = np.where(cands > 0, cands, 0.0)", "cands = cands",
+           ("tests/test_nlsolver.py::test_multiplier_estimate_is_never_negative",),
+           "the restart can begin at a negative multiplier of c <= 0"),
     Mutant("svg_axis_without_ulp_test", "src/pareto_forge/svgplot.py",
            "math.isfinite(b - a) and b - a > 2.0 ** 20 * math.ulp(max(abs(a), abs(b)))",
            "math.isfinite(b - a)",

@@ -5,8 +5,13 @@ inequality, when there is one, is the epsilon bound of the epsilon-constraint
 method. An augmented-Lagrangian outer loop (Conn, Gould & Toint, SIAM J. Numer.
 Anal. 28:545, 1991) handles it, with a projected Newton inner solve on the box
 (Bertsekas, SIAM J. Control Optim. 20:221, 1982) that uses exact Hessians; a
-box-only solve is one inner solve. Variables are rescaled to the unit cube
-internally, so all tolerances below are quoted on the scaled problem.
+box-only solve is one inner solve. The Newton model carries the bound's
+curvature wherever the bound is eps-active, not only where its penalty is on, as
+the eps-active set does for the box. A start whose loop stalls infeasible is
+restored by minimizing its squared violation on the box, and the loop restarts
+there at a high penalty from the first-order multiplier estimate of that point.
+Variables are rescaled to the unit cube internally, so all tolerances below are
+quoted on the scaled problem.
 Deterministic seeded multistart mitigates local optima of nonconvex
 scalarizations. Every start is one row of the same arrays, and a row's arithmetic
 never depends on the other rows, so a sweep solves all its points' starts in one
@@ -330,17 +335,22 @@ class _ScaledProblem:
 
     def lagrangian(self, rows: np.ndarray, s: np.ndarray, lam: np.ndarray, rho: np.ndarray):
         """Augmented Lagrangian of the rows: the objective over its row's scale plus
-        (mult^2 - lam^2) / (2 rho), mult = max(0, lam + rho c)."""
+        (mult^2 - lam^2) / (2 rho), mult = max(0, lam + rho c). The value and
+        gradient are exact. The Hessian adds rho grad c grad c^T wherever
+        lam + rho c > -rho _ACTIVE_EPS, the eps-active side of the penalty's kink,
+        so that a Newton step from a feasible point at lam = 0 sees the bound."""
         f, g, h = self.evaluate(0, rows, s)
         scale = self.f_scale[rows]
         f, g, h = f / scale, g / scale[:, None], h / scale[:, None, None]
         if not self.constrained:
             return f, g, h
         c, gc, hc = self.evaluate(1, rows, s)
-        mult = np.maximum(0.0, lam + rho * c)
+        shifted = lam + rho * c
+        mult = np.maximum(0.0, shifted)
         f = f + (mult * mult - lam * lam) / (2.0 * rho)
         g = g + mult[:, None] * gc
-        penalty = np.where(mult > 0, rho, 0.0)[:, None, None] * gc[:, :, None] * gc[:, None, :]
+        band = np.where(shifted > -rho * _ACTIVE_EPS, rho, 0.0)
+        penalty = band[:, None, None] * gc[:, :, None] * gc[:, None, :]
         return f, g, h + mult[:, None, None] * hc + penalty
 
     def squared_violation(self, rows: np.ndarray, s: np.ndarray):
@@ -351,17 +361,41 @@ class _ScaledProblem:
         return pos * pos, 2.0 * pos[:, None] * gc, outer + 2.0 * pos[:, None, None] * hc
 
 
+def _multiplier_estimate(prob: _ScaledProblem, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """First-order multiplier estimate of each row at ``s`` (Nocedal & Wright,
+    *Numerical Optimization*, 2nd ed., ch. 18): the lam >= 0 for which
+    a + lam b, a = grad f / f_scale and b = grad c, has the least projected residual.
+
+    The residual is piecewise linear in lam. The candidates are 0, each
+    component's break point -a_i / b_i and the least-squares value -a.b / b.b;
+    the first best one wins, so 0 on a tie. A zero component of b has no break
+    point.
+    """
+    _, a, _ = prob.evaluate(0, rows, s)
+    a = a / prob.f_scale[rows][:, None]
+    _, b, _ = prob.evaluate(1, rows, s)
+    ab, bb = (a * b).sum(axis=-1, keepdims=True), (b * b).sum(axis=-1, keepdims=True)
+    breaks = np.divide(-a, b, out=np.zeros_like(a), where=b != 0)
+    lsq = np.divide(-ab, bb, out=np.zeros_like(bb), where=bb > 0)
+    cands = np.concatenate((np.zeros_like(bb), breaks, lsq), axis=1)
+    cands = np.where(cands > 0, cands, 0.0)
+    grads = a[:, None, :] + cands[:, :, None] * b[:, None, :]
+    best = _projected_residual(s[:, None, :], grads).argmin(axis=1)
+    return cands[np.arange(len(cands)), best]
+
+
 def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
-            max_outer: int, config: SolverConfig):
-    """Multiplier loop of every row from ``s0``; a row leaves it when converged, or
-    when stalled at a local minimum of its own infeasibility.
+            max_outer: int, config: SolverConfig, lam0: float | np.ndarray = 0.0):
+    """Multiplier loop of every row from ``s0`` and the multipliers ``lam0``; a row
+    leaves it when converged, or when stalled at a local minimum of its own
+    infeasibility.
 
     Returns arrays over the rows: (s, f, converged, residual, violation). A row
     of a box-only problem is one with a constraint of 0 everywhere.
     """
     n = len(rows)
     s = s0.copy()
-    lam = np.zeros(n)
+    lam = np.full(n, lam0, dtype=float)
     rho = np.full(n, rho0)
     v_prev = np.full(n, np.inf)
     f = np.full(n, np.nan)
@@ -444,8 +478,12 @@ def _solve_rows(objective: SmoothFunction, bounds: Bounds, starts, config: Solve
         prob.iterations[stuck] += steps
         restored = prob.evaluate(1, stuck, s_r)[0] <= config.feas_tol
         if restored.any():
-            rows = stuck[restored]
-            again = _auglag(prob, rows, s_r[restored], _RHO_RESTORED, config.max_outer, config)
+            rows, s_r = stuck[restored], s_r[restored]
+            # the restart begins at the first-order multiplier of its feasible
+            # point: with lam = 0 there, the objective alone would pull the row
+            # back out of a feasible set that may be almost a point
+            again = _auglag(prob, rows, s_r, _RHO_RESTORED, config.max_outer, config,
+                            _multiplier_estimate(prob, rows, s_r))
             # a restart exists only when the first loop ended infeasible: it takes
             # the row's place when better, as a feasible restart always is
             pairs = [np.stack((first[i][rows], again[i]), axis=1).ravel() for i in (1, 2, 4)]

@@ -307,6 +307,13 @@ class LexicographicResult(RoutineResult):
     terminated_early: bool = False
 
 
+def _responses(problem: MooProblem, outcomes: Sequence[SolveOutcome]) -> list[tuple[float, ...]]:
+    """Every outcome's natural responses, from one evaluation of their stacked points;
+    a point's values do not depend on the others, so each equals its
+    ``problem.responses_at``."""
+    return [tuple(r) for r in problem.natural_values(np.array([o.x for o in outcomes])).tolist()]
+
+
 def _sweep(problem: MooProblem, results: list[MethodResult], method: str) -> RoutineResult:
     """Every per-point result, and the front of the feasible ones under their own tags.
 
@@ -363,9 +370,9 @@ def global_criterion_sweep(
     fn = _criterion_fn(problem, utopia, np.repeat(np.asarray(p_values, dtype=float),
                                                   config.n_starts))
     outcomes = grouped_multistart(fn, problem.bounds, len(p_values), config)
-    results = [GlobalCriterionResult(tag=f"p={p}", x=o.x, responses=problem.responses_at(o.x),
-                                     outcome=o, p=p, criterion=o.objective)
-               for p, o in zip(p_values, outcomes)]
+    results = [GlobalCriterionResult(tag=f"p={p}", x=o.x, responses=r, outcome=o, p=p,
+                                     criterion=o.objective)
+               for p, o, r in zip(p_values, outcomes, _responses(problem, outcomes))]
     return _sweep(problem, results, "global_criterion")
 
 
@@ -390,10 +397,9 @@ def _weighted_sums(problem: MooProblem, points: list[tuple[float, ...]],
 
     fn = SmoothFunction(vg, model_cost=stack.size, name="weighted sum")
     outcomes = grouped_multistart(fn, problem.bounds, len(points), config)
-    results = [WeightedSumResult(tag=f"w={weights[0]:g}", x=o.x,
-                                 responses=problem.responses_at(o.x), outcome=o, weights=weights,
-                                 weak_pareto_only=any(w == 0.0 for w in weights))
-               for weights, o in zip(points, outcomes)]
+    results = [WeightedSumResult(tag=f"w={weights[0]:g}", x=o.x, responses=r, outcome=o,
+                                 weights=weights, weak_pareto_only=any(w == 0.0 for w in weights))
+               for weights, o, r in zip(points, outcomes, _responses(problem, outcomes))]
     return _sweep(problem, results, "weighted_sum")
 
 
@@ -451,8 +457,7 @@ def _epsilon_points(problem: MooProblem, primary_idx: int, points: Sequence[Sequ
     outcomes = grouped_multistart(problem.function(primary_idx), problem.bounds, len(points),
                                   config, constraint=held)
     results = []
-    for (eps,), outcome in zip(points, outcomes):
-        responses = problem.responses_at(outcome.x)
+    for (eps,), outcome, responses in zip(points, outcomes, _responses(problem, outcomes)):
         active = (bounded.sign * responses[other] - eps) / max(1.0, abs(eps)) >= -ACTIVE_TOL
         results.append(EpsilonResult(
             tag=f"eps={eps:.6g}", x=outcome.x, responses=responses, outcome=outcome,
@@ -542,12 +547,11 @@ def lexicographic(
         outcomes.append(held.outcome)
     stages = []
     counters = RunCounters()
-    for idx, outcome in zip(indices, outcomes):
+    for idx, outcome, responses in zip(indices, outcomes, _responses(problem, outcomes)):
         obj = problem.objectives[idx]
         counters.add(outcome.counters)
-        stages.append(LexStage(tag=obj.name, x=outcome.x, responses=problem.responses_at(outcome.x),
-                               outcome=outcome, objective=obj.name,
-                               optimum=obj.sign * outcome.objective))
+        stages.append(LexStage(tag=obj.name, x=outcome.x, responses=responses, outcome=outcome,
+                               objective=obj.name, optimum=obj.sign * outcome.objective))
     step = np.subtract(outcomes[-1].x, outcomes[0].x) / problem.bounds.span
     terminated = len(outcomes) == 2 and float(np.max(np.abs(step))) <= LEX_EQUALITY_TOL
     final = stages[-1]

@@ -325,6 +325,99 @@ def test_lagrangian_value_is_the_piecewise_penalty():
                        rtol=1e-12, atol=0.0)
 
 
+def test_hessian_carries_the_bound_curvature_in_its_eps_band():
+    # where lam + rho c lies in (-rho _ACTIVE_EPS, 0] the penalty is off, yet its
+    # curvature rho grad c grad c^T enters the Hessian; beyond the band it does
+    # not, and on both the value and gradient stay the piecewise penalty's
+    wall = SmoothFunction(
+        lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))),
+        scale=150.0, name="vc >= 150")
+    prob = nlsolver._ScaledProblem(quadratic_objective(LB), BOX, wall, 5)
+    rows = np.arange(5)
+    # vc at 151, 152.1, 160, 200 and 148: two rows in the band, two beyond it and
+    # one in the penalty
+    s = np.column_stack((np.array([151.0, 152.1, 160.0, 200.0, 148.0]) - LB[0], np.full(5, 0.1),
+                         np.full(5, 0.2))) / SPAN
+    lam, rho = np.array([0.0, 0.5, 0.0, 2.0, 1.0]), np.array([10.0, 100.0, 10.0, 1000.0, 10.0])
+    value, grad, hess = prob.lagrangian(rows, s, lam, rho)
+    f, g, h = prob.evaluate(0, rows, s)
+    c, gc, _ = prob.evaluate(1, rows, s)
+    shifted = lam + rho * c
+    band = shifted > -rho * nlsolver._ACTIVE_EPS
+    assert (shifted <= 0).tolist() == [True, True, True, True, False]
+    assert band.tolist() == [True, True, False, False, True]
+    inside = shifted >= 0
+    psi = np.where(inside, lam * c + rho * c * c / 2.0, -lam * lam / (2.0 * rho))
+    assert np.allclose(value, f + psi, rtol=1e-12, atol=0.0)
+    assert np.allclose(grad, g + np.where(inside, shifted, 0.0)[:, None] * gc,
+                       rtol=1e-12, atol=0.0)
+    curvature = np.where(band, rho, 0.0)[:, None, None] * gc[:, :, None] * gc[:, None, :]
+    assert np.array_equal(hess, h + curvature)
+
+
+def linear_problem(a, b, offset=0.0):
+    """Objective a . s and constraint b . s + offset, per row, on the unit-cube
+    coordinates s of the case-study box: their scaled gradients are a and b."""
+    a, b = np.atleast_2d(np.asarray(a, dtype=float)), np.atleast_2d(np.asarray(b, dtype=float))
+
+    def linear(coef, shift):
+        def vg(rows, x):
+            return ((x - LB) / SPAN * coef[rows]).sum(axis=-1) + shift, coef[rows] / SPAN, \
+                np.zeros((3, 3))
+        return vg
+
+    return nlsolver._ScaledProblem(SmoothFunction(linear(a, 0.0)), BOX,
+                                   SmoothFunction(linear(b, offset)), len(a))
+
+
+def estimate(a, b, s):
+    """The multiplier estimate of each row, and its projected residual."""
+    prob, s = linear_problem(a, b), np.atleast_2d(np.asarray(s, dtype=float))
+    rows = np.arange(len(s))
+    lam = nlsolver._multiplier_estimate(prob, rows, s)
+    return lam, nlsolver._projected_residual(s, np.asarray(a) + lam[:, None] * np.asarray(b))
+
+
+def test_multiplier_estimate_makes_a_stationary_vertex_kkt():
+    # at the vertex s = 0, grad f pulls u inside; every lam >= 1/2 holds it there
+    lam, residual = estimate([[-1.0, 1.0, 1.0]], [[2.0, 1.0, 0.0]], [[0.0, 0.0, 0.0]])
+    assert lam.tolist() == [0.5] and residual.tolist() == [0.0]
+    # off the vertex on the u edge only lam = 1/2 is stationary, and least squares
+    # (lam = 1/5) is not
+    lam, residual = estimate([[-1.0, 1.0, 1.0]], [[2.0, 1.0, 0.0]], [[0.5, 0.0, 0.0]])
+    assert lam.tolist() == [0.5] and residual.tolist() == [0.0]
+
+
+def test_multiplier_estimate_is_zero_where_the_objective_alone_is_stationary():
+    # lam = 0 and lam = 1 are both stationary at this vertex: the tie goes to 0
+    lam, residual = estimate([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+                             [[-1.0, 2.0, 0.0], [1.0, -1.0, 3.0]],
+                             [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]])
+    assert lam.tolist() == [0.0, 0.0] and residual.tolist() == [0.0, 0.0]
+
+
+def test_multiplier_estimate_is_finite_where_grad_c_has_zeros():
+    # components 0 / 0 and 0.2 / 0 have no break point, nor has a zero grad c
+    # least squares: no division warns, and the estimate stays finite
+    lam, residual = estimate([[-1.0, 0.2, 0.0], [-1.0, 0.2, 0.0]],
+                             [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                             [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
+    assert lam.tolist() == [1.0, 0.0] and np.allclose(residual, [0.2, 0.5])
+
+
+def test_multiplier_estimate_is_never_negative():
+    # lam = -1 would be stationary here: a multiplier of c <= 0 is not negative
+    lam, _ = estimate([[1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [[0.5, 0.5, 0.5]])
+    assert lam.tolist() == [0.0]
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(200, 3)), rng.normal(size=(200, 3))
+    # points on vertices, edges, faces and inside
+    s = rng.choice([0.0, 0.3, 1.0], size=(200, 3))
+    lam, residual = estimate(a, b, s)
+    assert (lam >= 0).all()
+    assert (residual <= nlsolver._projected_residual(s, a)).all()
+
+
 def test_box_only_solve_is_one_inner_solve(monkeypatch):
     calls = []
     inner = nlsolver._inner_solve

@@ -347,6 +347,27 @@ def test_stalled_epsilon_rows_leave_the_multiplier_loop(problem, utopia, monkeyp
     assert not first_loop[:n].any() and first_loop[n:].all()
 
 
+def test_restored_rows_restart_stationary_at_the_ra_optimum(problem, utopia, monkeypatch):
+    # eps = Ra* leaves the vertex (314, 0.04, 0.2) feasible: the rows stall
+    # infeasible, restoration reaches the vertex, and the restart, begun at the
+    # multiplier estimate, is stationary there before its first step
+    gtols, steps, inner = [], [], nlsolver._inner_solve
+
+    def spy(fun, s0, gtol, maxiter):
+        s, k = inner(fun, s0, gtol, maxiter)
+        gtols.append(gtol)
+        steps.append(k)
+        return s, k
+
+    monkeypatch.setattr(nlsolver, "_inner_solve", spy)
+    point = epsilon_constraint(problem, "mrr", [utopia.ideal[0]], SolverConfig())
+    restoration = gtols.index(1e-12)
+    assert len(gtols) == restoration + 2
+    assert len(steps[-1]) == SolverConfig().n_starts and not steps[-1].any()
+    assert point.x == (314.0, 0.04, 0.2)
+    assert point.outcome.converged and point.outcome.constraint_violation == 0.0
+
+
 def test_epsilon_sweep_validation(problem, utopia):
     with pytest.raises(ValueError, match="at least 2"):
         epsilon_sweep(problem, "mrr", 1, FAST, utopia)
