@@ -8,7 +8,10 @@ relative imports only), writes the inputs of the benchmark workloads of
 alternating which tree goes first. Both trees run in the same process, one
 right after the other, so host drift that moves separate processes by tens of
 percent mostly cancels in each pair's ratio. Prints, per workload, the median of
-the per-pair time ratios B/A and the number of pairs in which B was faster.
+the per-pair time ratios B/A, the number of pairs in which B was faster, each
+tree's median time with its quartiles, and whether B meets the claim rule: B
+faster in at least nine tenths of the pairs (ties count for neither), and
+median A - median B wider than A's interquartile range.
 
 Usage: python scripts/ab_time.py A_SRC B_SRC [--reps N] [--seed N] [--workloads NAME,...]
 """
@@ -77,6 +80,30 @@ def compare(clis, workload, reps: int, work: Path, seed: int = 0) -> list[tuple[
     return pairs
 
 
+def quartiles(times) -> tuple[float, float]:
+    """First and third quartiles of ``times``, linearly interpolated as numpy's
+    default percentile does."""
+    if len(times) < 2:
+        return times[0], times[0]
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q1, q3
+
+
+def summary(name: str, seed: int, pairs) -> str:
+    """One line of ``pairs`` (A seconds, B seconds) of a workload."""
+    a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+    wins = sum(tb < ta for ta, tb in pairs)
+    (a_q1, a_q3), (b_q1, b_q3) = quartiles(a), quartiles(b)
+    a_s, b_s = statistics.median(a), statistics.median(b)
+    ratio = statistics.median(tb / ta for ta, tb in pairs)
+    met = wins >= 0.9 * len(pairs) and a_s - b_s > a_q3 - a_q1
+    return (f"{name} (seed {seed}): B/A median {ratio:.3f}, "
+            f"B faster in {wins} of {len(pairs)} pairs; "
+            f"median A {a_s:.4f} s (quartiles {a_q1:.4f}-{a_q3:.4f}), "
+            f"B {b_s:.4f} s (quartiles {b_q1:.4f}-{b_q3:.4f}); "
+            f"claim rule {'met' if met else 'not met'}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a_src")
@@ -104,12 +131,7 @@ def main(argv=None) -> int:
         clis = (load_cli("ab_tree_a", args.a_src), load_cli("ab_tree_b", args.b_src))
         for name in names:
             pairs = compare(clis, WORKLOADS[name], args.reps, work / name, args.seed)
-            ratios = [b / a for a, b in pairs]
-            wins = sum(b < a for a, b in pairs)
-            a_s, b_s = statistics.median(a for a, _ in pairs), statistics.median(b for _, b in pairs)
-            print(f"{name} (seed {args.seed}): B/A median {statistics.median(ratios):.3f}, "
-                  f"B faster in {wins} of {len(pairs)} pairs; "
-                  f"median A {a_s:.4f} s, B {b_s:.4f} s")
+            print(summary(name, args.seed, pairs))
     finally:
         sys.path[:] = path
         shutil.rmtree(work, ignore_errors=True)

@@ -35,6 +35,9 @@ SURVIVORS_TEST = "tests/test_evolve.py::test_survivors_equal_the_full_ranking_cr
 TEXTBOOK_TEST = "tests/test_evolve.py::test_ga_equals_textbook_nsga2"
 BLOCKS_TEST = "tests/test_evolve.py::test_ga_equals_textbook_nsga2_across_block_boundaries"
 PER_GENE_TEST = "tests/test_evolve.py::test_array_sbx_and_mutation_match_per_gene_reference"
+KEY_ORDER_TEST = "tests/test_evolve.py::test_complex_key_sorts_rows_as_lexsort"
+NATURAL_TEST = "tests/test_evolve.py::test_ga_front_responses_are_the_natural_values_of_its_points"
+VARIATION_BLOCK_TEST = "tests/test_evolve.py::test_variation_is_drawn_a_bounded_block_at_a_time"
 
 
 class Mutant(NamedTuple):
@@ -156,9 +159,13 @@ MUTANTS = (
            "front 0 in f1 order is taken as the crowding order of a minimized second "
            "or a maximized first objective"),
     Mutant("survivors_tie_by_front_position", EVOLVE,
-           "np.lexsort((at, -dist))", 'np.argsort(-dist, kind="stable")',
+           "key.imag = at  #", "key.imag = np.arange(len(at))  #",
            (SURVIVORS_TEST,),
            "survivors of equal crowding are taken in f1 order, not index order"),
+    Mutant("selection_key_without_index", EVOLVE,
+           "key.imag = at  #", "key.imag = 0.0  #",
+           (SURVIVORS_TEST,),
+           "survivors of equal crowding are taken in whatever order the sort leaves them"),
     Mutant("sweep_bisect_right", EVOLVE,
            "from bisect import bisect_left", "from bisect import bisect_right as bisect_left",
            (RANKS_TEST,),
@@ -172,9 +179,30 @@ MUTANTS = (
            (RANKS_TEST,),
            "a row with an equal f2 and a larger f1 joins the front that dominates it"),
     Mutant("front_sort_by_f1_alone", EVOLVE,
-           "rows = np.lexsort((f2, f1))", 'rows = np.argsort(f1, kind="stable")',
-           (RANKS_TEST,),
+           'rows = np.argsort(key, kind="stable")', 'rows = np.argsort(key.real, kind="stable")',
+           (RANKS_TEST, KEY_ORDER_TEST),
            "rows of equal f1 are taken in index order, so a dominated one can enter front 0"),
+    Mutant("ga_ranks_natural_units", EVOLVE,
+           "responses = stack_values(stack, lb + unit_pop * span)",
+           "responses = problem.natural_values(lb + unit_pop * span)",
+           (TEXTBOOK_TEST, NATURAL_TEST),
+           "the GA's rows are natural units, so the key's f2 minimizes the maximized MRR and "
+           "the final front's MRR is negated"),
+    Mutant("final_front_not_converted", EVOLVE,
+           "(resp[best] * [s.sign for s in senses]).tolist()", "resp[best].tolist()",
+           (NATURAL_TEST, TEXTBOOK_TEST),
+           "the final front reports a maximized objective's minimization form, its negation"),
+    Mutant("picks_not_refilled_per_block", EVOLVE,
+           "picks, draws = np.empty((block, 2, n), dtype=np.intp), np.empty((block, 19 * (n // 2)))\n"
+           "    while done < config.generations:\n"
+           "        count = min(block, config.generations - done)\n"
+           "        picks[:] = np.arange(n)\n",
+           "picks, draws = np.tile(np.arange(n), (block, 2, 1)), np.empty((block, 19 * (n // 2)))\n"
+           "    while done < config.generations:\n"
+           "        count = min(block, config.generations - done)\n",
+           (BLOCKS_TEST, VARIATION_BLOCK_TEST, TEXTBOOK_TEST),
+           "every block after the first shuffles the last block's permutations again, so its "
+           "tournaments are not rng.permutation(n)'s"),
     Mutant("beta_not_neutral_off_crossing", EVOLVE,
            "& (swap < 0.5), beta, 1.0)", "& (swap < 0.5), beta, beta)",
            (PER_GENE_TEST, TEXTBOOK_TEST, BLOCKS_TEST),
@@ -186,7 +214,7 @@ MUTANTS = (
            "every gene mutates, whatever its coin"),
     Mutant("block_always_full", EVOLVE,
            "count = min(block, config.generations - done)", "count = block",
-           (BLOCKS_TEST, "tests/test_evolve.py::test_variation_is_drawn_a_bounded_block_at_a_time"),
+           (BLOCKS_TEST, VARIATION_BLOCK_TEST),
            "the last block runs past the configured generations"),
     Mutant("draw_slices_swapped", EVOLVE,
            "sbx, mutation = np.split(draws, [7 * half], axis=1)",

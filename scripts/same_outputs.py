@@ -8,11 +8,14 @@ are compared too. Prints every file whose bytes differ or that only one tree
 wrote, and every command that exited non-zero, and exits 1 if there is any;
 the two directories are then kept for inspection, otherwise they are removed.
 The GA commands include a short run at population 120, every ranking of which
-needs the fronts past front 0, so a fault there shows in its final front.
+needs the fronts past front 0, so a fault there shows in its final front. Each
+``--env NAME=VALUE`` is set for every command of both trees, to compare them
+under one pinned host setting, such as a BLAS kernel or a numpy SIMD level.
 
-Usage: python scripts/same_outputs.py A_SRC B_SRC
+Usage: python scripts/same_outputs.py A_SRC B_SRC [--env NAME=VALUE ...]
 """
 
+import argparse
 import filecmp
 import os
 import shutil
@@ -96,14 +99,14 @@ CONFIGS = {
 }
 
 
-def run_tree(src: Path, out: Path, commands) -> list[str]:
-    """Run ``commands`` with ``src`` first on the import path, in ``out``; returns
-    the names of those that exited non-zero."""
+def run_tree(src: Path, out: Path, commands, env_vars=None) -> list[str]:
+    """Run ``commands`` with ``src`` first on the import path and ``env_vars`` set,
+    in ``out``; returns the names of those that exited non-zero."""
     failed = []
     out.mkdir(parents=True)
     for name, text in CONFIGS.items():
         (out / name).write_text(text, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    env = dict(os.environ, **(env_vars or {}), PYTHONPATH=str(src.resolve()))
     for name, argv in commands:
         if argv is None:
             argv = ["-c", _SYNTHETIC, str(PERFBENCH)]
@@ -128,12 +131,28 @@ def differing(a: Path, b: Path) -> list[str]:
                           and filecmp.cmp(a / n, b / n, shallow=False)))
 
 
-def main(a_src: str, b_src: str, commands=COMMANDS) -> int:
+def _assignment(text: str) -> tuple[str, str]:
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
+def main(argv=None, commands=COMMANDS) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a_src")
+    parser.add_argument("b_src")
+    parser.add_argument("--env", type=_assignment, action="append", default=[],
+                        metavar="NAME=VALUE", help="set for every command of both trees")
+    args = parser.parse_args(argv)
+    env = dict(args.env)
+    if "PYTHONPATH" in env:
+        parser.error("--env cannot set PYTHONPATH: each tree's src is put there")
     work = Path(tempfile.mkdtemp(prefix="same_outputs_"))
     a, b = work / "a", work / "b"
     # a command that fails in both trees would compare equal and show nothing
-    failed = [f"{tree}/{name}.log" for tree, src in (("a", a_src), ("b", b_src))
-              for name in run_tree(Path(src), work / tree, commands)]
+    failed = [f"{tree}/{name}.log" for tree, src in (("a", args.a_src), ("b", args.b_src))
+              for name in run_tree(Path(src), work / tree, commands, env)]
     files = sum(1 for p in a.rglob("*") if p.is_file())
     diff = differing(a, b)
     for name in failed:
@@ -150,7 +169,4 @@ def main(a_src: str, b_src: str, commands=COMMANDS) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        print(__doc__.rsplit("\n\n", 1)[1].strip(), file=sys.stderr)
-        sys.exit(2)
-    sys.exit(main(sys.argv[1], sys.argv[2]))
+    sys.exit(main())

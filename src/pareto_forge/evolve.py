@@ -7,28 +7,34 @@ evolutionary algorithms", Applied Soft Computing 33:223, 2015): the corners
 overwrite the first min(n, 8) rows of the draw, so the random stream and the
 evaluation count stay those of an all-uniform start. A generation makes a
 binary tournament, simulated-binary crossover and polynomial mutation on
-box-scaled variables. Their draws, two permutations and one row of uniforms a
-generation, do not depend on the population, so they are drawn for a block of
-max(1, 1024 // n) generations at a time, in the stream's order, and turned
-into tournament winners, crossover factors 1 + beta and 1 - beta and mutation
-steps in one array pass over the block. A gene that does not cross has
-beta = 1 and one that does not mutate a step of 0, which leave its bits as
-they are; a generation then gathers its tournament winners and their mates,
-forms every child with one expression and clips. The n parents and n children are ranked over the two
-objectives and crowded once, and the best n in (rank, crowding, index)
-order survive in that order, keeping the ranks and crowding they had among
-both: NSGA-II assigns them while forming the next population (§III-C). So
-the population is always stored best-first, and the tournament's crowded
-comparison of two rows is a comparison of their positions.
+box-scaled variables. Their draws, two permutations (each arange(n) shuffled
+in place) and one row of uniforms a generation, do not depend on the
+population, so they are drawn for a block of max(1, 1024 // n) generations at
+a time, in the stream's order, and turned into tournament winners, crossover
+factors 1 + beta and 1 - beta and mutation steps in one array pass over the
+block. A gene that does not cross has beta = 1 and one that does not mutate a
+step of 0, which leave its bits as they are; a generation then gathers its
+tournament winners and their mates, forms every child with one expression and
+clips. The n parents and n children are ranked over the two objectives and
+crowded once, and the best n in (rank, crowding, index) order survive in that
+order, keeping the ranks and crowding they had among both: NSGA-II assigns
+them while forming the next population (§III-C). So the population is always
+stored best-first, and the tournament's crowded comparison of two rows is a
+comparison of their positions.
 
-Only the fronts that can survive are read. One sort of the 2n rows finds
-front 0, and when front 0 holds n rows or more, as it does in most
-generations, NSGA-II drops every other front unread: the survivors come
-straight from that sort. For a minimized first and a maximized second
-objective, front 0 in (f1, index) order is both objectives' crowding order,
-so both are crowded in one pass over it without a sort of their own, and one
-sort by (crowding, index) picks the survivors. Otherwise every front is
-ranked by one sweep, crowded by one sort per objective and sorted.
+The responses stay in the minimization form that the problem's model stack
+evaluates, and only the final front is converted to natural units, by the
+signs, as ``MooProblem.natural_values`` does, so its bits are that call's.
+Only the fronts that can survive are read. One stable sort of the 2n rows,
+each read in place as the complex value f1 + i f2, which numpy orders by real
+and then imaginary part, finds front 0; when front 0 holds n rows or more, as
+it does in most generations, NSGA-II drops every other front unread: the
+survivors come straight from that sort. For a minimized first and a
+maximized second objective, front 0 in (f1, index) order is both objectives'
+crowding order, so both are crowded in one pass over it without a sort of
+their own, and one sort of the complex keys -crowding + i index picks the
+survivors. Otherwise every front is ranked by one sweep, crowded in natural
+units by one sort per objective and sorted.
 
 Both children of every pair come from one expression, the factors of a
 block from one power per operator, and the crowding of every front from one
@@ -50,6 +56,7 @@ import numpy as np
 
 from .nlsolver import RunCounters, reject_nonfinite
 from .pareto import Front, ParetoPoint, Sense, _min_form_columns, filter_nondominated
+from .polymodel import stack_values
 from .scalarize import MooProblem, RoutineResult
 
 
@@ -77,27 +84,34 @@ class GaConfig:
             raise ValueError("distribution indices must be positive")
 
 
-def _sorted_front_zero(f1: np.ndarray, f2: np.ndarray):
-    """The rows without a NaN in (f1, f2, index) order of the minimization forms
-    ``f1``, ``f2``, and whether each lies in front 0, the rows that no row
-    dominates.
+def _sorted_front_zero(values: np.ndarray):
+    """The rows of ``values``, minimization forms (n, 2) in C order, that hold
+    no NaN, in (f1, f2, index) order, and whether each lies in front 0, the rows
+    that no row dominates.
+
+    The order is one stable sort of the complex keys f1 + i f2, each row read
+    in place as one complex value: numpy sorts complex values by real part,
+    then imaginary part, which is ``np.lexsort((f2, f1))``'s order, and puts
+    every key with a NaN part last, where the NaN rows are dropped. -0.0 and
+    0.0 compare equal in both, and exact copies are equal neighbours.
 
     In this order no row is dominated by a later one, so front 0 is the rows
     whose f2 is strictly below every f2 before their first exact copy, a running
     minimum (its empty prefix is NaN, which compares false: +inf would drop a
     (-inf, +inf) first row, and a strict test against the minimum would drop the
     copies of the first row)."""
-    # lexsort is stable, so dropping the NaN rows after it keeps this order
-    rows = np.lexsort((f2, f1))
-    nan = np.isnan(f1) | np.isnan(f2)
+    key = values.view(complex).ravel()
+    rows = np.argsort(key, kind="stable")
+    key = key[rows]
+    nan = np.isnan(key)
     if nan.any():
-        rows = rows[~nan[rows]]
-    a, b = f1[rows], f2[rows]
+        rows, key = rows[~nan], key[~nan]
     # first[k]: the position of row k's first exact copy; best[k]: the least f2
     # of the first k rows, so front 0 is every row not at or above best[first]
     new = np.ones(len(rows), dtype=bool)
-    new[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    new[1:] = key[1:] != key[:-1]
     first = np.maximum.accumulate(np.where(new, np.arange(len(rows)), 0))
+    b = key.imag
     best = np.concatenate(([np.nan], np.fmin.accumulate(b)))
     return rows, ~(b >= best[first])
 
@@ -127,9 +141,8 @@ def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
     """Rank per row of the two objectives: 0 for rows that no row dominates, k for
     rows that no row dominates once the rows of ranks < k are removed; a row with
     a NaN, which dominates none and none dominates, has rank 0."""
-    f1, f2 = _min_form_columns(values, senses)
-    rows, front = _sorted_front_zero(f1, f2)
-    return _ranks_past_front_zero(f1, f2, rows, front)
+    rows = np.ascontiguousarray(_min_form_columns(values, senses).T)
+    return _ranks_past_front_zero(*rows.T, *_sorted_front_zero(rows))
 
 
 def _crowding_by_rank(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -175,7 +188,8 @@ def _selection_order(ranks: np.ndarray, crowd: np.ndarray) -> np.ndarray:
 
 def _survivors(values: np.ndarray, senses: Sequence[Sense], keep: int):
     """The first ``keep`` rows of ``_selection_order`` over the ranks and crowding
-    of every row of ``values``, best-first, and their ranks.
+    of every row, best-first, and their ranks. ``values`` holds each row's
+    minimization forms (n, 2) in C order; crowding is taken in natural units.
 
     NSGA-II drops every front that does not fit the next population unread
     (Deb, Pratap, Agarwal & Meyarivan, IEEE TEC 6:182, 2002), so when front 0
@@ -184,31 +198,31 @@ def _survivors(values: np.ndarray, senses: Sequence[Sense], keep: int):
     and only exact copies tie, so for a minimized first and a maximized second
     objective, the command line's pair, both natural values rise along its rows
     in (f1, index) order: that order is each objective's crowding order, copies
-    in index order. Both objectives are crowded in one pass with the arithmetic
-    of ``_crowding_by_rank``, in the same order, so the distances keep their
-    bits, and one sort by (crowding desc, index asc) picks the survivors. Any
-    other input, or pair of senses, is ranked in full, crowded and sorted.
+    in index order. Both objectives are crowded in one pass, each in the
+    minimization form: a maximized objective's natural gap and span are its
+    negated ones, so each quotient has the natural one's bits, but for the sign
+    of a zero, which adding it to the first objective's quotient (never -0.0)
+    drops. The distances so keep the bits of ``_crowding_by_rank``'s, and one
+    sort of the complex keys -crowding + i index picks the survivors. Any other
+    input, or pair of senses, is ranked in full and crowded in natural units.
     """
-    f1, f2 = _min_form_columns(values, senses)
-    rows, front = _sorted_front_zero(f1, f2)
+    rows, front = _sorted_front_zero(values)
     at = rows[front]
     if (tuple(senses) != (Sense.MINIMIZE, Sense.MAXIMIZE) or not 0 < keep <= len(at)
             or not np.isfinite(values).all()):
-        ranks = _ranks_past_front_zero(f1, f2, rows, front)
-        chosen = _selection_order(ranks, _crowding_by_rank(values, ranks))[:keep]
+        ranks = _ranks_past_front_zero(*values.T, rows, front)
+        crowd = _crowding_by_rank(values * [s.sign for s in senses], ranks)
+        chosen = _selection_order(ranks, crowd)[:keep]
         return chosen, ranks[chosen]
-    vf = values[at]
-    dist = np.zeros(len(at))
-    part = np.full(len(at), np.inf)
-    for j in range(2):
-        v = vf[:, j]
-        span = float(v[-1]) - float(v[0])
-        if 0.0 < span < np.inf:
-            np.divide(v[2:] - v[:-2], span, out=part[1:-1])
-        else:
-            part[1:-1] = 0.0
-        dist += part
-    chosen = at[np.lexsort((at, -dist))[:keep]]
+    vf = values.take(at, axis=0)
+    # quotients are >= 0; a zero span, or one past the float range, gives 0 / 0,
+    # g / inf or inf / inf; fmax makes NaN 0, adding nothing, as _crowding_by_rank does
+    with np.errstate(over="ignore", invalid="ignore"):
+        part = np.fmax((vf[2:] - vf[:-2]) / (vf[-1] - vf[0]), 0.0)
+    key = np.full(len(at), -np.inf, dtype=complex)
+    key.real[1:-1] = -(part[:, 0] + part[:, 1])
+    key.imag = at  # distinct keys, so any sort gives this order
+    chosen = at[np.argsort(key)[:keep]]
     return chosen, np.zeros(keep, dtype=int)
 
 
@@ -217,12 +231,16 @@ def _survivors(values: np.ndarray, senses: Sequence[Sense], keep: int):
 _BLOCK_ROWS = 1024
 
 
-def _variation(rng: np.random.Generator, config: GaConfig, count: int):
+def _variation(rng: np.random.Generator, config: GaConfig, picks: np.ndarray,
+               draws: np.ndarray):
     """The tournament winners, crossover factors and mutation steps of the next
-    ``count`` generations, each of whose draws is two ``rng.permutation`` calls
-    and one row of uniforms, in that order. The population does not change what
-    is drawn, so a block of generations is drawn first and transformed in one
-    array pass.
+    ``count = len(draws)`` generations, each of whose draws is two
+    ``rng.permutation(n)`` calls and one row of uniforms, in that order. The
+    population does not change what is drawn, so a block of generations is drawn
+    first and transformed in one array pass. ``picks`` (count, 2, n) holds
+    ``arange(n)`` in every row, and each row is shuffled in place, which draws
+    ``rng.permutation(n)``: that is ``arange(n)`` shuffled. ``draws``
+    (count, 19 n / 2) takes the uniforms.
 
     A row holds each pair's crossover coin, then its genes' swaps and spread
     uniforms (simulated binary crossover, Deb & Agrawal 1995), then each child
@@ -242,13 +260,12 @@ def _variation(rng: np.random.Generator, config: GaConfig, count: int):
     operations in their order. Each gene raises only the base of its own branch
     to the power.
     """
-    n = config.pop_size
+    count, n = picks.shape[0], config.pop_size
     half = n // 2
-    picks = np.empty((count, 2, n), dtype=np.intp)
-    draws = np.empty((count, 19 * half))  # 7 half for crossover, then 6 n for mutation
-    for g in range(count):
-        picks[g, 0], picks[g, 1] = rng.permutation(n), rng.permutation(n)
-        rng.random(out=draws[g])
+    for pair, row in zip(picks, draws):
+        rng.shuffle(pair[0])
+        rng.shuffle(pair[1])
+        rng.random(out=row)  # 7 half for crossover, then 6 n for mutation
     winners = np.minimum(picks[:, 0], picks[:, 1])
     # pair k is winners 2k and 2k + 1, each the other's mate
     mates = winners.reshape(count, half, 2)[:, :, ::-1].reshape(count, n)
@@ -291,17 +308,18 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
     config = config or GaConfig()
     bounds = problem.bounds
     lb, span = np.asarray(bounds.lower), np.asarray(bounds.span)
-    senses = problem.senses
+    senses, stack = problem.senses, problem.stack
     n = config.pop_size
     rng = np.random.default_rng(config.seed)
     counters = RunCounters()
 
     def evaluate_pop(unit_pop: np.ndarray) -> np.ndarray:
-        responses = problem.natural_values(lb + unit_pop * span)
+        responses = stack_values(stack, lb + unit_pop * span)
         counters.function_evals += responses.size
         return responses
 
-    # the parents are rows :n and the children rows n: of one buffer
+    # the parents are rows :n and the children rows n: of one buffer; responses
+    # stay in minimization form until the final front
     combined, combined_resp = np.empty((2 * n, 3)), np.empty((2 * n, len(senses)))
     pop, resp = combined[:n], combined_resp[:n]
     pop[:] = rng.random((n, 3))
@@ -311,9 +329,11 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
     pop[:], resp[:] = pop[best_first], resp[best_first]
 
     block, done = max(1, _BLOCK_ROWS // n), 0
+    picks, draws = np.empty((block, 2, n), dtype=np.intp), np.empty((block, 19 * (n // 2)))
     while done < config.generations:
         count = min(block, config.generations - done)
-        for variation in zip(*_variation(rng, config, count)):
+        picks[:] = np.arange(n)
+        for variation in zip(*_variation(rng, config, picks[:count], draws[:count])):
             # the clip: np.clip's Python wrapper costs more than these two ufuncs
             children = np.maximum(_offspring(pop, *variation), 0.0)
             np.minimum(children, 1.0, out=combined[n:])
@@ -325,10 +345,9 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
             counters.iterations += 1
         done += count
 
-    tag = f"seed={config.seed}"
-    points = [
-        ParetoPoint(tuple(lb + pop[i] * span), tuple(resp[i]), "genetic_algorithm", tag)
-        for i in np.flatnonzero(ranks == 0)
-    ]
+    # natural units are the minimization forms times the signs, as natural_values
+    best, tag = ranks == 0, f"seed={config.seed}"
+    points = [ParetoPoint(x, r, "genetic_algorithm", tag) for x, r in zip(
+        (lb + pop[best] * span).tolist(), (resp[best] * [s.sign for s in senses]).tolist())]
     front = Front(tuple(filter_nondominated(points, senses)), senses)
     return RoutineResult(front=front, results=(), counters=counters)

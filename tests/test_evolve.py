@@ -26,6 +26,7 @@ from pareto_forge.evolve import (
     _offspring,
     _ranks,
     _selection_order,
+    _sorted_front_zero,
     _survivors,
     _variation,
 )
@@ -132,6 +133,32 @@ def test_ranks_equal_matrix_peel_and_brute_force(senses):
         assert _ranks(values, senses).tolist() == brute_force_ranks(values.tolist(), senses)
 
 
+KEY_ORDER_CASES = {
+    "equal f1, other f2": [(1.0, 3.0), (1.0, 2.0), (0.0, 5.0), (1.0, 2.0), (1.0, -1.0)],
+    "signed zeros": [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (1.0, -0.0)],
+    "infinities": [(np.inf, -np.inf), (-np.inf, np.inf), (-np.inf, -np.inf), (np.inf, np.inf),
+                   (0.0, np.inf), (-np.inf, 0.0), (np.inf, -np.inf)],
+    "NaN in either part": [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan), (0.0, 0.0),
+                           (2.0, -1.0), (np.nan, -np.inf), (-np.inf, np.nan)],
+    "exact copies": [(2.0, 2.0), (1.0, 3.0), (2.0, 2.0), (1.0, 3.0), (3.0, 1.0), (1.0, 3.0)],
+}
+
+
+@pytest.mark.parametrize("rows", [pytest.param(np.array(rows), id=name)
+                                  for name, rows in KEY_ORDER_CASES.items()]
+                         + [pytest.param(rows, id=f"ties-{k}")
+                            for k, rows in enumerate(rank_cases(count=16))])
+def test_complex_key_sorts_rows_as_lexsort(rows):
+    # one stable sort of f1 + i f2 gives np.lexsort((f2, f1))'s order with the
+    # NaN rows left out, and front 0 is the rows of rank 0 among them
+    order = np.lexsort((rows[:, 1], rows[:, 0]))
+    order = order[~np.isnan(rows[order]).any(axis=1)]
+    sorted_rows, front = _sorted_front_zero(np.ascontiguousarray(rows))
+    assert same_bits(sorted_rows, order)
+    ranks = np.array(brute_force_ranks(rows.tolist(), MIN_MIN), dtype=int)
+    assert same_bits(front, ranks[order] == 0)
+
+
 @pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
 def test_permuting_rows_permutes_ranks(senses):
     rng = np.random.default_rng(37)
@@ -147,6 +174,11 @@ def test_swapping_the_objectives_leaves_ranks_unchanged(senses):
 
 
 SENSE_PAIRS = [(a, b) for a in Sense for b in Sense]
+
+
+def min_form(values, senses):
+    """The minimization forms of natural-unit rows, which ``_survivors`` takes."""
+    return values * [s.sign for s in senses]
 
 
 @st.composite
@@ -170,7 +202,7 @@ def test_ranks_are_exact_below_the_cut(drawn):
     values, senses, keep = drawn
     full = np.array(brute_force_ranks(values.tolist(), senses), dtype=int)
     assert np.array_equal(_ranks(values, senses), full)
-    chosen, ranks = _survivors(values, senses, keep)
+    chosen, ranks = _survivors(min_form(values, senses), senses, keep)
     assert len(chosen) == len(set(chosen.tolist())) == keep
     assert np.array_equal(ranks, full[chosen])
     if keep:
@@ -178,7 +210,8 @@ def test_ranks_are_exact_below_the_cut(drawn):
 
 
 def survivors_by_full_ranking(values, senses, keep):
-    """``_survivors`` as every row ranked, crowded and sorted."""
+    """``_survivors`` as every row ranked, crowded and sorted, from natural-unit
+    ``values``."""
     ranks = _ranks(values, senses)
     chosen = _selection_order(ranks, _crowding_by_rank(values, ranks))[:keep]
     return chosen, ranks[chosen]
@@ -212,7 +245,7 @@ def fronts_with_copies(draw):
 def test_survivors_equal_the_full_ranking_crowding_and_sort(drawn):
     values, senses = drawn
     for keep in range(1, len(values) + 1):
-        chosen, ranks = _survivors(values, senses, keep)
+        chosen, ranks = _survivors(min_form(values, senses), senses, keep)
         want, want_ranks = survivors_by_full_ranking(values, senses, keep)
         assert same_bits(chosen, want) and same_bits(ranks, want_ranks), keep
 
@@ -223,8 +256,9 @@ def test_survivors_of_a_filling_front_zero_skip_the_full_ranking(monkeypatch):
     front = [(3.0, 3.0), (0.0, 6.0), (5.0, 1.0), (3.0, 3.0), (6.0, 0.0), (0.0, 6.0),
              (1.0, 4.0), (6.0, 0.0), (2.0, 3.5), (4.0, 2.0)]
     senses = MIN_MAX
-    values = np.array(front + [(4.0, 4.0), (6.0, 6.0)]) * [s.sign for s in senses]
-    wants = [survivors_by_full_ranking(values, senses, keep) for keep in range(1, 11)]
+    rows = np.array(front + [(4.0, 4.0), (6.0, 6.0)])
+    wants = [survivors_by_full_ranking(rows * [s.sign for s in senses], senses, keep)
+             for keep in range(1, 11)]
 
     def unread(*args):
         raise AssertionError("front 0 fills the survivors; no other rank is read")
@@ -232,8 +266,30 @@ def test_survivors_of_a_filling_front_zero_skip_the_full_ranking(monkeypatch):
     monkeypatch.setattr(evolve, "_ranks_past_front_zero", unread)
     monkeypatch.setattr(evolve, "_crowding_by_rank", unread)
     for keep, (want, want_ranks) in zip(range(1, 11), wants):
-        chosen, ranks = _survivors(values, senses, keep)
+        chosen, ranks = _survivors(rows, senses, keep)
         assert same_bits(chosen, want) and same_bits(ranks, want_ranks)
+
+
+def test_survivors_of_a_front_past_the_float_range_skip_the_full_ranking(monkeypatch):
+    # minimization forms whose front 0 spans more than the float range in both
+    # objectives: a span overflows to inf, and with it a gap, and each objective
+    # adds nothing to an interior row, as in the full crowding, without a warning
+    rows = np.array([(-1e308, 1e308), (-1.0, 2.0), (0.0, 0.0), (1e308, -1e308),
+                     (-1.0, 2.0), (5.0, 6.0)])
+    senses = MIN_MAX
+    wants = [survivors_by_full_ranking(rows * [s.sign for s in senses], senses, keep)
+             for keep in range(1, 6)]
+
+    def unread(*args):
+        raise AssertionError("front 0 fills the survivors; no other rank is read")
+
+    monkeypatch.setattr(evolve, "_ranks_past_front_zero", unread)
+    monkeypatch.setattr(evolve, "_crowding_by_rank", unread)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for keep, (want, want_ranks) in zip(range(1, 6), wants):
+            chosen, ranks = _survivors(rows, senses, keep)
+            assert same_bits(chosen, want) and same_bits(ranks, want_ranks)
 
 
 def one_front_crowding(front):
@@ -372,15 +428,16 @@ def same_bits(a, b):
 
 class ScriptedDraws:
     """Stands in for the generator that ``_variation`` draws from: hands out the
-    given permutations and rows of uniforms, in the order they are asked for."""
+    given permutations and rows of uniforms, in the order they are asked for. A
+    permutation is drawn by shuffling ``arange(n)``, as ``Generator.permutation``
+    does."""
 
     def __init__(self, permutations, rows):
         self.permutations, self.rows = iter(permutations), iter(rows)
 
-    def permutation(self, n):
-        perm = next(self.permutations)
-        assert len(perm) == n
-        return perm
+    def shuffle(self, row):
+        assert same_bits(row, np.arange(len(row)))
+        row[:] = next(self.permutations)
 
     def random(self, *, out):
         out[:] = next(self.rows)
@@ -395,7 +452,9 @@ def draw_row(cross_coin, swap, u_sbx, mut_coin, u_mut):
 def children_of_the_block(pop, config, permutations, rows):
     """Each generation's children of ``pop`` from ``_variation`` over the scripted
     draws and ``_offspring``, before clipping."""
-    block = _variation(ScriptedDraws(permutations, rows), config, len(rows))
+    picks = np.tile(np.arange(config.pop_size), (len(rows), 2, 1))
+    draws = np.empty((len(rows), len(rows[0])))
+    block = _variation(ScriptedDraws(permutations, rows), config, picks, draws)
     return [_offspring(pop, *generation) for generation in zip(*block)]
 
 
@@ -631,8 +690,10 @@ def test_ga_equals_the_dominance_matrix_path(problem, pop_size, monkeypatch):
         return crowding(values, ranks)
 
     def survivors_by_peeling(values, senses, keep):
-        ranks = mask_peel(values, senses)
-        chosen = _selection_order(ranks, crowding(values, ranks))[:keep]
+        # run_ga ranks minimization forms; crowding is taken in natural units
+        natural = min_form(values, senses)
+        ranks = mask_peel(natural, senses)
+        chosen = _selection_order(ranks, crowding(natural, ranks))[:keep]
         return chosen, ranks[chosen]
 
     monkeypatch.setattr(evolve, "_crowding_by_rank", crowding_of_peeled_ranks)
@@ -723,6 +784,16 @@ def test_ga_equals_textbook_nsga2(refit_models, pop_size, senses):
         assert res.counters.function_evals == evals == pop_size * (cfg.generations + 1) * 2
 
 
+@pytest.mark.parametrize("senses", SENSE_PAIRS, ids=lambda senses: "-".join(s.value for s in senses))
+def test_ga_front_responses_are_the_natural_values_of_its_points(refit_models, senses):
+    # the GA ranks minimization forms and converts only its final front
+    problem = problem_with(refit_models, senses)
+    for seed in range(3):
+        points = run_ga(problem, GaConfig(pop_size=16, generations=20, seed=seed)).front.points
+        x = np.array([p.x for p in points])
+        assert same_bits(np.array([p.responses for p in points]), problem.natural_values(x))
+
+
 def block_of(pop_size):
     """The generations that ``run_ga`` draws and transforms at a time."""
     return max(1, 1024 // pop_size)
@@ -750,13 +821,16 @@ def test_ga_equals_textbook_nsga2_across_block_boundaries(
 def test_variation_is_drawn_a_bounded_block_at_a_time(problem, pop_size, generations,
                                                       monkeypatch):
     # however long or wide the run, no block holds more than 1024 rows of
-    # draws, or one generation's when the population alone is wider
+    # draws, or one generation's when the population alone is wider; each
+    # block's permutations are shuffled from arange(n)
     counts, variation = [], evolve._variation
 
-    def variation_spy(rng, config, count):
-        counts.append(count)
-        block = variation(rng, config, count)
-        assert all(len(part) == count for part in block)
+    def variation_spy(rng, config, picks, draws):
+        counts.append(len(draws))
+        fresh = np.tile(np.arange(pop_size), (len(draws), 2, 1))
+        assert same_bits(picks, fresh), "a block's permutations start from arange(n)"
+        block = variation(rng, config, picks, draws)
+        assert all(len(part) == len(draws) for part in block)
         return block
 
     monkeypatch.setattr(evolve, "_variation", variation_spy)
@@ -768,8 +842,8 @@ def test_variation_is_drawn_a_bounded_block_at_a_time(problem, pop_size, generat
 
 
 def spy_on_survivors(monkeypatch):
-    """Record each ``_survivors`` call's rows, keep count and survivors, and how
-    many crowdings it computed, from here on."""
+    """Record each ``_survivors`` call's rows (minimization forms), keep count and
+    survivors, and how many crowdings it computed, from here on."""
     calls = []
     survivors, crowding = evolve._survivors, evolve._crowding_by_rank
 
@@ -796,14 +870,15 @@ def test_each_population_is_best_first_and_crowded_once(problem, pop_size, monke
     res = run_ga(problem, GaConfig(pop_size=pop_size, seed=4))
     assert len(calls) == 101
     for call in calls:
-        want, want_ranks = survivors_by_full_ranking(call["values"], problem.senses, pop_size)
+        natural = min_form(call["values"], problem.senses)
+        want, want_ranks = survivors_by_full_ranking(natural, problem.senses, pop_size)
         assert call["keep"] == pop_size and call["crowdings"] <= 1
         assert same_bits(call["chosen"], want) and same_bits(call["ranks"], want_ranks)
     for call, later in zip(calls, calls[1:]):
         assert same_bits(later["values"][:pop_size], call["values"][call["chosen"]])
     last = calls[-1]
-    assert {p.responses for p in res.front.points} <= {tuple(last["values"][i])
-                                                       for i in last["chosen"]}
+    natural = min_form(last["values"], problem.senses)
+    assert {p.responses for p in res.front.points} <= {tuple(natural[i]) for i in last["chosen"]}
 
 
 @pytest.mark.parametrize("pop_size", [60, 120])

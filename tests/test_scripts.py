@@ -45,8 +45,26 @@ def test_same_outputs_finds_a_tree_equal_to_itself(tmp_path, capsys):
         "only_a.txt", "only_b.txt", "sub/f.txt"]
     src = str(ROOT / "src")
     subset = [c for c in same_outputs.COMMANDS if c[0] in ("fit", "validate")]
-    assert same_outputs.main(src, src, subset) == 0
+    assert same_outputs.main([src, src], subset) == 0
     assert "identical over 2 commands" in capsys.readouterr().out
+
+
+def test_same_outputs_runs_both_trees_under_each_env_setting(tmp_path, capsys):
+    same_outputs = _load("same_outputs")
+    src = str(ROOT / "src")
+    validate = [c for c in same_outputs.COMMANDS if c[0] == "validate"]
+    # the interpreter reports its imports on stderr, which the command's log keeps
+    env = {"PYTHONPROFILEIMPORTTIME": "1"}
+    assert same_outputs.run_tree(ROOT / "src", tmp_path / "a", validate, env) == []
+    assert "import time:" in (tmp_path / "a" / "validate.log").read_text(encoding="utf-8")
+    pinned = ["--env", "OPENBLAS_CORETYPE=Prescott", "--env", "NPY_DISABLE_CPU_FEATURES="]
+    assert same_outputs.main([src, src, *pinned], validate) == 0
+    assert "identical over 1 commands" in capsys.readouterr().out
+    for bad, error in (("NAME", "expected NAME=VALUE"), ("=VALUE", "expected NAME=VALUE"),
+                       ("PYTHONPATH=x", "cannot set PYTHONPATH")):
+        with pytest.raises(SystemExit):
+            same_outputs.main([src, src, "--env", bad], validate)
+        assert error in capsys.readouterr().err
 
 
 def test_every_mutant_edits_one_place():
@@ -75,10 +93,31 @@ def test_a_mutant_that_hangs_is_reported_as_timed_out(monkeypatch, capsys):
 
 def test_ab_time_runs_a_tree_against_itself(capsys):
     src = str(ROOT / "src")
-    assert _load("ab_time").main([src, src, "--reps", "2", "--workloads", "ga_seed_merge"]) == 0
-    assert re.fullmatch(r"ga_seed_merge \(seed 0\): B/A median \d+\.\d{3}, B faster in [0-2] of "
-                        r"2 pairs; median A \d+\.\d{4} s, B \d+\.\d{4} s\n",
-                        capsys.readouterr().out)
+    ab_time = _load("ab_time")
+    assert ab_time.main([src, src, "--reps", "2", "--workloads", "ga_seed_merge"]) == 0
+    seconds, quartiles = r"\d+\.\d{4} s", r"\(quartiles \d+\.\d{4}-\d+\.\d{4}\)"
+    assert re.fullmatch(rf"ga_seed_merge \(seed 0\): B/A median \d+\.\d{{3}}, B faster in [0-2] of "
+                        rf"2 pairs; median A {seconds} {quartiles}, B {seconds} {quartiles}; "
+                        r"claim rule (met|not met)\n", capsys.readouterr().out)
+    # the claim rule: B faster in nine tenths of the pairs, ties counting for
+    # neither, by a median gap wider than A's interquartile range (0.2 here)
+    base = [(1.0, 0.7), (1.1, 0.8), (1.2, 0.9), (1.3, 1.0), (1.4, 1.1)] * 2
+    assert ab_time.quartiles([a for a, _ in base]) == pytest.approx((1.1, 1.3))
+    assert ab_time.summary("w", 3, base).endswith(
+        "B/A median 0.750, B faster in 10 of 10 pairs; median A 1.2000 s (quartiles "
+        "1.1000-1.3000), B 0.9000 s (quartiles 0.8000-1.0000); claim rule met")
+    tied = base[:9] + [(1.2, 1.2)]
+    assert ab_time.summary("w", 3, tied).endswith("9 of 10 pairs; median A 1.2000 s (quartiles "
+                                                  "1.1000-1.2750), B 0.9000 s (quartiles "
+                                                  "0.8000-1.0000); claim rule met")
+    assert ab_time.summary("w", 3, tied[:8] + [(1.3, 1.3)] + tied[9:]).endswith(
+        "B faster in 8 of 10 pairs; median A 1.2000 s (quartiles 1.1000-1.2750), B 0.9000 s "
+        "(quartiles 0.8000-1.0750); claim rule not met")
+    narrow = [(a, a - 0.15) for a, _ in base]
+    assert ab_time.summary("w", 3, narrow).endswith("claim rule not met")
+    assert ab_time.summary("w", 3, [(1.0, 0.5)]).endswith(
+        "median A 1.0000 s (quartiles 1.0000-1.0000), B 0.5000 s (quartiles 0.5000-0.5000); "
+        "claim rule met")
 
 
 def test_ab_time_seed_picks_the_commands(tmp_path, capsys):
