@@ -38,6 +38,8 @@ PER_GENE_TEST = "tests/test_evolve.py::test_array_sbx_and_mutation_match_per_gen
 KEY_ORDER_TEST = "tests/test_evolve.py::test_complex_key_sorts_rows_as_lexsort"
 NATURAL_TEST = "tests/test_evolve.py::test_ga_front_responses_are_the_natural_values_of_its_points"
 VARIATION_BLOCK_TEST = "tests/test_evolve.py::test_variation_is_drawn_a_bounded_block_at_a_time"
+CROWDING_TEST = "tests/test_evolve.py::test_crowding_by_rank_equals_per_rank_and_previous_crowding"
+MIRROR_TEST = "tests/test_metamorphic.py::test_swapping_the_objectives_mirrors_the_ga"
 
 
 class Mutant(NamedTuple):
@@ -153,15 +155,27 @@ MUTANTS = (
            "~(b >= best[first])", "b < best[first]",
            (RANKS_TEST, SURVIVORS_TEST),
            "the first sorted row and its copies, under the NaN head, leave front 0"),
-    Mutant("survivors_shortcut_any_senses", EVOLVE,
-           "tuple(senses) != (Sense.MINIMIZE, Sense.MAXIMIZE) or ", "",
+    Mutant("copy_runs_not_swapped", EVOLVE,
+           "    if any(falls):\n", "    if False:\n",
+           (SURVIVORS_TEST, TEXTBOOK_TEST, MIRROR_TEST),
+           "a minimized second or a maximized first objective is crowded in the layout "
+           "reversed, so the last of a run of exact copies takes its first's distance"),
+    Mutant("copy_swap_in_the_other_objective", EVOLVE,
+           "falls = [senses[0] is Sense.MAXIMIZE, senses[1] is Sense.MINIMIZE]",
+           "falls = [senses[1] is Sense.MINIMIZE, senses[0] is Sense.MAXIMIZE]",
            (SURVIVORS_TEST, TEXTBOOK_TEST),
-           "front 0 in f1 order is taken as the crowding order of a minimized second "
-           "or a maximized first objective"),
+           "under (min, min) or (max, max) the copy runs swap their ends in the objective "
+           "whose natural value rises along the layout"),
+    Mutant("front_span_over_the_layout", EVOLVE,
+           "        first, last = np.repeat(stop - counts, counts)[1:-1], "
+           "np.repeat(stop - 1, counts)[1:-1]\n", "",
+           (SURVIVORS_TEST, CROWDING_TEST),
+           "every front's interior rows divide by the span of the whole layout, from front "
+           "0's first row to the last front's last"),
     Mutant("survivors_tie_by_front_position", EVOLVE,
            "key.imag = at  #", "key.imag = np.arange(len(at))  #",
            (SURVIVORS_TEST,),
-           "survivors of equal crowding are taken in f1 order, not index order"),
+           "survivors of equal crowding are taken in layout order, not index order"),
     Mutant("selection_key_without_index", EVOLVE,
            "key.imag = at  #", "key.imag = 0.0  #",
            (SURVIVORS_TEST,),
@@ -170,10 +184,6 @@ MUTANTS = (
            "from bisect import bisect_left", "from bisect import bisect_right as bisect_left",
            (RANKS_TEST,),
            "an exact copy of a front's last row joins the next front"),
-    Mutant("nan_rows_in_the_sweep", EVOLVE,
-           "    if nan.any():\n", "    if False:\n",
-           (RANKS_TEST,),
-           "a row with a NaN is ranked past front 0"),
     Mutant("sweep_key_f2_only", EVOLVE,
            "zip(f2[rest].tolist(), f1[rest].tolist())", "zip(f2[rest].tolist())",
            (RANKS_TEST,),
@@ -183,8 +193,7 @@ MUTANTS = (
            (RANKS_TEST, KEY_ORDER_TEST),
            "rows of equal f1 are taken in index order, so a dominated one can enter front 0"),
     Mutant("ga_ranks_natural_units", EVOLVE,
-           "responses = stack_values(stack, lb + unit_pop * span)",
-           "responses = problem.natural_values(lb + unit_pop * span)",
+           "responses = stack_values(stack, x)", "responses = problem.natural_values(x)",
            (TEXTBOOK_TEST, NATURAL_TEST),
            "the GA's rows are natural units, so the key's f2 minimizes the maximized MRR and "
            "the final front's MRR is negated"),
@@ -203,6 +212,12 @@ MUTANTS = (
            (BLOCKS_TEST, VARIATION_BLOCK_TEST, TEXTBOOK_TEST),
            "every block after the first shuffles the last block's permutations again, so its "
            "tournaments are not rng.permutation(n)'s"),
+    Mutant("ga_finiteness_unchecked", EVOLVE,
+           "        if not np.isfinite(responses).all():\n", "        if False:\n",
+           ("tests/test_cli.py::"
+            "test_ga_of_an_overflowing_box_is_a_numeric_error_without_warning",),
+           "the GA ranks infinite and NaN responses and writes a front where every solver "
+           "routine stops with a numerical failure"),
     Mutant("beta_not_neutral_off_crossing", EVOLVE,
            "& (swap < 0.5), beta, 1.0)", "& (swap < 0.5), beta, beta)",
            (PER_GENE_TEST, TEXTBOOK_TEST, BLOCKS_TEST),
@@ -222,6 +237,11 @@ MUTANTS = (
            (PER_GENE_TEST, TEXTBOOK_TEST),
            "crossover reads the mutation draws of a generation's row and mutation the "
            "crossover draws"),
+    Mutant("solver_invalid_not_ignored", NLSOLVER,
+           '@np.errstate(over="ignore", invalid="ignore")', '@np.errstate(over="ignore")',
+           ("tests/test_cli.py::test_overflowing_model_value_is_a_numeric_error_without_warning",),
+           "an overflowing basis term times a zero coefficient warns of an invalid value "
+           "before the numerical failure is reported"),
     Mutant("bad_start_named_last", NLSOLVER,
            "starts[np.argmax(outside)]", "starts[len(outside) - 1 - np.argmax(outside[::-1])]",
            ("tests/test_nlsolver.py::test_first_bad_start_among_many_is_named",),

@@ -23,27 +23,24 @@ stored best-first, and the tournament's crowded comparison of two rows is a
 comparison of their positions.
 
 The responses stay in the minimization form that the problem's model stack
-evaluates, and only the final front is converted to natural units, by the
-signs, as ``MooProblem.natural_values`` does, so its bits are that call's.
-Only the fronts that can survive are read. One stable sort of the 2n rows,
-each read in place as the complex value f1 + i f2, which numpy orders by real
-and then imaginary part, finds front 0; when front 0 holds n rows or more, as
-it does in most generations, NSGA-II drops every other front unread: the
-survivors come straight from that sort. For a minimized first and a
-maximized second objective, front 0 in (f1, index) order is both objectives'
-crowding order, so both are crowded in one pass over it without a sort of
-their own, and one sort of the complex keys -crowding + i index picks the
-survivors. Otherwise every front is ranked by one sweep, crowded in natural
-units by one sort per objective and sorted.
+evaluates; only the final front is converted to natural units, by the signs,
+as ``MooProblem.natural_values`` does, so its bits are that call's. A
+non-finite response stops the run with a ``NonFiniteEvaluationError``. One
+stable sort of the 2n rows, each read in place as the complex value f1 + i f2,
+finds front 0. When it holds n rows or more, as in most generations, every
+other front is dropped unread; otherwise one sweep ranks the rest. Every front
+that is read is laid out in that sort's order and crowded in one pass over
+both objectives, and one sort of the complex keys -crowding + i index picks
+the survivors.
 
-Both children of every pair come from one expression, the factors of a
-block from one power per operator, and the crowding of every front from one
-pass per objective; each element still takes the
-floating-point operations of the textbook form, one gene or one front at a
-time, in the same order, so the bytes are that form's. Fronts are bitwise
-reproducible for a fixed seed on one host; the generator is numpy's
-documented PCG64. numpy's array power may round the last bit differently on
-CPUs with other SIMD support, so bytes can differ between hosts.
+Both children of every pair come from one expression, the factors of a block
+from one power per operator, and the crowding of every front from one pass
+over the layout; each element still takes the floating-point operations of
+the textbook form, one gene or one front at a time, in the same order, so the
+bytes are that form's. Fronts are bitwise reproducible for a fixed seed on one
+host; the generator is numpy's documented PCG64. numpy's array power may round
+the last bit differently on CPUs with other SIMD support, so bytes can differ
+between hosts.
 """
 
 from __future__ import annotations
@@ -54,8 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .nlsolver import RunCounters, reject_nonfinite
-from .pareto import Front, ParetoPoint, Sense, _min_form_columns, filter_nondominated
+from .nlsolver import NonFiniteEvaluationError, RunCounters, reject_nonfinite
+from .pareto import Front, ParetoPoint, Sense, filter_nondominated
 from .polymodel import stack_values
 from .scalarize import MooProblem, RoutineResult
 
@@ -85,27 +82,20 @@ class GaConfig:
 
 
 def _sorted_front_zero(values: np.ndarray):
-    """The rows of ``values``, minimization forms (n, 2) in C order, that hold
-    no NaN, in (f1, f2, index) order, and whether each lies in front 0, the rows
-    that no row dominates.
-
-    The order is one stable sort of the complex keys f1 + i f2, each row read
-    in place as one complex value: numpy sorts complex values by real part,
-    then imaginary part, which is ``np.lexsort((f2, f1))``'s order, and puts
-    every key with a NaN part last, where the NaN rows are dropped. -0.0 and
-    0.0 compare equal in both, and exact copies are equal neighbours.
-
-    In this order no row is dominated by a later one, so front 0 is the rows
-    whose f2 is strictly below every f2 before their first exact copy, a running
-    minimum (its empty prefix is NaN, which compares false: +inf would drop a
-    (-inf, +inf) first row, and a strict test against the minimum would drop the
-    copies of the first row)."""
+    """The rows of ``values``, minimization forms (n, 2) in C order and free of
+    NaN, in (f1, f2, index) order, and whether each lies in front 0, the rows
+    that no row dominates. The order is one stable sort of the complex keys
+    f1 + i f2, each row read in place as one complex value: numpy sorts complex
+    values by real part, then imaginary part, which is ``np.lexsort((f2, f1))``'s
+    order. -0.0 and 0.0 compare equal in both, and exact copies are equal
+    neighbours. In this order no row is dominated by a later one, so front 0 is
+    the rows whose f2 is strictly below every f2 before their first exact copy,
+    a running minimum (its empty prefix is NaN, which compares false: +inf would
+    drop a (-inf, +inf) first row, and a strict test against the minimum would
+    drop the copies of the first row)."""
     key = values.view(complex).ravel()
     rows = np.argsort(key, kind="stable")
     key = key[rows]
-    nan = np.isnan(key)
-    if nan.any():
-        rows, key = rows[~nan], key[~nan]
     # first[k]: the position of row k's first exact copy; best[k]: the least f2
     # of the first k rows, so front 0 is every row not at or above best[first]
     new = np.ones(len(rows), dtype=bool)
@@ -117,12 +107,12 @@ def _sorted_front_zero(values: np.ndarray):
 
 
 def _ranks_past_front_zero(f1, f2, rows, front) -> np.ndarray:
-    """Rank per row, given ``_sorted_front_zero``'s ``rows`` and ``front``: 0 in
-    front 0 and for the rows with a NaN, and the other rows ranked by one sweep
-    (Jensen, IEEE TEC 7:503, 2003): each row joins the first front whose last
-    row does not dominate it; those last rows, keyed (f2, f1), stay sorted (an
-    equal key is an equal point, which does not dominate)."""
-    ranks = np.zeros(len(f1), dtype=int)
+    """The rank of each of ``_sorted_front_zero``'s ``rows``, in their order: 0 in
+    front 0, and the other rows ranked by one sweep (Jensen, IEEE TEC 7:503,
+    2003): each row joins the first front whose last row does not dominate it;
+    those last rows, keyed (f2, f1), stay sorted (an equal key is an equal
+    point, which does not dominate)."""
+    ranks = np.zeros(len(rows), dtype=int)
     rest = rows[~front]
     last: list[tuple[float, float]] = []
     fronts = []
@@ -133,97 +123,75 @@ def _ranks_past_front_zero(f1, f2, rows, front) -> np.ndarray:
         else:
             last.append(key)
         fronts.append(k)
-    ranks[rest] = np.array(fronts, dtype=int) + 1
+    ranks[~front] = np.array(fronts, dtype=int) + 1
     return ranks
 
 
-def _ranks(values: np.ndarray, senses: Sequence[Sense]) -> np.ndarray:
-    """Rank per row of the two objectives: 0 for rows that no row dominates, k for
-    rows that no row dominates once the rows of ranks < k are removed; a row with
-    a NaN, which dominates none and none dominates, has rank 0."""
-    rows = np.ascontiguousarray(_min_form_columns(values, senses).T)
-    return _ranks_past_front_zero(*rows.T, *_sorted_front_zero(rows))
+def _crowding(v: np.ndarray, counts, senses: Sequence[Sense]) -> np.ndarray:
+    """Crowding distance of each row of ``v``, minimization forms (m, 2) laid out
+    front by front, ``counts`` rows a front, each front in (f1, f2, index) order.
 
-
-def _crowding_by_rank(values: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Crowding distance of each rank's points, all ranks at once: infinite at
-    each objective's boundary points of the rank, the normalized cuboid side-sum
-    for its interior points. An objective whose span over a rank is zero or not
-    finite adds nothing to the rank's interior points.
-
-    Per objective, one sort by (rank, value, index) lays each rank out as the
-    run its own stable sort would give, so every sum is taken in the same order.
-    The runs sit at the same positions in every objective's sort, so their ends
-    are found once; each objective then divides every interior gap by its run's
-    span in one masked pass and adds the quotients, and +inf at the ends, to the
-    distances. Adding 0.0 to the others leaves their bits as they were.
+    A front's end rows are infinitely far; row k of a front from row a to row b
+    adds max((v[k+1] - v[k-1]) / (v[b] - v[a]), 0) per objective, so a zero
+    span, or one past the float range (0 / 0, g / inf, inf / inf), adds 0.
+    NSGA-II crowds an objective in ascending natural value, ties in index order;
+    negating an objective negates its gaps and span, which keeps each quotient
+    but for the sign of a zero. Along a front f1 rises and f2 falls, and only
+    exact copies tie. So a minimized first or a maximized second objective is
+    crowded in layout order; for the others that order is the layout reversed
+    but for each run of exact copies, kept in index order: the run's first and
+    last row swap their contributions (the rows between add 0 either way).
     """
-    n = len(values)
-    counts = np.bincount(ranks)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    last = first + np.repeat(counts - 1, counts)
-    pos = np.arange(n)
-    interior = (pos != first) & (pos != last)
-    at_ends = np.where(interior, 0.0, np.inf)
-    gap = np.zeros(n)
-    dist = np.zeros(n)
-    # inf - inf, and a difference past the float range, are masked out below
-    with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(values.shape[1]):
-            order = np.lexsort((values[:, j], ranks))
-            v = values[order, j]
-            span = v[last] - v[first]
-            np.subtract(v[2:], v[:-2], out=gap[1:-1])
-            part = at_ends.copy()
-            np.divide(gap, span, out=part, where=interior & (span > 0) & (span < np.inf))
-            dist[order] += part
-    return dist
-
-
-def _selection_order(ranks: np.ndarray, crowd: np.ndarray) -> np.ndarray:
-    """Indices sorted best-first by (rank asc, crowding desc, index asc); lexsort
-    is stable, so equal keys keep index order."""
-    return np.lexsort((-crowd, ranks))
+    part = np.full(v.shape, np.inf)
+    # one front, from row v[:1] to row v[-1:] (none when m is 0), and no end inside
+    first, last, ends = slice(1), slice(-1, None), slice(0)
+    if len(counts) > 1:
+        stop = np.cumsum(counts)
+        first, last = np.repeat(stop - counts, counts)[1:-1], np.repeat(stop - 1, counts)[1:-1]
+        ends = np.concatenate((stop[:-1] - 1, stop[:-1]))
+    # a quotient across two fronts, which may divide by zero, is overwritten
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        part[1:-1] = np.fmax((v[2:] - v[:-2]) / (v[last] - v[first]), 0.0)
+    part[ends] = np.inf
+    falls = [senses[0] is Sense.MAXIMIZE, senses[1] is Sense.MINIMIZE]
+    if any(falls):
+        # edge[k]: a run of exact copies ends before row k
+        edge = np.ones(len(v) + 1, dtype=bool)
+        edge[1:-1] = (v[1:] != v[:-1]).any(axis=1)
+        head, tail = np.flatnonzero(edge[:-1]), np.flatnonzero(edge[1:])
+        mirror = np.arange(len(v))
+        mirror[head], mirror[tail] = tail, head
+        part[:, falls] = part[mirror][:, falls]
+    return part[:, 0] + part[:, 1]
 
 
 def _survivors(values: np.ndarray, senses: Sequence[Sense], keep: int):
-    """The first ``keep`` rows of ``_selection_order`` over the ranks and crowding
-    of every row, best-first, and their ranks. ``values`` holds each row's
-    minimization forms (n, 2) in C order; crowding is taken in natural units.
+    """The best ``keep`` rows of ``values``, minimization forms (n, 2) in C order
+    and free of NaN, in (rank, crowding, index) order, and their ranks.
 
     NSGA-II drops every front that does not fit the next population unread
-    (Deb, Pratap, Agarwal & Meyarivan, IEEE TEC 6:182, 2002), so when front 0
-    holds at least ``keep`` rows and every value is finite, the survivors are
-    read from the sort that finds front 0. Within front 0 f2 falls as f1 rises
-    and only exact copies tie, so for a minimized first and a maximized second
-    objective, the command line's pair, both natural values rise along its rows
-    in (f1, index) order: that order is each objective's crowding order, copies
-    in index order. Both objectives are crowded in one pass, each in the
-    minimization form: a maximized objective's natural gap and span are its
-    negated ones, so each quotient has the natural one's bits, but for the sign
-    of a zero, which adding it to the first objective's quotient (never -0.0)
-    drops. The distances so keep the bits of ``_crowding_by_rank``'s, and one
-    sort of the complex keys -crowding + i index picks the survivors. Any other
-    input, or pair of senses, is ranked in full and crowded in natural units.
+    (Deb et al. 2002, §III-C), so when front 0 holds ``keep`` rows or more it
+    alone is laid out, in the order of the sort that finds it; otherwise the
+    sweep ranks the other rows and a stable sort of the ranks lays every front
+    out in that order. One sort of the complex keys -crowding + i index, then a
+    stable sort of the ranks when more than one front is read, picks them.
     """
     rows, front = _sorted_front_zero(values)
     at = rows[front]
-    if (tuple(senses) != (Sense.MINIMIZE, Sense.MAXIMIZE) or not 0 < keep <= len(at)
-            or not np.isfinite(values).all()):
+    ranks, counts = None, (len(at),)
+    if keep > len(at):
         ranks = _ranks_past_front_zero(*values.T, rows, front)
-        crowd = _crowding_by_rank(values * [s.sign for s in senses], ranks)
-        chosen = _selection_order(ranks, crowd)[:keep]
-        return chosen, ranks[chosen]
-    vf = values.take(at, axis=0)
-    # quotients are >= 0; a zero span, or one past the float range, gives 0 / 0,
-    # g / inf or inf / inf; fmax makes NaN 0, adding nothing, as _crowding_by_rank does
-    with np.errstate(over="ignore", invalid="ignore"):
-        part = np.fmax((vf[2:] - vf[:-2]) / (vf[-1] - vf[0]), 0.0)
-    key = np.full(len(at), -np.inf, dtype=complex)
-    key.real[1:-1] = -(part[:, 0] + part[:, 1])
+        order = np.argsort(ranks, kind="stable")
+        at, ranks = rows[order], ranks[order]
+        counts = np.bincount(ranks)
+    key = np.empty(len(at), dtype=complex)
+    key.real = -_crowding(values.take(at, axis=0), counts, senses)
     key.imag = at  # distinct keys, so any sort gives this order
-    chosen = at[np.argsort(key)[:keep]]
-    return chosen, np.zeros(keep, dtype=int)
+    order = np.argsort(key)
+    if ranks is None:
+        return at[order[:keep]], np.zeros(keep, dtype=int)
+    order = order[np.argsort(ranks[order], kind="stable")[:keep]]
+    return at[order], ranks[order]
 
 
 #: a block holds the draws of max(1, _BLOCK_ROWS // pop_size) generations, so its
@@ -297,9 +265,12 @@ def _offspring(pop: np.ndarray, winners, mates, up, down, step) -> np.ndarray:
     return children
 
 
+# a model value that overflows is reported as a NonFiniteEvaluationError, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult:
     """Evolve a population within the box and return the final rank-0 set; no point
-    is a separate solve, so ``results`` is empty.
+    is a separate solve, so ``results`` is empty. The first non-finite response
+    raises :class:`NonFiniteEvaluationError` at its point, as the solver does.
 
     Counters report generations as iterations and model evaluations as function
     counts, so the evaluation total is exactly pop_size * (generations + 1) *
@@ -314,7 +285,11 @@ def run_ga(problem: MooProblem, config: GaConfig | None = None) -> RoutineResult
     counters = RunCounters()
 
     def evaluate_pop(unit_pop: np.ndarray) -> np.ndarray:
-        responses = stack_values(stack, lb + unit_pop * span)
+        x = lb + unit_pop * span
+        responses = stack_values(stack, x)
+        if not np.isfinite(responses).all():
+            finite = np.isfinite(responses).all(axis=1)
+            raise NonFiniteEvaluationError(x[np.argmin(finite)], "genetic algorithm")
         counters.function_evals += responses.size
         return responses
 

@@ -442,8 +442,9 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
     return s, f, converged, residual, violation
 
 
-# a model value that overflows is reported as a NonFiniteEvaluationError, not a warning
-@np.errstate(over="ignore")
+# a model value that overflows, or an overflow times zero, is reported as a
+# NonFiniteEvaluationError, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _solve_rows(objective: SmoothFunction, bounds: Bounds, starts, config: SolverConfig,
                 constraint: SmoothFunction | None):
     """The solve of :func:`minimize_starts` as arrays over the starts: (x, objective,

@@ -318,16 +318,42 @@ def test_overflowing_coefficients_are_numeric_errors(tmp_path, capsys, command):
     assert err.startswith("numerical failure:") and "overflow" in err
 
 
+#: a box whose cutting speed reaches 1e200: the models overflow at its far corners
+WIDE_BOUNDS = {"bounds": {"lower": [78, 0.04, 0.2], "upper": [1e200, 0.16, 0.6]}}
+
+
 def test_overflowing_model_value_is_a_numeric_error_without_warning(tmp_path, capsys):
     # the fit stays finite, but a model value overflows at the first solve's points
     csv = tmp_path / "large_mrr.csv"
     save_experiments(csv, [replace(r, mrr=r.mrr * 1.2e303) for r in builtin_case_study()])
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(WIDE_BOUNDS))
+    # an overflowing basis term times a zero coefficient is NaN, an invalid value
+    for argv in (["compare", "--starts", "2", "--data", str(csv)],
+                 ["compare", "--config", str(wide)],
+                 ["optimize", "--method", "weighted_sum", "--config", str(wide)]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite evaluation in 'individual optima'")
+        assert err.count("\n") == 1
+
+
+def test_ga_of_an_overflowing_box_is_a_numeric_error_without_warning(tmp_path, capsys):
+    # the box's corner (1e200, 0.04, 0.2), the fifth row of the first population,
+    # overflows, as every solver routine's evaluation does on this box
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(WIDE_BOUNDS))
+    out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["compare", "--starts", "2", "--data", str(csv),
-                     "--out", str(tmp_path / "o")]) == 3
+        assert main(["optimize", "--method", "ga", "--config", str(wide), "--out", str(out)]) == 3
     assert not caught
-    assert "non-finite evaluation in 'individual optima'" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("numerical failure: non-finite evaluation in "
+                                       "'genetic algorithm' at point [1e+200, 0.04, 0.2]\n")
+    assert not any(out.rglob("*"))
 
 
 def test_front_requires_inputs(capsys):

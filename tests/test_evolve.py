@@ -22,10 +22,8 @@ from pareto_forge import (
 )
 from pareto_forge import evolve
 from pareto_forge.evolve import (
-    _crowding_by_rank,
+    _crowding,
     _offspring,
-    _ranks,
-    _selection_order,
     _sorted_front_zero,
     _survivors,
     _variation,
@@ -83,43 +81,53 @@ def brute_force_ranks(points, senses):
     return ranks
 
 
+def min_form(values, senses):
+    """The minimization forms of natural-unit rows, which ``_survivors`` takes."""
+    return values * [s.sign for s in senses]
+
+
+def ranks_of(values, senses):
+    """Rank per natural-unit row, as ``_survivors`` gives them when it keeps
+    every row."""
+    values = np.asarray(values, dtype=float).reshape(-1, 2)
+    chosen, ranks = _survivors(min_form(values, senses), senses, len(values))
+    by_row = np.empty(len(values), dtype=int)
+    by_row[chosen] = ranks
+    return by_row
+
+
 def test_sort_simple_chain():
-    assert _ranks(np.array([(1.0, 1.0), (2.0, 2.0)]), MIN_MIN).tolist() == [0, 1]
+    assert ranks_of([(1.0, 1.0), (2.0, 2.0)], MIN_MIN).tolist() == [0, 1]
 
 
 def test_sort_mutually_nondominated():
-    assert _ranks(np.array([(1.0, 2.0), (2.0, 1.0)]), MIN_MIN).tolist() == [0, 0]
+    assert ranks_of([(1.0, 2.0), (2.0, 1.0)], MIN_MIN).tolist() == [0, 0]
 
 
 def test_sort_against_brute_force_on_study_front():
-    got = _ranks(np.array(STUDY_GA_FRONT, dtype=float), MIN_MAX).tolist()
+    got = ranks_of(STUDY_GA_FRONT, MIN_MAX).tolist()
     assert got == brute_force_ranks(STUDY_GA_FRONT, MIN_MAX)
 
 
 def test_sort_against_brute_force_random():
     rng = np.random.default_rng(17)
     pts = rng.integers(0, 8, size=(60, 2)).astype(float)
-    got = _ranks(pts, MIN_MIN).tolist()
+    got = ranks_of(pts, MIN_MIN).tolist()
     assert got == brute_force_ranks([tuple(p) for p in pts], MIN_MIN)
-
-
-def test_ranks_need_two_objectives():
-    with pytest.raises(ValueError, match="exactly two objectives, got 3"):
-        _ranks(np.zeros((4, 3)), MIN_MAX + (Sense.MINIMIZE,))
 
 
 def rank_cases(count=40, seed=31):
     """Two-objective inputs rich in ties: integer grids, exact duplicates, +-inf,
-    NaN rows, one row and no rows."""
+    zeros of either sign, one row and no rows."""
     rng = np.random.default_rng(seed)
-    cases = [np.array([[3.0, 4.0]]), np.array([[np.nan, 1.0]]), np.empty((0, 2))]
+    cases = [np.array([[3.0, 4.0]]), np.array([[np.inf, -np.inf]]), np.empty((0, 2))]
     for k in range(count):
         values = rng.integers(0, 2 + k % 7, size=(1 + 3 * k, 2)).astype(float)
         if k % 4 == 1:
             values[rng.random(values.shape) < 0.15] = np.inf
             values[rng.random(values.shape) < 0.15] = -np.inf
         elif k % 4 == 2:
-            values[rng.random(len(values)) < 0.2, rng.integers(0, 2)] = np.nan
+            values[(values == 0) & (rng.random(values.shape) < 0.5)] = -0.0
         elif k % 4 == 3:
             values = values[rng.integers(0, len(values), size=len(values))]
         cases.append(values)
@@ -130,7 +138,8 @@ def rank_cases(count=40, seed=31):
 def test_ranks_equal_matrix_peel_and_brute_force(senses):
     # the brute force is the matrix peel of Deb et al., one pairwise test at a time
     for values in rank_cases():
-        assert _ranks(values, senses).tolist() == brute_force_ranks(values.tolist(), senses)
+        want = brute_force_ranks(values.tolist(), senses)
+        assert ranks_of(values, senses).tolist() == want == mask_peel(values, senses).tolist()
 
 
 KEY_ORDER_CASES = {
@@ -138,8 +147,8 @@ KEY_ORDER_CASES = {
     "signed zeros": [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (1.0, -0.0)],
     "infinities": [(np.inf, -np.inf), (-np.inf, np.inf), (-np.inf, -np.inf), (np.inf, np.inf),
                    (0.0, np.inf), (-np.inf, 0.0), (np.inf, -np.inf)],
-    "NaN in either part": [(np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan), (0.0, 0.0),
-                           (2.0, -1.0), (np.nan, -np.inf), (-np.inf, np.nan)],
+    "infinite copies": [(np.inf, np.inf), (-np.inf, -np.inf), (np.inf, np.inf), (0.0, np.inf),
+                        (-np.inf, -np.inf), (np.inf, 0.0), (np.inf, 0.0)],
     "exact copies": [(2.0, 2.0), (1.0, 3.0), (2.0, 2.0), (1.0, 3.0), (3.0, 1.0), (1.0, 3.0)],
 }
 
@@ -149,10 +158,9 @@ KEY_ORDER_CASES = {
                          + [pytest.param(rows, id=f"ties-{k}")
                             for k, rows in enumerate(rank_cases(count=16))])
 def test_complex_key_sorts_rows_as_lexsort(rows):
-    # one stable sort of f1 + i f2 gives np.lexsort((f2, f1))'s order with the
-    # NaN rows left out, and front 0 is the rows of rank 0 among them
+    # one stable sort of f1 + i f2 gives np.lexsort((f2, f1))'s order, and front
+    # 0 is the rows of rank 0
     order = np.lexsort((rows[:, 1], rows[:, 0]))
-    order = order[~np.isnan(rows[order]).any(axis=1)]
     sorted_rows, front = _sorted_front_zero(np.ascontiguousarray(rows))
     assert same_bits(sorted_rows, order)
     ranks = np.array(brute_force_ranks(rows.tolist(), MIN_MIN), dtype=int)
@@ -164,28 +172,24 @@ def test_permuting_rows_permutes_ranks(senses):
     rng = np.random.default_rng(37)
     for values in rank_cases():
         perm = rng.permutation(len(values))
-        assert np.array_equal(_ranks(values[perm], senses), _ranks(values, senses)[perm])
+        assert np.array_equal(ranks_of(values[perm], senses), ranks_of(values, senses)[perm])
 
 
 @pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
 def test_swapping_the_objectives_leaves_ranks_unchanged(senses):
     for values in rank_cases():
-        assert np.array_equal(_ranks(values[:, ::-1], senses[::-1]), _ranks(values, senses))
+        assert np.array_equal(ranks_of(values[:, ::-1], senses[::-1]), ranks_of(values, senses))
 
 
 SENSE_PAIRS = [(a, b) for a in Sense for b in Sense]
 
 
-def min_form(values, senses):
-    """The minimization forms of natural-unit rows, which ``_survivors`` takes."""
-    return values * [s.sign for s in senses]
-
-
 @st.composite
 def rows_and_keep(draw):
-    """Rows rich in ties and exact copies, with +-inf and NaN elements, one of the
-    four sense pairs and a keep count from 0 to the number of rows."""
-    element = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, -np.inf, np.nan])
+    """Rows rich in ties and exact copies, with +-inf elements and ones whose
+    differences pass the float range, one of the four sense pairs and a keep
+    count from 0 to the number of rows."""
+    element = st.sampled_from([0.0, 1.0, 2.0, 3.0, 1e308, -1e308, np.inf, -np.inf])
     rows = []
     for _ in range(draw(st.integers(0, 24))):
         copy = rows and draw(st.booleans())
@@ -201,7 +205,7 @@ def test_ranks_are_exact_below_the_cut(drawn):
     # worst rank among them, each with its exact rank
     values, senses, keep = drawn
     full = np.array(brute_force_ranks(values.tolist(), senses), dtype=int)
-    assert np.array_equal(_ranks(values, senses), full)
+    assert np.array_equal(ranks_of(values, senses), full)
     chosen, ranks = _survivors(min_form(values, senses), senses, keep)
     assert len(chosen) == len(set(chosen.tolist())) == keep
     assert np.array_equal(ranks, full[chosen])
@@ -209,11 +213,37 @@ def test_ranks_are_exact_below_the_cut(drawn):
         assert set(np.flatnonzero(full < ranks.max()).tolist()) <= set(chosen.tolist())
 
 
+def reference_crowding(values):
+    """Crowding distance one objective at a time, as a sort per front: an
+    objective whose span is zero or not finite adds nothing."""
+    n, n_obj = values.shape
+    dist = np.zeros(n)
+    for j in range(n_obj):
+        order = np.argsort(values[:, j], kind="stable")
+        lo, hi = values[order[0], j], values[order[-1], j]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not 0 < hi - lo < np.inf:
+                continue
+        dist[order[1:-1]] += (values[order[2:], j] - values[order[:-2], j]) / (hi - lo)
+    return dist
+
+
+def textbook_crowding(values, ranks):
+    """Crowding distance of natural-unit rows, each rank by ``reference_crowding``."""
+    crowd = np.zeros(len(values))
+    for r in np.unique(ranks):
+        crowd[ranks == r] = reference_crowding(values[ranks == r])
+    return crowd
+
+
 def survivors_by_full_ranking(values, senses, keep):
-    """``_survivors`` as every row ranked, crowded and sorted, from natural-unit
-    ``values``."""
-    ranks = _ranks(values, senses)
-    chosen = _selection_order(ranks, _crowding_by_rank(values, ranks))[:keep]
+    """``_survivors`` as every row ranked by peeling, crowded by a sort per rank
+    and objective and sorted, from natural-unit ``values``; no code of
+    ``evolve`` takes part."""
+    ranks = mask_peel(values, senses)
+    # best-first by (rank, -crowding, index): lexsort is stable
+    chosen = np.lexsort((-textbook_crowding(values, ranks), ranks))[:keep]
     return chosen, ranks[chosen]
 
 
@@ -221,8 +251,9 @@ def survivors_by_full_ranking(values, senses, keep):
 def fronts_with_copies(draw):
     """Rows that are mostly one front, in the natural units of one of the four
     sense pairs: minimization forms on an integer anti-diagonal, some raised off
-    it, exact copies, zeros of either sign (which compare equal), and perhaps
-    one element made +-inf or NaN."""
+    it, exact copies, also of its end rows, zeros of either sign (which compare
+    equal), and perhaps one element made +-inf or so large that a span passes
+    the float range."""
     senses = draw(st.sampled_from(SENSE_PAIRS))
     rows = []
     for _ in range(draw(st.integers(1, 24))):
@@ -236,7 +267,7 @@ def fronts_with_copies(draw):
     values = np.where((values == 0) & np.reshape(flip_zero, values.shape), -values, values)
     if draw(st.integers(0, 4)) == 0:
         values[draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))] = draw(
-            st.sampled_from([np.inf, -np.inf, np.nan]))
+            st.sampled_from([np.inf, -np.inf, 1.7e308, -1.7e308]))
     return values, senses
 
 
@@ -250,24 +281,24 @@ def test_survivors_equal_the_full_ranking_crowding_and_sort(drawn):
         assert same_bits(chosen, want) and same_bits(ranks, want_ranks), keep
 
 
+def unread(*args):
+    raise AssertionError("front 0 fills the survivors; no other rank is read")
+
+
 def test_survivors_of_a_filling_front_zero_skip_the_full_ranking(monkeypatch):
     # one front with copies of its end rows and of an interior row, in a row order
-    # that is not its f1 order, and rows past it: front 0 fills every keep
+    # that is not its f1 order, and rows past it: front 0 fills every keep, under
+    # each pair of senses
     front = [(3.0, 3.0), (0.0, 6.0), (5.0, 1.0), (3.0, 3.0), (6.0, 0.0), (0.0, 6.0),
              (1.0, 4.0), (6.0, 0.0), (2.0, 3.5), (4.0, 2.0)]
-    senses = MIN_MAX
     rows = np.array(front + [(4.0, 4.0), (6.0, 6.0)])
-    wants = [survivors_by_full_ranking(rows * [s.sign for s in senses], senses, keep)
-             for keep in range(1, 11)]
-
-    def unread(*args):
-        raise AssertionError("front 0 fills the survivors; no other rank is read")
-
+    wants = {senses: [survivors_by_full_ranking(min_form(rows, senses), senses, keep)
+                      for keep in range(1, 11)] for senses in SENSE_PAIRS}
     monkeypatch.setattr(evolve, "_ranks_past_front_zero", unread)
-    monkeypatch.setattr(evolve, "_crowding_by_rank", unread)
-    for keep, (want, want_ranks) in zip(range(1, 11), wants):
-        chosen, ranks = _survivors(rows, senses, keep)
-        assert same_bits(chosen, want) and same_bits(ranks, want_ranks)
+    for senses in SENSE_PAIRS:
+        for keep, (want, want_ranks) in zip(range(1, 11), wants[senses]):
+            chosen, ranks = _survivors(rows, senses, keep)
+            assert same_bits(chosen, want) and same_bits(ranks, want_ranks), (senses, keep)
 
 
 def test_survivors_of_a_front_past_the_float_range_skip_the_full_ranking(monkeypatch):
@@ -276,26 +307,38 @@ def test_survivors_of_a_front_past_the_float_range_skip_the_full_ranking(monkeyp
     # adds nothing to an interior row, as in the full crowding, without a warning
     rows = np.array([(-1e308, 1e308), (-1.0, 2.0), (0.0, 0.0), (1e308, -1e308),
                      (-1.0, 2.0), (5.0, 6.0)])
-    senses = MIN_MAX
-    wants = [survivors_by_full_ranking(rows * [s.sign for s in senses], senses, keep)
-             for keep in range(1, 6)]
-
-    def unread(*args):
-        raise AssertionError("front 0 fills the survivors; no other rank is read")
-
+    wants = {senses: [survivors_by_full_ranking(min_form(rows, senses), senses, keep)
+                      for keep in range(1, 6)] for senses in SENSE_PAIRS}
     monkeypatch.setattr(evolve, "_ranks_past_front_zero", unread)
-    monkeypatch.setattr(evolve, "_crowding_by_rank", unread)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for keep, (want, want_ranks) in zip(range(1, 6), wants):
-            chosen, ranks = _survivors(rows, senses, keep)
-            assert same_bits(chosen, want) and same_bits(ranks, want_ranks)
+        for senses in SENSE_PAIRS:
+            for keep, (want, want_ranks) in zip(range(1, 6), wants[senses]):
+                chosen, ranks = _survivors(rows, senses, keep)
+                assert same_bits(chosen, want) and same_bits(ranks, want_ranks), (senses, keep)
 
 
-def one_front_crowding(front):
-    """Crowding distance over one front: every row at rank 0."""
+def crowding_of(values, ranks, senses):
+    """``_crowding`` of natural-unit rows of the given ranks, per row, laid out
+    as ``_survivors`` lays them out: rank by rank, each in (f1, f2, index)
+    order of the minimization forms."""
+    v = min_form(values, senses)
+    order = np.lexsort((v[:, 1], v[:, 0], ranks))
+    dist = np.empty(len(values))
+    dist[order] = _crowding(v[order], np.bincount(ranks), senses)
+    return dist
+
+
+def one_front_crowding(front, senses=MIN_MIN):
+    """``_crowding`` of natural-unit rows that are one front, per row."""
     values = np.asarray(front, dtype=float)
-    return _crowding_by_rank(values, np.zeros(len(values), dtype=int))
+    return crowding_of(values, np.zeros(len(values), dtype=int), senses)
+
+
+def same_distances(a, b):
+    """Bit for bit, but for the sign of a zero, which the selection sort does not
+    see: -0.0 + 0.0 is 0.0, and adding 0.0 leaves every other value as it is."""
+    return same_bits(a + 0.0, b + 0.0)
 
 
 def test_crowding_two_points_infinite():
@@ -304,20 +347,24 @@ def test_crowding_two_points_infinite():
 
 
 def test_crowding_equally_spaced_middle():
-    dist = one_front_crowding([(0, 4), (1, 5), (2, 6)])
-    assert dist[1] == pytest.approx(2.0)
+    dist = one_front_crowding([(0, 4), (1, 5), (2, 6)], MIN_MAX)
+    assert dist[1] == 2.0
     assert np.isinf(dist[0]) and np.isinf(dist[2])
 
 
 def test_crowding_clustered_pair_smaller():
     front = [(0.0, 10.0), (4.0, 6.0), (9.0, 1.2), (10.0, 0.0)]
     dist = one_front_crowding(front)
-    assert dist[2] < dist[1]
+    # (9 - 0) / 10 + (1.2 - 10) / (0 - 10), and (10 - 4) / 10 + (0 - 6) / (0 - 10)
+    assert dist[1] == pytest.approx(1.78) and dist[2] == pytest.approx(1.2)
 
 
 def test_crowding_constant_objective_ignored():
-    dist = one_front_crowding([(1, 5), (2, 5), (3, 5)])
-    assert dist[1] == pytest.approx(1.0)
+    # a front's copies span zero in both objectives; the kernel's zero span
+    # adds nothing to an interior row whatever the other objective adds
+    assert one_front_crowding([(2, 5), (2, 5), (2, 5)]).tolist() == [np.inf, 0.0, np.inf]
+    dist = _crowding(np.array([(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)]), (3,), MIN_MIN)
+    assert dist.tolist() == [np.inf, 1.0, np.inf]
 
 
 @pytest.mark.parametrize(
@@ -533,9 +580,12 @@ def test_one_row_of_uniforms_is_the_five_draws_of_a_generation(pop_size):
 
 
 def test_selection_order_breaks_ties_by_index():
-    ranks = np.array([1, 0, 0, 1, 0, 0])
-    crowd = np.array([2.0, np.inf, 1.0, 2.0, np.inf, 1.0])
-    assert _selection_order(ranks, crowd).tolist() == [1, 4, 2, 5, 0, 3]
+    # rows 2 and 5 are copies inside front 0, as crowded as each other, and rows
+    # 0 and 3 are rank 1's two ends
+    values = np.array([(3.0, 5.0), (0.0, 4.0), (2.0, 2.0), (5.0, 3.0), (4.0, 0.0), (2.0, 2.0)])
+    for senses in SENSE_PAIRS:
+        chosen, ranks = _survivors(min_form(values, MIN_MIN), senses, 6)
+        assert chosen.tolist() == [1, 4, 2, 5, 0, 3] and ranks.tolist() == [0, 0, 0, 0, 1, 1]
 
 
 @pytest.mark.parametrize("senses", [MIN_MIN, MIN_MAX])
@@ -546,23 +596,8 @@ def test_survivors_keep_their_ranks(senses):
     for values in filter(len, rank_cases(count=32, seed=23)):
         if len(values) % 2:
             values = np.vstack([values, values[rng.integers(len(values))]])
-        ranks = _ranks(values, senses)
-        chosen = _selection_order(ranks, _crowding_by_rank(values, ranks))[:len(values) // 2]
-        assert np.array_equal(_ranks(values[chosen], senses), ranks[chosen])
-
-
-def reference_crowding(values):
-    """Crowding distance one objective at a time, as a sort per front."""
-    n, n_obj = values.shape
-    dist = np.zeros(n)
-    for j in range(n_obj):
-        order = np.argsort(values[:, j], kind="stable")
-        lo, hi = values[order[0], j], values[order[-1], j]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        if hi == lo:
-            continue
-        dist[order[1:-1]] += (values[order[2:], j] - values[order[:-2], j]) / (hi - lo)
-    return dist
+        chosen, ranks = _survivors(min_form(values, senses), senses, len(values) // 2)
+        assert np.array_equal(ranks_of(values[chosen], senses), ranks)
 
 
 def previous_crowding_by_rank(values, ranks):
@@ -584,61 +619,64 @@ def previous_crowding_by_rank(values, ranks):
 
 
 def test_crowding_by_rank_matches_per_rank_crowding_bitwise():
+    # every front crowded in one layout, as each front alone and as the sort per
+    # rank and objective crowds it in natural units, under each pair of senses
     rng = np.random.default_rng(29)
     values = np.vstack([rng.integers(0, 6, size=(60, 2)).astype(float), rng.random((60, 2)),
                         np.full((3, 2), 0.25)])
-    ranks = _ranks(values, MIN_MAX)
-    crowd = _crowding_by_rank(values, ranks)
-    for r in np.unique(ranks):
-        mask = ranks == r
-        assert same_bits(crowd[mask], one_front_crowding(values[mask]))
-        assert same_bits(crowd[mask], reference_crowding(values[mask]))
+    for senses in SENSE_PAIRS:
+        ranks = mask_peel(values, senses)
+        crowd = crowding_of(values, ranks, senses)
+        for r in np.unique(ranks):
+            mask = ranks == r
+            assert same_distances(crowd[mask], one_front_crowding(values[mask], senses))
+            assert same_distances(crowd[mask], reference_crowding(values[mask]))
 
 
 @st.composite
 def ranked_rows(draw):
-    """Rows of 2 or 3 objectives and their rank labels: integer ties or floats,
-    duplicate rows, perhaps a constant column, ranks of one row or more, labels
-    with gaps (only 0 and 3), all in a drawn row order."""
-    m = draw(st.integers(2, 3))
+    """Natural-unit rows under one of the four sense pairs: integer ties or
+    floats, duplicate rows, perhaps a constant column, in a drawn row order."""
+    senses = draw(st.sampled_from(SENSE_PAIRS))
     element = draw(st.sampled_from([st.integers(0, 3).map(float),
                                     st.floats(-1e3, 1e3, allow_nan=False)]))
-    rows, ranks = [], []
-    for label in draw(st.sampled_from([(0,), (0, 1), (0, 3), (2, 0, 1)])):
-        for _ in range(draw(st.integers(1, 9))):
-            duplicate = rows and draw(st.booleans())
-            rows.append(draw(st.sampled_from(rows)) if duplicate
-                        else draw(st.tuples(*[element] * m)))
-            ranks.append(label)
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        duplicate = rows and draw(st.booleans())
+        rows.append(draw(st.sampled_from(rows)) if duplicate
+                    else draw(st.tuples(element, element)))
     values = np.array(rows, dtype=float)
     if draw(st.booleans()):
-        values[:, draw(st.integers(0, m - 1))] = draw(element)
-    perm = np.array(draw(st.permutations(range(len(rows)))))
-    return values[perm], np.array(ranks)[perm]
+        values[:, draw(st.integers(0, 1))] = draw(element)
+    return values, senses
 
 
 @settings(max_examples=300, deadline=None)
 @given(ranked_rows())
 def test_crowding_by_rank_equals_per_rank_and_previous_crowding(drawn):
-    values, ranks = drawn
-    crowd = _crowding_by_rank(values, ranks)
-    assert same_bits(crowd, previous_crowding_by_rank(values, ranks))
+    values, senses = drawn
+    ranks = mask_peel(values, senses)
+    crowd = crowding_of(values, ranks, senses)
+    assert same_distances(crowd, previous_crowding_by_rank(values, ranks))
     for r in np.unique(ranks):
-        assert same_bits(crowd[ranks == r], reference_crowding(values[ranks == r]))
+        assert same_distances(crowd[ranks == r], reference_crowding(values[ranks == r]))
 
 
 def test_crowding_of_an_infinite_span_adds_nothing_and_does_not_warn():
     # objective 2 spans [0, inf]: it adds nothing to the middle row, as a zero span
     # would; objective 1 gives it (2 - 0) / 2
     values = np.array([(0.0, np.inf), (1.0, 5.0), (2.0, 0.0)])
+    # three fronts, minimization forms laid out: gaps and spans of inf inside
+    # fronts 0 and 2, and a front of one row, whose span of 0 the quotient
+    # across its two neighbours divides (2, inf) by
+    fronts = np.array([(-np.inf, np.inf), (0.0, 2.0), (1.0, 1.0), (2.0, -np.inf),
+                       (3.0, 3.0), (4.0, 6.0), (5.0, 5.0), (np.inf, 4.0)])
+    assert mask_peel(fronts, MIN_MIN).tolist() == [0, 0, 0, 0, 1, 2, 2, 2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _crowding_by_rank(values, _ranks(values, MIN_MIN)).tolist() == [np.inf, 1.0, np.inf]
-        # inf - inf inside rank 0, and across the boundary from rank 0 to rank 1
-        values = np.array([(0.0, -np.inf), (1.0, np.inf), (2.0, np.inf), (3.0, np.inf),
-                           (0.0, 1.0), (1.0, np.inf), (2.0, np.inf)])
-        crowd = _crowding_by_rank(values, np.array([0, 0, 0, 0, 1, 1, 1]))
-    assert crowd.tolist() == [np.inf, 2 / 3, 2 / 3, np.inf, np.inf, 1.0, np.inf]
+        assert one_front_crowding(values).tolist() == [np.inf, 1.0, np.inf]
+        crowd = _crowding(fronts, (4, 1, 3), MIN_MIN)
+    assert crowd.tolist() == [np.inf, 0.0, 0.0, np.inf, np.inf, np.inf, 1.0, np.inf]
 
 
 def test_ga_is_deterministic(problem):
@@ -681,22 +719,11 @@ def mask_peel(values, senses):
 @pytest.mark.parametrize("pop_size", [60, 120])
 def test_ga_equals_the_dominance_matrix_path(problem, pop_size, monkeypatch):
     configs = [GaConfig(pop_size=pop_size, seed=seed) for seed in range(6)]
-    crowding = evolve._crowding_by_rank
-
-    def crowding_of_peeled_ranks(values, ranks):
-        # the generations whose front 0 cannot fill the next population rank
-        # every row, and the initial population's ranking keeps all of its rows
-        assert np.array_equal(ranks, mask_peel(values, problem.senses))
-        return crowding(values, ranks)
 
     def survivors_by_peeling(values, senses, keep):
         # run_ga ranks minimization forms; crowding is taken in natural units
-        natural = min_form(values, senses)
-        ranks = mask_peel(natural, senses)
-        chosen = _selection_order(ranks, crowding(natural, ranks))[:keep]
-        return chosen, ranks[chosen]
+        return survivors_by_full_ranking(min_form(values, senses), senses, keep)
 
-    monkeypatch.setattr(evolve, "_crowding_by_rank", crowding_of_peeled_ranks)
     by_sort = [run_ga(problem, cfg) for cfg in configs]
     monkeypatch.setattr(evolve, "_survivors", survivors_by_peeling)
     by_matrix = [run_ga(problem, cfg) for cfg in configs]
@@ -707,13 +734,14 @@ def test_ga_equals_the_dominance_matrix_path(problem, pop_size, monkeypatch):
 
 def textbook_nsga2(problem, config):
     """One NSGA-II run as published (Deb, Pratap, Agarwal & Meyarivan, IEEE TEC
-    6:182, 2002), the reference for ``run_ga``: each pair of the binary tournament
-    is decided by the crowded-comparison operator, read as positions in
-    ``_selection_order`` of the population's ranks and crowding, and P_{t+1}
-    keeps the ranks and crowding its rows were given among the parents and
-    children. Every front is ranked. P_0 is stored in crowded-comparison order,
-    as every P_{t+1} is formed. Initial rows are the unit cube's corners, then
-    uniform draws."""
+    6:182, 2002), the reference for ``run_ga``, with no ranking, crowding or
+    selection code of ``evolve``: each pair of the binary tournament is decided
+    by the crowded-comparison operator, read as positions in the (rank,
+    -crowding, index) order of the population, and P_{t+1} keeps the ranks and
+    crowding its rows were given among the parents and children. Every front is
+    ranked by peeling and crowded by a sort per rank and objective. P_0 is
+    stored in crowded-comparison order, as every P_{t+1} is formed. Initial rows
+    are the unit cube's corners, then uniform draws."""
     lb, span = np.asarray(CASE_STUDY_BOUNDS.lower), np.asarray(CASE_STUDY_BOUNDS.span)
     n, senses = config.pop_size, problem.senses
     rng = np.random.default_rng(config.seed)
@@ -729,14 +757,14 @@ def textbook_nsga2(problem, config):
         if i < n:
             pop[i] = corner
     resp = evaluate_rows(pop)
-    ranks = _ranks(resp, senses)
-    crowd = _crowding_by_rank(resp, ranks)
-    order = _selection_order(ranks, crowd)
+    ranks = mask_peel(resp, senses)
+    crowd = textbook_crowding(resp, ranks)
+    order = np.lexsort((-crowd, ranks))
     pop, resp, ranks, crowd = pop[order], resp[order], ranks[order], crowd[order]
     for _ in range(config.generations):
         idx_a, idx_b = rng.permutation(n), rng.permutation(n)
         position = np.empty(n, dtype=int)
-        position[_selection_order(ranks, crowd)] = np.arange(n)
+        position[np.lexsort((-crowd, ranks))] = np.arange(n)
         parents = [a if position[a] <= position[b] else b for a, b in zip(idx_a, idx_b)]
         half = n // 2
         cross_coin = rng.random(half)
@@ -748,9 +776,9 @@ def textbook_nsga2(problem, config):
         children = np.clip(children, 0.0, 1.0)
         combined = np.vstack([pop, children])
         combined_resp = np.vstack([resp, evaluate_rows(children)])
-        comb_ranks = _ranks(combined_resp, senses)
-        comb_crowd = _crowding_by_rank(combined_resp, comb_ranks)
-        chosen = _selection_order(comb_ranks, comb_crowd)[:n]
+        comb_ranks = mask_peel(combined_resp, senses)
+        comb_crowd = textbook_crowding(combined_resp, comb_ranks)
+        chosen = np.lexsort((-comb_crowd, comb_ranks))[:n]
         pop, resp = combined[chosen], combined_resp[chosen]
         ranks, crowd = comb_ranks[chosen], comb_crowd[chosen]
     points = [ParetoPoint(tuple(lb + pop[i] * span), tuple(resp[i]), "genetic_algorithm",
@@ -766,7 +794,7 @@ def problem_with(refit_models, senses):
 
 
 # the command line minimizes Ra and maximizes MRR; minimizing both, or maximizing
-# both, ranks, crowds and sorts in full in every generation
+# both, swaps the ends of runs of exact copies in one objective's crowding
 @pytest.mark.parametrize("pop_size, senses", [
     *(pytest.param(pop_size, MIN_MAX, id=str(pop_size)) for pop_size in (4, 16, 60, 120)),
     *(pytest.param(pop_size, senses, id=f"{pop_size}-{name}")
@@ -843,20 +871,27 @@ def test_variation_is_drawn_a_bounded_block_at_a_time(problem, pop_size, generat
 
 def spy_on_survivors(monkeypatch):
     """Record each ``_survivors`` call's rows (minimization forms), keep count and
-    survivors, and how many crowdings it computed, from here on."""
+    survivors, and how many crowdings and rankings past front 0 it computed,
+    from here on."""
     calls = []
-    survivors, crowding = evolve._survivors, evolve._crowding_by_rank
+    survivors = evolve._survivors
+    crowding, ranking = evolve._crowding, evolve._ranks_past_front_zero
 
-    def crowding_spy(values, ranks):
+    def crowding_spy(*args):
         calls[-1]["crowdings"] += 1
-        return crowding(values, ranks)
+        return crowding(*args)
+
+    def ranking_spy(*args):
+        calls[-1]["rankings"] += 1
+        return ranking(*args)
 
     def survivors_spy(values, senses, keep):
-        calls.append({"values": values.copy(), "keep": keep, "crowdings": 0})
+        calls.append({"values": values.copy(), "keep": keep, "crowdings": 0, "rankings": 0})
         calls[-1]["chosen"], calls[-1]["ranks"] = survivors(values, senses, keep)
         return calls[-1]["chosen"], calls[-1]["ranks"]
 
-    monkeypatch.setattr(evolve, "_crowding_by_rank", crowding_spy)
+    monkeypatch.setattr(evolve, "_crowding", crowding_spy)
+    monkeypatch.setattr(evolve, "_ranks_past_front_zero", ranking_spy)
     monkeypatch.setattr(evolve, "_survivors", survivors_spy)
     return calls
 
@@ -872,7 +907,7 @@ def test_each_population_is_best_first_and_crowded_once(problem, pop_size, monke
     for call in calls:
         natural = min_form(call["values"], problem.senses)
         want, want_ranks = survivors_by_full_ranking(natural, problem.senses, pop_size)
-        assert call["keep"] == pop_size and call["crowdings"] <= 1
+        assert call["keep"] == pop_size and call["crowdings"] == 1 and call["rankings"] <= 1
         assert same_bits(call["chosen"], want) and same_bits(call["ranks"], want_ranks)
     for call, later in zip(calls, calls[1:]):
         assert same_bits(later["values"][:pop_size], call["values"][call["chosen"]])
@@ -883,14 +918,14 @@ def test_each_population_is_best_first_and_crowded_once(problem, pop_size, monke
 
 @pytest.mark.parametrize("pop_size", [60, 120])
 def test_front_zero_fills_most_generations(problem, pop_size, monkeypatch):
-    # the full ranking and crowding run only when front 0 cannot fill the next
+    # the fronts past front 0 are ranked only when front 0 cannot fill the next
     # population
     calls = spy_on_survivors(monkeypatch)
     for seed in range(6):
         calls.clear()
         run_ga(problem, GaConfig(pop_size=pop_size, seed=seed))
         assert len(calls) == 101
-        assert sum(call["crowdings"] for call in calls) <= 10
+        assert sum(call["rankings"] for call in calls) <= 10
 
 
 def test_ga_front_within_bounds(problem):
