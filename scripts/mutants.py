@@ -40,6 +40,8 @@ NATURAL_TEST = "tests/test_evolve.py::test_ga_front_responses_are_the_natural_va
 VARIATION_BLOCK_TEST = "tests/test_evolve.py::test_variation_is_drawn_a_bounded_block_at_a_time"
 CROWDING_TEST = "tests/test_evolve.py::test_crowding_by_rank_equals_per_rank_and_previous_crowding"
 MIRROR_TEST = "tests/test_metamorphic.py::test_swapping_the_objectives_mirrors_the_ga"
+LAGRANGIAN_ORACLE_TEST = ("tests/test_jets.py::"
+                          "test_lagrangian_and_squared_violation_equal_the_full_matrix_oracle")
 
 
 class Mutant(NamedTuple):
@@ -259,14 +261,14 @@ MUTANTS = (
            ("tests/test_nlsolver.py::test_box_only_solve_is_one_inner_solve",),
            "an unconverged box-only row repeats its inner solve up to max_outer times"),
     Mutant("restoration_restarts_infeasible", NLSOLVER,
-           "restored = prob.evaluate(1, stuck, s_r)[0] <= config.feas_tol",
-           "restored = prob.evaluate(1, stuck, s_r)[0] > config.feas_tol",
+           "restored = prob.evaluate(1, stuck, s_r)[:, 0] <= config.feas_tol",
+           "restored = prob.evaluate(1, stuck, s_r)[:, 0] > config.feas_tol",
            ("tests/test_nlsolver.py::"
             "test_row_at_a_locally_infeasible_vertex_leaves_for_restoration",),
            "a row that restoration made feasible is not restarted, one it left infeasible is"),
     Mutant("lagrangian_without_lam_squared", NLSOLVER,
-           "f = f + (mult * mult - lam * lam) / (2.0 * rho)",
-           "f = f + mult * mult / (2.0 * rho)",
+           "out[:, 0] += (mult * mult - lam * lam) / (2.0 * rho)",
+           "out[:, 0] += mult * mult / (2.0 * rho)",
            ("tests/test_nlsolver.py::test_lagrangian_value_is_the_piecewise_penalty",),
            "the Lagrangian's value is off by lam^2 / (2 rho), and by that jump where the "
            "constraint leaves the penalty"),
@@ -280,6 +282,21 @@ MUTANTS = (
            ("tests/test_nlsolver.py::test_hessian_carries_the_bound_curvature_in_its_eps_band",),
            "a feasible row within _ACTIVE_EPS of the bound has no curvature of it in its "
            "Newton model"),
+    Mutant("penalty_upper_orientation", NLSOLVER,
+           "out[:, 4:] += band[:, None] * gc[:, HESS_ROW] * gc[:, HESS_COL]",
+           "out[:, 4:] += band[:, None] * gc[:, HESS_COL] * gc[:, HESS_ROW]",
+           (LAGRANGIAN_ORACLE_TEST,),
+           "the penalty's curvature is rounded as the upper triangle's (band grad c_v) grad c_w, "
+           "not the lower triangle's that eigh reads"),
+    Mutant("joint_read_of_a_row_new_to_one", NLSOLVER,
+           "both = fresh[0] & fresh[1]", "both = fresh[0] | fresh[1]",
+           ("tests/test_nlsolver.py::test_a_row_new_to_one_function_reads_that_function_alone",),
+           "a restored row, new to the objective alone, is read jointly and counted for both "
+           "functions"),
+    Mutant("unit_factor_without_span_product", NLSOLVER,
+           "self.span[HESS_COL] * self.span[HESS_ROW]", "self.span[HESS_COL]",
+           (LAGRANGIAN_ORACLE_TEST,),
+           "the second partials are scaled to the unit cube by one variable's span, not two"),
     Mutant("estimate_allows_negative", NLSOLVER,
            "cands = np.where(cands > 0, cands, 0.0)", "cands = cands",
            ("tests/test_nlsolver.py::test_multiplier_estimate_is_never_negative",),

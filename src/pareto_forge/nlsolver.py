@@ -12,6 +12,12 @@ restored by minimizing its squared violation on the box, and the loop restarts
 there at a high penalty from the first-order multiplier estimate of that point.
 Variables are rescaled to the unit cube internally, so all tolerances below are
 quoted on the scaled problem.
+A function's value, gradient and Hessian at a point travel together as one jet,
+a row of ten in the layout that :mod:`.polymodel` defines: the value, the three
+first partials and the six second partials, the Hessian's lower triangle
+H[w, v], w >= v. ``np.linalg.eigh`` reads only that triangle, so a Hessian
+that is not exactly symmetric, as a chain rule's can be in the last bit, loses
+nothing in the packing; the Newton direction expands the six into the 3x3.
 Deterministic seeded multistart mitigates local optima of nonconvex
 scalarizations. Every start is one row of the same arrays, and a row's arithmetic
 never depends on the other rows, so a sweep solves all its points' starts in one
@@ -27,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Bounds
+from .polymodel import HESS_COL, HESS_INDEX, HESS_ROW
 
 _RHO_INIT = 10.0
 _RHO_GROWTH = 10.0
@@ -64,18 +71,19 @@ class SmoothFunction:
     """A scalar function with its exact derivatives, evaluated through ``value_and_grad``.
 
     ``value_and_grad(rows, x)`` takes row indices (n,) of the batch and their points
-    x (n, 3), and returns the values (n,), the gradients (n, 3) and the Hessians
-    (n, 3, 3); results that broadcast to those shapes are accepted. A parameter
-    per row, such as a sweep point's bound, is read as ``param[rows]``.
-    ``model_cost`` is how many response-model evaluations one point represents;
-    it drives the run counters. The solver divides the value and its derivatives
-    by ``scale`` (one value, or one per row): for the constraint, the unit of its
+    x (n, 3), and returns their jets (n, 10): the value, the gradient, and the
+    Hessian's lower triangle H[w, v], w >= v, in the order of
+    ``polymodel.HESS_ROW`` and ``HESS_COL``; a result that broadcasts to (n, 10)
+    is accepted. A parameter per row, such as a sweep point's bound, is read as
+    ``param[rows]``. ``model_cost`` is how many response-model evaluations one
+    point represents; it drives the run counters. The solver divides the jet by
+    ``scale`` (one value, or one per row): for the constraint, the unit of its
     feasibility (violation = positive part / scale), such as max(1, |bound|) for
     an epsilon bound; an objective keeps the default 1, so its values are
     reported unscaled.
     """
 
-    value_and_grad: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    value_and_grad: Callable[[np.ndarray, np.ndarray], np.ndarray]
     model_cost: int = 1
     scale: float | np.ndarray = 1.0
     name: str = ""
@@ -181,7 +189,8 @@ def _projected_residual(s: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def _newton_direction(s: np.ndarray, grad: np.ndarray, hess: np.ndarray,
                       residual: np.ndarray) -> np.ndarray:
-    """Projected-Newton direction of each row, at most 1 in every component.
+    """Projected-Newton direction of each row, at most 1 in every component; ``hess``
+    holds each row's six second partials in the jet layout.
 
     Variables within eps = min(_ACTIVE_EPS, residual) of a bound, with the
     gradient pointing out of the box, are active: they are decoupled from the
@@ -193,7 +202,7 @@ def _newton_direction(s: np.ndarray, grad: np.ndarray, hess: np.ndarray,
     active = ((s <= eps) & (grad > 0)) | ((s >= 1.0 - eps) & (grad < 0))
     free = ~active
     coupled = (free[:, :, None] & free[:, None, :]) | _EYE3
-    lam, vec = np.linalg.eigh(np.where(coupled, hess, 0.0))
+    lam, vec = np.linalg.eigh(np.where(coupled, hess[:, HESS_INDEX], 0.0))
     mag = np.abs(lam)
     floor = _CURVATURE_FLOOR * np.maximum(1.0, mag.max(axis=-1, keepdims=True))
     # V |L|^-1 V^T g as explicit products and sums, not BLAS: a row's result does
@@ -208,28 +217,27 @@ def _newton_direction(s: np.ndarray, grad: np.ndarray, hess: np.ndarray,
 def _inner_solve(fun, s0: np.ndarray, gtol: float, maxiter: int):
     """Projected Newton on the unit cube for every row of ``s0``.
 
-    ``fun(rows, s)`` returns the value (r,), gradient (r, 3) and Hessian (r, 3, 3)
-    of the rows ``rows`` of the batch at their points ``s``; one call serves
-    every row still running. A row stops when its projected residual is at most
-    ``gtol``, after ``maxiter`` steps, or when the Armijo search along the
-    projection arc finds no acceptable step. Returns the final points and each
-    row's number of steps.
+    ``fun(rows, s)`` returns the jets (r, 10) of the rows ``rows`` of the batch at
+    their points ``s``; one call serves every row still running. A row stops when
+    its projected residual is at most ``gtol``, after ``maxiter`` steps, or when
+    the Armijo search along the projection arc finds no acceptable step. Returns
+    the final points and each row's number of steps.
     """
     n = len(s0)
     s = s0.copy()
-    f, g, h = fun(np.arange(n), s)
+    jet = fun(np.arange(n), s)
     steps = np.zeros(n, dtype=int)
     live = np.arange(n)
     while True:
-        base, g0 = s[live], g[live]
+        base, g0 = s[live], jet[live, 1:4]
         residual = _projected_residual(base, g0)
         keep = (residual > gtol) & (steps[live] < maxiter)
         if not keep.all():
             live, residual, base, g0 = live[keep], residual[keep], base[keep], g0[keep]
         if not live.size:
             return s, steps
-        d = _newton_direction(base, g0, h[live], residual)
-        f0 = f[live]
+        d = _newton_direction(base, g0, jet[live, 4:], residual)
+        f0 = jet[live, 0]
         noise = _ROUNDING * np.maximum(1.0, np.abs(f0))
         alpha = 1.0
         search = np.arange(live.size)
@@ -249,18 +257,18 @@ def _inner_solve(fun, s0: np.ndarray, gtol: float, maxiter: int):
             k, t, sl = (search, trial, slope) if down.all() else (
                 search[down], trial[down], slope[down])
             if k.size:
-                ft, gt, ht = fun(live[k], t)
-                rise = ft - f0[k]
+                jt = fun(live[k], t)
+                rise = jt[:, 0] - f0[k]
                 good = rise <= _ARMIJO * sl
                 # a step that misses Armijo within rounding noise is taken when
                 # it lowers the projected residual
                 tie = ~good & (-sl <= noise[k]) & (rise <= noise[k])
                 if tie.any():
-                    good[tie] = _projected_residual(t[tie], gt[tie]) < residual[k[tie]]
+                    good[tie] = _projected_residual(t[tie], jt[tie, 1:4]) < residual[k[tie]]
                 if not good.all():
-                    k, t, ft, gt, ht = k[good], t[good], ft[good], gt[good], ht[good]
+                    k, t, jt = k[good], t[good], jt[good]
                 done = live[k]
-                s[done], f[done], g[done], h[done] = t, ft, gt, ht
+                s[done], jet[done] = t, jt
                 steps[done] += 1
                 moved[k] = True
                 if k.size == search.size:
@@ -276,20 +284,29 @@ class _ScaledProblem:
     """Unit-cube view of the raw problem for a batch of rows.
 
     Function 0 is the objective and function 1, if there is one, the constraint.
-    Each function caches, per row, its last point and scaled results there; a row
-    is evaluated again only at a different point, so the same point again costs
-    nothing and is not counted (an inner solve starts where the last one ended).
-    Every model evaluation adds its cost to the counters of its row.
+    Each function caches, per row, its last point and its scaled jet there, in one
+    (functions, rows, 10) array; a row is evaluated again only at a different
+    point, so the same point again costs nothing and is not counted (an inner
+    solve starts where the last one ended). A jet is scaled by one (10,) unit
+    factor, [1, span, span_v span_w], from raw to unit-cube variables, then
+    divided by the function's scale of its row. Every model evaluation adds its
+    cost to the counters of its row.
+
+    ``joint(rows, x)``, if given with the constraint, reads both functions at
+    once: it returns jets (n, 2, 10), the objective's then the constraint's, each
+    equal to that function's own.
     """
 
     def __init__(self, objective: SmoothFunction, bounds: Bounds,
-                 constraint: SmoothFunction | None, n_rows: int):
+                 constraint: SmoothFunction | None, n_rows: int,
+                 joint: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None):
         self.functions = (objective,) if constraint is None else (objective, constraint)
         self.constrained = constraint is not None
+        self.joint = joint
         self.lb = np.asarray(bounds.lower)
         self.ub = np.asarray(bounds.upper)
         self.span = self.ub - self.lb
-        self.span2 = self.span[:, None] * self.span
+        self.unit = np.concatenate(([1.0], self.span, self.span[HESS_COL] * self.span[HESS_ROW]))
         self.f_scale = np.ones(n_rows)
         self.scales = [np.broadcast_to(np.asarray(fn.scale, dtype=float), (n_rows,))
                        for fn in self.functions]
@@ -297,9 +314,7 @@ class _ScaledProblem:
         self.function_evals = np.zeros(n_rows, dtype=int)
         n_fn = len(self.functions)
         self._points = np.full((n_fn, n_rows, 3), np.nan)
-        self._values = np.zeros((n_fn, n_rows))
-        self._grads = np.zeros((n_fn, n_rows, 3))
-        self._hessians = np.zeros((n_fn, n_rows, 3, 3))
+        self._jets = np.zeros((n_fn, n_rows, 10))
 
     def to_raw(self, s: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(self.lb + s * self.span, self.lb), self.ub)
@@ -307,58 +322,82 @@ class _ScaledProblem:
     def to_unit(self, x: np.ndarray) -> np.ndarray:
         return np.clip((np.asarray(x, dtype=float) - self.lb) / self.span, 0.0, 1.0)
 
-    def evaluate(self, i: int, rows: np.ndarray, s: np.ndarray):
-        """Value (r,), unit-cube gradient (r, 3) and Hessian (r, 3, 3) of function
-        ``i`` at the rows' points, each divided by the function's scale. Only rows
-        whose point differs from the cache reach the callback. The whole-array
-        shortcuts (no row fresh, every row fresh, one finiteness test per result
-        before the per-row one that names the bad point) keep rows independent."""
+    def evaluate(self, i: int, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Jets (r, 10) of function ``i`` at the rows' points, on the unit cube and
+        divided by the function's scale. Only rows whose point differs from the
+        cache reach the callback. The whole-array shortcuts (no row fresh, every
+        row fresh, one finiteness test before the per-row one that names the bad
+        point) keep rows independent."""
         fresh = (self._points[i, rows] != s).any(axis=-1)
         if not fresh.any():
-            return self._values[i, rows], self._grads[i, rows], self._hessians[i, rows]
+            return self._jets[i, rows]
         every = fresh.all()
         at, s_at = (rows, s) if every else (rows[fresh], s[fresh])
-        fn, x = self.functions[i], self.to_raw(s_at)
-        v, g, h = fn.value_and_grad(at, x)
-        self.function_evals[at] += fn.model_cost
-        if not (np.isfinite(v).all() and np.isfinite(g).all() and np.isfinite(h).all()):
-            finite = (np.isfinite(v) & np.isfinite(g).all(axis=-1)
-                      & np.isfinite(h).all(axis=(-2, -1)))
-            raise NonFiniteEvaluationError(x[np.argmin(finite)], fn.name)
-        scale = self.scales[i][at]
-        v, g, h = v / scale, g * self.span / scale[:, None], h * self.span2 / scale[:, None, None]
-        self._points[i, at], self._values[i, at] = s_at, v
-        self._grads[i, at], self._hessians[i, at] = g, h
-        if every:
-            return v, g, h
-        return self._values[i, rows], self._grads[i, rows], self._hessians[i, rows]
+        x = self.to_raw(s_at)
+        jets = self._store(i, at, s_at, x, self.functions[i].value_and_grad(at, x))
+        return jets if every else self._jets[i, rows]
 
-    def lagrangian(self, rows: np.ndarray, s: np.ndarray, lam: np.ndarray, rho: np.ndarray):
-        """Augmented Lagrangian of the rows: the objective over its row's scale plus
-        (mult^2 - lam^2) / (2 rho), mult = max(0, lam + rho c). The value and
+    def evaluate_both(self, rows: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The objective's and the constraint's jets at the rows' points, as
+        :meth:`evaluate` gives them. The rows new to both are read by one call of
+        the joint callback, first; a row new to one function alone (a restored row,
+        whose constraint restoration read) then reads that function. A box-only
+        problem's constraint is 0 everywhere."""
+        if not self.constrained:
+            return self.evaluate(0, rows, s), np.zeros((len(rows), 10))
+        fresh = (self._points[:, rows] != s).any(axis=-1)
+        both = fresh[0] & fresh[1]
+        if self.joint is not None and both.any():
+            every = both.all()
+            at, s_at = (rows, s) if every else (rows[both], s[both])
+            x = self.to_raw(s_at)
+            pair = self.joint(at, x)
+            # the objective first, so its non-finite jet is named before the constraint's
+            jets = self._store(0, at, s_at, x, pair[:, 0]), self._store(1, at, s_at, x, pair[:, 1])
+            if every:
+                return jets
+        return self.evaluate(0, rows, s), self.evaluate(1, rows, s)
+
+    def _store(self, i: int, at: np.ndarray, s_at: np.ndarray, x: np.ndarray,
+               jets: np.ndarray) -> np.ndarray:
+        """Count, test, scale and cache function ``i``'s raw jets at the rows ``at``."""
+        fn = self.functions[i]
+        self.function_evals[at] += fn.model_cost
+        if not np.isfinite(jets).all():
+            raise NonFiniteEvaluationError(x[np.argmin(np.isfinite(jets).all(axis=-1))], fn.name)
+        jets = jets * self.unit / self.scales[i][at][:, None]
+        self._points[i, at], self._jets[i, at] = s_at, jets
+        return jets
+
+    def lagrangian(self, rows: np.ndarray, s: np.ndarray, lam: np.ndarray,
+                   rho: np.ndarray) -> np.ndarray:
+        """Jets of the rows' augmented Lagrangian: the objective over its row's scale
+        plus (mult^2 - lam^2) / (2 rho), mult = max(0, lam + rho c). The value and
         gradient are exact. The Hessian adds rho grad c grad c^T wherever
         lam + rho c > -rho _ACTIVE_EPS, the eps-active side of the penalty's kink,
         so that a Newton step from a feasible point at lam = 0 sees the bound."""
-        f, g, h = self.evaluate(0, rows, s)
-        scale = self.f_scale[rows]
-        f, g, h = f / scale, g / scale[:, None], h / scale[:, None, None]
         if not self.constrained:
-            return f, g, h
-        c, gc, hc = self.evaluate(1, rows, s)
-        shifted = lam + rho * c
+            return self.evaluate(0, rows, s) / self.f_scale[rows][:, None]
+        f, c = self.evaluate_both(rows, s)
+        out = f / self.f_scale[rows][:, None]
+        shifted = lam + rho * c[:, 0]
         mult = np.maximum(0.0, shifted)
-        f = f + (mult * mult - lam * lam) / (2.0 * rho)
-        g = g + mult[:, None] * gc
+        out[:, 0] += (mult * mult - lam * lam) / (2.0 * rho)
+        out[:, 1:] += mult[:, None] * c[:, 1:]
         band = np.where(shifted > -rho * _ACTIVE_EPS, rho, 0.0)
-        penalty = band[:, None, None] * gc[:, :, None] * gc[:, None, :]
-        return f, g, h + mult[:, None, None] * hc + penalty
+        gc = c[:, 1:4]
+        out[:, 4:] += band[:, None] * gc[:, HESS_ROW] * gc[:, HESS_COL]
+        return out
 
-    def squared_violation(self, rows: np.ndarray, s: np.ndarray):
-        """The squared positive part of the constraint, for restoration."""
-        c, gc, hc = self.evaluate(1, rows, s)
-        pos = np.maximum(0.0, c)
-        outer = np.where(c > 0, 2.0, 0.0)[:, None, None] * gc[:, :, None] * gc[:, None, :]
-        return pos * pos, 2.0 * pos[:, None] * gc, outer + 2.0 * pos[:, None, None] * hc
+    def squared_violation(self, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Jets of the squared positive part of the constraint, for restoration."""
+        c = self.evaluate(1, rows, s)
+        pos = np.maximum(0.0, c[:, 0])
+        out = 2.0 * pos[:, None] * c
+        out[:, 0] = pos * pos
+        gc = c[:, 1:4]
+        out[:, 4:] += np.where(c[:, 0] > 0, 2.0, 0.0)[:, None] * gc[:, HESS_ROW] * gc[:, HESS_COL]
+        return out
 
 
 def _multiplier_estimate(prob: _ScaledProblem, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -371,9 +410,8 @@ def _multiplier_estimate(prob: _ScaledProblem, rows: np.ndarray, s: np.ndarray) 
     the first best one wins, so 0 on a tie. A zero component of b has no break
     point.
     """
-    _, a, _ = prob.evaluate(0, rows, s)
-    a = a / prob.f_scale[rows][:, None]
-    _, b, _ = prob.evaluate(1, rows, s)
+    a = prob.evaluate(0, rows, s)[:, 1:4] / prob.f_scale[rows][:, None]
+    b = prob.evaluate(1, rows, s)[:, 1:4]
     ab, bb = (a * b).sum(axis=-1, keepdims=True), (b * b).sum(axis=-1, keepdims=True)
     breaks = np.divide(-a, b, out=np.zeros_like(a), where=b != 0)
     lsq = np.divide(-ab, bb, out=np.zeros_like(bb), where=bb > 0)
@@ -411,13 +449,11 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
             s[live], gtol, config.max_inner)
         prob.iterations[batch] += steps
 
-        f_b, g_obj, _ = prob.evaluate(0, batch, s_b)
-        grad_lagr = g_obj / prob.f_scale[batch][:, None]
+        f_jet, c_jet = prob.evaluate_both(batch, s_b)
+        f_b, c, gc = f_jet[:, 0], c_jet[:, 0], c_jet[:, 1:4]
+        grad_lagr = f_jet[:, 1:4] / prob.f_scale[batch][:, None]
         if prob.constrained:
-            c, gc, _ = prob.evaluate(1, batch, s_b)
             grad_lagr = grad_lagr + np.maximum(0.0, lam_b + rho_b * c)[:, None] * gc
-        else:
-            c, gc = np.zeros_like(f_b), np.zeros_like(s_b)
         viol_b = np.maximum(0.0, c)
         grad_viol = viol_b[:, None] * gc
         # shifted measure: feasibility plus complementarity, so an active
@@ -446,9 +482,10 @@ def _auglag(prob: _ScaledProblem, rows: np.ndarray, s0: np.ndarray, rho0: float,
 # NonFiniteEvaluationError, not a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _solve_rows(objective: SmoothFunction, bounds: Bounds, starts, config: SolverConfig,
-                constraint: SmoothFunction | None):
+                constraint: SmoothFunction | None, joint=None):
     """The solve of :func:`minimize_starts` as arrays over the starts: (x, objective,
-    converged, residual, violation, iterations, function evaluations)."""
+    converged, residual, violation, iterations, function evaluations); ``joint`` as
+    in :class:`_ScaledProblem`."""
     starts = np.asarray(starts, dtype=float).reshape(-1, 3)
     # the test of Bounds.contains(start, tol=1e-9), over every start at once
     lo, hi = np.asarray(bounds.lower), np.asarray(bounds.upper)
@@ -458,9 +495,11 @@ def _solve_rows(objective: SmoothFunction, bounds: Bounds, starts, config: Solve
         raise ValueError(f"start {starts[np.argmax(outside)].tolist()} outside bounds")
     n = len(starts)
     every = np.arange(n)
-    prob = _ScaledProblem(objective, bounds, constraint, n)
+    prob = _ScaledProblem(objective, bounds, constraint, n, joint)
     s = prob.to_unit(starts)
-    f_start, _, _ = prob.evaluate(0, every, s)
+    # the constraint is read with the objective here, where the first inner solve
+    # would read it alone
+    f_start = prob.evaluate_both(every, s)[0][:, 0]
     prob.f_scale = np.maximum(1.0, np.abs(f_start))
 
     # without the constraint there is no multiplier to update: one inner solve
@@ -477,7 +516,7 @@ def _solve_rows(objective: SmoothFunction, bounds: Bounds, starts, config: Solve
         s_r, steps = _inner_solve(lambda k, sv: prob.squared_violation(stuck[k], sv), s[stuck],
                                   1e-12, config.max_inner)
         prob.iterations[stuck] += steps
-        restored = prob.evaluate(1, stuck, s_r)[0] <= config.feas_tol
+        restored = prob.evaluate(1, stuck, s_r)[:, 0] <= config.feas_tol
         if restored.any():
             rows, s_r = stuck[restored], s_r[restored]
             # the restart begins at the first-order multiplier of its feasible
@@ -529,18 +568,22 @@ def grouped_multistart(
     n_groups: int,
     config: SolverConfig | None = None,
     constraint: SmoothFunction | None = None,
+    *,
+    _joint=None,
 ) -> list[SolveOutcome]:
     """Best feasible outcome of each of ``n_groups`` seeded multistarts, one batch.
 
     Row r is start r % n_starts of group r // n_starts, so a per-row parameter is
     its group's value repeated n_starts times. Counters are summed over a group's
     starts. Ties go to a converged start, then to the lowest start index.
+    ``_joint`` is the epsilon routine's read of its objective and bound at once
+    (see :class:`_ScaledProblem`); it changes no result.
     """
     config = config or SolverConfig()
     n = config.n_starts
     starts = np.tile(stratified_starts(bounds, n, config.seed), (n_groups, 1))
     x, f, conv, res, viol, iterations, evals = _solve_rows(objective, bounds, starts, config,
-                                                           constraint)
+                                                           constraint, _joint)
     best = _best_rows(f, conv, viol, n, config.feas_tol)
     return _outcomes(x[best], f[best], conv[best] & (viol[best] <= config.feas_tol), res[best],
                      viol[best], iterations.reshape(-1, n).sum(axis=1),

@@ -9,6 +9,13 @@ values, exact gradients and exact Hessians of m models therefore come from one
 basis vector and one (10m, k) matrix (:class:`ModelStack`), ten rows a model, and
 a point can read one model's rows alone. :func:`evaluate` stacks its one model
 and reads the value row, with the same arithmetic.
+
+A model's ten rows times the basis vector are its jet at the point: the value,
+the three first partials and the six second partials in ``_PAIRS`` order. The
+jet is the solver's one currency: every function it minimizes returns its
+value, gradient and Hessian as one such row of ten (:func:`jets`). Second
+partial k is the Hessian's lower-triangle entry H[HESS_ROW[k], HESS_COL[k]],
+row >= column, the triangle ``np.linalg.eigh`` reads.
 """
 
 from __future__ import annotations
@@ -119,6 +126,11 @@ def evaluate(model: PolynomialModel, x):
 
 #: (v, w) variable pairs of the six distinct second partials, in row order
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+#: the Hessian's row w and column v, w >= v, of each second partial of a jet
+HESS_ROW = np.array([w for _, w in _PAIRS])
+HESS_COL = np.array([v for v, _ in _PAIRS])
+#: where each entry of a 3x3 Hessian sits among a jet's six second partials
+HESS_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 def _lower(e: tuple[int, ...], v: int) -> tuple[float, tuple[int, ...]]:
@@ -195,25 +207,20 @@ def _product(stack: ModelStack, x, rows=slice(None)) -> np.ndarray:
     return np.add.reduce(stack.matrix[rows] * phi[..., None, :], axis=-1)
 
 
-#: where each entry of a symmetric 3x3 Hessian sits among its six distinct partials
-_HESSIAN_INDEX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-
-
 def stack_values(stack: ModelStack, x) -> np.ndarray:
     """Values f (..., m) of the models of ``stack`` at ``x``, without derivatives:
     the value rows of :func:`value_jacobian_hessian`, bit for bit."""
     return _product(stack, x, slice(0, None, 10))
 
 
-def value_jacobian_hessian(stack: ModelStack, x, model=None
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values f (..., m), Jacobian J (..., m, 3) and Hessians H (..., m, 3, 3) of the
-    models of ``stack`` at ``x``: one basis evaluation and one matrix product per
-    point serve all m models.
+def jets(stack: ModelStack, x, model=None) -> np.ndarray:
+    """Jets (..., m, 10) of the models of ``stack`` at ``x``: each model's value, its
+    three first partials and its six second partials, one basis evaluation and one
+    matrix product per point for all m models.
 
     With ``model``, one index for every point or one per point, each point
-    evaluates that model's ten rows alone and m is 1; its results equal that
-    model's column of the whole stack's, bit for bit.
+    evaluates that model's ten rows alone and m is 1; its jet equals that model's
+    jet in the whole stack's, bit for bit.
     """
     if model is None:
         rows = slice(None)
@@ -222,8 +229,21 @@ def value_jacobian_hessian(stack: ModelStack, x, model=None
     else:
         rows = slice(10 * model, 10 * model + 10)
     out = _product(stack, x, rows)
-    out = out.reshape(out.shape[:-1] + (-1, 10))
-    return out[..., 0], out[..., 1:4], out[..., 4:][..., _HESSIAN_INDEX]
+    return out.reshape(out.shape[:-1] + (-1, 10))
+
+
+def unpack(jets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (...), gradients (..., 3) and Hessians (..., 3, 3) of jets (..., 10),
+    each Hessian symmetric from its lower triangle."""
+    return jets[..., 0], jets[..., 1:4], jets[..., 4:][..., HESS_INDEX]
+
+
+def value_jacobian_hessian(stack: ModelStack, x, model=None
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values f (..., m), Jacobian J (..., m, 3) and Hessians H (..., m, 3, 3) of the
+    models of ``stack`` at ``x``: their :func:`jets`, unpacked, with ``model`` as there.
+    """
+    return unpack(jets(stack, x, model))
 
 
 # Fixed-coefficient models exactly as printed in the source study. The 7-term pair

@@ -32,7 +32,7 @@ from .nlsolver import (
     grouped_multistart,
 )
 from .pareto import Front, ParetoPoint, Sense
-from .polymodel import ModelStack, PolynomialModel, stack_values, value_jacobian_hessian
+from .polymodel import HESS_COL, HESS_ROW, ModelStack, PolynomialModel, jets, stack_values
 
 #: p grid used by the deviation-criterion sweep in the case study.
 DEFAULT_P_VALUES = (1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
@@ -111,9 +111,9 @@ class MooProblem:
         stack = self.stack
 
         def vg(rows, x):
-            f, jac, hess = value_jacobian_hessian(stack, x, index)
-            at = bound[rows] if np.ndim(bound) else bound
-            return f[..., 0] - at, jac[..., 0, :], hess[..., 0, :, :]
+            out = jets(stack, x, index)[..., 0, :]
+            out[..., 0] -= bound[rows] if np.ndim(bound) else bound
+            return out
 
         return SmoothFunction(vg, model_cost=1, scale=np.maximum(1.0, np.abs(bound)),
                               name=name or self.names[index])
@@ -172,10 +172,7 @@ def individual_optima(problem: MooProblem, config: SolverConfig | None = None) -
     stack = problem.stack
 
     def vg(rows, x):
-        f, jac, hess = value_jacobian_hessian(stack, x, model[rows])
-        s = sign[rows]
-        return (s * f[..., 0], s[..., None] * jac[..., 0, :],
-                s[..., None, None] * hess[..., 0, :, :])
+        return sign[rows][..., None] * jets(stack, x, model[rows])[..., 0, :]
 
     outcomes = grouped_multistart(SmoothFunction(vg, model_cost=1, name="individual optima"),
                                   problem.bounds, 2 * len(problem.objectives), config)
@@ -344,12 +341,16 @@ def _criterion_fn(problem: MooProblem, utopia: UtopiaRecord, p: np.ndarray) -> S
     stack = problem.stack
 
     def vg(rows, x):
-        f, jac, hess = value_jacobian_hessian(stack, x)
-        value, weights, second = _deviation(f, stars, p[rows])
-        # chain rule: sum_i (dF/df_i) H_i + J^T (d2F/df2) J
+        models = jets(stack, x)
+        jac = models[..., 1:4]
+        value, weights, second = _deviation(models[..., 0], stars, p[rows])
+        # chain rule: sum_i (dF/df_i) H_i + J^T (d2F/df2) J, whose lower-triangle
+        # entry (w, v) is sum_i J[i, w] (S J)[i, v]
         w_jac = np.sum(second[..., :, :, None] * jac[..., None, :, :], axis=-2)
-        curvature = np.sum(jac[..., :, :, None] * w_jac[..., :, None, :], axis=-3)
-        return value, _weighted(weights, jac), _weighted(weights, hess) + curvature
+        out = _weighted(weights, models)
+        out[..., 0] = value
+        out[..., 4:] += np.sum(jac[..., HESS_ROW] * w_jac[..., HESS_COL], axis=-2)
+        return out
 
     return SmoothFunction(vg, model_cost=stack.size, name="deviation criterion")
 
@@ -389,11 +390,11 @@ def _weighted_sums(problem: MooProblem, points: list[tuple[float, ...]],
     stack = problem.stack
 
     def vg(rows, x):
-        f, jac, hess = value_jacobian_hessian(stack, x)
-        at = w[rows]
-        scaled = np.broadcast_to(at / width, f.shape)
-        return np.sum(at * (f - ideal) / width, axis=-1), _weighted(scaled, jac), \
-            _weighted(scaled, hess)
+        models = jets(stack, x)
+        f, at = models[..., 0], w[rows]
+        out = _weighted(np.broadcast_to(at / width, f.shape), models)
+        out[..., 0] = np.sum(at * (f - ideal) / width, axis=-1)
+        return out
 
     fn = SmoothFunction(vg, model_cost=stack.size, name="weighted sum")
     outcomes = grouped_multistart(fn, problem.bounds, len(points), config)
@@ -453,9 +454,19 @@ def _epsilon_points(problem: MooProblem, primary_idx: int, points: Sequence[Sequ
         if not math.isfinite(float(epsilons[0])):
             raise ValueError(f"epsilon bound must be finite, got {epsilons[0]!r}")
     eps_rows = np.repeat(np.array(points, dtype=float).reshape(len(points)), config.n_starts)
+    stack = problem.stack
+
+    def both(rows, x):
+        # one product of both models' rows: the objective's jet, then the bound's
+        out = jets(stack, x)[..., (primary_idx, other), :]
+        out[..., 1, 0] -= eps_rows[rows]
+        return out
+
     held = problem.function(other, bound=eps_rows, name=f"{bounded.name}<= eps")
+    # built as a SmoothFunction, as every callback here is; the solver takes its callable
+    joint = SmoothFunction(both, name="objective and bound").value_and_grad
     outcomes = grouped_multistart(problem.function(primary_idx), problem.bounds, len(points),
-                                  config, constraint=held)
+                                  config, constraint=held, _joint=joint)
     results = []
     for (eps,), outcome, responses in zip(points, outcomes, _responses(problem, outcomes)):
         active = (bounded.sign * responses[other] - eps) / max(1.0, abs(eps)) >= -ACTIVE_TOL

@@ -12,6 +12,21 @@ from pareto_forge import (
     fit_ols,
     individual_optima,
 )
+from pareto_forge.polymodel import HESS_COL, HESS_ROW
+
+
+def pack(value, grad, hess):
+    """The jets (..., 10) of values, gradients and 3x3 Hessians that broadcast
+    together: the solver's layout, which keeps each Hessian's lower triangle."""
+    value, grad, hess = (np.asarray(a, dtype=float) for a in (value, grad, hess))
+    out = np.empty(np.broadcast_shapes(value.shape, grad.shape[:-1], hess.shape[:-2]) + (10,))
+    out[..., 0], out[..., 1:4], out[..., 4:] = value, grad, hess[..., HESS_ROW, HESS_COL]
+    return out
+
+
+def packed(vg):
+    """A callback that returns (value, gradient, Hessian), as one that returns their jets."""
+    return lambda rows, x: pack(*vg(rows, x))
 
 
 @pytest.fixture(scope="session")

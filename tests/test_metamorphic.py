@@ -8,6 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import packed
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
     DEFAULT_P_VALUES,
@@ -65,7 +66,7 @@ def _own_model(objective, sign=1.0, bound=0.0):
         f, jac, hess = value_jacobian_hessian(stack, x)
         return f[..., 0] - bound, jac[..., 0, :], hess[..., 0, :, :]
 
-    return SmoothFunction(vg, scale=max(1.0, abs(bound)))
+    return SmoothFunction(packed(vg), scale=max(1.0, abs(bound)))
 
 
 def _fit_pair(records):
@@ -205,7 +206,7 @@ def _one_point_criterion(problem, utopia, p):
         return (value, scalarize._weighted(weights, jac),
                 scalarize._weighted(weights, hess) + curvature)
 
-    return SmoothFunction(vg, model_cost=2)
+    return SmoothFunction(packed(vg), model_cost=2)
 
 
 def _one_point_weighted_sum(problem, utopia, weights):
@@ -218,7 +219,7 @@ def _one_point_weighted_sum(problem, utopia, weights):
         return (np.sum(w * (f - ideal) / width, axis=-1), scalarize._weighted(scaled, jac),
                 scalarize._weighted(scaled, hess))
 
-    return SmoothFunction(vg, model_cost=2)
+    return SmoothFunction(packed(vg), model_cost=2)
 
 
 def _criterion_points(problem, utopia, config):

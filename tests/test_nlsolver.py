@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import packed
 from pareto_forge import nlsolver
 from pareto_forge import (
     CASE_STUDY_BOUNDS,
@@ -17,6 +18,7 @@ from pareto_forge import (
     stratified_starts,
     value_jacobian_hessian,
 )
+from pareto_forge.polymodel import unpack
 
 BOX = CASE_STUDY_BOUNDS
 LB = np.array(CASE_STUDY_BOUNDS.lower)
@@ -38,7 +40,7 @@ def quadratic_objective(center):
         d = (x - center) / SPAN
         return np.sum(d * d, axis=-1), 2.0 * d / SPAN, np.diag(2.0 / SPAN ** 2)
 
-    return SmoothFunction(vg, name="quadratic")
+    return SmoothFunction(packed(vg), name="quadratic")
 
 
 # Double well in the cutting-speed variable only: f'(u) = (u-.35)(u-.55)(u-.9)
@@ -66,7 +68,19 @@ def bimodal_objective():
         hess[..., 0, 0] = _well_curvature(u) / 236.0 ** 2
         return _well(u), grad, hess
 
-    return SmoothFunction(vg, name="double well")
+    return SmoothFunction(packed(vg), name="double well")
+
+
+def jointly(objective, constraint, reads=None):
+    """The joint read of ``objective`` and ``constraint``, which appends the rows of
+    each read to ``reads``."""
+    def both(rows, x):
+        if reads is not None:
+            reads.append(np.asarray(rows).tolist())
+        return np.stack(np.broadcast_arrays(objective.value_and_grad(rows, x),
+                                            constraint.value_and_grad(rows, x)), axis=-2)
+
+    return both
 
 
 def test_convex_quadratic_reaches_center():
@@ -104,7 +118,7 @@ def test_refit_roughness_minimized_from_interior_start(refit_models):
         f, jac, hess = value_jacobian_hessian(stack, x)
         return f[..., 0], jac[..., 0, :], hess[..., 0, :, :]
 
-    out = one_start(SmoothFunction(vg, name="Ra"), BOX, [200.0, 0.1, 0.4])
+    out = one_start(SmoothFunction(packed(vg), name="Ra"), BOX, [200.0, 0.1, 0.4])
     assert out.converged
     assert abs(out.objective - 0.5055) <= 0.005
     assert np.allclose(out.x, [314.0, 0.04, 0.2], atol=1e-4)
@@ -142,13 +156,17 @@ def test_stratified_starts_layout():
 
 
 def test_nonfinite_objective_reports_point():
-    bad = SmoothFunction(lambda rows, x: (float("nan"), np.zeros(3), np.zeros((3, 3))), name="broken")
+    bad = SmoothFunction(packed(lambda rows, x: (float("nan"), np.zeros(3), np.zeros((3, 3)))),
+                         name="broken")
     with pytest.raises(NonFiniteEvaluationError, match="broken") as err:
         one_start(bad, BOX, CASE_STUDY_BOUNDS.center)
     assert np.allclose(err.value.point, CASE_STUDY_BOUNDS.center)
-    # the objective is checked before the constraint
+    # the objective is checked before the constraint, also where both are read at once
+    also = replace(bad, name="also broken")
     with pytest.raises(NonFiniteEvaluationError, match="'broken'"):
-        one_start(bad, BOX, CASE_STUDY_BOUNDS.center, constraint=replace(bad, name="also broken"))
+        one_start(bad, BOX, CASE_STUDY_BOUNDS.center, constraint=also)
+    with pytest.raises(NonFiniteEvaluationError, match="'broken'"):
+        grouped_multistart(bad, BOX, 1, SolverConfig(n_starts=1), also, _joint=jointly(bad, also))
 
 
 @pytest.mark.parametrize("where", ["value", "hessian"])
@@ -166,10 +184,10 @@ def test_nonfinite_constraint_at_a_trial_point_names_its_row(where):
                 if where == "value":
                     value[j] = np.nan
                 else:
-                    hess[j, 1, 2] = np.inf
+                    hess[j, 1, 2] = hess[j, 2, 1] = np.inf
         return value, np.array([-1.0, 0.0, 0.0]), hess
 
-    wall = SmoothFunction(vg, scale=150.0, name="vc >= 150")
+    wall = SmoothFunction(packed(vg), scale=150.0, name="vc >= 150")
     starts = stratified_starts(CASE_STUDY_BOUNDS, 3, 2)
     with pytest.raises(NonFiniteEvaluationError, match="'vc >= 150'") as err:
         minimize_starts(quadratic_objective(LB), BOX, starts, constraint=wall)
@@ -255,8 +273,9 @@ def test_descent_on_box_only_solves():
 def test_multistart_ties_go_to_the_lowest_start_index(violation):
     # a flat objective leaves every start where it began with the same objective
     # and, here, the same violation: the first start (the box center) must win
-    flat = SmoothFunction(lambda rows, x: (1.0, np.zeros(3), np.zeros((3, 3))), name="flat")
-    wall = SmoothFunction(lambda rows, x: (violation, np.zeros(3), np.zeros((3, 3))), name="constant")
+    flat = SmoothFunction(packed(lambda rows, x: (1.0, np.zeros(3), np.zeros((3, 3)))), name="flat")
+    wall = SmoothFunction(packed(lambda rows, x: (violation, np.zeros(3), np.zeros((3, 3)))),
+                          name="constant")
     cfg = SolverConfig(n_starts=5, seed=4)
     best = one_multistart(flat, BOX, cfg, wall)
     assert best.x == one_start(flat, BOX, CASE_STUDY_BOUNDS.center, cfg, wall).x
@@ -272,7 +291,7 @@ def test_multistart_tie_goes_to_a_converged_start():
         sloped = np.all(x == center, axis=-1)[..., None]
         return 1.0, np.where(sloped, 1.0, 0.0) * np.ones(3), np.zeros((3, 3))
 
-    flat = SmoothFunction(vg, name="flat, sloped at the center")
+    flat = SmoothFunction(packed(vg), name="flat, sloped at the center")
     cfg = SolverConfig(n_starts=5, seed=4)
     assert not one_start(flat, BOX, center, cfg).converged
     best = one_multistart(flat, BOX, cfg)
@@ -291,8 +310,8 @@ def test_counters_accumulate():
 def test_inequality_constrained_solve_is_feasible_and_active():
     objective = quadratic_objective(LB)
     wall = SmoothFunction(
-        lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))), scale=150.0,
-        name="vc >= 150"
+        packed(lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3)))),
+        scale=150.0, name="vc >= 150"
     )
     out = one_multistart(objective, BOX, SolverConfig(seed=2), wall)
     assert out.converged
@@ -307,16 +326,16 @@ def test_lagrangian_value_is_the_piecewise_penalty():
     # lam c + rho c^2 / 2 while lam + rho c >= 0 and -lam^2 / (2 rho) beyond it
     # (Rockafellar's form): continuous where the constraint leaves the penalty
     wall = SmoothFunction(
-        lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))),
+        packed(lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3)))),
         scale=150.0, name="vc >= 150")
     prob = nlsolver._ScaledProblem(quadratic_objective(LB), BOX, wall, 4)
     rows = np.arange(4)
     # vc at 101.6, 148.8, 196 and 290.4: two rows in the penalty and two beyond it
     s = np.array([[0.1, 0.5, 0.5], [0.3, 0.2, 0.7], [0.5, 0.5, 0.5], [0.9, 0.1, 0.4]])
     lam, rho = np.array([2.0, 0.5, 3.0, 1.0]), np.array([10.0, 100.0, 10.0, 1000.0])
-    value, grad, _ = prob.lagrangian(rows, s, lam, rho)
-    f, g, _ = prob.evaluate(0, rows, s)
-    c, gc, _ = prob.evaluate(1, rows, s)
+    value, grad, _ = unpack(prob.lagrangian(rows, s, lam, rho))
+    f, g, _ = unpack(prob.evaluate(0, rows, s))
+    c, gc, _ = unpack(prob.evaluate(1, rows, s))
     inside = lam + rho * c >= 0
     assert inside.tolist() == [True, True, False, False]
     psi = np.where(inside, lam * c + rho * c * c / 2.0, -lam * lam / (2.0 * rho))
@@ -330,7 +349,7 @@ def test_hessian_carries_the_bound_curvature_in_its_eps_band():
     # curvature rho grad c grad c^T enters the Hessian; beyond the band it does
     # not, and on both the value and gradient stay the piecewise penalty's
     wall = SmoothFunction(
-        lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3))),
+        packed(lambda rows, x: (150.0 - x[..., 0], np.array([-1.0, 0.0, 0.0]), np.zeros((3, 3)))),
         scale=150.0, name="vc >= 150")
     prob = nlsolver._ScaledProblem(quadratic_objective(LB), BOX, wall, 5)
     rows = np.arange(5)
@@ -339,9 +358,9 @@ def test_hessian_carries_the_bound_curvature_in_its_eps_band():
     s = np.column_stack((np.array([151.0, 152.1, 160.0, 200.0, 148.0]) - LB[0], np.full(5, 0.1),
                          np.full(5, 0.2))) / SPAN
     lam, rho = np.array([0.0, 0.5, 0.0, 2.0, 1.0]), np.array([10.0, 100.0, 10.0, 1000.0, 10.0])
-    value, grad, hess = prob.lagrangian(rows, s, lam, rho)
-    f, g, h = prob.evaluate(0, rows, s)
-    c, gc, _ = prob.evaluate(1, rows, s)
+    value, grad, hess = unpack(prob.lagrangian(rows, s, lam, rho))
+    f, g, h = unpack(prob.evaluate(0, rows, s))
+    c, gc, _ = unpack(prob.evaluate(1, rows, s))
     shifted = lam + rho * c
     band = shifted > -rho * nlsolver._ACTIVE_EPS
     assert (shifted <= 0).tolist() == [True, True, True, True, False]
@@ -366,8 +385,8 @@ def linear_problem(a, b, offset=0.0):
                 np.zeros((3, 3))
         return vg
 
-    return nlsolver._ScaledProblem(SmoothFunction(linear(a, 0.0)), BOX,
-                                   SmoothFunction(linear(b, offset)), len(a))
+    return nlsolver._ScaledProblem(SmoothFunction(packed(linear(a, 0.0))), BOX,
+                                   SmoothFunction(packed(linear(b, offset))), len(a))
 
 
 def estimate(a, b, s):
@@ -448,7 +467,7 @@ def trap_constraint(offsets):
         hess[..., 0, 1] = hess[..., 1, 0] = -3.0 / (SPAN[0] * SPAN[1])
         return offsets[rows] + u + v - 3.0 * u * v, grad, hess
 
-    return SmoothFunction(trap, name="trap")
+    return SmoothFunction(packed(trap), name="trap")
 
 
 def toward_vertex():
@@ -456,7 +475,7 @@ def toward_vertex():
         s = (x - LB) / SPAN
         return s[..., 0] + s[..., 1], np.array([1.0, 1.0, 0.0]) / SPAN, np.zeros((3, 3))
 
-    return SmoothFunction(vg, name="u + v")
+    return SmoothFunction(packed(vg), name="u + v")
 
 
 def test_row_at_a_locally_infeasible_vertex_leaves_for_restoration(monkeypatch):
@@ -482,13 +501,47 @@ def test_restoration_evaluates_its_own_rows():
     # batch's first, go to restoration: each group must solve as it does alone
     cfg = SolverConfig()
     offsets = (-10.0, 0.1)
-    both = grouped_multistart(toward_vertex(), BOX, 2, cfg,
-                              trap_constraint(np.repeat(offsets, cfg.n_starts)))
+    trap = trap_constraint(np.repeat(offsets, cfg.n_starts))
+    both = grouped_multistart(toward_vertex(), BOX, 2, cfg, trap)
     for offset, outcome in zip(offsets, both):
         alone = one_multistart(toward_vertex(), BOX, cfg,
                                trap_constraint(np.full(cfg.n_starts, offset)))
         assert outcome == alone
     assert both[1].converged and both[1].constraint_violation <= cfg.feas_tol
+    # read jointly where a row is new to both functions, and alone where restoration
+    # read the bound, every row counts its own misses and ends the same
+    joint = []
+    assert grouped_multistart(toward_vertex(), BOX, 2, cfg, trap,
+                              _joint=jointly(toward_vertex(), trap, joint)) == both
+    assert joint
+
+
+def test_a_row_new_to_one_function_reads_that_function_alone():
+    # rows 0 and 1 had their bound read alone, as restoration reads it: their
+    # objective is read alone, and only rows 2 and 3 are read jointly
+    objective, wall = quadratic_objective(LB), trap_constraint(np.zeros(4))
+    reads = {"objective": [], "constraint": [], "joint": []}
+
+    def recorded(name, fn):
+        def vg(rows, x):
+            reads[name].append(rows.tolist())
+            return fn.value_and_grad(rows, x)
+        return replace(fn, value_and_grad=vg)
+
+    prob = nlsolver._ScaledProblem(recorded("objective", objective), BOX,
+                                   recorded("constraint", wall), 4,
+                                   jointly(objective, wall, reads["joint"]))
+    rows, s = np.arange(4), np.random.default_rng(2).random((4, 3))
+    prob.evaluate(1, rows[:2], s[:2])
+    f, c = prob.evaluate_both(rows, s)
+    assert reads == {"objective": [[0, 1]], "constraint": [[0, 1]], "joint": [[2, 3]]}
+    assert prob.function_evals.tolist() == [2, 2, 2, 2]
+    alone = nlsolver._ScaledProblem(objective, BOX, wall, 4)
+    assert f.tobytes() == alone.evaluate(0, rows, s).tobytes()
+    assert c.tobytes() == alone.evaluate(1, rows, s).tobytes()
+    # every point read, nothing is read again
+    prob.evaluate_both(rows, s)
+    assert len(reads["joint"]) == 1 and prob.function_evals.tolist() == [2, 2, 2, 2]
 
 
 def test_returned_point_respects_bounds_exactly():

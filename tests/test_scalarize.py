@@ -36,6 +36,7 @@ from pareto_forge import (
 )
 from pareto_forge import cli, nlsolver, scalarize
 from pareto_forge.evolve import GaConfig
+from pareto_forge.polymodel import unpack
 from pareto_forge.pareto import front_to_csv_text
 from pareto_forge.scalarize import UtopiaSolveError
 
@@ -126,9 +127,9 @@ def test_minimized_sign(problem):
     f, _, _ = value_jacobian_hessian(problem.stack, x)
     assert f[1] == -float(evaluate(mrr_obj.model, x))
     assert f[0] == float(evaluate(ra_obj.model, x))
-    f, _, _ = problem.function(1).value_and_grad(0, x)
+    f, _, _ = unpack(problem.function(1).value_and_grad(0, x))
     assert f == -float(evaluate(mrr_obj.model, x))
-    f, _, _ = problem.function(0).value_and_grad(0, x)
+    f, _, _ = unpack(problem.function(0).value_and_grad(0, x))
     assert f == float(evaluate(ra_obj.model, x))
 
 
@@ -142,7 +143,7 @@ def test_every_callback_reads_its_column_of_a_mixed_basis_stack(monkeypatch):
     whole = value_jacobian_hessian(problem.stack, x)
     rows = np.arange(len(x))
     for k in range(2):
-        for got, want in zip(problem.function(k).value_and_grad(rows, x), whole):
+        for got, want in zip(unpack(problem.function(k).value_and_grad(rows, x)), whole):
             assert got.tobytes() == want[:, k].tobytes()
     pick = np.random.default_rng(1).integers(0, 2, len(x))
     for got, want in zip(value_jacobian_hessian(problem.stack, x, pick), whole):
@@ -151,7 +152,7 @@ def test_every_callback_reads_its_column_of_a_mixed_basis_stack(monkeypatch):
     optima = _solver_objective(monkeypatch, lambda: individual_optima(problem, FAST))
     groups = np.random.default_rng(2).integers(0, 4, len(x))
     sign = np.where(groups % 2, -1.0, 1.0)
-    for got, want in zip(optima.value_and_grad(groups * FAST.n_starts, x), whole):
+    for got, want in zip(unpack(optima.value_and_grad(groups * FAST.n_starts, x)), whole):
         col = want[rows, groups // 2]
         assert got.tobytes() == (sign.reshape((-1,) + (1,) * (col.ndim - 1)) * col).tobytes()
 
@@ -512,14 +513,30 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
     from pareto_forge import polymodel
 
     made = {"n": 0}
-    evaluate_models = polymodel.value_jacobian_hessian
+    products = []  # (every model of the stack, points) of each model product
+    product = polymodel.jets
 
     def counting(stack, x, model=None):
         # every model of the stack at each point, or the one each point reads
         made["n"] += (stack.size if model is None else 1) * (np.size(x) // 3)
-        return evaluate_models(stack, x, model)
+        products.append((model is None, np.size(x) // 3))
+        return product(stack, x, model)
 
-    monkeypatch.setattr(scalarize, "value_jacobian_hessian", counting)
+    # each epsilon point's Lagrangian callback: its rows new to both functions, and
+    # its products
+    callbacks, lagrangian = [], nlsolver._ScaledProblem.lagrangian
+
+    def spy(prob, rows, s, lam, rho):
+        if not prob.constrained:
+            return lagrangian(prob, rows, s, lam, rho)
+        new = int((prob._points[:, rows] != s).any(axis=-1).all(axis=0).sum())
+        before = len(products)
+        out = lagrangian(prob, rows, s, lam, rho)
+        callbacks.append((new, products[before:]))
+        return out
+
+    monkeypatch.setattr(scalarize, "jets", counting)
+    monkeypatch.setattr(nlsolver._ScaledProblem, "lagrangian", spy)
     cfg = SolverConfig(n_starts=2, seed=1)
     utopia = individual_optima(problem, cfg)
     assert utopia.counters.function_evals == made["n"] > 0
@@ -527,6 +544,9 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
         lambda: global_criterion_sweep(problem, (4,), cfg, utopia).results[0].outcome.counters,
         lambda: weighted_sum(problem, (0.4, 0.6), cfg, utopia).outcome.counters,
         lambda: epsilon_constraint(problem, "mrr", (0.7107,), cfg).outcome.counters,
+        # eps = Ra*: restoration reads the bound alone, and the restart's multiplier
+        # estimate the objective alone, each counted at its own cache miss
+        lambda: epsilon_constraint(problem, "mrr", (utopia.ideal[0],), cfg).outcome.counters,
         # stage 1 is the utopia's own solve, counted above: stage 2 evaluates anew
         lambda: lexicographic(problem, ("ra", "mrr"), cfg, utopia).results[1].outcome.counters,
         # a sweep is one batched solve: its rows count as the points' own solves did
@@ -537,6 +557,15 @@ def test_function_evals_count_model_point_evaluations(problem, monkeypatch):
     for run in runs:
         made["n"] = 0
         assert run().function_evals == made["n"] > 0
+    # the restored rows of eps = Ra* read one model at a time
+    made["n"], products[:] = 0, []
+    restored = epsilon_constraint(problem, "mrr", (utopia.ideal[0],), cfg).outcome.counters
+    assert restored.function_evals == made["n"]
+    assert any(not every for every, _ in products) and any(every for every, _ in products)
+    # every epsilon callback reads the rows new to both functions in one product of
+    # both models, and a callback with no such row makes none
+    assert any(new for new, _ in callbacks)
+    assert all(made == ([(True, new)] if new else []) for new, made in callbacks)
 
 
 def _deviation_at_one_p(values, stars, p):
@@ -674,18 +703,18 @@ def _assert_hessian_matches_gradient_differences(fn):
     pts = _interior_points(20, 3)
     # every point as row 0: a captured callback holds one point's per-row parameters
     rows = np.zeros(len(pts), dtype=int)
-    value, grad, hess = fn.value_and_grad(rows, pts)
+    value, grad, hess = unpack(fn.value_and_grad(rows, pts))
     assert value.shape == (20,) and grad.shape == (20, 3) and hess.shape == (20, 3, 3)
     assert np.allclose(hess, np.swapaxes(hess, -1, -2), rtol=1e-12, atol=0.0)
     for v in range(3):
         e = np.zeros(3)
         e[v] = step[v]
-        fd = (fn.value_and_grad(rows, pts + e)[1] - fn.value_and_grad(rows, pts - e)[1]) \
-            / (2 * step[v])
+        fd = (unpack(fn.value_and_grad(rows, pts + e))[1]
+              - unpack(fn.value_and_grad(rows, pts - e))[1]) / (2 * step[v])
         scale = np.maximum(1.0, np.abs(hess).max(axis=(-2, -1)))[:, None]
         assert np.all(np.abs(fd - hess[..., v]) <= 1e-5 * scale)
     # one point: the batch's row, without the leading axis
-    one = fn.value_and_grad(0, pts[7])
+    one = unpack(fn.value_and_grad(0, pts[7]))
     assert np.array_equal(one[0], value[7]) and np.array_equal(one[2], hess[7])
 
 
